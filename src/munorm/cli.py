@@ -30,7 +30,7 @@ from .circle import (
 )
 from .entropy import (
     DEFAULT_TERM_CAP,
-    ks_entropy_at,
+    ks_entropy_rate,
     markov_entropy_rate,
     quantum_entropy_rate,
 )
@@ -55,11 +55,8 @@ def _load_space(args):
     return mio.space_from_obj(mio.load_json(args.space))
 
 
-def _convert(values, log_base: str):
-    factor = 1.0 if log_base == "e" else 1.0 / math.log(2.0)
-    if isinstance(values, (list, tuple)):
-        return [v * factor for v in values]
-    return values * factor
+def _convert(value: float, log_base: str) -> float:
+    return value * (1.0 if log_base == "e" else 1.0 / math.log(2.0))
 
 
 def _cmd_mu_norm(args):
@@ -111,16 +108,7 @@ def _cmd_ks_entropy(args):
     space = _load_space(args)
     endo = mio.endomorphism_from_obj(mio.load_json(args.endo), space)
     chi = mio.partition_from_obj(mio.load_json(args.partition), space.size)
-    values = [ks_entropy_at(endo, chi, n, term_cap=args.cap) for n in range(args.N + 1)]
-    lengths = [n + 1 for n in range(args.N + 1)]
-    results = {
-        "lengths": lengths,
-        "values": _convert(values, args.log_base),
-        "rates": _convert([v / n for v, n in zip(values, lengths)], args.log_base),
-        "differences": _convert([values[i + 1] - values[i] for i in range(len(values) - 1)],
-                                args.log_base),
-        "unit": "nats" if args.log_base == "e" else "bits",
-    }
+    results = ks_entropy_rate(endo, chi, args.N, term_cap=args.cap).to_dict(args.log_base)
     diagnostics = {"term_cap": args.cap,
                    "paths_at_longest_horizon": len(chi.blocks) ** (args.N + 1)}
     return {"space": args.space, "endo": args.endo, "partition": args.partition}, results, diagnostics

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .operators import Endomorphism, OperatorMatrix, projector, unitarity_defect
-from .spaces import Partition
+from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = [
     "DEFAULT_TERM_CAP",
@@ -33,6 +33,7 @@ __all__ = [
     "quantum_entropy_rate",
     "quantum_entropy_closed",
     "ks_entropy_at",
+    "ks_entropy_rate",
     "ks_path_measure_table",
     "markov_entropy_rate",
 ]
@@ -42,19 +43,20 @@ DEFAULT_TERM_CAP = 10**6
 UNITARITY_TOL = 1e-8
 
 
-def _check_term_cap(num_blocks: int, n: int, term_cap: int) -> int:
+def _check_horizon(num_blocks: int, n: int, term_cap: int) -> None:
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
     total = num_blocks ** (n + 1)
     if total > term_cap:
         raise CapExceeded(
             f"enumeration needs {total} multiindex terms "
             f"({num_blocks} blocks, horizon {n}); cap is {term_cap}"
         )
-    return total
 
 
-def _check_inputs(u: OperatorMatrix, chi: Partition) -> None:
-    if chi.size != u.space.size:
-        raise ValueError("partition does not match the operator's space")
+def _check_inputs(space: FiniteMeasureSpace, chi: Partition) -> None:
+    if chi.size != space.size:
+        raise ValueError("partition does not match the space")
 
 
 def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> OperatorMatrix:
@@ -63,7 +65,7 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
     ``digits = (j_0..j_N)`` yields ``pi_{X_{j_N}} U ... U pi_{X_{j_0}}``
     with N copies of U; a single digit gives the bare block projector.
     """
-    _check_inputs(u, chi)
+    _check_inputs(u.space, chi)
     digits = [int(d) for d in digits]
     if not digits:
         raise ValueError("multiindex must have at least one digit")
@@ -77,41 +79,63 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
     return OperatorMatrix(u.space, acc)
 
 
-def _iter_path_masses(u: OperatorMatrix, chi: Partition, n: int):
-    """Yield ``(digits, squared partition norm)`` over all multiindices.
+def _walk(roots, step, mass, n_max: int):
+    """Depth-first ``(digits, mass)`` for every multiindex of 1..n_max+1 digits.
 
-    Depth-first with shared prefix products; exact zero prefixes are
-    pruned (all their completions have mass 0, contributing nothing).
+    ``roots[b]`` is the state of ``(b,)`` and ``step(digits, state, b)``
+    that of ``digits + (b,)``.  An exactly zero state is pruned with its
+    completions (all of mass 0).  Children go in ascending digit order,
+    so each horizon's masses come out in lexicographic order.
     """
-    space = u.space
-    projs = [projector(space, b).entries for b in chi.blocks]
-    num_blocks = len(projs)
-    row_w = space.weights
-
-    def mass(matrix: np.ndarray) -> float:
-        return float(np.sum(row_w * np.sum(np.abs(matrix) ** 2, axis=1)))
-
-    stack: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((b,), projs[b]) for b in range(num_blocks - 1, -1, -1)
-    ]
+    num_blocks = len(roots)
+    stack = [((b,), roots[b]) for b in range(num_blocks - 1, -1, -1)]
     while stack:
-        digits, prefix = stack.pop()
-        if not prefix.any():
+        digits, state = stack.pop()
+        if not state.any():
             continue
-        if len(digits) == n + 1:
-            yield digits, mass(prefix)
-            continue
-        step = u.entries @ prefix
-        for b in range(num_blocks - 1, -1, -1):
-            stack.append((digits + (b,), projs[b] @ step))
+        yield digits, mass(digits, state)
+        if len(digits) <= n_max:
+            for b in range(num_blocks - 1, -1, -1):
+                stack.append((digits + (b,), step(digits, state, b)))
+
+
+def _operator_walk(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: int):
+    """Path masses of U for horizons 0..n_max.
+
+    The state of a multiindex is the ``|X_last| x |X_first|`` sub-block of
+    its path operator, the only place where that operator is nonzero.
+    """
+    _check_inputs(u.space, chi)
+    _check_horizon(len(chi.blocks), n_max, term_cap)
+    blocks = [np.array(b) for b in chi.blocks]
+    weights = [u.space.weights[b] for b in blocks]
+    # sub[b][a] = U restricted to rows X_b and columns X_a
+    sub = [[u.entries[np.ix_(rows, cols)] for cols in blocks] for rows in blocks]
+    return _walk(
+        [np.eye(len(b)) for b in blocks],
+        lambda digits, m, b: sub[b][digits[-1]] @ m,
+        lambda digits, m: float(weights[digits[-1]] @ np.sum(np.abs(m) ** 2, axis=1)),
+        n_max,
+    )
+
+
+def _entropies(masses, n_max: int) -> list[float]:
+    """``-sum v log v`` per horizon 0..n_max over a walk's masses."""
+    acc = [0.0] * (n_max + 1)
+    for digits, v in masses:
+        if v > 0.0:
+            acc[len(digits) - 1] -= v * math.log(v)
+    return acc
+
+
+def _table(masses, n: int) -> dict[tuple[int, ...], float]:
+    return {digits: v for digits, v in masses if len(digits) == n + 1}
 
 
 def path_mass_table(u: OperatorMatrix, chi: Partition, n: int,
                     term_cap: int = DEFAULT_TERM_CAP) -> dict[tuple[int, ...], float]:
     """All path masses at horizon n, keyed by multiindex (pruned zeros omitted)."""
-    _check_inputs(u, chi)
-    _check_term_cap(len(chi.blocks), n, term_cap)
-    return dict(_iter_path_masses(u, chi, n))
+    return _table(_operator_walk(u, chi, n, term_cap), n)
 
 
 def path_mass_total(u: OperatorMatrix, chi: Partition, n: int,
@@ -123,23 +147,13 @@ def path_mass_total(u: OperatorMatrix, chi: Partition, n: int,
     the full orthonormality relation, so all cross terms cancel.  The
     enumeration is exposed so the identity is checked, not assumed.
     """
-    _check_inputs(u, chi)
-    _check_term_cap(len(chi.blocks), n, term_cap)
-    return float(sum(v for _, v in _iter_path_masses(u, chi, n)))
+    return float(sum(_table(_operator_walk(u, chi, n, term_cap), n).values()))
 
 
 def quantum_entropy_at(u: OperatorMatrix, chi: Partition, n: int,
                        term_cap: int = DEFAULT_TERM_CAP) -> float:
     """Operator path entropy ``-sum_j v_j log v_j`` at horizon n (N copies of U)."""
-    _check_inputs(u, chi)
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
-    _check_term_cap(len(chi.blocks), n, term_cap)
-    acc = 0.0
-    for _, v in _iter_path_masses(u, chi, n):
-        if v > 0.0:
-            acc -= v * math.log(v)
-    return acc
+    return _entropies(_operator_walk(u, chi, n, term_cap), n)[n]
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,17 @@ class EntropyReport:
         }
 
 
+def _rate_report(walk, n_max: int, closed: float | None) -> EntropyReport:
+    """Values for horizons 0..n_max of ``walk(n_max)`` with rates and differences."""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    values = _entropies(walk(n_max), n_max)
+    lengths = tuple(range(1, n_max + 2))
+    rates = tuple(v / length for v, length in zip(values, lengths))
+    diffs = tuple(values[i + 1] - values[i] for i in range(n_max))
+    return EntropyReport(lengths, tuple(values), rates, diffs, closed)
+
+
 def quantum_entropy_rate(u: OperatorMatrix, chi: Partition, n_max: int,
                          term_cap: int = DEFAULT_TERM_CAP) -> EntropyReport:
     """Entropy values for horizons 0..n_max with rates and differences.
@@ -178,19 +203,11 @@ def quantum_entropy_rate(u: OperatorMatrix, chi: Partition, n_max: int,
     No extrapolation is performed: the successive differences are the
     rate estimate, and convergence is left for the caller to judge.
     """
-    _check_inputs(u, chi)
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    _check_term_cap(len(chi.blocks), n_max, term_cap)
-    values = [quantum_entropy_at(u, chi, n, term_cap) for n in range(n_max + 1)]
-    lengths = [n + 1 for n in range(n_max + 1)]
-    rates = [v / length for v, length in zip(values, lengths)]
-    diffs = [values[i + 1] - values[i] for i in range(n_max)]
     try:
         closed = quantum_entropy_closed(u)
     except ValueError:
         closed = None
-    return EntropyReport(tuple(lengths), tuple(values), tuple(rates), tuple(diffs), closed)
+    return _rate_report(lambda n: _operator_walk(u, chi, n, term_cap), n_max, closed)
 
 
 def quantum_entropy_closed(u: OperatorMatrix) -> float:
@@ -209,66 +226,48 @@ def quantum_entropy_closed(u: OperatorMatrix) -> float:
     return float(-np.sum(p[nz] * np.log(p[nz])) / u.space.size)
 
 
-def _block_masks(chi: Partition) -> np.ndarray:
+def _itinerary_walk(endo: Endomorphism, chi: Partition, n_max: int, term_cap: int):
+    """Itinerary-set measures of F for horizons 0..n_max.
+
+    The state of digits (j_0..j_N) is the mask of the intersection of the
+    n-step preimages ``F^(-n)(X_{j_n})``; empty intersections are pruned.
+    """
+    space = endo.space
+    _check_inputs(space, chi)
+    _check_horizon(len(chi.blocks), n_max, term_cap)
     masks = np.zeros((len(chi.blocks), chi.size), dtype=bool)
     for b, block in enumerate(chi.blocks):
         masks[b, list(block)] = True
-    return masks
-
-
-def _iter_itinerary_masses(endo: Endomorphism, chi: Partition, n: int):
-    """Yield ``(digits, measure)`` of nonempty itinerary sets.
-
-    The set for digits (j_0..j_N) is the intersection of the n-step
-    preimages ``F^(-n)(X_{j_n})``; empty intersections are pruned.
-    """
-    space = endo.space
-    masks = _block_masks(chi)
-    num_blocks = masks.shape[0]
     # preimages[s][b] is the mask of the s-step preimage of block b
     preimages = []
     table_s = np.arange(space.size)
-    for _ in range(n + 1):
+    for _ in range(n_max + 1):
         preimages.append(masks[:, table_s])
         table_s = endo.table[table_s]
-
-    stack: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((b,), preimages[0][b]) for b in range(num_blocks - 1, -1, -1)
-    ]
-    while stack:
-        digits, current = stack.pop()
-        if not current.any():
-            continue
-        if len(digits) == n + 1:
-            yield digits, float(space.weights[current].sum())
-            continue
-        depth = len(digits)
-        for b in range(num_blocks - 1, -1, -1):
-            stack.append((digits + (b,), current & preimages[depth][b]))
+    return _walk(
+        preimages[0],
+        lambda digits, mask, b: mask & preimages[len(digits)][b],
+        lambda digits, mask: float(space.weights[mask].sum()),
+        n_max,
+    )
 
 
 def ks_entropy_at(endo: Endomorphism, chi: Partition, n: int,
                   term_cap: int = DEFAULT_TERM_CAP) -> float:
     """Measure entropy of the itinerary sets of F at horizon n."""
-    if chi.size != endo.space.size:
-        raise ValueError("partition does not match the endomorphism's space")
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
-    _check_term_cap(len(chi.blocks), n, term_cap)
-    acc = 0.0
-    for _, v in _iter_itinerary_masses(endo, chi, n):
-        if v > 0.0:
-            acc -= v * math.log(v)
-    return acc
+    return _entropies(_itinerary_walk(endo, chi, n, term_cap), n)[n]
+
+
+def ks_entropy_rate(endo: Endomorphism, chi: Partition, n_max: int,
+                    term_cap: int = DEFAULT_TERM_CAP) -> EntropyReport:
+    """``quantum_entropy_rate`` for the itinerary sets of F; no closed form."""
+    return _rate_report(lambda n: _itinerary_walk(endo, chi, n, term_cap), n_max, None)
 
 
 def ks_path_measure_table(endo: Endomorphism, chi: Partition, n: int,
                           term_cap: int = DEFAULT_TERM_CAP) -> dict[tuple[int, ...], float]:
     """Itinerary-set measures keyed by multiindex (empty sets omitted)."""
-    if chi.size != endo.space.size:
-        raise ValueError("partition does not match the endomorphism's space")
-    _check_term_cap(len(chi.blocks), n, term_cap)
-    return dict(_iter_itinerary_masses(endo, chi, n))
+    return _table(_itinerary_walk(endo, chi, n, term_cap), n)
 
 
 def markov_entropy_rate(p, nu) -> float:

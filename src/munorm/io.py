@@ -52,11 +52,20 @@ def _require(obj: Any, field: str, where: str) -> Any:
     return obj[field]
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _complex_in(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(x, (int, float)) for x in value):
+            and all(_is_number(x) for x in value):
         return complex(value[0], value[1])
     raise ValueError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
 
@@ -68,7 +77,7 @@ def _complex_out(z: complex) -> list[float]:
 
 def space_from_obj(obj: Any) -> FiniteMeasureSpace:
     weights = _require(obj, "weights", "space")
-    if not isinstance(weights, list) or not all(isinstance(w, (int, float)) for w in weights):
+    if not isinstance(weights, list) or not all(_is_number(w) for w in weights):
         raise ValueError("space: field 'weights' must be a list of numbers")
     return FiniteMeasureSpace(weights)
 
@@ -94,7 +103,7 @@ def partition_from_obj(obj: Any, size: int) -> Partition:
         raise ValueError("partition: field 'blocks' must be a list of lists")
     shifted = []
     for b in blocks:
-        if not isinstance(b, list) or not all(isinstance(j, int) for j in b):
+        if not isinstance(b, list) or not all(_is_int(j) for j in b):
             raise ValueError("partition: each block must be a list of integers")
         shifted.append([j - 1 for j in b])  # files are 1-based
     return Partition(size, shifted)
@@ -124,7 +133,7 @@ def operator_from_obj(obj: Any, space: FiniteMeasureSpace) -> OperatorMatrix:
 
 def endomorphism_from_obj(obj: Any, space: FiniteMeasureSpace) -> Endomorphism:
     table = _require(obj, "map", "endomorphism")
-    if not isinstance(table, list) or not all(isinstance(j, int) for j in table):
+    if not isinstance(table, list) or not all(_is_int(j) for j in table):
         raise ValueError("endomorphism: field 'map' must be a list of integers")
     return Endomorphism(space, [j - 1 for j in table])
 
@@ -137,7 +146,7 @@ def seq_from_obj(obj: Any) -> EventuallyPeriodicSeq:
     left = [_complex_in(v, "seq.left") for v in _require(obj, "left", "seq")]
     right = [_complex_in(v, "seq.right") for v in _require(obj, "right", "seq")]
     k0 = obj.get("k0", 0)
-    if not isinstance(k0, int):
+    if not _is_int(k0):
         raise ValueError("seq: field 'k0' must be an integer")
     middle_raw = obj.get("middle", {})
     if not isinstance(middle_raw, dict):
@@ -164,7 +173,7 @@ def seq_to_obj(seq: EventuallyPeriodicSeq) -> dict:
 def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
     tau = _require(obj, "tau", "band operator")
     band = _require(obj, "band", "band operator")
-    if not isinstance(tau, int) or not isinstance(band, int):
+    if not _is_int(tau) or not _is_int(band):
         raise ValueError("band operator: 'tau' and 'band' must be integers")
     rows = _require(obj, "coeffs", "band operator")
     if not isinstance(rows, list):
@@ -173,7 +182,7 @@ def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
     pert = []
     for item in obj.get("perturbation", []):
         if not (isinstance(item, list) and len(item) == 3
-                and isinstance(item[0], int) and isinstance(item[1], int)):
+                and _is_int(item[0]) and _is_int(item[1])):
             raise ValueError(
                 "band operator: each perturbation item must be [row, col, value]"
             )

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import Endomorphism, OperatorMatrix, koopman, operator_norm
+from .operators import Endomorphism, OperatorMatrix, _weighted_norm, koopman
 from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = [
@@ -40,7 +40,7 @@ def m_chi(w: OperatorMatrix, chi: Partition) -> float:
     """Weighted sum of squared block-restricted operator norms.
 
     ``W pi_Y`` keeps only the columns indexed by the block Y, so each
-    term is the squared norm of a column-masked matrix.
+    term is the squared norm of the weighted ``J x |Y|`` column submatrix.
     """
     if chi.size != w.space.size:
         raise ValueError(
@@ -48,10 +48,7 @@ def m_chi(w: OperatorMatrix, chi: Partition) -> float:
         )
     total = 0.0
     for block in chi.blocks:
-        masked = np.zeros_like(w.entries)
-        cols = list(block)
-        masked[:, cols] = w.entries[:, cols]
-        total += w.space.measure(block) * operator_norm(OperatorMatrix(w.space, masked)) ** 2
+        total += w.space.measure(block) * _weighted_norm(w, list(block)) ** 2
     return total
 
 

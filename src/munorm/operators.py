@@ -138,9 +138,6 @@ class Endomorphism:
     def __repr__(self) -> str:
         return f"Endomorphism({self._table.tolist()!r})"
 
-    def is_bijective(self) -> bool:
-        return np.unique(self._table).size == self._space.size
-
     def iterate(self, n: int) -> "Endomorphism":
         """The n-fold composition F^n, n >= 0."""
         if n < 0:
@@ -205,6 +202,12 @@ def identity(space: FiniteMeasureSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.size))
 
 
+def _weighted_norm(w: OperatorMatrix, cols=slice(None)) -> float:
+    """Weighted norm of W restricted to the columns ``cols`` (``W pi_cols``)."""
+    s = np.sqrt(w.space.weights)
+    return float(np.linalg.norm(s[:, None] * w.entries[:, cols] / s[cols], 2))
+
+
 def operator_norm(w: OperatorMatrix) -> float:
     """Operator norm on the weighted space.
 
@@ -212,9 +215,7 @@ def operator_norm(w: OperatorMatrix) -> float:
     ``D = diag(mu)``, which reduces the weighted problem to the standard
     spectral norm.
     """
-    s = np.sqrt(w.space.weights)
-    sym = (s[:, None] * w.entries) / s[None, :]
-    return float(np.linalg.norm(sym, 2))
+    return _weighted_norm(w)
 
 
 def add(w1: OperatorMatrix, w2: OperatorMatrix) -> OperatorMatrix:

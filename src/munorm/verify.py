@@ -713,5 +713,7 @@ def run_suite(name: str, trials: int, seed: int) -> list[PropertyCheck]:
     """Run a registered suite; deterministic for a given seed (PCG64)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     return SUITES[name](rng, trials)

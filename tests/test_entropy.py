@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from munorm import (
     identity,
     koopman,
     ks_entropy_at,
+    ks_entropy_rate,
     ks_path_measure_table,
     make_space,
     markov_entropy_rate,
@@ -179,6 +181,59 @@ def test_koopman_bridge_term_by_term():
         assert quantum_entropy_at(u, chi, n) == pytest.approx(
             ks_entropy_at(endo, chi, n), abs=1e-12
         )
+
+
+def _assert_tables_match_dense_oracle(u, chi, n):
+    table = path_mass_table(u, chi, n)
+    for digits in itertools.product(range(len(chi.blocks)), repeat=n + 1):
+        expected = mu_norm_sq(path_operator(u, chi, digits))
+        assert table.get(digits, 0.0) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        if digits not in table:
+            assert expected == 0.0  # only exact zeros are pruned
+
+
+def test_path_mass_table_matches_dense_path_operator():
+    rng = np.random.default_rng(17)
+    sp = make_space([0.1, 0.05, 0.2, 0.15, 0.3, 0.2])
+    w = OperatorMatrix(sp, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    chi = Partition(6, [[0, 4], [1], [2, 3, 5]])
+    for n in range(4):
+        _assert_tables_match_dense_oracle(w, chi, n)
+    rep = quantum_entropy_rate(w, chi, 3)
+    for n in range(4):
+        assert rep.values[n] == quantum_entropy_at(w, chi, n)
+
+
+def test_path_mass_table_prunes_disjoint_blocks():
+    sp = make_space([0.2, 0.3, 0.5])
+    chi = Partition(3, [[0, 1], [2]])
+    for n in range(4):
+        _assert_tables_match_dense_oracle(identity(sp), chi, n)
+    # the identity never leaves its block, so only constant itineraries survive
+    assert set(path_mass_table(identity(sp), chi, 3)) == {(0,) * 4, (1,) * 4}
+
+
+def test_tables_reject_negative_horizon():
+    chi = finest_partition(U3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        path_mass_table(identity(U3), chi, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ks_path_measure_table(Endomorphism(U3, [1, 2, 0]), chi, -1)
+
+
+def test_ks_rate_report():
+    cycle = Endomorphism(U3, [1, 2, 0])
+    chi = Partition(3, [[0, 1], [2]])
+    rep = ks_entropy_rate(cycle, chi, 3)
+    assert rep.lengths == (1, 2, 3, 4)
+    assert rep.closed_form is None
+    assert rep.values == tuple(ks_entropy_at(cycle, chi, n) for n in range(4))
+    assert rep.differences == tuple(rep.values[i + 1] - rep.values[i] for i in range(3))
+    assert rep.rates == tuple(v / length for v, length in zip(rep.values, rep.lengths))
+    assert rep.to_dict()["closed_form"] is None
+    for n_max in (1, -1):
+        with pytest.raises(ValueError, match="at least 2"):
+            ks_entropy_rate(cycle, chi, n_max)
 
 
 def test_path_masses_total_one_for_unitaries_any_partition():

@@ -204,6 +204,55 @@ def test_cli_verify_unknown_suite(files, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_cli_rejects_counts_below_minimum(files, capsys):
+    tmp, write = files
+    space = write("u3.json", {"weights": [1 / 3, 1 / 3, 1 / 3]})
+    endo = write("f.json", {"map": [2, 3, 1]})
+    part = write("chi.json", {"blocks": [[1], [2], [3]]})
+    for n in ("-1", "1"):
+        code = main(["ks-entropy", "--space", space, "--endo", endo, "--partition", part,
+                     "--N", n])
+        assert code == 2
+        assert "at least 2" in capsys.readouterr().err
+    for trials in ("0", "-3"):
+        code = main(["verify", "--suite", "triangle", "--trials", trials, "--seed", "0"])
+        assert code == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_ks_entropy_report_keys_match_entropy(files, capsys):
+    tmp, write = files
+    space = write("u2.json", {"weights": [0.5, 0.5]})
+    endo = write("f.json", {"map": [2, 1]})
+    op = write("swap.json", {"re": [[0.0, 1.0], [1.0, 0.0]]})
+    part = write("chi.json", {"blocks": [[1], [2]]})
+    code, ks = run_cli(capsys, ["ks-entropy", "--space", space, "--endo", endo,
+                                "--partition", part, "--N", "2"])
+    assert code == 0
+    code, q = run_cli(capsys, ["entropy", "--space", space, "--op", op,
+                               "--partition", part, "--N", "2"])
+    assert code == 0
+    assert set(ks["results"]) == set(q["results"])
+    assert ks["results"]["closed_form"] is None
+    assert ks["results"]["values"] == pytest.approx(q["results"]["values"], abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["mu-norm", "--space", "BAD", "--op", "ONE"], {"weights": [True]}),
+    (["m-chi", "--space", "U2", "--op", "ID2", "--partition", "BAD"], {"blocks": [[True], [2]]}),
+    (["rho", "--seq", "BAD"], {"left": [True], "right": [1.0]}),
+    (["rho", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "k0": False}),
+])
+def test_cli_rejects_json_booleans_as_numbers(files, capsys, argv, bad):
+    tmp, write = files
+    paths = {"BAD": write("bad.json", bad),
+             "ONE": write("one.json", {"re": [[1.0]]}),
+             "U2": write("u2.json", {"weights": [0.5, 0.5]}),
+             "ID2": write("id2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(files, capsys):
     tmp, write = files
     bad = tmp / "bad.json"

@@ -121,4 +121,3 @@ def test_endomorphism_iterate_and_preimage():
     cycle = Endomorphism(U3, [1, 2, 0])
     assert cycle.iterate(3) == Endomorphism(U3, [0, 1, 2])
     np.testing.assert_array_equal(cycle.preimage([1]), [0])
-    assert cycle.is_bijective()
