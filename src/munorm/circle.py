@@ -140,20 +140,23 @@ class EventuallyPeriodicSeq:
             return complex(self._left[(-self._k0 - k) % self._left.size])
         return self._middle.get(k, 0.0 + 0.0j)
 
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """The slice ``lam_lo..lam_hi`` inclusive, as a dense array."""
-        if hi < lo:
-            raise ValueError("empty index range")
-        ks = np.arange(lo, hi + 1)
-        out = np.zeros(ks.size, dtype=complex)
+    def _values_at(self, ks: np.ndarray) -> np.ndarray:
+        """``lam_k`` for every entry of the integer array ``ks``."""
+        out = np.zeros(ks.shape, dtype=complex)
         lmask = ks <= -self._k0
         rmask = ks >= self._k0
         out[lmask] = self._left[(-self._k0 - ks[lmask]) % self._left.size]
         out[rmask] = self._right[(ks[rmask] - self._k0) % self._right.size]
-        for k, v in self._middle.items():
-            if lo <= k <= hi:
-                out[k - lo] = v
+        inner = ~(lmask | rmask)
+        if self._middle and inner.any():
+            out[inner] = [self._middle.get(k, 0.0) for k in ks[inner].tolist()]
         return out
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """The slice ``lam_lo..lam_hi`` inclusive, as a dense array."""
+        if hi < lo:
+            raise ValueError("empty index range")
+        return self._values_at(np.arange(lo, hi + 1))
 
     @property
     def left_mean(self) -> float:
@@ -328,9 +331,8 @@ class PeriodicBandOperator:
         Every periodic value on a diagonal is attained at infinitely many
         unperturbed positions, so a perturbation can only raise the sup.
         """
-        c: dict[int, float] = {}
-        for k in range(-self._band, self._band + 1):
-            c[k] = float(np.max(np.abs(self._coeffs[:, self._band - k])))
+        sup = np.max(np.abs(self._coeffs), axis=0)
+        c = {k: float(sup[self._band - k]) for k in range(-self._band, self._band + 1)}
         for (r, col), _ in self._perturbation.items():
             k = r - col
             c[k] = max(c.get(k, 0.0), abs(self.entry(r, col)))
@@ -444,8 +446,7 @@ def _lcm(a: int, b: int) -> int:
 def _lift_coeffs(op: PeriodicBandOperator, tau: int, band: int) -> np.ndarray:
     out = np.zeros((tau, 2 * band + 1), dtype=complex)
     lo = band - op.band
-    for l in range(tau):
-        out[l, lo:lo + 2 * op.band + 1] = op.coeffs[l % op.tau]
+    out[:, lo:lo + 2 * op.band + 1] = op.coeffs[np.arange(tau) % op.tau]
     return out
 
 
@@ -494,10 +495,9 @@ def dt_adjoint(a: PeriodicBandOperator,
                ) -> PeriodicBandOperator:
     """Conjugate transpose; the circle measure is uniform so no weights enter."""
     a = _require_band_op(a, "dt_adjoint")
-    out = np.zeros_like(a.coeffs)
-    for l in range(a.tau):
-        for d in range(-a.band, a.band + 1):
-            out[l, d + a.band] = np.conj(a.coeffs[(l + d) % a.tau, -d + a.band])
+    l = np.arange(a.tau)[:, None]
+    d = np.arange(-a.band, a.band + 1)
+    out = np.conj(a.coeffs[(l + d) % a.tau, a.band - d])
     pert = [(c, r, np.conj(v)) for r, c, v in a.perturbation]
     return PeriodicBandOperator(a.tau, a.band, out, pert, max_tau=max_tau, max_band=max_band)
 
@@ -515,15 +515,14 @@ def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator,
     if band > max_band:
         raise CapExceeded(f"product band {band} exceeds the cap {max_band}")
     coeffs = np.zeros((tau, 2 * band + 1), dtype=complex)
-    for l in range(tau):
-        arow = a.coeffs[l % a.tau]
-        for d1 in range(-a.band, a.band + 1):
-            v1 = arow[d1 + a.band]
-            if v1 == 0:
-                continue
-            brow = b.coeffs[(l + d1) % b.tau]
-            lo = d1 - b.band
-            coeffs[l, lo + band:lo + band + 2 * b.band + 1] += v1 * brow
+    rows = np.arange(tau)
+    arows = a.coeffs[rows % a.tau]
+    # ascending d1, so each coefficient sums its terms in the same order as a
+    # row-by-row loop would
+    for d1 in range(-a.band, a.band + 1):
+        lo = d1 - b.band + band
+        coeffs[:, lo:lo + 2 * b.band + 1] += (arows[:, d1 + a.band, None]
+                                              * b.coeffs[(rows + d1) % b.tau])
     pert: dict[tuple[int, int], complex] = {}
 
     def bump(key, v):
@@ -567,9 +566,14 @@ def rho_la(op: PeriodicBandOperator | DiagonalSeqOperator, a: float) -> float:
 
 
 def required_quad_points(op: PeriodicBandOperator) -> int:
-    # Stated Nyquist-style floor; the integrand's actual trig degree is
-    # 2*band, so anything above that is already exact.
-    return 2 * (2 * op.band * op.tau + 1)
+    """Fewest grid points that integrate the symbol density exactly.
+
+    ``|w_l(a)|^2`` is a trigonometric polynomial of degree ``2*band``, and
+    an ``n``-point uniform grid averages ``e^{ika}`` exactly for
+    ``0 < |k| < n``; so ``2*band + 1`` points suffice and ``2*band`` can
+    alias (``2cos`` on 2 points averages 4, not 2).
+    """
+    return 2 * op.band + 1
 
 
 def dt_mu_norm_sq(op: PeriodicBandOperator | DiagonalSeqOperator,
@@ -577,11 +581,16 @@ def dt_mu_norm_sq(op: PeriodicBandOperator | DiagonalSeqOperator,
     """Squared partition norm: circle average of the symbol density.
 
     Uniform-grid rectangle quadrature; the integrand is a trigonometric
-    polynomial of degree ``2*band``, so the default grid (at least four
-    times the degree) integrates it exactly to rounding.  The Parseval
-    closed form is returned alongside for cross-checking.  Perturbations
-    do not contribute (they are a compact correction on an atomless
-    space).
+    polynomial of degree ``2*band``, so any grid of at least
+    ``required_quad_points(op) = 2*band + 1`` points integrates it exactly
+    to rounding.  The default grid has ``max(16, 8*band)`` points.  The
+    Parseval closed form is returned alongside for cross-checking.
+    Perturbations do not contribute (they are a compact correction on an
+    atomless space).
+
+    For a ``DiagonalSeqOperator`` the density does not depend on the
+    angle: the "quadrature" averages the constant ``rho(seq)`` over the
+    grid, so it is not a second route to the closed form.
     """
     if isinstance(op, DiagonalSeqOperator):
         n = 16 if quad_points is None else int(quad_points)
@@ -592,7 +601,7 @@ def dt_mu_norm_sq(op: PeriodicBandOperator | DiagonalSeqOperator,
         return DtMuNorm(float(np.mean(vals)), rho(op.seq))
     need = required_quad_points(op)
     if quad_points is None:
-        n = max(16, 8 * op.band, need)
+        n = max(16, 8 * op.band)
     else:
         n = int(quad_points)
         if n < need:
@@ -641,13 +650,26 @@ def avg_trace_window(op: PeriodicBandOperator | DiagonalSeqOperator,
 
 def finite_section(op: PeriodicBandOperator | DiagonalSeqOperator,
                    rows: range) -> np.ndarray:
-    """Dense submatrix over ``rows`` x ``rows`` (perturbations included)."""
-    idx = list(rows)
-    if not idx:
+    """Dense submatrix over ``rows`` x ``rows`` (perturbations included).
+
+    ``rows`` is any iterable of distinct indices, such as a ``range`` with
+    any step.
+    """
+    idx = np.fromiter(rows, dtype=np.int64)
+    if idx.size == 0:
         raise ValueError("empty section range")
-    n = len(idx)
+    n = idx.size
+    pos = {r: k for k, r in enumerate(idx.tolist())}
+    if len(pos) != n:
+        raise ValueError("section rows must be distinct")
     out = np.zeros((n, n), dtype=complex)
-    for i, r in enumerate(idx):
-        for j, c in enumerate(idx):
-            out[i, j] = op.entry(r, c)
+    if isinstance(op, DiagonalSeqOperator):
+        out[np.diag_indices(n)] = op.seq._values_at(idx)
+        return out
+    d = idx[None, :] - idx[:, None]  # column minus row
+    i, j = np.nonzero(np.abs(d) <= op.band)
+    out[i, j] = op.coeffs[idx[i] % op.tau, d[i, j] + op.band]
+    for (r, c), delta in op._perturbation_dict().items():
+        if r in pos and c in pos:
+            out[pos[r], pos[c]] += delta
     return out

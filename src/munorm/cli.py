@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from . import verify
 from .circle import (
     avg_trace,
     avg_trace_window,
@@ -175,6 +174,8 @@ def _cmd_avg_trace(args):
 
 
 def _cmd_verify(args):
+    from . import verify  # only this command needs the suites
+
     checks = verify.run_suite(args.suite, args.trials, args.seed)
     if args.tol is not None:
         for c in checks:
@@ -243,26 +244,28 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "--orthonormalize":
                 p.add_argument("--orthonormalize", action="store_true",
                                help="orthonormalize the given spanning set first")
+            elif flag == "--tol":
+                p.add_argument("--tol", type=float, default=None,
+                               help="override check tolerance")
             else:
                 raise AssertionError(flag)
-        p.add_argument("--tol", type=float, default=None, help="override check tolerance")
         p.add_argument("--out", default=None, help="write the JSON report here")
         return p
 
-    cmd("mu-norm", "squared partition norm of an operator", "--space", "--op")
+    cmd("mu-norm", "squared partition norm of an operator", "--space", "--op", "--tol")
     cmd("m-chi", "partition functional at a given partition",
-        "--space", "--op", "--partition")
+        "--space", "--op", "--partition", "--tol")
     cmd("mu-dim", "dimension of a subspace in the partition norm",
-        "--space", "--basis", "--orthonormalize")
+        "--space", "--basis", "--orthonormalize", "--tol")
     cmd("entropy", "operator path entropy per horizon",
         "--space", "--op", "--partition", "--N", "--cap", "--log-base")
     cmd("ks-entropy", "measure entropy of a map per horizon",
         "--space", "--endo", "--partition", "--N", "--cap", "--log-base")
     cmd("markov-rate", "entropy rate of a Markov chain", "--p", "--dist", "--log-base")
-    cmd("rho", "window density of a sequence", "--seq")
+    cmd("rho", "window density of a sequence", "--seq", "--tol")
     cmd("conv", "convolution operator norms of a sequence", "--seq")
     cmd("dt-norm", "diagonal-type algebra norm", "--op")
-    cmd("dt-mu-norm", "squared partition norm of a band operator", "--op", "--quad")
+    cmd("dt-mu-norm", "squared partition norm of a band operator", "--op", "--quad", "--tol")
     cmd("avg-trace", "average trace of a band operator", "--op")
 
     pv = sub.add_parser("verify", help="run a seeded property suite")

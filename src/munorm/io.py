@@ -9,6 +9,7 @@ omitted.  All angles are radians.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -61,6 +62,32 @@ def _is_number(value: Any) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _entry_types(table: Any) -> set[type]:
+    """Types of the entries of a nested JSON array, unpacking lists level by level.
+
+    A table whose entries at some level are partly lists and partly not
+    (a ragged table, or bare reals mixed with pairs) reports ``list``
+    among its types.  JSON booleans report ``bool``, not ``int``.
+    """
+    if not isinstance(table, list):
+        return {type(table)}
+    types = set(map(type, table))
+    while types == {list}:
+        table = list(chain.from_iterable(table))
+        types = set(map(type, table))
+    return types
+
+
+def _number_table(table: Any, where: str) -> np.ndarray:
+    """A nested JSON array of numbers as a float array; booleans are refused."""
+    if not _entry_types(table) <= _NUMBER_TYPES:
+        raise ValueError(f"{where}: expected a table of numbers")
+    return np.asarray(table, dtype=float)
+
+
 def _complex_in(value: Any, where: str) -> complex:
     if _is_number(value):
         return complex(value)
@@ -88,8 +115,7 @@ def space_to_obj(space: FiniteMeasureSpace) -> dict:
 
 def distribution_from_obj(obj: Any) -> np.ndarray:
     """A probability vector; unlike a space, zero entries are allowed."""
-    weights = _require(obj, "weights", "distribution")
-    v = np.asarray(weights, dtype=float)
+    v = _number_table(_require(obj, "weights", "distribution"), "distribution: 'weights'")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("distribution: 'weights' must be a nonempty list")
     if np.any(v < 0) or abs(float(v.sum()) - 1.0) > 1e-9:
@@ -114,9 +140,9 @@ def partition_to_obj(partition: Partition) -> dict:
 
 
 def matrix_from_obj(obj: Any, where: str = "matrix") -> np.ndarray:
-    re = np.asarray(_require(obj, "re", where), dtype=float)
+    re = _number_table(_require(obj, "re", where), f"{where}: 're'")
     im_raw = obj.get("im")
-    im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
+    im = np.zeros_like(re) if im_raw is None else _number_table(im_raw, f"{where}: 'im'")
     if re.ndim != 2 or re.shape != im.shape:
         raise ValueError(f"{where}: 're' and 'im' must be equal-shape 2-d tables")
     return re + 1j * im
@@ -178,7 +204,15 @@ def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
     rows = _require(obj, "coeffs", "band operator")
     if not isinstance(rows, list):
         raise ValueError("band operator: 'coeffs' must be a list of rows")
-    coeffs = [[_complex_in(v, "band operator.coeffs") for v in row] for row in rows]
+    coeffs = None
+    if _entry_types(rows) <= _NUMBER_TYPES:
+        table = np.asarray(rows, dtype=float)
+        if table.ndim == 2:  # bare reals
+            coeffs = table
+        elif table.ndim == 3 and table.shape[2] == 2:  # [re, im] pairs
+            coeffs = table.view(complex)[..., 0]
+    if coeffs is None:  # mixed reals and pairs, or malformed entries
+        coeffs = [[_complex_in(v, "band operator.coeffs") for v in row] for row in rows]
     pert = []
     for item in obj.get("perturbation", []):
         if not (isinstance(item, list) and len(item) == 3

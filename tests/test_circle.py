@@ -26,6 +26,8 @@ from munorm import (
     rho_window_max,
     w_l,
 )
+from munorm.circle import required_quad_points
+from munorm.verify import random_bandop
 
 ALL_ONES = EventuallyPeriodicSeq([1.0], [1.0])
 ZERO_SEQ = EventuallyPeriodicSeq([0.0], [0.0])
@@ -317,7 +319,29 @@ def test_dt_mu_norm_matches_conv_for_periodic_diagonal():
 
 def test_dt_mu_norm_insufficient_points():
     with pytest.raises(ValueError, match="insufficient quadrature"):
-        dt_mu_norm_sq(TWO_COS, quad_points=4)
+        dt_mu_norm_sq(TWO_COS, quad_points=2)
+
+
+def test_quad_floor_is_exact_at_the_boundary():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        op = random_bandop(rng, max_tau=8, max_band=8, perturbed=bool(rng.random() < 0.5))
+        floor = required_quad_points(op)
+        assert floor == 2 * op.band + 1
+        with pytest.raises(ValueError, match="insufficient quadrature"):
+            dt_mu_norm_sq(op, quad_points=floor - 1)
+        res = dt_mu_norm_sq(op, quad_points=floor)
+        assert res.quadrature == pytest.approx(res.closed_form, abs=1e-12)
+
+
+def test_quad_floor_is_tight():
+    # |2cos a|^2 = 2 + 2cos 2a: two points alias cos 2a to 1
+    def grid_mean(n):
+        return float(np.mean([rho_la(TWO_COS, 2 * np.pi * k / n) for k in range(n)]))
+
+    assert grid_mean(2) == pytest.approx(4.0, abs=1e-12)
+    assert grid_mean(3) == pytest.approx(2.0, abs=1e-12)
+    assert dt_mu_norm_sq(TWO_COS, quad_points=3).quadrature == pytest.approx(2.0, abs=1e-12)
 
 
 def test_dt_mu_norm_random_agreement():
@@ -359,6 +383,53 @@ def test_dt_norm_includes_perturbation_sup():
 def test_finite_section_validation():
     with pytest.raises(ValueError, match="empty"):
         finite_section(SHIFT, range(3, 3))
+    with pytest.raises(ValueError, match="distinct"):
+        finite_section(SHIFT, [0, 1, 0])
+
+
+def _entry_section(op, rows):
+    return np.array([[op.entry(r, c) for c in rows] for r in rows], dtype=complex)
+
+
+def test_finite_section_matches_entry_loop():
+    rng = np.random.default_rng(8)
+    ranges = [range(-7, 9), range(-20, -3), range(-9, 14, 2), range(12, -13, -3),
+              range(5, 6), range(-30, 31, 7)]
+    for _ in range(20):
+        op = random_bandop(rng, max_tau=6, max_band=5, perturbed=True)
+        # one perturbation far off the band, inside some of the windows
+        far = PeriodicBandOperator(op.tau, op.band, op.coeffs,
+                                   op.perturbation + ((-5, 5 + op.band + 3, 2.5 - 1j),))
+        for sub in (op, far):
+            for rows in ranges:
+                np.testing.assert_array_equal(finite_section(sub, rows), _entry_section(sub, rows))
+    seq = EventuallyPeriodicSeq([2.0, -1j], [1.0, 0.5, 3j], middle={-2: 7.0, 1: 0.25j}, k0=3)
+    for rows in ranges:
+        d = DiagonalSeqOperator(seq)
+        np.testing.assert_array_equal(finite_section(d, rows), _entry_section(d, rows))
+
+
+def test_adjoint_matches_conjugate_entries():
+    rng = np.random.default_rng(10)
+    window = range(-12, 13)
+    for _ in range(20):
+        a = random_bandop(rng, max_tau=6, max_band=5, perturbed=True)
+        star = dt_adjoint(a)
+        for r in window:
+            for c in window:
+                assert star.entry(r, c) == np.conj(a.entry(c, r))
+
+
+def test_compose_matches_entrywise_dense_product():
+    rng = np.random.default_rng(11)
+    window, inner = range(-6, 7), range(-40, 41)
+    for _ in range(10):
+        a = random_bandop(rng, max_tau=4, max_band=3, perturbed=True)
+        b = random_bandop(rng, max_tau=5, max_band=3, perturbed=True)
+        left = np.array([[a.entry(r, m) for m in inner] for r in window])
+        right = np.array([[b.entry(m, c) for c in window] for m in inner])
+        got = _entry_section(dt_compose(a, b), window)
+        np.testing.assert_allclose(got, left @ right, rtol=0, atol=1e-12)
 
 
 def test_diagonal_model_sections_and_window_trace():

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import munorm
 from munorm import (
     Endomorphism,
     EventuallyPeriodicSeq,
@@ -60,6 +64,38 @@ def test_bandop_round_trip():
     back = mio.bandop_from_obj(mio.bandop_to_obj(op))
     np.testing.assert_array_equal(back.coeffs, op.coeffs)
     assert back.perturbation == op.perturbation
+
+
+def test_bandop_array_path_matches_per_entry_path():
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    coeffs[rng.random((3, 5)) < 0.4] = rng.standard_normal()  # some real entries
+    pairs = [[[z.real, z.imag] for z in row] for row in coeffs.tolist()]
+    mixed = [[z.real if z.imag == 0 else [z.real, z.imag] for z in row]
+             for row in coeffs.tolist()]
+    got_pairs = mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": pairs}).coeffs
+    got_mixed = mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": mixed}).coeffs
+    assert got_pairs.tobytes() == got_mixed.tobytes()
+    np.testing.assert_array_equal(got_pairs, coeffs)
+
+    reals = coeffs.real.tolist()
+    real_pairs = [[[x, 0.0] for x in row] for row in reals]
+    mixed_reals = [[x if j % 2 else [x, 0.0] for j, x in enumerate(row)] for row in reals]
+    tables = [mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": t}).coeffs.tobytes()
+              for t in (reals, real_pairs, mixed_reals)]
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_tables_reject_booleans_and_strings():
+    for bad in ({"re": [[True]]}, {"re": [[1.0]], "im": [[False]]}, {"re": [["1.0"]]}):
+        with pytest.raises(ValueError, match="table of numbers"):
+            mio.matrix_from_obj(bad)
+    for weights in ([True], [0.5, False], ["1.0"]):
+        with pytest.raises(ValueError, match="table of numbers"):
+            mio.distribution_from_obj({"weights": weights})
+    for coeffs in ([[True]], [[[1.0, False]]], [["1.0"]], [[1.0, [True, 0.0], 0.0]]):
+        with pytest.raises(ValueError, match="number or an \\[re, im\\] pair"):
+            mio.bandop_from_obj({"tau": 1, "band": len(coeffs[0]) // 2, "coeffs": coeffs})
 
 
 def test_field_errors_name_the_field():
@@ -189,6 +225,41 @@ def test_cli_dt_commands(files, capsys):
     assert rep["diagnostics"]["window_average"] == pytest.approx(2.0, abs=1e-2)
 
 
+def test_cli_dt_mu_norm_quad_floor(files, capsys):
+    tmp, write = files
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((8, 17, 2)).tolist()
+    op = write("band.json", {"tau": 8, "band": 8, "coeffs": table, "perturbation": []})
+    code, rep = run_cli(capsys, ["dt-mu-norm", "--op", op, "--quad", "17"])
+    assert code == 0
+    assert rep["diagnostics"]["checks"][0]["passed"]
+    assert main(["dt-mu-norm", "--op", op, "--quad", "16"]) == 2
+    assert "need at least 17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--space", "s", "--op", "u", "--partition", "c", "--N", "2"],
+    ["ks-entropy", "--space", "s", "--endo", "f", "--partition", "c", "--N", "2"],
+    ["markov-rate", "--p", "p", "--dist", "d"],
+    ["conv", "--seq", "q"],
+    ["dt-norm", "--op", "b"],
+    ["avg-trace", "--op", "b"],
+])
+def test_cli_tol_only_on_commands_with_checks(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "5"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(munorm.__file__)))
+    code = "import sys, munorm.cli; print('munorm.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_verify_suite(files, capsys):
     code, rep = run_cli(capsys, ["verify", "--suite", "triangle",
                                  "--trials", "50", "--seed", "7"])
@@ -242,6 +313,12 @@ def test_cli_ks_entropy_report_keys_match_entropy(files, capsys):
     (["m-chi", "--space", "U2", "--op", "ID2", "--partition", "BAD"], {"blocks": [[True], [2]]}),
     (["rho", "--seq", "BAD"], {"left": [True], "right": [1.0]}),
     (["rho", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "k0": False}),
+    (["mu-norm", "--space", "U2", "--op", "BAD"], {"re": [[True, 0.0], [0.0, 1.0]]}),
+    (["mu-dim", "--space", "U2", "--basis", "BAD", "--orthonormalize"],
+     {"re": [[1.0, 0.0]], "im": [[False, 0.0]]}),
+    (["markov-rate", "--p", "BAD", "--dist", "U2"], {"re": [[True, 0.0], [0.0, True]]}),
+    (["markov-rate", "--p", "ID2", "--dist", "BAD"], {"weights": [True, False]}),
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": [[True]]}),
 ])
 def test_cli_rejects_json_booleans_as_numbers(files, capsys, argv, bad):
     tmp, write = files
