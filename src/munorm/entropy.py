@@ -6,7 +6,7 @@ factor acts first).  The operator entropy at horizon N sums
 ``-v log v`` over the squared partition norms v of these products; the
 measure entropy of a map F does the same with the masses of the
 itinerary sets ``F^(-N)(X_{j_N}) cap ... cap X_{j_0}``, computed by
-direct preimage intersections, never through matrices.
+refining a cell label per atom along its orbit, never through matrices.
 
 Natural logarithm throughout; ``0 log 0 = 0`` by explicit branch.
 """
@@ -79,63 +79,122 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
     return OperatorMatrix(u.space, acc)
 
 
-def _walk(roots, step, mass, n_max: int):
-    """Depth-first ``(digits, mass)`` for every multiindex of 1..n_max+1 digits.
-
-    ``roots[b]`` is the state of ``(b,)`` and ``step(digits, state, b)``
-    that of ``digits + (b,)``.  An exactly zero state is pruned with its
-    completions (all of mass 0).  Children go in ascending digit order,
-    so each horizon's masses come out in lexicographic order.
-    """
-    num_blocks = len(roots)
-    stack = [((b,), roots[b]) for b in range(num_blocks - 1, -1, -1)]
-    while stack:
-        digits, state = stack.pop()
-        if not state.any():
-            continue
-        yield digits, mass(digits, state)
-        if len(digits) <= n_max:
-            for b in range(num_blocks - 1, -1, -1):
-                stack.append((digits + (b,), step(digits, state, b)))
+#: Complex entries one batched operator step may produce (4 MB).  A
+#: larger frontier is split into chunks that are walked depth-first, so
+#: a step stays within this bound whatever the horizon; the pending
+#: chunks hold at most about as much again per level below the split.
+FRONTIER_ENTRIES = 2**18
 
 
-def _operator_walk(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: int):
-    """Path masses of U for horizons 0..n_max.
+def _operator_levels(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: int):
+    """Path masses of U for horizons 0..n_max as ``(digits, masses)`` blocks.
 
     The state of a multiindex is the ``|X_last| x |X_first|`` sub-block of
-    its path operator, the only place where that operator is nonzero.
+    its path operator, the only place where that operator is nonzero.  A
+    frontier is the digit rows of some states of one level and a list of
+    parts ``(b, F)``: the states with last block b sit side by side in
+    the columns of F, each taking ``|X_first|`` of them, in the order of
+    the digit rows.  One product ``U[:, X_b] @ F``, its rows grouped
+    block by block, steps a part to every next block.  Only exactly zero
+    states are pruned: a mass can underflow to 0.0 while the state's
+    completions do not vanish.
     """
     _check_inputs(u.space, chi)
-    _check_horizon(len(chi.blocks), n_max, term_cap)
+    num_blocks = len(chi.blocks)
+    _check_horizon(num_blocks, n_max, term_cap)
     blocks = [np.array(b) for b in chi.blocks]
-    weights = [u.space.weights[b] for b in blocks]
-    # sub[b][a] = U restricted to rows X_b and columns X_a
-    sub = [[u.entries[np.ix_(rows, cols)] for cols in blocks] for rows in blocks]
-    return _walk(
-        [np.eye(len(b)) for b in blocks],
-        lambda digits, m, b: sub[b][digits[-1]] @ m,
-        lambda digits, m: float(weights[digits[-1]] @ np.sum(np.abs(m) ** 2, axis=1)),
-        n_max,
-    )
+    sizes = np.array([len(b) for b in blocks])
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    bounds = list(zip(starts[:-1], starts[1:]))
+    order = np.concatenate(blocks)
+    # cols[b] = U restricted to columns X_b, rows grouped block by block
+    grouped = u.entries[order]
+    cols = [grouped[:, b] for b in blocks]
+    weights = u.space.weights[order]
+    digits = np.arange(num_blocks)[:, None]
+    yield digits, np.add.reduceat(weights, starts[:-1])
+    eye = np.eye(sizes.max(), dtype=complex)
+    chunk = max(1, FRONTIER_ENTRIES // (chi.size * sizes.max()))
+    stack = [(digits, [(b, eye[:size, :size]) for b, size in enumerate(sizes)])]
+    while stack:
+        digits, parts = stack.pop()
+        if digits.shape[1] > n_max:
+            continue
+        widths = sizes[digits[:, 0]]
+        if len(digits) > chunk:
+            stack.extend(reversed(_split(digits, parts, widths, chunk)))
+            continue
+        ends = np.cumsum(widths)
+        offsets = ends - widths
+        g = np.empty((chi.size, ends[-1]), dtype=complex)
+        col = 0
+        for b, f in parts:
+            np.matmul(cols[b], f, out=g[:, col:col + f.shape[1]])
+            col += f.shape[1]
+        g2 = g.view(np.float64)  # re, im side by side
+        # masses[c, i]: state i stepped to block c
+        masses = np.array([weights[lo:hi] @ (g2[lo:hi] * g2[lo:hi]) for lo, hi in bounds])
+        masses = np.add.reduceat(masses, 2 * offsets, axis=1)
+        keep = masses > 0.0
+        if not keep.all():
+            keep = np.logical_or.reduceat(
+                np.logical_or.reduceat(g != 0.0, offsets, axis=1), starts[:-1], axis=0)
+        parts = []
+        for c, (lo, hi) in enumerate(bounds):
+            if keep[c].all():
+                parts.append((c, g[lo:hi]))
+            elif keep[c].any():
+                parts.append((c, g[lo:hi, np.repeat(keep[c], widths)]))
+        step, state = np.nonzero(keep)
+        digits = _extend(digits[state], step)
+        yield digits, masses[keep]
+        if parts:
+            stack.append((digits, parts))
 
 
-def _entropies(masses, n_max: int) -> list[float]:
-    """``-sum v log v`` per horizon 0..n_max over a walk's masses."""
+def _extend(digits: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Digit rows with ``last`` appended as one more column."""
+    out = np.empty((len(digits), digits.shape[1] + 1), dtype=np.intp)
+    out[:, :-1] = digits
+    out[:, -1] = last
+    return out
+
+
+def _split(digits: np.ndarray, parts, widths: np.ndarray, chunk: int) -> list:
+    """A frontier cut, in order, into frontiers of at most ``chunk`` states."""
+    ends = np.cumsum(widths)
+    pieces = [(digits[lo:lo + chunk], []) for lo in range(0, len(digits), chunk)]
+    first = col = 0  # first state and first column of the part
+    for b, f in parts:
+        stop = int(np.searchsorted(ends, col + f.shape[1])) + 1
+        for p in range(first // chunk, (stop - 1) // chunk + 1):
+            lo, hi = max(first, p * chunk), min(stop, (p + 1) * chunk)
+            pieces[p][1].append((b, f[:, ends[lo] - widths[lo] - col:ends[hi - 1] - col]))
+        first, col = stop, col + f.shape[1]
+    return pieces
+
+
+def _entropies(levels, n_max: int) -> list[float]:
+    """``-sum v log v`` per horizon 0..n_max over a walk's ``(digits, masses)`` blocks."""
     acc = [0.0] * (n_max + 1)
-    for digits, v in masses:
-        if v > 0.0:
-            acc[len(digits) - 1] -= v * math.log(v)
+    for digits, masses in levels:
+        v = masses[masses > 0.0]
+        acc[digits.shape[1] - 1] -= float(v @ np.log(v))
     return acc
 
 
-def _table(masses, n: int) -> dict[tuple[int, ...], float]:
-    return {digits: v for digits, v in masses if len(digits) == n + 1}
+def _table(levels, n: int) -> dict[tuple[int, ...], float]:
+    table = {}
+    for digits, masses in levels:
+        if digits.shape[1] == n + 1:
+            table.update(zip(map(tuple, digits.tolist()), masses.tolist()))
+    return table
 
 
 def path_mass_table(u: OperatorMatrix, chi: Partition, n: int,
                     term_cap: int = DEFAULT_TERM_CAP) -> dict[tuple[int, ...], float]:
     """All path masses at horizon n, keyed by multiindex (pruned zeros omitted)."""
-    return _table(_operator_walk(u, chi, n, term_cap), n)
+    return _table(_operator_levels(u, chi, n, term_cap), n)
 
 
 def path_mass_total(u: OperatorMatrix, chi: Partition, n: int,
@@ -147,13 +206,13 @@ def path_mass_total(u: OperatorMatrix, chi: Partition, n: int,
     the full orthonormality relation, so all cross terms cancel.  The
     enumeration is exposed so the identity is checked, not assumed.
     """
-    return float(sum(_table(_operator_walk(u, chi, n, term_cap), n).values()))
+    return float(sum(_table(_operator_levels(u, chi, n, term_cap), n).values()))
 
 
 def quantum_entropy_at(u: OperatorMatrix, chi: Partition, n: int,
                        term_cap: int = DEFAULT_TERM_CAP) -> float:
     """Operator path entropy ``-sum_j v_j log v_j`` at horizon n (N copies of U)."""
-    return _entropies(_operator_walk(u, chi, n, term_cap), n)[n]
+    return _entropies(_operator_levels(u, chi, n, term_cap), n)[n]
 
 
 @dataclass(frozen=True)
@@ -207,7 +266,7 @@ def quantum_entropy_rate(u: OperatorMatrix, chi: Partition, n_max: int,
         closed = quantum_entropy_closed(u)
     except ValueError:
         closed = None
-    return _rate_report(lambda n: _operator_walk(u, chi, n, term_cap), n_max, closed)
+    return _rate_report(lambda n: _operator_levels(u, chi, n, term_cap), n_max, closed)
 
 
 def quantum_entropy_closed(u: OperatorMatrix) -> float:
@@ -226,48 +285,47 @@ def quantum_entropy_closed(u: OperatorMatrix) -> float:
     return float(-np.sum(p[nz] * np.log(p[nz])) / u.space.size)
 
 
-def _itinerary_walk(endo: Endomorphism, chi: Partition, n_max: int, term_cap: int):
-    """Itinerary-set measures of F for horizons 0..n_max.
+def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: int):
+    """Itinerary-set measures of F for horizons 0..n_max as ``(digits, masses)`` blocks.
 
-    The state of digits (j_0..j_N) is the mask of the intersection of the
-    n-step preimages ``F^(-n)(X_{j_n})``; empty intersections are pruned.
+    The itinerary sets of one horizon partition the space, so a level is
+    one cell label per atom, refined by the block of ``F^n(x)``.
+    ``np.unique`` numbers the cells in lexicographic order of their
+    digits; empty sets never get a label.
     """
     space = endo.space
     _check_inputs(space, chi)
-    _check_horizon(len(chi.blocks), n_max, term_cap)
-    masks = np.zeros((len(chi.blocks), chi.size), dtype=bool)
+    num_blocks = len(chi.blocks)
+    _check_horizon(num_blocks, n_max, term_cap)
+    label = np.empty(chi.size, dtype=np.intp)
     for b, block in enumerate(chi.blocks):
-        masks[b, list(block)] = True
-    # preimages[s][b] is the mask of the s-step preimage of block b
-    preimages = []
-    table_s = np.arange(space.size)
+        label[list(block)] = b
+    cell = np.zeros(chi.size, dtype=np.intp)
+    digits = np.zeros((1, 0), dtype=np.intp)
+    orbit = np.arange(chi.size)
     for _ in range(n_max + 1):
-        preimages.append(masks[:, table_s])
-        table_s = endo.table[table_s]
-    return _walk(
-        preimages[0],
-        lambda digits, mask, b: mask & preimages[len(digits)][b],
-        lambda digits, mask: float(space.weights[mask].sum()),
-        n_max,
-    )
+        codes, cell = np.unique(cell * num_blocks + label[orbit], return_inverse=True)
+        digits = _extend(digits[codes // num_blocks], codes % num_blocks)
+        yield digits, np.bincount(cell, space.weights, len(codes))
+        orbit = endo.table[orbit]
 
 
 def ks_entropy_at(endo: Endomorphism, chi: Partition, n: int,
                   term_cap: int = DEFAULT_TERM_CAP) -> float:
     """Measure entropy of the itinerary sets of F at horizon n."""
-    return _entropies(_itinerary_walk(endo, chi, n, term_cap), n)[n]
+    return _entropies(_itinerary_levels(endo, chi, n, term_cap), n)[n]
 
 
 def ks_entropy_rate(endo: Endomorphism, chi: Partition, n_max: int,
                     term_cap: int = DEFAULT_TERM_CAP) -> EntropyReport:
     """``quantum_entropy_rate`` for the itinerary sets of F; no closed form."""
-    return _rate_report(lambda n: _itinerary_walk(endo, chi, n, term_cap), n_max, None)
+    return _rate_report(lambda n: _itinerary_levels(endo, chi, n, term_cap), n_max, None)
 
 
 def ks_path_measure_table(endo: Endomorphism, chi: Partition, n: int,
                           term_cap: int = DEFAULT_TERM_CAP) -> dict[tuple[int, ...], float]:
     """Itinerary-set measures keyed by multiindex (empty sets omitted)."""
-    return _table(_itinerary_walk(endo, chi, n, term_cap), n)
+    return _table(_itinerary_levels(endo, chi, n, term_cap), n)
 
 
 def markov_entropy_rate(p, nu) -> float:

@@ -492,6 +492,49 @@ def closed_entropy(rng, trials: int) -> list[PropertyCheck]:
     return [perm0.result(), balanced.result(), markov.result()]
 
 
+def _finest_transition(u: OperatorMatrix) -> np.ndarray:
+    """``P[b, a] = mu_a |W_ab|^2 / mu_b``: the path masses of W at the finest partition."""
+    mu = u.space.weights
+    return mu[None, :] * np.abs(u.entries.T) ** 2 / mu[:, None]
+
+
+def _markov_path_entropy(u: OperatorMatrix, n: int) -> float:
+    """``H(mu) + sum_{k<n} p_k . h(P)`` with ``p_0 = mu`` and ``p_{k+1} = p_k P``."""
+    p = _finest_transition(u)
+    logs = np.zeros_like(p)
+    np.log(p, out=logs, where=p > 0.0)
+    h = -np.sum(p * logs, axis=1)
+    dist = u.space.weights
+    value = -float(dist @ np.log(dist))
+    for _ in range(n):
+        value += float(dist @ h)
+        dist = dist @ p
+    return value
+
+
+def finest_markov_route(rng, trials: int) -> list[PropertyCheck]:
+    """Finest-partition path entropy against its Markov chain, O(n J^2) per value.
+
+    Path masses at the finest partition are those of the chain started at
+    mu with transition ``_finest_transition``.  Sizes reach 8^5 terms
+    (J = 8, n = 4), past what the dense oracle enumerates.
+    """
+    uniform = _Tracker("finest-entropy-matches-markov-chain-uniform", 1e-10)
+    weighted = _Tracker("finest-entropy-matches-markov-chain-weighted", 1e-10)
+    for i in range(trials):
+        j = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 5))
+        space = uniform_space(j)
+        u = OperatorMatrix(space, random_standard_unitary(rng, j))
+        uniform.update(abs(ent.quantum_entropy_at(u, finest_partition(space), n)
+                           - _markov_path_entropy(u, n)), {"trial": i, "J": j, "n": n})
+        wspace = random_space(rng, j, j)
+        wu = random_weighted_unitary(rng, wspace)
+        weighted.update(abs(ent.quantum_entropy_at(wu, finest_partition(wspace), n)
+                            - _markov_path_entropy(wu, n)), {"trial": i, "J": j, "n": n})
+    return [uniform.result(), weighted.result()]
+
+
 def cyclic_dimension(rng, trials: int) -> list[PropertyCheck]:
     t = _Tracker("cyclic-eigenspace-dimension-is-1-over-q", 1e-10)
     combos = [(q, m) for q in (2, 3, 4, 6) for m in (1, 2, 3)]
@@ -666,6 +709,7 @@ SUITES: dict[str, object] = {
     "koopman-bridge": koopman_bridge,
     "entropy-normalization": entropy_normalization,
     "closed-entropy": closed_entropy,
+    "finest-markov-route": finest_markov_route,
     "cyclic-dimension": cyclic_dimension,
     "rho-oracle": rho_oracle,
     "dt-integral": dt_integral,

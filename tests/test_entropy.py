@@ -27,7 +27,8 @@ from munorm import (
     quantum_entropy_rate,
     trivial_partition,
 )
-from munorm.verify import random_partition, random_standard_unitary, uniform_space
+from munorm import entropy, verify
+from munorm.verify import random_partition, random_standard_unitary, run_suite, uniform_space
 
 U2 = uniform_space(2)
 U3 = uniform_space(3)
@@ -213,6 +214,57 @@ def test_path_mass_table_prunes_disjoint_blocks():
     assert set(path_mass_table(identity(sp), chi, 3)) == {(0,) * 4, (1,) * 4}
 
 
+def test_split_frontiers_match_dense_oracle(monkeypatch):
+    rng = np.random.default_rng(18)
+    sp = make_space([0.1, 0.05, 0.2, 0.15, 0.3, 0.2])
+    w = OperatorMatrix(sp, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    chi = Partition(6, [[0, 4], [1], [2, 3, 5]])
+    whole = quantum_entropy_rate(w, chi, 3).values
+    # one, two or five states per step: every level with more states is split
+    for entries in (1, 40, 100):
+        monkeypatch.setattr(entropy, "FRONTIER_ENTRIES", entries)
+        for n in range(4):
+            _assert_tables_match_dense_oracle(w, chi, n)
+            _assert_tables_match_dense_oracle(identity(sp), chi, n)
+        rep = quantum_entropy_rate(w, chi, 3)
+        for n in range(4):
+            assert rep.values[n] == quantum_entropy_at(w, chi, n)
+            assert rep.values[n] == pytest.approx(whole[n], rel=1e-12)
+
+
+def test_underflowed_mass_is_still_expanded():
+    sp = make_space([0.5, 0.5])
+    u = OperatorMatrix(sp, np.array([[0.0, 1e150], [1e-170, 0.0]]))
+    chi = finest_partition(sp)
+    # the state of (0, 1) is 1e-170: nonzero, but its mass underflows to 0.0
+    assert path_mass_table(u, chi, 1)[(0, 1)] == 0.0
+    assert path_mass_table(u, chi, 2)[(0, 1, 0)] == pytest.approx(0.5e-40, rel=1e-12)
+    for n in range(4):
+        _assert_tables_match_dense_oracle(u, chi, n)
+
+
+def test_ks_table_matches_preimage_intersections():
+    # atom 5 weighs 1e-14 and has no preimage, so F is measure-preserving
+    # within tolerance but not injective
+    b = (0.25 - 1e-14) / 2
+    sp = make_space([0.25, 0.25, 0.25, b, b, 1e-14])
+    endo = Endomorphism(sp, [1, 2, 0, 4, 3, 3])
+    chi = Partition(6, [[0, 3], [1, 5], [2, 4]])
+    masks = [np.isin(np.arange(6), block) for block in chi.blocks]
+    for n in range(4):
+        table = ks_path_measure_table(endo, chi, n)
+        preimages = [[endo.iterate(s).preimage_mask(m) for m in masks] for s in range(n + 1)]
+        nonempty = 0
+        for digits in itertools.product(range(3), repeat=n + 1):
+            cell = np.logical_and.reduce([preimages[s][d] for s, d in enumerate(digits)])
+            if cell.any():
+                nonempty += 1
+                assert table[digits] == pytest.approx(sp.weights[cell].sum(), rel=1e-12)
+            else:
+                assert digits not in table
+        assert len(table) == nonempty
+
+
 def test_tables_reject_negative_horizon():
     chi = finest_partition(U3)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -245,6 +297,18 @@ def test_path_masses_total_one_for_unitaries_any_partition():
     for chi in (finest_partition(sp), Partition(4, [[0, 1], [2, 3]]), trivial_partition(sp)):
         for n in (1, 2, 3):
             assert path_mass_total(u, chi, n) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_finest_markov_route_passes_and_can_fail(monkeypatch):
+    checks = run_suite("finest-markov-route", 10, 4)
+    assert len(checks) == 2
+    assert all(c.passed and c.trials == 10 for c in checks)
+
+    def without_mu_a(u):
+        return np.abs(u.entries.T) ** 2 / u.space.weights[:, None]
+
+    monkeypatch.setattr(verify, "_finest_transition", without_mu_a)
+    assert not any(c.passed for c in run_suite("finest-markov-route", 10, 4))
 
 
 def test_markov_rate_examples():

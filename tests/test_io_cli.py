@@ -330,6 +330,18 @@ def test_cli_rejects_json_booleans_as_numbers(files, capsys, argv, bad):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["mu-norm", "--space", "BAD", "--op", "ID2"], {"weights": [10**400, 0.5]}),
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": [[10**400]]}),
+])
+def test_cli_rejects_integers_too_large_for_a_float(files, capsys, argv, bad):
+    tmp, write = files
+    paths = {"BAD": write("bad.json", bad),
+             "ID2": write("id2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(files, capsys):
     tmp, write = files
     bad = tmp / "bad.json"
