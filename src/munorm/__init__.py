@@ -10,144 +10,44 @@ unitaries mirroring the measure entropy of a map, and the average-trace
 lower bound for the diagonal-type algebra.
 """
 
-from .circle import (
-    DiagonalSeqOperator,
-    DtMuNorm,
-    EventuallyPeriodicSeq,
-    PeriodicBandOperator,
-    avg_trace,
-    avg_trace_window,
-    conv_mu_norm_sq,
-    conv_norm,
-    dt_add,
-    dt_adjoint,
-    dt_compose,
-    dt_from_conv,
-    dt_from_multiplier,
-    dt_mu_norm_sq,
-    dt_norm,
-    dt_scale,
-    finite_section,
-    rho,
-    rho_la,
-    rho_window_max,
-    w_l,
-)
-from .entropy import (
-    DEFAULT_TERM_CAP,
-    EntropyReport,
-    ks_entropy_at,
-    ks_entropy_rate,
-    ks_path_measure_table,
-    markov_entropy_rate,
-    path_mass_table,
-    path_mass_total,
-    path_operator,
-    quantum_entropy_at,
-    quantum_entropy_closed,
-    quantum_entropy_rate,
-)
-from .errors import CapExceeded
-from .norm import (
-    CyclicAction,
-    cyclic_projector,
-    m_chi,
-    mu_dim,
-    mu_norm,
-    mu_norm_sq,
-    weighted_gram_schmidt,
-)
-from .operators import (
-    Endomorphism,
-    OperatorMatrix,
-    add,
-    adjoint,
-    compose,
-    identity,
-    inner,
-    koopman,
-    multiplication,
-    operator_norm,
-    projector,
-    scale,
-    unitarity_defect,
-    vector_norm,
-)
-from .spaces import (
-    FiniteMeasureSpace,
-    Partition,
-    finest_partition,
-    is_subpartition,
-    join,
-    make_space,
-    measure_of,
-    trivial_partition,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceeded",
-    "CyclicAction",
-    "DEFAULT_TERM_CAP",
-    "DiagonalSeqOperator",
-    "DtMuNorm",
-    "Endomorphism",
-    "EntropyReport",
-    "EventuallyPeriodicSeq",
-    "FiniteMeasureSpace",
-    "OperatorMatrix",
-    "Partition",
-    "PeriodicBandOperator",
-    "add",
-    "adjoint",
-    "avg_trace",
-    "avg_trace_window",
-    "compose",
-    "conv_mu_norm_sq",
-    "conv_norm",
-    "cyclic_projector",
-    "dt_add",
-    "dt_adjoint",
-    "dt_compose",
-    "dt_from_conv",
-    "dt_from_multiplier",
-    "dt_mu_norm_sq",
-    "dt_norm",
-    "dt_scale",
-    "finest_partition",
-    "finite_section",
-    "identity",
-    "inner",
-    "is_subpartition",
-    "join",
-    "koopman",
-    "ks_entropy_at",
-    "ks_entropy_rate",
-    "ks_path_measure_table",
-    "m_chi",
-    "make_space",
-    "markov_entropy_rate",
-    "measure_of",
-    "mu_dim",
-    "mu_norm",
-    "mu_norm_sq",
-    "multiplication",
-    "operator_norm",
-    "path_mass_table",
-    "path_mass_total",
-    "path_operator",
-    "projector",
-    "quantum_entropy_at",
-    "quantum_entropy_closed",
-    "quantum_entropy_rate",
-    "rho",
-    "rho_la",
-    "rho_window_max",
-    "scale",
-    "trivial_partition",
-    "unitarity_defect",
-    "vector_norm",
-    "w_l",
-    "weighted_gram_schmidt",
-]
+#: The layer modules and the names each exports.  Both load on first
+#: access (PEP 562), so a process pays only for the layers it touches:
+#: ``import munorm.cli`` loads none of them.
+_LAYERS = {
+    "spaces": ("FiniteMeasureSpace", "Partition", "finest_partition", "is_subpartition",
+               "join", "make_space", "measure_of", "trivial_partition"),
+    "operators": ("Endomorphism", "OperatorMatrix", "add", "adjoint", "compose",
+                  "identity", "inner", "koopman", "multiplication", "operator_norm",
+                  "projector", "scale", "unitarity_defect", "vector_norm"),
+    "norm": ("CyclicAction", "cyclic_projector", "m_chi", "mu_dim", "mu_norm",
+             "mu_norm_sq", "weighted_gram_schmidt"),
+    "entropy": ("EntropyReport", "ks_entropy_at", "ks_entropy_rate",
+                "ks_path_measure_table", "markov_entropy_rate", "path_mass_table",
+                "path_mass_total", "path_operator", "quantum_entropy_at",
+                "quantum_entropy_closed", "quantum_entropy_rate"),
+    "circle": ("DiagonalSeqOperator", "DtMuNorm", "EventuallyPeriodicSeq",
+               "PeriodicBandOperator", "avg_trace", "avg_trace_window",
+               "conv_mu_norm_sq", "conv_norm", "dt_add", "dt_adjoint", "dt_compose",
+               "dt_from_conv", "dt_from_multiplier", "dt_mu_norm_sq", "dt_norm",
+               "dt_scale", "finite_section", "rho", "rho_la", "rho_window_max", "w_l"),
+    "errors": ("CapExceeded", "DEFAULT_TERM_CAP"),
+}
+_EXPORTS = {name: module for module, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_LAYERS})

@@ -514,15 +514,18 @@ def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator,
         raise CapExceeded(f"product period {tau} exceeds the cap {max_tau}")
     if band > max_band:
         raise CapExceeded(f"product band {band} exceeds the cap {max_band}")
-    coeffs = np.zeros((tau, 2 * band + 1), dtype=complex)
+    # terms[r, d1 + a.band, d2 + b.band] = a_{r, r+d1} b_{r+d1, r+d1+d2}, one gather
     rows = np.arange(tau)
-    arows = a.coeffs[rows % a.tau]
-    # ascending d1, so each coefficient sums its terms in the same order as a
-    # row-by-row loop would
-    for d1 in range(-a.band, a.band + 1):
-        lo = d1 - b.band + band
-        coeffs[:, lo:lo + 2 * b.band + 1] += (arows[:, d1 + a.band, None]
-                                              * b.coeffs[(rows + d1) % b.tau])
+    d1 = np.arange(-a.band, a.band + 1)
+    terms = a.coeffs[rows % a.tau, :, None] * b.coeffs[(rows[:, None] + d1) % b.tau]
+    # the coefficient at offset d1 + d2 sums an anti-diagonal; bincount adds
+    # the terms in C order, so ascending d1 from 0.0, as a loop over d1 does
+    width = 2 * band + 1
+    slot = (rows[:, None, None] * width + np.arange(d1.size)[:, None]
+            + np.arange(2 * b.band + 1)).ravel()
+    coeffs = np.empty((tau, width), dtype=complex)
+    coeffs.real = np.bincount(slot, terms.real.ravel(), tau * width).reshape(tau, width)
+    coeffs.imag = np.bincount(slot, terms.imag.ravel(), tau * width).reshape(tau, width)
     pert: dict[tuple[int, int], complex] = {}
 
     def bump(key, v):

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 a verify suite found violations, 2 invalid
 input (bad JSON, bad fields, failed preconditions), 3 a resource cap was
 exceeded.  Reports are byte-identical across runs for the same inputs,
 options, and seed.
+
+Each command imports the layers it runs when it runs, so a process
+loads and compiles only those; see "CLI start-up" in the README.
 """
 
 from __future__ import annotations
@@ -18,24 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mio
-from .circle import (
-    avg_trace,
-    avg_trace_window,
-    conv_norm,
-    dt_mu_norm_sq,
-    dt_norm,
-    rho,
-    rho_window_max,
-)
-from .entropy import (
-    DEFAULT_TERM_CAP,
-    ks_entropy_rate,
-    markov_entropy_rate,
-    quantum_entropy_rate,
-)
-from .errors import CapExceeded
-from .norm import m_chi, mu_dim, mu_norm_sq
-from .spaces import finest_partition
+from .errors import DEFAULT_TERM_CAP, CapExceeded
 
 SCHEMA = "mu-norm-lab/1"
 
@@ -59,6 +45,9 @@ def _convert(value: float, log_base: str) -> float:
 
 
 def _cmd_mu_norm(args):
+    from .norm import m_chi, mu_norm_sq
+    from .spaces import finest_partition
+
     space = _load_space(args)
     op = mio.operator_from_obj(mio.load_json(args.op), space)
     value = mu_norm_sq(op)
@@ -70,6 +59,8 @@ def _cmd_mu_norm(args):
 
 
 def _cmd_m_chi(args):
+    from .norm import m_chi, mu_norm_sq
+
     space = _load_space(args)
     op = mio.operator_from_obj(mio.load_json(args.op), space)
     chi = mio.partition_from_obj(mio.load_json(args.partition), space.size)
@@ -82,6 +73,8 @@ def _cmd_m_chi(args):
 
 
 def _cmd_mu_dim(args):
+    from .norm import mu_dim
+
     space = _load_space(args)
     vectors = mio.matrix_from_obj(mio.load_json(args.basis), "basis")
     value = mu_dim(space, list(vectors), orthonormalize=args.orthonormalize)
@@ -93,6 +86,8 @@ def _cmd_mu_dim(args):
 
 
 def _cmd_entropy(args):
+    from .entropy import quantum_entropy_rate
+
     space = _load_space(args)
     op = mio.operator_from_obj(mio.load_json(args.op), space)
     chi = mio.partition_from_obj(mio.load_json(args.partition), space.size)
@@ -104,6 +99,8 @@ def _cmd_entropy(args):
 
 
 def _cmd_ks_entropy(args):
+    from .entropy import ks_entropy_rate
+
     space = _load_space(args)
     endo = mio.endomorphism_from_obj(mio.load_json(args.endo), space)
     chi = mio.partition_from_obj(mio.load_json(args.partition), space.size)
@@ -114,6 +111,8 @@ def _cmd_ks_entropy(args):
 
 
 def _cmd_markov_rate(args):
+    from .entropy import markov_entropy_rate
+
     p = mio.matrix_from_obj(mio.load_json(args.p), "transition matrix")
     if np.max(np.abs(p.imag)) > 0:
         raise ValueError("transition matrix must be real")
@@ -125,6 +124,8 @@ def _cmd_markov_rate(args):
 
 
 def _cmd_rho(args):
+    from .circle import rho, rho_window_max
+
     seq = mio.seq_from_obj(mio.load_json(args.seq))
     value = rho(seq)
     window = 10**4
@@ -137,6 +138,8 @@ def _cmd_rho(args):
 
 
 def _cmd_conv(args):
+    from .circle import conv_norm, rho
+
     seq = mio.seq_from_obj(mio.load_json(args.seq))
     results = {
         "conv_norm": conv_norm(seq),
@@ -149,11 +152,15 @@ def _cmd_conv(args):
 
 
 def _cmd_dt_norm(args):
+    from .circle import dt_norm
+
     op = mio.bandop_from_obj(mio.load_json(args.op))
     return {"op": args.op}, {"dt_norm": dt_norm(op)}, {}
 
 
 def _cmd_dt_mu_norm(args):
+    from .circle import dt_mu_norm_sq
+
     op = mio.bandop_from_obj(mio.load_json(args.op))
     res = dt_mu_norm_sq(op, quad_points=args.quad)
     tol = args.tol if args.tol is not None else 1e-10
@@ -164,6 +171,8 @@ def _cmd_dt_mu_norm(args):
 
 
 def _cmd_avg_trace(args):
+    from .circle import avg_trace, avg_trace_window
+
     op = mio.bandop_from_obj(mio.load_json(args.op))
     value = avg_trace(op)
     window = 1024
@@ -174,7 +183,7 @@ def _cmd_avg_trace(args):
 
 
 def _cmd_verify(args):
-    from . import verify  # only this command needs the suites
+    from . import verify
 
     checks = verify.run_suite(args.suite, args.trials, args.seed)
     if args.tol is not None:
@@ -188,19 +197,46 @@ def _cmd_verify(args):
     return {}, results, {"trials": args.trials, "seed": args.seed}
 
 
+#: Keyword arguments of each flag a command may take.
+_FLAGS = {
+    "--space": dict(required=True, help="space JSON file"),
+    "--op": dict(required=True, help="operator JSON file"),
+    "--partition": dict(required=True, help="partition JSON file"),
+    "--seq": dict(required=True, help="sequence JSON file"),
+    "--endo": dict(required=True, help="endomorphism JSON file"),
+    "--basis": dict(required=True, help="JSON matrix whose rows are basis vectors"),
+    "--dist": dict(required=True, help="distribution JSON file"),
+    "--p": dict(required=True, help="transition matrix JSON file"),
+    "--N": dict(type=int, required=True, help="largest horizon"),
+    "--quad": dict(type=int, default=None, help="quadrature points"),
+    "--cap": dict(type=int, default=DEFAULT_TERM_CAP, help="enumeration term cap"),
+    "--log-base": dict(dest="log_base", choices=("e", "2"), default="e",
+                       help="report entropies in nats (e) or bits (2)"),
+    "--orthonormalize": dict(action="store_true",
+                             help="orthonormalize the given spanning set first"),
+    "--tol": dict(type=float, default=None, help="override check tolerance"),
+}
+
+#: Command name -> (handler, help line, flags from ``_FLAGS``).
 _COMMANDS = {
-    "mu-norm": _cmd_mu_norm,
-    "m-chi": _cmd_m_chi,
-    "mu-dim": _cmd_mu_dim,
-    "entropy": _cmd_entropy,
-    "ks-entropy": _cmd_ks_entropy,
-    "markov-rate": _cmd_markov_rate,
-    "rho": _cmd_rho,
-    "conv": _cmd_conv,
-    "dt-norm": _cmd_dt_norm,
-    "dt-mu-norm": _cmd_dt_mu_norm,
-    "avg-trace": _cmd_avg_trace,
-    "verify": _cmd_verify,
+    "mu-norm": (_cmd_mu_norm, "squared partition norm of an operator",
+                ("--space", "--op", "--tol")),
+    "m-chi": (_cmd_m_chi, "partition functional at a given partition",
+              ("--space", "--op", "--partition", "--tol")),
+    "mu-dim": (_cmd_mu_dim, "dimension of a subspace in the partition norm",
+               ("--space", "--basis", "--orthonormalize", "--tol")),
+    "entropy": (_cmd_entropy, "operator path entropy per horizon",
+                ("--space", "--op", "--partition", "--N", "--cap", "--log-base")),
+    "ks-entropy": (_cmd_ks_entropy, "measure entropy of a map per horizon",
+                   ("--space", "--endo", "--partition", "--N", "--cap", "--log-base")),
+    "markov-rate": (_cmd_markov_rate, "entropy rate of a Markov chain",
+                    ("--p", "--dist", "--log-base")),
+    "rho": (_cmd_rho, "window density of a sequence", ("--seq", "--tol")),
+    "conv": (_cmd_conv, "convolution operator norms of a sequence", ("--seq",)),
+    "dt-norm": (_cmd_dt_norm, "diagonal-type algebra norm", ("--op",)),
+    "dt-mu-norm": (_cmd_dt_mu_norm, "squared partition norm of a band operator",
+                   ("--op", "--quad", "--tol")),
+    "avg-trace": (_cmd_avg_trace, "average trace of a band operator", ("--op",)),
 }
 
 
@@ -210,63 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partition-norm calculator for operators on finite spaces and the circle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_, *flags):
+    for name, (_, help_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flag in flags:
-            if flag == "--space":
-                p.add_argument("--space", required=True, help="space JSON file")
-            elif flag == "--op":
-                p.add_argument("--op", required=True, help="operator JSON file")
-            elif flag == "--partition":
-                p.add_argument("--partition", required=True, help="partition JSON file")
-            elif flag == "--seq":
-                p.add_argument("--seq", required=True, help="sequence JSON file")
-            elif flag == "--endo":
-                p.add_argument("--endo", required=True, help="endomorphism JSON file")
-            elif flag == "--basis":
-                p.add_argument("--basis", required=True,
-                               help="JSON matrix whose rows are basis vectors")
-            elif flag == "--dist":
-                p.add_argument("--dist", required=True, help="distribution JSON file")
-            elif flag == "--p":
-                p.add_argument("--p", required=True, help="transition matrix JSON file")
-            elif flag == "--N":
-                p.add_argument("--N", type=int, required=True, help="largest horizon")
-            elif flag == "--quad":
-                p.add_argument("--quad", type=int, default=None, help="quadrature points")
-            elif flag == "--cap":
-                p.add_argument("--cap", type=int, default=DEFAULT_TERM_CAP,
-                               help="enumeration term cap")
-            elif flag == "--log-base":
-                p.add_argument("--log-base", dest="log_base", choices=("e", "2"),
-                               default="e", help="report entropies in nats (e) or bits (2)")
-            elif flag == "--orthonormalize":
-                p.add_argument("--orthonormalize", action="store_true",
-                               help="orthonormalize the given spanning set first")
-            elif flag == "--tol":
-                p.add_argument("--tol", type=float, default=None,
-                               help="override check tolerance")
-            else:
-                raise AssertionError(flag)
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="write the JSON report here")
-        return p
-
-    cmd("mu-norm", "squared partition norm of an operator", "--space", "--op", "--tol")
-    cmd("m-chi", "partition functional at a given partition",
-        "--space", "--op", "--partition", "--tol")
-    cmd("mu-dim", "dimension of a subspace in the partition norm",
-        "--space", "--basis", "--orthonormalize", "--tol")
-    cmd("entropy", "operator path entropy per horizon",
-        "--space", "--op", "--partition", "--N", "--cap", "--log-base")
-    cmd("ks-entropy", "measure entropy of a map per horizon",
-        "--space", "--endo", "--partition", "--N", "--cap", "--log-base")
-    cmd("markov-rate", "entropy rate of a Markov chain", "--p", "--dist", "--log-base")
-    cmd("rho", "window density of a sequence", "--seq", "--tol")
-    cmd("conv", "convolution operator norms of a sequence", "--seq")
-    cmd("dt-norm", "diagonal-type algebra norm", "--op")
-    cmd("dt-mu-norm", "squared partition norm of a band operator", "--op", "--quad", "--tol")
-    cmd("avg-trace", "average trace of a band operator", "--op")
 
     pv = sub.add_parser("verify", help="run a seeded property suite")
     pv.add_argument("--suite", required=True,
@@ -289,7 +273,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
+    handler = _cmd_verify if args.command == "verify" else _COMMANDS[args.command][0]
     try:
         input_paths, results, diagnostics = handler(args)
     except CapExceeded as exc:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import DEFAULT_TERM_CAP, CapExceeded
 from .operators import Endomorphism, OperatorMatrix, projector, unitarity_defect
 from .spaces import FiniteMeasureSpace, Partition
 
@@ -37,8 +37,6 @@ __all__ = [
     "ks_path_measure_table",
     "markov_entropy_rate",
 ]
-
-DEFAULT_TERM_CAP = 10**6
 
 UNITARITY_TOL = 1e-8
 
@@ -289,9 +287,11 @@ def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: 
     """Itinerary-set measures of F for horizons 0..n_max as ``(digits, masses)`` blocks.
 
     The itinerary sets of one horizon partition the space, so a level is
-    one cell label per atom, refined by the block of ``F^n(x)``.
-    ``np.unique`` numbers the cells in lexicographic order of their
-    digits; empty sets never get a label.
+    one cell label per atom, refined by the block of ``F^n(x)``.  The
+    refined codes ``cell*K + label`` are below ``ncells*K``, so a
+    presence table of that length numbers the cells in ascending code
+    order, which is lexicographic order of their digits; empty sets
+    never get a label.
     """
     space = endo.space
     _check_inputs(space, chi)
@@ -304,7 +304,11 @@ def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: 
     digits = np.zeros((1, 0), dtype=np.intp)
     orbit = np.arange(chi.size)
     for _ in range(n_max + 1):
-        codes, cell = np.unique(cell * num_blocks + label[orbit], return_inverse=True)
+        refined = cell * num_blocks + label[orbit]
+        present = np.zeros(len(digits) * num_blocks, dtype=bool)
+        present[refined] = True
+        codes = np.flatnonzero(present)
+        cell = (np.cumsum(present) - 1)[refined]
         digits = _extend(digits[codes // num_blocks], codes % num_blocks)
         yield digits, np.bincount(cell, space.weights, len(codes))
         orbit = endo.table[orbit]

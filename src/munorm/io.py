@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .circle import EventuallyPeriodicSeq, PeriodicBandOperator
-from .operators import Endomorphism, OperatorMatrix
-from .spaces import FiniteMeasureSpace, Partition
+# The builders import their layer when called, so reading a band operator
+# does not load the finite layers, nor reading a space the circle layer.
+if TYPE_CHECKING:
+    from .circle import EventuallyPeriodicSeq, PeriodicBandOperator
+    from .operators import Endomorphism, OperatorMatrix
+    from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = [
     "load_json",
@@ -103,6 +106,8 @@ def _complex_out(z: complex) -> list[float]:
 
 
 def space_from_obj(obj: Any) -> FiniteMeasureSpace:
+    from .spaces import FiniteMeasureSpace
+
     weights = _require(obj, "weights", "space")
     if not isinstance(weights, list) or not all(_is_number(w) for w in weights):
         raise ValueError("space: field 'weights' must be a list of numbers")
@@ -124,6 +129,8 @@ def distribution_from_obj(obj: Any) -> np.ndarray:
 
 
 def partition_from_obj(obj: Any, size: int) -> Partition:
+    from .spaces import Partition
+
     blocks = _require(obj, "blocks", "partition")
     if not isinstance(blocks, list):
         raise ValueError("partition: field 'blocks' must be a list of lists")
@@ -154,10 +161,14 @@ def matrix_to_obj(entries: np.ndarray) -> dict:
 
 
 def operator_from_obj(obj: Any, space: FiniteMeasureSpace) -> OperatorMatrix:
+    from .operators import OperatorMatrix
+
     return OperatorMatrix(space, matrix_from_obj(obj, "operator"))
 
 
 def endomorphism_from_obj(obj: Any, space: FiniteMeasureSpace) -> Endomorphism:
+    from .operators import Endomorphism
+
     table = _require(obj, "map", "endomorphism")
     if not isinstance(table, list) or not all(_is_int(j) for j in table):
         raise ValueError("endomorphism: field 'map' must be a list of integers")
@@ -169,6 +180,8 @@ def endomorphism_to_obj(endo: Endomorphism) -> dict:
 
 
 def seq_from_obj(obj: Any) -> EventuallyPeriodicSeq:
+    from .circle import EventuallyPeriodicSeq
+
     left = [_complex_in(v, "seq.left") for v in _require(obj, "left", "seq")]
     right = [_complex_in(v, "seq.right") for v in _require(obj, "right", "seq")]
     k0 = obj.get("k0", 0)
@@ -197,6 +210,8 @@ def seq_to_obj(seq: EventuallyPeriodicSeq) -> dict:
 
 
 def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
+    from .circle import PeriodicBandOperator
+
     tau = _require(obj, "tau", "band operator")
     band = _require(obj, "band", "band operator")
     if not _is_int(tau) or not _is_int(band):

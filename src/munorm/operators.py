@@ -88,9 +88,12 @@ class Endomorphism:
     """A measure-preserving self-map of the atoms, stored as a forward table.
 
     Preservation means ``mu_j = sum(mu_k for k with F(k) = j)`` for every
-    atom j.  On a finite space with strictly positive weights this forces
-    every preimage to be nonempty, so a valid endomorphism is always a
-    weight-preserving permutation.
+    atom j, checked within ``PRESERVATION_TOL`` per atom.  Exact
+    preservation with strictly positive weights forces every preimage to
+    be nonempty, so F would be a weight-preserving permutation; within
+    the tolerance, a map may also leave atoms without a preimage when
+    each of them weighs at most ``PRESERVATION_TOL``, and is then not
+    injective.  Code that needs a permutation must check for one.
     """
 
     __slots__ = ("_space", "_table")

@@ -1,0 +1,183 @@
+"""Property suites on the circle layer: sequences and band operators.
+
+Registered in ``verify.SUITES``; run them through ``verify.run_suite``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import circle as circ
+from .verify import PropertyCheck, _random_complex, _Tracker
+
+# ---------------------------------------------------------------------------
+# Random instance generators
+
+
+def random_seq(rng, max_period: int = 8, max_k0: int = 4, amp: float = 2.0
+               ) -> circ.EventuallyPeriodicSeq:
+    pl = int(rng.integers(1, max_period + 1))
+    pr = int(rng.integers(1, max_period + 1))
+    k0 = int(rng.integers(0, max_k0 + 1))
+    left = _random_complex(rng, pl, amp)
+    right = _random_complex(rng, pr, amp)
+    middle = {}
+    if k0 > 0:
+        for k in range(-k0 + 1, k0):
+            if rng.random() < 0.5:
+                middle[k] = complex(_random_complex(rng, 1, amp)[0])
+    else:
+        left[0] = right[0]
+    return circ.EventuallyPeriodicSeq(left, right, middle, k0)
+
+
+def random_bandop(rng, max_tau: int = 8, max_band: int = 8, amp: float = 1.0,
+                  perturbed: bool = False) -> circ.PeriodicBandOperator:
+    tau = int(rng.integers(1, max_tau + 1))
+    band = int(rng.integers(0, max_band + 1))
+    coeffs = _random_complex(rng, (tau, 2 * band + 1), amp)
+    pert = []
+    if perturbed:
+        for _ in range(int(rng.integers(1, 4))):
+            r = int(rng.integers(-12, 13))
+            c = int(rng.integers(r - band - 2, r + band + 3))
+            pert.append((r, c, complex(_random_complex(rng, 1, amp)[0])))
+    return circ.PeriodicBandOperator(tau, band, coeffs, pert)
+
+
+# ---------------------------------------------------------------------------
+# Circle suites
+
+
+def _period_mass(seq: circ.EventuallyPeriodicSeq) -> float:
+    mass = max(float(np.sum(np.abs(seq.left) ** 2)), float(np.sum(np.abs(seq.right) ** 2)))
+    return mass + sum(abs(v) ** 2 for v in seq.middle.values())
+
+
+def rho_oracle(rng, trials: int, window: int = 10**4) -> list[PropertyCheck]:
+    bound = _Tracker("window-oracle-within-derived-bound", 1e-12)
+    fixed = _Tracker("window-oracle-within-1e-2-at-1e4", 1e-2)
+    for i in range(trials):
+        seq = random_seq(rng)
+        closed = circ.rho(seq)
+        brute = circ.rho_window_max(seq, window)
+        diff = abs(closed - brute)
+        bound.update(diff - 10.0 * _period_mass(seq) / window, {"trial": i})
+        fixed.update(diff, {"trial": i})
+    return [bound.result(), fixed.result()]
+
+
+def dt_integral(rng, trials: int) -> list[PropertyCheck]:
+    agree = _Tracker("quadrature-matches-parseval-closed-form", 1e-10)
+    cosine = _Tracker("double-cosine-multiplier-norm-is-2", 1e-12)
+    res = circ.dt_mu_norm_sq(circ.dt_from_multiplier({1: 1.0, -1: 1.0}))
+    cosine.update(abs(res.quadrature - 2.0), {})
+    cosine.update(abs(res.closed_form - 2.0), {})
+    for i in range(trials):
+        op = random_bandop(rng)
+        r = circ.dt_mu_norm_sq(op)
+        agree.update(abs(r.quadrature - r.closed_form),
+                     {"trial": i, "tau": op.tau, "band": op.band})
+    return [agree.result(), cosine.result()]
+
+
+def parseval_bridge(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("average-trace-equals-quadrature-when-periodic", 1e-10)
+    for i in range(trials):
+        op = random_bandop(rng)
+        t.update(abs(circ.dt_mu_norm_sq(op).quadrature - circ.avg_trace(op)),
+                 {"trial": i, "tau": op.tau, "band": op.band})
+    return [t.result()]
+
+
+def trace_bound(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("average-trace-below-squared-norm", 1e-10)
+    for i in range(trials):
+        op = random_bandop(rng, perturbed=bool(rng.random() < 0.5))
+        t.update(circ.avg_trace(op) - circ.dt_mu_norm_sq(op).quadrature,
+                 {"trial": i, "tau": op.tau, "band": op.band})
+    return [t.result()]
+
+
+def _unitary_conjugators(rng) -> list[circ.PeriodicBandOperator]:
+    k = int(rng.integers(1, 4))
+    phase = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    return [
+        circ.dt_from_multiplier({k: 1.0}),        # shift power
+        circ.dt_from_multiplier({0: phase}),      # unimodular constant
+        circ.dt_from_multiplier({k: phase}),      # product of the two
+    ]
+
+
+def trace_invariance(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("average-trace-unitary-invariance", 1e-10)
+    for i in range(trials):
+        w = random_bandop(rng, max_tau=4, max_band=4)
+        base = circ.avg_trace(w)
+        for u in _unitary_conjugators(rng):
+            left = circ.avg_trace(circ.dt_compose(u, w))
+            right = circ.avg_trace(circ.dt_compose(w, u))
+            conj = circ.avg_trace(circ.dt_compose(circ.dt_adjoint(u), circ.dt_compose(w, u)))
+            v = max(abs(left - base), abs(right - base), abs(conj - base))
+            t.update(v, {"trial": i, "tau": w.tau, "band": w.band})
+    return [t.result()]
+
+
+def norm_chain(rng, trials: int) -> list[PropertyCheck]:
+    section = _Tracker("finite-section-norm-below-dt-norm", 1e-10)
+    submult = _Tracker("dt-norm-submultiplicative", 1e-10)
+    for i in range(trials):
+        op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
+        size = int(rng.integers(4, 65))
+        start = int(rng.integers(-16, 8))
+        sec = circ.finite_section(op, range(start, start + size))
+        section.update(float(np.linalg.norm(sec, 2)) - circ.dt_norm(op),
+                       {"trial": i, "tau": op.tau, "band": op.band, "size": size})
+        w1 = random_bandop(rng, max_tau=4, max_band=4)
+        w2 = random_bandop(rng, max_tau=4, max_band=4)
+        submult.update(circ.dt_norm(circ.dt_compose(w1, w2))
+                       - circ.dt_norm(w1) * circ.dt_norm(w2),
+                       {"trial": i})
+    return [section.result(), submult.result()]
+
+
+def dt_star_algebra(rng, trials: int) -> list[PropertyCheck]:
+    adj_norm = _Tracker("adjoint-preserves-dt-norm", 1e-12)
+    involution = _Tracker("adjoint-is-an-involution", 1e-12)
+    tri = _Tracker("dt-norm-triangle", 1e-12)
+    for i in range(trials):
+        a = random_bandop(rng, max_tau=5, max_band=5, perturbed=bool(rng.random() < 0.3))
+        b = random_bandop(rng, max_tau=5, max_band=5)
+        adj_norm.update(abs(circ.dt_norm(circ.dt_adjoint(a)) - circ.dt_norm(a)), {"trial": i})
+        sec_a = circ.finite_section(a, range(-10, 11))
+        sec_aa = circ.finite_section(circ.dt_adjoint(circ.dt_adjoint(a)), range(-10, 11))
+        involution.update(float(np.max(np.abs(sec_a - sec_aa))), {"trial": i})
+        tri.update(circ.dt_norm(circ.dt_add(a, b))
+                   - (circ.dt_norm(a) + circ.dt_norm(b)), {"trial": i})
+    return [adj_norm.result(), involution.result(), tri.result()]
+
+
+def w_symbol_bound(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("row-symbol-bounded-by-dt-norm", 1e-10)
+    for i in range(trials):
+        op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
+        c = circ.dt_norm(op)
+        for _ in range(8):
+            l = int(rng.integers(-12, 13))
+            a = float(rng.uniform(0, 2 * np.pi))
+            t.update(abs(circ.w_l(op, l, a)) - c, {"trial": i, "l": l})
+    return [t.result()]
+
+
+def rho_la_continuity(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("symbol-density-grid-continuity", 1e-12)
+    grid = 2.0 * np.pi * np.arange(1025) / 1024
+    for i in range(trials):
+        op = random_bandop(rng, max_tau=6, max_band=6)
+        sym = op.periodic_symbols(grid)
+        density = np.mean(np.abs(sym) ** 2, axis=0)
+        max_step = float(np.max(np.abs(np.diff(density))))
+        lip = circ.dt_norm(op) ** 2 * (op.band * op.tau * 4)
+        t.update(max_step - lip * (2.0 * np.pi / 1024),
+                 {"trial": i, "tau": op.tau, "band": op.band})
+    return [t.result()]

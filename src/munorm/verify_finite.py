@@ -1,0 +1,456 @@
+"""Property suites on finite spaces: measure, operator core, norm, entropy.
+
+Registered in ``verify.SUITES``; run them through ``verify.run_suite``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import entropy as ent
+from .norm import CyclicAction, cyclic_projector, m_chi, mu_norm_sq
+from .operators import (
+    Endomorphism,
+    OperatorMatrix,
+    compose,
+    koopman,
+    multiplication,
+    operator_norm,
+    projector,
+    vector_norm,
+)
+from .spaces import FiniteMeasureSpace, Partition, finest_partition, join
+from .verify import PropertyCheck, _random_complex, _Tracker
+
+# ---------------------------------------------------------------------------
+# Random instance generators
+
+
+def uniform_space(j: int) -> FiniteMeasureSpace:
+    return FiniteMeasureSpace(np.full(j, 1.0 / j))
+
+
+def random_space(rng, min_atoms: int = 2, max_atoms: int = 8) -> FiniteMeasureSpace:
+    j = int(rng.integers(min_atoms, max_atoms + 1))
+    raw = rng.uniform(0.2, 1.0, j)
+    return FiniteMeasureSpace(raw / raw.sum())
+
+
+def random_subset(rng, j: int, nonempty: bool = False, proper: bool = False) -> list[int]:
+    for _ in range(64):
+        mask = rng.random(j) < rng.uniform(0.2, 0.8)
+        if nonempty and not mask.any():
+            continue
+        if proper and mask.all():
+            continue
+        return list(np.nonzero(mask)[0])
+    return [0] if nonempty else []
+
+
+def random_partition(rng, j: int) -> Partition:
+    nblocks = int(rng.integers(1, j + 1))
+    labels = rng.integers(0, nblocks, j)
+    blocks = [list(np.nonzero(labels == b)[0]) for b in range(nblocks)]
+    return Partition(j, [b for b in blocks if b])
+
+
+def random_matrix(rng, space: FiniteMeasureSpace, scale: float = 1.0) -> OperatorMatrix:
+    j = space.size
+    entries = scale * (rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
+    return OperatorMatrix(space, entries / math.sqrt(2.0))
+
+
+def random_standard_unitary(rng, j: int) -> np.ndarray:
+    g = (rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :].conj()
+
+
+def random_weighted_unitary(rng, space: FiniteMeasureSpace) -> OperatorMatrix:
+    # Conjugating a standard unitary by D^(1/2) preserves the weighted product.
+    q = random_standard_unitary(rng, space.size)
+    s = np.sqrt(space.weights)
+    return OperatorMatrix(space, (q * s[None, :]) / s[:, None])
+
+
+def random_space_with_automorphism(rng, max_classes: int = 3,
+                                   max_class_size: int = 4
+                                   ) -> tuple[FiniteMeasureSpace, Endomorphism]:
+    """A space whose weights repeat within classes, plus a weight-preserving permutation."""
+    nclasses = int(rng.integers(1, max_classes + 1))
+    sizes = [int(rng.integers(1, max_class_size + 1)) for _ in range(nclasses)]
+    raw = rng.uniform(0.2, 1.0, nclasses)
+    total = float(np.sum(raw * np.array(sizes)))
+    weights = np.concatenate([np.full(s, raw[i] / total) for i, s in enumerate(sizes)])
+    space = FiniteMeasureSpace(weights)
+    table = np.arange(space.size)
+    start = 0
+    for s in sizes:
+        table[start:start + s] = start + rng.permutation(s)
+        start += s
+    return space, Endomorphism(space, table)
+
+
+def random_cyclic_setup(rng, q: int, orbits: int) -> tuple[FiniteMeasureSpace, CyclicAction]:
+    raw = rng.uniform(0.2, 1.0, orbits)
+    total = float(raw.sum()) * q
+    weights = np.repeat(raw / total, q)
+    space = FiniteMeasureSpace(weights)
+    table = np.arange(space.size)
+    for o in range(orbits):
+        base = o * q
+        table[base:base + q] = base + (np.arange(q) + 1) % q
+    return space, CyclicAction(space, Endomorphism(space, table), q)
+
+
+# ---------------------------------------------------------------------------
+# Measure/operator-core and norm suites
+
+
+def projector_measure(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("projector-norm-equals-measure", 1e-12)
+    for i in range(trials):
+        space = random_space(rng, 2, 12)
+        subset = random_subset(rng, space.size)
+        v = abs(mu_norm_sq(projector(space, subset)) - space.measure(subset))
+        t.update(v, {"trial": i, "J": space.size, "subset_size": len(subset)})
+    return [t.result()]
+
+
+def finest_formula(rng, trials: int) -> list[PropertyCheck]:
+    uni = _Tracker("uniform-entrywise-mean", 1e-12)
+    fin_u = _Tracker("uniform-matches-finest-partition", 1e-10)
+    fin_w = _Tracker("weighted-matches-finest-partition", 1e-10)
+    for i in range(trials):
+        j = int(rng.integers(2, 17))
+        space = uniform_space(j)
+        w = random_matrix(rng, space)
+        closed = mu_norm_sq(w)
+        literal = float(np.sum(np.abs(w.entries) ** 2)) / j
+        uni.update(abs(closed - literal), {"trial": i, "J": j})
+        fin_u.update(abs(closed - m_chi(w, finest_partition(space))), {"trial": i, "J": j})
+
+        wspace = random_space(rng)
+        ww = random_matrix(rng, wspace)
+        fin_w.update(abs(mu_norm_sq(ww) - m_chi(ww, finest_partition(wspace))),
+                     {"trial": i, "J": wspace.size})
+    return [uni.result(), fin_u.result(), fin_w.result()]
+
+
+def multiplication_law(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("multiplier-norm-equals-weighted-mass", 1e-12)
+    for i in range(trials):
+        space = random_space(rng)
+        g = _random_complex(rng, space.size)
+        expected = float(np.sum(space.weights * np.abs(g) ** 2))
+        t.update(abs(mu_norm_sq(multiplication(space, g)) - expected),
+                 {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def partition_monotone(rng, trials: int) -> list[PropertyCheck]:
+    mono = _Tracker("refinement-never-increases-m-chi", 1e-9)
+    lower = _Tracker("mu-norm-below-every-m-chi", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w = random_matrix(rng, space)
+        chi = random_partition(rng, space.size)
+        kappa = random_partition(rng, space.size)
+        coarse = m_chi(w, chi)
+        fine = m_chi(w, join(chi, kappa))
+        mono.update(fine - coarse, {"trial": i, "J": space.size})
+        lower.update(mu_norm_sq(w) - coarse, {"trial": i, "J": space.size})
+    return [mono.result(), lower.result()]
+
+
+def triangle(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("triangle-inequality", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w1 = random_matrix(rng, space)
+        w2 = random_matrix(rng, space)
+        lhs = math.sqrt(mu_norm_sq(w1 + w2))
+        rhs = math.sqrt(mu_norm_sq(w1)) + math.sqrt(mu_norm_sq(w2))
+        t.update(lhs - rhs, {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def homogeneity(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("absolute-homogeneity", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w = random_matrix(rng, space)
+        lam = complex(_random_complex(rng, 1)[0])
+        t.update(abs(mu_norm_sq(lam * w) - abs(lam) ** 2 * mu_norm_sq(w)),
+                 {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def left_unitary(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("left-unitary-invariance", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w = random_matrix(rng, space)
+        u = random_weighted_unitary(rng, space)
+        t.update(abs(mu_norm_sq(compose(u, w)) - mu_norm_sq(w)), {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def right_koopman(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("right-composition-invariance", 1e-9)
+    for i in range(trials):
+        space, endo = random_space_with_automorphism(rng)
+        w = random_matrix(rng, space)
+        u = koopman(space, endo)
+        t.update(abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w)), {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def right_unitary_uniform(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("right-unitary-invariance-uniform", 1e-9)
+    for i in range(trials):
+        j = int(rng.integers(2, 9))
+        space = uniform_space(j)
+        w = random_matrix(rng, space)
+        u = OperatorMatrix(space, random_standard_unitary(rng, j))
+        t.update(abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w)), {"trial": i, "J": j})
+    return [t.result()]
+
+
+def right_additivity(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("right-additivity-over-partitions", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w = random_matrix(rng, space)
+        chi = random_partition(rng, space.size)
+        parts = sum(mu_norm_sq(compose(w, projector(space, b))) for b in chi.blocks)
+        t.update(abs(parts - mu_norm_sq(w)), {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def left_subadditivity(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("left-subadditivity-over-partitions", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w = random_matrix(rng, space)
+        chi = random_partition(rng, space.size)
+        parts = sum(mu_norm_sq(compose(projector(space, b), w)) for b in chi.blocks)
+        t.update(mu_norm_sq(w) - parts, {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def weighted_additivity(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("pointwise-split-additivity", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w = random_matrix(rng, space)
+        g = _random_complex(rng, space.size)
+        k = int(rng.integers(2, 5))
+        frac = rng.random((k, space.size))
+        frac /= frac.sum(axis=0, keepdims=True)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (k, space.size)))
+        total = mu_norm_sq(compose(w, multiplication(space, g)))
+        parts = sum(
+            mu_norm_sq(compose(w, multiplication(space, g * np.sqrt(frac[s]) * phases[s])))
+            for s in range(k)
+        )
+        t.update(abs(parts - total), {"trial": i, "J": space.size, "k": k})
+    return [t.result()]
+
+
+def lipschitz(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("operator-norm-lipschitz-bound", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w1 = random_matrix(rng, space)
+        w2 = random_matrix(rng, space)
+        lhs = abs(math.sqrt(mu_norm_sq(w2)) - math.sqrt(mu_norm_sq(w1)))
+        t.update(lhs - operator_norm(w2 - w1), {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def submultiplicative(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("left-operator-norm-domination", 1e-9)
+    for i in range(trials):
+        space = random_space(rng)
+        w1 = random_matrix(rng, space)
+        w2 = random_matrix(rng, space)
+        lhs = mu_norm_sq(compose(w1, w2))
+        t.update(lhs - operator_norm(w1) ** 2 * mu_norm_sq(w2), {"trial": i, "J": space.size})
+    return [t.result()]
+
+
+def operator_identities(rng, trials: int) -> list[PropertyCheck]:
+    iso = _Tracker("composition-operator-isometry", 1e-10)
+    prod = _Tracker("composition-respects-products", 1e-12)
+    commute = _Tracker("projector-pullback-identity", 1e-12)
+    masked = _Tracker("column-mask-contracts-norm", 1e-10)
+    left_inv = _Tracker("unitary-left-norm-invariance", 1e-10)
+    for i in range(trials):
+        space, endo = random_space_with_automorphism(rng)
+        u = koopman(space, endo)
+        f = _random_complex(rng, space.size)
+        g = _random_complex(rng, space.size)
+        iso.update(abs(vector_norm(space, u.apply(f)) - vector_norm(space, f)),
+                   {"trial": i, "J": space.size})
+        prod.update(float(np.max(np.abs(u.apply(f * g) - u.apply(f) * u.apply(g)))),
+                    {"trial": i, "J": space.size})
+        xi = random_subset(rng, space.size)
+        lhs = compose(u, projector(space, xi)).entries
+        rhs = compose(projector(space, endo.preimage(xi)), u).entries
+        commute.update(float(np.max(np.abs(lhs - rhs))), {"trial": i, "J": space.size})
+
+        w = random_matrix(rng, space)
+        y = random_subset(rng, space.size)
+        masked.update(operator_norm(compose(w, projector(space, y))) - operator_norm(w),
+                      {"trial": i, "J": space.size})
+        uu = random_weighted_unitary(rng, space)
+        a, b = operator_norm(compose(uu, w)), operator_norm(w)
+        left_inv.update(abs(a - b) / max(b, 1e-30), {"trial": i, "J": space.size})
+    return [iso.result(), prod.result(), commute.result(), masked.result(), left_inv.result()]
+
+
+def projector_product(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("projector-chain-norm-equals-intersection-measure", 1e-9)
+    for i in range(trials):
+        space, endo = random_space_with_automorphism(rng)
+        u = koopman(space, endo)
+        k = int(rng.integers(1, 4))
+        sets = [random_subset(rng, space.size) for _ in range(k + 1)]
+        acc = projector(space, sets[0]).entries  # order: sets[0] acts first
+        for y in sets[1:]:
+            acc = projector(space, y).entries @ (u.entries @ acc)
+        got = mu_norm_sq(OperatorMatrix(space, acc))
+        mask = np.zeros(space.size, dtype=bool)
+        mask[space.validate_subset(sets[k])] = True
+        inter = mask.copy()
+        for step in range(1, k + 1):
+            m = np.zeros(space.size, dtype=bool)
+            m[space.validate_subset(sets[k - step])] = True
+            inter &= m[endo.iterate(step).table]
+        expected = float(space.weights[inter].sum())
+        t.update(abs(got - expected), {"trial": i, "J": space.size, "k": k})
+    return [t.result()]
+
+
+# ---------------------------------------------------------------------------
+# Entropy suites
+
+
+def koopman_bridge(rng, trials: int) -> list[PropertyCheck]:
+    term = _Tracker("path-mass-matches-itinerary-measure", 1e-12)
+    total = _Tracker("operator-entropy-matches-measure-entropy", 1e-12)
+    for i in range(trials):
+        j = int(rng.integers(2, 7))
+        space = uniform_space(j)
+        endo = Endomorphism(space, rng.permutation(j))
+        u = koopman(space, endo)
+        chi = random_partition(rng, j)
+        n = int(rng.integers(1, 4))
+        q_table = ent.path_mass_table(u, chi, n)
+        k_table = ent.ks_path_measure_table(endo, chi, n)
+        keys = set(q_table) | {tuple(reversed(key)) for key in k_table}
+        worst = 0.0
+        for key in keys:
+            # reading the itinerary backwards swaps the roles of map and preimage
+            worst = max(worst, abs(q_table.get(key, 0.0)
+                                   - k_table.get(tuple(reversed(key)), 0.0)))
+        term.update(worst, {"trial": i, "J": j, "n": n})
+        total.update(abs(ent.quantum_entropy_at(u, chi, n) - ent.ks_entropy_at(endo, chi, n)),
+                     {"trial": i, "J": j, "n": n})
+    return [term.result(), total.result()]
+
+
+def entropy_normalization(rng, trials: int) -> list[PropertyCheck]:
+    finest = _Tracker("finest-partition-path-masses-sum-to-one", 1e-10)
+    any_chi = _Tracker("any-partition-path-masses-sum-to-one", 1e-10)
+    for i in range(trials):
+        j = int(rng.integers(2, 7))
+        space = uniform_space(j)
+        u = OperatorMatrix(space, random_standard_unitary(rng, j))
+        chi = finest_partition(space)
+        for n in (1, 2):
+            finest.update(abs(ent.path_mass_total(u, chi, n) - 1.0),
+                          {"trial": i, "J": j, "n": n})
+        wspace = random_space(rng, 2, 6)
+        wu = random_weighted_unitary(rng, wspace)
+        coarse = random_partition(rng, wspace.size)
+        for n in (1, 2, 3):
+            any_chi.update(abs(ent.path_mass_total(wu, coarse, n) - 1.0),
+                           {"trial": i, "J": wspace.size, "n": n})
+    return [finest.result(), any_chi.result()]
+
+
+def closed_entropy(rng, trials: int) -> list[PropertyCheck]:
+    perm0 = _Tracker("permutation-entropy-vanishes", 1e-15)
+    balanced = _Tracker("balanced-two-state-entropy-is-log2", 1e-12)
+    markov = _Tracker("matches-markov-rate-at-uniform-distribution", 1e-12)
+    hadamard = OperatorMatrix(uniform_space(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
+    balanced.update(abs(ent.quantum_entropy_closed(hadamard) - math.log(2.0)), {})
+    for i in range(trials):
+        j = int(rng.integers(2, 9))
+        space = uniform_space(j)
+        perm = koopman(space, Endomorphism(space, rng.permutation(j)))
+        perm0.update(abs(ent.quantum_entropy_closed(perm)), {"trial": i, "J": j})
+        u = OperatorMatrix(space, random_standard_unitary(rng, j))
+        closed = ent.quantum_entropy_closed(u)
+        rate = ent.markov_entropy_rate(np.abs(u.entries) ** 2, np.full(j, 1.0 / j))
+        markov.update(abs(closed - rate), {"trial": i, "J": j})
+    return [perm0.result(), balanced.result(), markov.result()]
+
+
+def _finest_transition(u: OperatorMatrix) -> np.ndarray:
+    """``P[b, a] = mu_a |W_ab|^2 / mu_b``: the path masses of W at the finest partition."""
+    mu = u.space.weights
+    return mu[None, :] * np.abs(u.entries.T) ** 2 / mu[:, None]
+
+
+def _markov_path_entropy(u: OperatorMatrix, n: int) -> float:
+    """``H(mu) + sum_{k<n} p_k . h(P)`` with ``p_0 = mu`` and ``p_{k+1} = p_k P``."""
+    p = _finest_transition(u)
+    logs = np.zeros_like(p)
+    np.log(p, out=logs, where=p > 0.0)
+    h = -np.sum(p * logs, axis=1)
+    dist = u.space.weights
+    value = -float(dist @ np.log(dist))
+    for _ in range(n):
+        value += float(dist @ h)
+        dist = dist @ p
+    return value
+
+
+def finest_markov_route(rng, trials: int) -> list[PropertyCheck]:
+    """Finest-partition path entropy against its Markov chain, O(n J^2) per value.
+
+    Path masses at the finest partition are those of the chain started at
+    mu with transition ``_finest_transition``.  Sizes reach 8^5 terms
+    (J = 8, n = 4), past what the dense oracle enumerates.
+    """
+    uniform = _Tracker("finest-entropy-matches-markov-chain-uniform", 1e-10)
+    weighted = _Tracker("finest-entropy-matches-markov-chain-weighted", 1e-10)
+    for i in range(trials):
+        j = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 5))
+        space = uniform_space(j)
+        u = OperatorMatrix(space, random_standard_unitary(rng, j))
+        uniform.update(abs(ent.quantum_entropy_at(u, finest_partition(space), n)
+                           - _markov_path_entropy(u, n)), {"trial": i, "J": j, "n": n})
+        wspace = random_space(rng, j, j)
+        wu = random_weighted_unitary(rng, wspace)
+        weighted.update(abs(ent.quantum_entropy_at(wu, finest_partition(wspace), n)
+                            - _markov_path_entropy(wu, n)), {"trial": i, "J": j, "n": n})
+    return [uniform.result(), weighted.result()]
+
+
+def cyclic_dimension(rng, trials: int) -> list[PropertyCheck]:
+    t = _Tracker("cyclic-eigenspace-dimension-is-1-over-q", 1e-10)
+    combos = [(q, m) for q in (2, 3, 4, 6) for m in (1, 2, 3)]
+    for i in range(max(1, trials // len(combos))):
+        for q, m in combos:
+            space, action = random_cyclic_setup(rng, q, m)
+            for n in range(q):
+                v = abs(mu_norm_sq(cyclic_projector(space, action, n)) - 1.0 / q)
+                t.update(v, {"round": i, "q": q, "orbits": m, "residue": n})
+    return [t.result()]

@@ -19,10 +19,16 @@ from munorm import (
     rho_window_max,
 )
 from munorm.operators import Endomorphism
-from munorm.verify import (
+from munorm.verify_circle import (
+    dt_integral,
+    norm_chain,
+    random_seq,
+    trace_bound,
+    trace_invariance,
+)
+from munorm.verify_finite import (
     closed_entropy,
     cyclic_dimension,
-    dt_integral,
     finest_formula,
     homogeneity,
     koopman_bridge,
@@ -30,13 +36,9 @@ from munorm.verify import (
     left_unitary,
     lipschitz,
     multiplication_law,
-    norm_chain,
     projector_measure,
-    random_seq,
     right_additivity,
     right_koopman,
-    trace_bound,
-    trace_invariance,
     triangle,
     uniform_space,
     weighted_additivity,

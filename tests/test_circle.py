@@ -27,7 +27,7 @@ from munorm import (
     w_l,
 )
 from munorm.circle import required_quad_points
-from munorm.verify import random_bandop
+from munorm.verify_circle import random_bandop
 
 ALL_ONES = EventuallyPeriodicSeq([1.0], [1.0])
 ZERO_SEQ = EventuallyPeriodicSeq([0.0], [0.0])
@@ -430,6 +430,25 @@ def test_compose_matches_entrywise_dense_product():
         right = np.array([[b.entry(m, c) for c in window] for m in inner])
         got = _entry_section(dt_compose(a, b), window)
         np.testing.assert_allclose(got, left @ right, rtol=0, atol=1e-12)
+
+
+def test_compose_sums_each_coefficient_in_ascending_d1():
+    # reference: one array product per d1, added to 0.0 in ascending d1
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        a = random_bandop(rng, max_tau=6, max_band=6)
+        b = random_bandop(rng, max_tau=4, max_band=6)
+        coeffs = a.coeffs.copy()
+        coeffs[rng.random(coeffs.shape) < 0.2] = complex(-0.0, -0.0)  # signed zeros too
+        a = PeriodicBandOperator(a.tau, a.band, coeffs)
+        c = dt_compose(a, b)
+        rows = np.arange(c.tau)
+        want = np.zeros_like(c.coeffs)
+        for d1 in range(-a.band, a.band + 1):
+            lo = d1 - b.band + c.band
+            want[:, lo:lo + 2 * b.band + 1] += (a.coeffs[rows % a.tau, d1 + a.band, None]
+                                                * b.coeffs[(rows + d1) % b.tau])
+        assert c.coeffs.tobytes() == want.tobytes()
 
 
 def test_diagonal_model_sections_and_window_trace():

@@ -27,8 +27,9 @@ from munorm import (
     quantum_entropy_rate,
     trivial_partition,
 )
-from munorm import entropy, verify
-from munorm.verify import random_partition, random_standard_unitary, run_suite, uniform_space
+from munorm import entropy, verify_finite
+from munorm.verify import run_suite
+from munorm.verify_finite import random_partition, random_standard_unitary, uniform_space
 
 U2 = uniform_space(2)
 U3 = uniform_space(3)
@@ -307,7 +308,7 @@ def test_finest_markov_route_passes_and_can_fail(monkeypatch):
     def without_mu_a(u):
         return np.abs(u.entries.T) ** 2 / u.space.weights[:, None]
 
-    monkeypatch.setattr(verify, "_finest_transition", without_mu_a)
+    monkeypatch.setattr(verify_finite, "_finest_transition", without_mu_a)
     assert not any(c.passed for c in run_suite("finest-markov-route", 10, 4))
 
 

@@ -252,12 +252,67 @@ def test_cli_tol_only_on_commands_with_checks(argv, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_verify_unloaded():
+# --------------------------------------------------------------------------
+# import footprint: each check runs in a fresh interpreter and reads sys.modules
+
+LAYERS = {"spaces", "operators", "norm", "entropy", "circle",
+          "verify", "verify_finite", "verify_circle"}
+FINITE = {"spaces", "operators", "norm", "entropy", "verify_finite"}
+
+
+def loaded_after(code, cwd=None):
+    """The munorm submodules a fresh interpreter has loaded after running ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(munorm.__file__)))
-    code = "import sys, munorm.cli; print('munorm.verify' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    probe = code + "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('munorm.')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return {m.split(".", 1)[1] for m in out.stdout.split()}
+
+
+def loaded_by_cli(argv, cwd):
+    """Modules loaded by one CLI call; the report goes to a file, the exit code must be 0."""
+    return loaded_after(f"from munorm.cli import main\nassert main({argv!r}) == 0", cwd)
+
+
+def test_cli_import_leaves_verify_unloaded():
+    assert loaded_after("import munorm.cli") & LAYERS == set()
+
+
+def test_circle_commands_leave_finite_layers_unloaded(files):
+    tmp, write = files
+    band = write("band.json", {"tau": 1, "band": 1, "coeffs": [[1.0, 0.0, 1.0]]})
+    seq = write("seq.json", {"left": [1.0], "right": [2.0], "k0": 1})
+    for argv in (["dt-norm", "--op", band], ["rho", "--seq", seq]):
+        loaded = loaded_by_cli(argv + ["--out", "r.json"], tmp)
+        assert "circle" in loaded
+        assert loaded & FINITE == set(), argv
+
+
+def test_finite_commands_leave_circle_unloaded(files):
+    tmp, write = files
+    space = write("u2.json", {"weights": [0.5, 0.5]})
+    op = write("id.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})
+    part = write("chi.json", {"blocks": [[1], [2]]})
+    for argv in (["mu-norm", "--space", space, "--op", op],
+                 ["entropy", "--space", space, "--op", op, "--partition", part, "--N", "2"]):
+        loaded = loaded_by_cli(argv + ["--out", "r.json"], tmp)
+        assert "norm" in loaded or "entropy" in loaded
+        assert "circle" not in loaded, argv
+
+
+def test_circle_suite_leaves_finite_layers_unloaded(tmp_path):
+    argv = ["verify", "--suite", "trace-invariance", "--trials", "2", "--out", "r.json"]
+    loaded = loaded_by_cli(argv, tmp_path)
+    assert {"verify", "verify_circle", "circle"} <= loaded
+    assert loaded & FINITE == set()
+
+
+def test_star_import_binds_every_exported_name():
+    code = ("import munorm\nns = {}\nexec('from munorm import *', ns)\n"
+            "assert [n for n in munorm.__all__ if n not in ns] == []\n"
+            "assert ns['dt_norm'] is munorm.circle.dt_norm\n"
+            "assert ns['DEFAULT_TERM_CAP'] == munorm.entropy.DEFAULT_TERM_CAP == 10**6")
+    assert {"spaces", "operators", "norm", "entropy", "circle"} <= loaded_after(code)
 
 
 def test_cli_verify_suite(files, capsys):

@@ -20,7 +20,7 @@ from munorm import (
     trivial_partition,
     weighted_gram_schmidt,
 )
-from munorm.verify import (
+from munorm.verify_finite import (
     homogeneity,
     left_subadditivity,
     left_unitary,
@@ -138,7 +138,7 @@ def test_cyclic_projector_swap():
 
 def test_cyclic_projector_idempotent_self_adjoint():
     from munorm import adjoint, compose
-    from munorm.verify import random_cyclic_setup
+    from munorm.verify_finite import random_cyclic_setup
 
     sp, action = random_cyclic_setup(np.random.default_rng(2), 3, 2)
     p = cyclic_projector(sp, action, 1)

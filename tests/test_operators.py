@@ -58,6 +58,20 @@ def test_koopman_rejects_non_measure_preserving():
             Endomorphism(sp, [2, 2, target])
 
 
+def test_endomorphism_accepts_orphan_atoms_only_below_the_tolerance():
+    # atom 5 has no preimage; atoms 3 and 4 map onto atom 3 or 4 and absorb its weight
+    for orphan, accepted in ((1e-14, True), (1e-9, False)):
+        b = (0.25 - orphan) / 2
+        sp = make_space([0.25, 0.25, 0.25, b, b, orphan])
+        table = [1, 2, 0, 4, 3, 3]
+        if accepted:
+            endo = Endomorphism(sp, table)
+            assert len(set(endo.table.tolist())) < sp.size  # not injective
+        else:
+            with pytest.raises(ValueError, match="not measure-preserving"):
+                Endomorphism(sp, table)
+
+
 def test_endomorphism_reports_violated_atom():
     sp = make_space([0.25, 0.25, 0.5])
     with pytest.raises(ValueError, match="atom 0"):
