@@ -30,6 +30,8 @@ windows escape any finite set of rows.
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -62,6 +64,45 @@ __all__ = [
 
 DEFAULT_MAX_TAU = 128
 DEFAULT_MAX_BAND = 128
+#: Band entries ``finite_section`` fills per block of rows.
+SECTION_BLOCK_ENTRIES = 2**14
+
+
+class _SmallCache:
+    """Read-only arrays kept between calls, for values fixed by their key.
+
+    At most ``keys`` values of at most ``largest`` array entries each are
+    kept, the least recently used going first, so a large band or period
+    holds no memory past its call.
+    """
+
+    def __init__(self, keys: int, largest: int):
+        self._items: dict = {}  # least recently used first
+        self._keys = keys
+        self._largest = largest
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._items.pop(key, None)
+            if value is not None:
+                self._items[key] = value
+            return value
+
+    def put(self, key, value, entries: int) -> None:
+        if entries > self._largest:
+            return
+        with self._lock:
+            self._items.pop(key, None)
+            if len(self._items) >= self._keys:
+                del self._items[next(iter(self._items))]
+            self._items[key] = value
+
+
+#: Phase tables by grid, each for the widest band seen on it; see ``_phases``.
+_PHASES = _SmallCache(keys=8, largest=2**15)
+#: Index arrays of ``dt_compose`` and ``dt_adjoint`` by shape; see ``_compose_gather``.
+_PLANS = _SmallCache(keys=128, largest=2**12)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +193,23 @@ class EventuallyPeriodicSeq:
             out[inner] = [self._middle.get(k, 0.0) for k in ks[inner].tolist()]
         return out
 
+    def _squares(self, lo: int, hi: int) -> np.ndarray:
+        """``|lam_k|^2`` for ``k = lo..hi``: each tail period squared once, then tiled."""
+        out = np.zeros(hi - lo + 1)
+        k0 = self._k0
+        if lo <= -k0:  # lam_{-k0-m} = left[m mod p], so the left run is read backwards
+            top = min(hi, -k0)
+            out[:top - lo + 1] = _periodic_run(np.abs(self._left) ** 2,
+                                               -k0 - top, top - lo + 1)[::-1]
+        if hi >= k0:  # with k0 = 0 the right tail takes index 0, as in ``_values_at``
+            start = max(lo, k0)
+            out[start - lo:] = _periodic_run(np.abs(self._right) ** 2, start - k0, hi - start + 1)
+        inner = [(k, v) for k, v in self._middle.items() if lo <= k <= hi]
+        if inner:
+            ks, vs = zip(*inner)
+            out[np.array(ks) - lo] = np.abs(np.array(vs, dtype=complex)) ** 2
+        return out
+
     def values(self, lo: int, hi: int) -> np.ndarray:
         """The slice ``lam_lo..lam_hi`` inclusive, as a dense array."""
         if hi < lo:
@@ -166,6 +224,13 @@ class EventuallyPeriodicSeq:
     @property
     def right_mean(self) -> float:
         return float(np.mean(np.abs(self._right) ** 2))
+
+
+def _periodic_run(period: np.ndarray, start: int, count: int) -> np.ndarray:
+    """``period[(start + i) % p]`` for ``i = 0..count-1``."""
+    p = period.size
+    s = start % p
+    return np.tile(period, (s + count - 1) // p + 1)[s:s + count]
 
 
 def rho(seq: EventuallyPeriodicSeq) -> float:
@@ -211,13 +276,17 @@ def rho_window_max(seq: EventuallyPeriodicSeq, window: int,
         lo = -(seq.k0 + 2 * window)
     if hi is None:
         hi = seq.k0 + 2 * window
-    vals = seq.values(lo, hi)
-    if vals.size < window:
+    lo, hi = int(lo), int(hi)
+    if hi < lo:
+        raise ValueError("empty index range")
+    if hi - lo + 1 < window:
         raise ValueError("domain is shorter than the window")
-    sq = np.abs(vals) ** 2
-    csum = np.concatenate(([0.0], np.cumsum(sq)))
-    avgs = (csum[window:] - csum[:-window]) / window
-    return float(np.max(avgs))
+    sq = seq._squares(lo, hi)
+    csum = np.empty(sq.size + 1)
+    csum[0] = 0.0
+    np.cumsum(sq, out=csum[1:])
+    # rounding is monotone, so the largest window sum gives the largest average
+    return float(np.max(csum[window:] - csum[:-window]) / window)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +326,7 @@ class PeriodicBandOperator:
                 f"coeffs shape {c.shape} does not match tau={tau}, band={band} "
                 f"(expected {(tau, 2 * band + 1)})"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         pert: dict[tuple[int, int], complex] = {}
         for row, col, delta in perturbation or ():
@@ -312,9 +381,7 @@ class PeriodicBandOperator:
 
         ``w_l(a) = sum_d coeffs[l, d+band] e^{-i d a}``.
         """
-        d = np.arange(-self._band, self._band + 1)
-        phases = np.exp(-1j * np.outer(d, np.asarray(angles, dtype=float)))
-        return self._coeffs @ phases
+        return self._coeffs @ _phases(self._band, np.asarray(angles, dtype=float).ravel())
 
     def row_symbol(self, l: int, a: float) -> complex:
         """Row symbol including perturbations in row ``l``."""
@@ -331,12 +398,30 @@ class PeriodicBandOperator:
         Every periodic value on a diagonal is attained at infinitely many
         unperturbed positions, so a perturbation can only raise the sup.
         """
-        sup = np.max(np.abs(self._coeffs), axis=0)
-        c = {k: float(sup[self._band - k]) for k in range(-self._band, self._band + 1)}
+        sup = np.abs(self._coeffs).max(axis=0)[::-1]  # diagonal k = -band..band
+        c = dict(zip(range(-self._band, self._band + 1), sup.tolist()))
         for (r, col), _ in self._perturbation.items():
             k = r - col
             c[k] = max(c.get(k, 0.0), abs(self.entry(r, col)))
         return {k: v for k, v in c.items() if v > 0.0}
+
+
+def _phases(band: int, angles: np.ndarray) -> np.ndarray:
+    """``exp(-i d a)`` for offsets ``d = -band..band`` (rows) and ``angles`` (columns).
+
+    Entries are computed one by one, so rows ``[B - band, B + band]`` of
+    the band-``B`` table are exactly this table: one table per grid, for
+    the widest band seen, serves every narrower band.
+    """
+    key = angles.tobytes()
+    hit = _PHASES.get(key)
+    if hit is not None and hit[0] >= band:
+        wide, table = hit
+        return table[wide - band:wide + band + 1]
+    table = np.exp(-1j * np.outer(np.arange(-band, band + 1), angles))
+    table.setflags(write=False)
+    _PHASES.put(key, (band, table), table.size)
+    return table
 
 
 class DiagonalSeqOperator:
@@ -495,9 +580,15 @@ def dt_adjoint(a: PeriodicBandOperator,
                ) -> PeriodicBandOperator:
     """Conjugate transpose; the circle measure is uniform so no weights enter."""
     a = _require_band_op(a, "dt_adjoint")
-    l = np.arange(a.tau)[:, None]
-    d = np.arange(-a.band, a.band + 1)
-    out = np.conj(a.coeffs[(l + d) % a.tau, a.band - d])
+    key = ("adjoint", a.tau, a.band)
+    flat = _PLANS.get(key)
+    if flat is None:  # (l, d) reads coeffs[(l + d) % tau, band - d] of the flattened table
+        l = np.arange(a.tau)[:, None]
+        d = np.arange(-a.band, a.band + 1)
+        flat = (l + d) % a.tau * (2 * a.band + 1) + a.band - d
+        flat.setflags(write=False)
+        _PLANS.put(key, flat, flat.size)
+    out = np.conj(a.coeffs.take(flat))
     pert = [(c, r, np.conj(v)) for r, c, v in a.perturbation]
     return PeriodicBandOperator(a.tau, a.band, out, pert, max_tau=max_tau, max_band=max_band)
 
@@ -514,37 +605,92 @@ def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator,
         raise CapExceeded(f"product period {tau} exceeds the cap {max_tau}")
     if band > max_band:
         raise CapExceeded(f"product band {band} exceeds the cap {max_band}")
-    # terms[r, d1 + a.band, d2 + b.band] = a_{r, r+d1} b_{r+d1, r+d1+d2}, one gather
-    rows = np.arange(tau)
-    d1 = np.arange(-a.band, a.band + 1)
-    terms = a.coeffs[rows % a.tau, :, None] * b.coeffs[(rows[:, None] + d1) % b.tau]
-    # the coefficient at offset d1 + d2 sums an anti-diagonal; bincount adds
-    # the terms in C order, so ascending d1 from 0.0, as a loop over d1 does
-    width = 2 * band + 1
-    slot = (rows[:, None, None] * width + np.arange(d1.size)[:, None]
-            + np.arange(2 * b.band + 1)).ravel()
-    coeffs = np.empty((tau, width), dtype=complex)
-    coeffs.real = np.bincount(slot, terms.real.ravel(), tau * width).reshape(tau, width)
-    coeffs.imag = np.bincount(slot, terms.imag.ravel(), tau * width).reshape(tau, width)
+    ia, ib = _compose_gather(tau, a.tau, a.band, b.tau)
+    terms = a.coeffs.take(ia, axis=0)[:, :, None] * b.coeffs.take(ib, axis=0)
+    # real and imaginary parts side by side: one bincount sums both
+    sums = np.bincount(_compose_slots(tau, a.band, b.band), terms.view(float).ravel(),
+                       2 * tau * (2 * band + 1))
+    coeffs = sums.view(complex).reshape(tau, 2 * band + 1)
+    return PeriodicBandOperator(tau, band, coeffs, _product_perturbation(a, b),
+                                max_tau=max_tau, max_band=max_band)
+
+
+# The index arrays of a product depend only on its shape, so they are kept
+# in ``_PLANS``.  ``dt_compose`` asks for the slots after forming the terms:
+# slots too large to keep are then built in the memory the gathers freed.
+
+
+def _compose_gather(tau: int, a_tau: int, a_band: int, b_tau: int):
+    """Rows ``ia[r]`` of ``a.coeffs`` and ``ib[r, :]`` of ``b.coeffs`` for row ``r``.
+
+    They give ``terms[r, d1 + a_band, d2 + b_band] = a_{r, r+d1} b_{r+d1, r+d1+d2}``.
+    """
+    key = ("gather", tau, a_tau, a_band, b_tau)
+    plan = _PLANS.get(key)
+    if plan is None:
+        rows = np.arange(tau)
+        plan = (rows % a_tau, (rows[:, None] + np.arange(-a_band, a_band + 1)) % b_tau)
+        for index in plan:
+            index.setflags(write=False)
+        _PLANS.put(key, plan, plan[1].size)
+    return plan
+
+
+def _compose_slots(tau: int, a_band: int, b_band: int) -> np.ndarray:
+    """For each float of the terms, the float of the product's coefficients it adds to.
+
+    The term at row ``r`` and offsets ``d1, d2`` adds to the coefficient
+    ``(r, d1 + d2)``: its real part to that coefficient's real part, its
+    imaginary part to the imaginary part.  Each coefficient sums an
+    anti-diagonal; ``np.bincount`` adds its terms in C order, so from 0.0
+    in ascending d1, as a loop over d1 does.
+    """
+    key = ("slots", tau, a_band, b_band)
+    slot = _PLANS.get(key)
+    if slot is None:
+        shape = (tau, 2 * a_band + 1, 2 * b_band + 1)
+        slot = np.empty(2 * math.prod(shape), dtype=np.intp)
+        real, imag = slot[0::2].reshape(shape), slot[1::2].reshape(shape)
+        rows = np.arange(tau)[:, None, None] * (4 * (a_band + b_band) + 2)
+        np.add(rows + 2 * np.arange(shape[1])[:, None], 2 * np.arange(shape[2]), out=real)
+        np.add(real, 1, out=imag)
+        slot.setflags(write=False)
+        _PLANS.put(key, slot, slot.size)
+    return slot
+
+
+def _product_perturbation(a: PeriodicBandOperator, b: PeriodicBandOperator
+                          ) -> list[tuple[int, int, complex]]:
+    """Perturbation of ``a b``: the terms of ``a b_pert + a_pert b + a_pert b_pert``.
+
+    The base entries that each perturbation list meets are gathered in
+    one index operation; the terms are summed per position from 0.0,
+    zero terms skipped, in the order of the entrywise loops.
+    """
+    ap, bp = a._perturbation, b._perturbation
     pert: dict[tuple[int, int], complex] = {}
 
     def bump(key, v):
         if v != 0:
             pert[key] = pert.get(key, 0.0 + 0.0j) + v
 
-    for (m, j), d2 in b._perturbation_dict().items():
-        for r in range(m - a.band, m + a.band + 1):
-            bump((r, j), a.base_entry(r, m) * d2)
-    for (l, m), d1 in a._perturbation_dict().items():
-        for j in range(m - b.band, m + b.band + 1):
-            bump((l, j), d1 * b.base_entry(m, j))
-    for (l, m), d1 in a._perturbation_dict().items():
-        for (m2, j), d2 in b._perturbation_dict().items():
+    if bp:  # a_{r, m} d2 at (r, j) for r = m - a.band .. m + a.band
+        t = np.arange(-a.band, a.band + 1)
+        mids = np.array([m % a.tau for m, _ in bp])
+        bases = a.coeffs[(mids[:, None] + t) % a.tau, a.band - t].tolist()
+        for ((m, j), d2), base in zip(bp.items(), bases):
+            for r, x in enumerate(base, m - a.band):
+                bump((r, j), x * d2)
+    if ap:  # d1 b_{m, j} at (l, j) for j = m - b.band .. m + b.band
+        bases = b.coeffs[[m % b.tau for _, m in ap]].tolist()
+        for ((l, m), d1), base in zip(ap.items(), bases):
+            for j, x in enumerate(base, m - b.band):
+                bump((l, j), d1 * x)
+    for (l, m), d1 in ap.items():
+        for (m2, j), d2 in bp.items():
             if m2 == m:
                 bump((l, j), d1 * d2)
-    return PeriodicBandOperator(tau, band, coeffs,
-                                [(r, c, v) for (r, c), v in pert.items()],
-                                max_tau=max_tau, max_band=max_band)
+    return [(r, c, v) for (r, c), v in pert.items()]
 
 
 def w_l(op: PeriodicBandOperator | DiagonalSeqOperator, l: int, a: float) -> complex:
@@ -615,7 +761,7 @@ def dt_mu_norm_sq(op: PeriodicBandOperator | DiagonalSeqOperator,
     grid = 2.0 * np.pi * np.arange(n) / n
     sym = op.periodic_symbols(grid)
     density = np.mean(np.abs(sym) ** 2, axis=0)
-    closed = float(np.sum(np.abs(op.coeffs) ** 2) / op.tau)
+    closed = float((np.abs(op.coeffs) ** 2).sum() / op.tau)
     return DtMuNorm(float(np.mean(density)), closed)
 
 
@@ -628,7 +774,7 @@ def avg_trace(op: PeriodicBandOperator | DiagonalSeqOperator) -> float:
     """
     if isinstance(op, DiagonalSeqOperator):
         return rho(op.seq)
-    return float(np.sum(np.abs(op.coeffs) ** 2) / op.tau)
+    return float((np.abs(op.coeffs) ** 2).sum() / op.tau)
 
 
 def avg_trace_window(op: PeriodicBandOperator | DiagonalSeqOperator,
@@ -656,23 +802,39 @@ def finite_section(op: PeriodicBandOperator | DiagonalSeqOperator,
     """Dense submatrix over ``rows`` x ``rows`` (perturbations included).
 
     ``rows`` is any iterable of distinct indices, such as a ``range`` with
-    any step.
+    any step.  The in-band columns of every row are found by binary
+    search in the sorted indices, so beyond the sort and the dense
+    output the band costs O(n * band).  Rows are filled in blocks of
+    about ``SECTION_BLOCK_ENTRIES`` band entries, which bounds the index
+    arrays besides the output.
     """
     idx = np.fromiter(rows, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty section range")
     n = idx.size
-    pos = {r: k for k, r in enumerate(idx.tolist())}
-    if len(pos) != n:
+    order = np.argsort(idx)
+    ordered = idx[order]
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("section rows must be distinct")
     out = np.zeros((n, n), dtype=complex)
     if isinstance(op, DiagonalSeqOperator):
         out[np.diag_indices(n)] = op.seq._values_at(idx)
         return out
-    d = idx[None, :] - idx[:, None]  # column minus row
-    i, j = np.nonzero(np.abs(d) <= op.band)
-    out[i, j] = op.coeffs[idx[i] % op.tau, d[i, j] + op.band]
-    for (r, c), delta in op._perturbation_dict().items():
-        if r in pos and c in pos:
-            out[pos[r], pos[c]] += delta
+    # the in-band columns of row i are order[first[i] + k] for k < count[i]
+    first = np.searchsorted(ordered, idx - op.band)
+    count = np.searchsorted(ordered, idx + op.band, side="right") - first
+    ks = np.arange(min(2 * op.band + 1, n))
+    step = max(1, SECTION_BLOCK_ENTRIES // ks.size)
+    for lo in range(0, n, step):
+        i, k = np.nonzero(ks < count[lo:lo + step, None])
+        i += lo
+        j = order[first[i] + k]
+        row = idx[i]
+        out[i, j] = op.coeffs[row % op.tau, idx[j] - row + op.band]
+    if op._perturbation:
+        keys = ordered.tolist()
+        for (r, c), delta in op._perturbation.items():
+            pr, pc = bisect_left(keys, r), bisect_left(keys, c)
+            if pr < n and pc < n and keys[pr] == r and keys[pc] == c:
+                out[order[pr], order[pc]] += delta
     return out

@@ -12,7 +12,6 @@ loads and compiles only those; see "CLI start-up" in the README.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -20,13 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io as mio
 from .errors import DEFAULT_TERM_CAP, CapExceeded
 
 SCHEMA = "mu-norm-lab/1"
 
 
 def _digest(path: str) -> dict:
+    import hashlib
+
     h = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return {"path": str(path), "sha256": h}
 
@@ -37,6 +37,8 @@ def _check(name: str, value: float, tolerance: float) -> dict:
 
 
 def _load_space(args):
+    from . import io as mio
+
     return mio.space_from_obj(mio.load_json(args.space))
 
 
@@ -45,6 +47,7 @@ def _convert(value: float, log_base: str) -> float:
 
 
 def _cmd_mu_norm(args):
+    from . import io as mio
     from .norm import m_chi, mu_norm_sq
     from .spaces import finest_partition
 
@@ -59,6 +62,7 @@ def _cmd_mu_norm(args):
 
 
 def _cmd_m_chi(args):
+    from . import io as mio
     from .norm import m_chi, mu_norm_sq
 
     space = _load_space(args)
@@ -73,6 +77,7 @@ def _cmd_m_chi(args):
 
 
 def _cmd_mu_dim(args):
+    from . import io as mio
     from .norm import mu_dim
 
     space = _load_space(args)
@@ -86,6 +91,7 @@ def _cmd_mu_dim(args):
 
 
 def _cmd_entropy(args):
+    from . import io as mio
     from .entropy import quantum_entropy_rate
 
     space = _load_space(args)
@@ -99,6 +105,7 @@ def _cmd_entropy(args):
 
 
 def _cmd_ks_entropy(args):
+    from . import io as mio
     from .entropy import ks_entropy_rate
 
     space = _load_space(args)
@@ -111,6 +118,7 @@ def _cmd_ks_entropy(args):
 
 
 def _cmd_markov_rate(args):
+    from . import io as mio
     from .entropy import markov_entropy_rate
 
     p = mio.matrix_from_obj(mio.load_json(args.p), "transition matrix")
@@ -124,6 +132,7 @@ def _cmd_markov_rate(args):
 
 
 def _cmd_rho(args):
+    from . import io as mio
     from .circle import rho, rho_window_max
 
     seq = mio.seq_from_obj(mio.load_json(args.seq))
@@ -138,6 +147,7 @@ def _cmd_rho(args):
 
 
 def _cmd_conv(args):
+    from . import io as mio
     from .circle import conv_norm, rho
 
     seq = mio.seq_from_obj(mio.load_json(args.seq))
@@ -152,6 +162,7 @@ def _cmd_conv(args):
 
 
 def _cmd_dt_norm(args):
+    from . import io as mio
     from .circle import dt_norm
 
     op = mio.bandop_from_obj(mio.load_json(args.op))
@@ -159,6 +170,7 @@ def _cmd_dt_norm(args):
 
 
 def _cmd_dt_mu_norm(args):
+    from . import io as mio
     from .circle import dt_mu_norm_sq
 
     op = mio.bandop_from_obj(mio.load_json(args.op))
@@ -171,6 +183,7 @@ def _cmd_dt_mu_norm(args):
 
 
 def _cmd_avg_trace(args):
+    from . import io as mio
     from .circle import avg_trace, avg_trace_window
 
     op = mio.bandop_from_obj(mio.load_json(args.op))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import Endomorphism, OperatorMatrix, _weighted_norm, koopman
+from .operators import Endomorphism, OperatorMatrix, _weighted_norm
 from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = [
@@ -136,24 +136,27 @@ class CyclicAction:
             raise ValueError("group order must be >= 1")
         if generator.space != space:
             raise ValueError("generator is defined on a different space")
-        seen = np.zeros(space.size, dtype=bool)
-        for start in range(space.size):
-            if seen[start]:
-                continue
-            j, length = start, 0
-            while True:
-                seen[j] = True
-                length += 1
-                j = generator(j)
-                if j == start:
-                    break
-                if length > space.size:
-                    raise ValueError("generator table does not close into orbits")
-            if length != order:
-                raise ValueError(
-                    f"action is not almost free: orbit of atom {start} has size {length}, "
-                    f"expected {order}"
-                )
+        # After s steps of pointer doubling, low[j] is the least atom among
+        # F^k(j), 0 <= k < 2^s, and jump = F^(2^s); once 2^s >= size, low
+        # names the cycle of every atom on one, and the atoms on cycles are
+        # exactly the image of jump.
+        low, jump = np.arange(space.size), generator.table
+        for _ in range((space.size - 1).bit_length()):
+            low, jump = np.minimum(low, low[jump]), jump[jump]
+        on_cycle = np.zeros(space.size, dtype=bool)
+        on_cycle[jump] = True
+        length = np.bincount(low[on_cycle], minlength=space.size)
+        # refuse at the least atom that is on no cycle or is the least atom
+        # of a cycle whose length is not the order
+        bad = ~on_cycle | ((low == np.arange(space.size)) & (length != order))
+        if bad.any():
+            start = int(np.argmax(bad))
+            if not on_cycle[start]:
+                raise ValueError("generator table does not close into orbits")
+            raise ValueError(
+                f"action is not almost free: orbit of atom {start} has size "
+                f"{int(length[start])}, expected {order}"
+            )
         self._space = space
         self._order = order
         self._generator = generator
@@ -183,11 +186,14 @@ def cyclic_projector(space: FiniteMeasureSpace, action: CyclicAction, n: int) ->
         raise ValueError("action is defined on a different space")
     q = action.order
     n = int(n) % q
-    u = koopman(space, action.generator).entries
+    # U^k has a single 1 per row, at (j, F^k(j)), and the orbits have size
+    # q, so the q terms of the average fill distinct entries
+    table = action.generator.table
+    rows = np.arange(space.size)
     acc = np.zeros((space.size, space.size), dtype=complex)
-    power = np.eye(space.size, dtype=complex)
+    image = rows
     r = np.exp(2j * np.pi / q)
     for k in range(q):
-        acc += r ** (-n * k) * power
-        power = power @ u
+        acc[rows, image] += r ** (-n * k)
+        image = table[image]
     return OperatorMatrix(space, acc / q)

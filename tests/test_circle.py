@@ -380,6 +380,22 @@ def test_dt_norm_includes_perturbation_sup():
     assert dt_norm(PeriodicBandOperator(1, 0, [[1.0]], [(0, 5, 2.0)])) == 3.0
 
 
+def test_majorant_is_the_sup_along_each_diagonal():
+    rng = np.random.default_rng(44)
+    cols = range(-30, 31)  # covers every period and every perturbed position
+    for _ in range(40):
+        op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.5))
+        want = {}
+        for k in range(-op.band - 3, op.band + 4):
+            sup = max(abs(op.entry(k + j, j)) for j in cols)
+            if sup > 0.0:
+                want[k] = sup
+        got = op.majorant()
+        assert sorted(got) == sorted(want)
+        for k, v in want.items():
+            assert got[k] == pytest.approx(v, rel=1e-14)
+
+
 def test_finite_section_validation():
     with pytest.raises(ValueError, match="empty"):
         finite_section(SHIFT, range(3, 3))
@@ -394,7 +410,7 @@ def _entry_section(op, rows):
 def test_finite_section_matches_entry_loop():
     rng = np.random.default_rng(8)
     ranges = [range(-7, 9), range(-20, -3), range(-9, 14, 2), range(12, -13, -3),
-              range(5, 6), range(-30, 31, 7)]
+              range(5, 6), range(-30, 31, 7), [4, -9, 0, 13, -2, 7, 1, -8, 3]]
     for _ in range(20):
         op = random_bandop(rng, max_tau=6, max_band=5, perturbed=True)
         # one perturbation far off the band, inside some of the windows
@@ -407,6 +423,19 @@ def test_finite_section_matches_entry_loop():
     for rows in ranges:
         d = DiagonalSeqOperator(seq)
         np.testing.assert_array_equal(finite_section(d, rows), _entry_section(d, rows))
+
+
+def test_finite_section_fills_rows_in_blocks(monkeypatch):
+    from munorm import circle
+
+    rng = np.random.default_rng(9)
+    ops = [random_bandop(rng, max_tau=6, max_band=5, perturbed=True) for _ in range(10)]
+    rows_list = [range(-9, 14), range(12, -13, -3), [4, -9, 0, 13, -2, 7, 1, -8, 3]]
+    for block in (1, 7, 40):  # one row per block up to several rows per block
+        monkeypatch.setattr(circle, "SECTION_BLOCK_ENTRIES", block)
+        for op in ops:
+            for rows in rows_list:
+                np.testing.assert_array_equal(finite_section(op, rows), _entry_section(op, rows))
 
 
 def test_adjoint_matches_conjugate_entries():
@@ -457,3 +486,105 @@ def test_diagonal_model_sections_and_window_trace():
     np.testing.assert_array_equal(sec, np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
     assert avg_trace(d) == 0.5
     assert avg_trace_window(d, 1, 10**4) == pytest.approx(0.5, abs=1e-4)
+
+
+# --------------------------------------------------------------------------
+# array kernels against the entrywise routes they replace, bit for bit
+
+
+def _random_signed_seq(rng):
+    from munorm.verify_circle import random_seq
+
+    seq = random_seq(rng, max_period=int(rng.integers(1, 12)), max_k0=int(rng.integers(0, 8)))
+    left, right = seq.left.copy(), seq.right.copy()
+    left[rng.random(left.size) < 0.3] = complex(-0.0, -0.0)
+    right[rng.random(right.size) < 0.3] = complex(0.0, -0.0)
+    if seq.k0 == 0:
+        left[0] = right[0]
+    return EventuallyPeriodicSeq(left, right, seq.middle, seq.k0)
+
+
+def test_window_oracle_matches_gathered_squares():
+    rng = np.random.default_rng(40)
+    for i in range(320):
+        seq = _random_signed_seq(rng)
+        window = int(rng.choice([1, 3, 50, 10**4]))
+        if i % 2:
+            lo, hi = -(seq.k0 + 2 * window), seq.k0 + 2 * window
+            got = rho_window_max(seq, window)
+        else:
+            lo = int(rng.integers(-3 * window - 20, 20))
+            hi = lo + window - 1 + int(rng.integers(0, 3 * window + 20))
+            got = rho_window_max(seq, window, lo, hi)
+        sq = np.abs(seq.values(lo, hi)) ** 2
+        csum = np.concatenate(([0.0], np.cumsum(sq)))
+        want = float(np.max((csum[window:] - csum[:-window]) / window))
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+    with pytest.raises(ValueError, match="shorter"):
+        rho_window_max(HALF_SEQ, 10, 0, 5)
+    with pytest.raises(ValueError, match="empty"):
+        rho_window_max(HALF_SEQ, 1, 3, 2)
+
+
+def _looped_product_perturbation(a, b):
+    # one base_entry call per term, summed per position in loop order
+    pert = {}
+
+    def bump(key, v):
+        if v != 0:
+            pert[key] = pert.get(key, 0.0 + 0.0j) + v
+
+    for (m, j), d2 in b._perturbation_dict().items():
+        for r in range(m - a.band, m + a.band + 1):
+            bump((r, j), a.base_entry(r, m) * d2)
+    for (l, m), d1 in a._perturbation_dict().items():
+        for j in range(m - b.band, m + b.band + 1):
+            bump((l, j), d1 * b.base_entry(m, j))
+    for (l, m), d1 in a._perturbation_dict().items():
+        for (m2, j), d2 in b._perturbation_dict().items():
+            if m2 == m:
+                bump((l, j), d1 * d2)
+    return [(r, c, v) for (r, c), v in pert.items()]
+
+
+def test_compose_perturbation_matches_per_term_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(320):
+        a = random_bandop(rng, max_tau=5, max_band=int(rng.choice([0, 2, 5, 16])), perturbed=True)
+        b = random_bandop(rng, max_tau=5, max_band=int(rng.choice([0, 2, 5, 16])), perturbed=True)
+        coeffs = a.coeffs.copy()
+        coeffs[rng.random(coeffs.shape) < 0.3] = complex(-0.0, -0.0)
+        # signed zeros, a zero delta, and entries whose middle indices meet
+        extra_a = [(1, 2, complex(-0.0, 0.5)), (4, 2, complex(rng.standard_normal(), -0.0))]
+        extra_b = [(2, int(rng.integers(-3, 4)), complex(0.25, -0.0)), (2, 9, -0.5j)]
+        a = PeriodicBandOperator(a.tau, a.band, coeffs, list(a.perturbation) + extra_a)
+        b = PeriodicBandOperator(b.tau, b.band, b.coeffs, list(b.perturbation) + extra_b)
+        want = PeriodicBandOperator(1, 0, [[0.0]], _looped_product_perturbation(a, b))
+        got = dt_compose(a, b)
+        # the order of the entries matters too: later sums run over it
+        assert list(got._perturbation) == list(want._perturbation)
+        assert (np.array(list(got._perturbation.values())).tobytes()
+                == np.array(list(want._perturbation.values())).tobytes())
+
+
+def test_phase_tables_serve_narrower_bands_exactly():
+    from munorm import circle
+
+    def direct(op, grid):
+        d = np.arange(-op.band, op.band + 1)
+        return op.coeffs @ np.exp(-1j * np.outer(d, grid))
+
+    rng = np.random.default_rng(43)
+    grid = 2.0 * np.pi * np.arange(1025) / 1024
+    ops = [random_bandop(rng, max_tau=6, max_band=6) for _ in range(60)]
+    for op in ops:  # widest bands come and go; narrower ones read slices
+        assert op.periodic_symbols(grid).tobytes() == direct(op, grid).tobytes()
+    wide = PeriodicBandOperator(2, 128, _random_coeffs(rng, 2, 128))
+    assert dt_mu_norm_sq(wide).quadrature == pytest.approx(avg_trace(wide), rel=1e-12)
+    # the band-128 table (257 x 1024 entries) is not kept past its call
+    assert all(band < 128 for band, _ in circle._PHASES._items.values())
+
+
+def _random_coeffs(rng, tau, band):
+    shape = (tau, 2 * band + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -330,6 +330,27 @@ def test_markov_rate_matches_closed_entropy():
         assert rate == pytest.approx(quantum_entropy_closed(u), abs=1e-12)
 
 
+def _shannon(probs):
+    return -sum(x * math.log(x) for x in np.ravel(probs) if x > 0)
+
+
+def _markov_rate_gap():
+    # rows of unequal entropy under a non-uniform nu; the chain rule gives the
+    # rate as H(X0, X1) - H(X0) with X0 ~ nu and X1 one step of P
+    p = np.array([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0], [0.2, 0.3, 0.5]])
+    nu = np.array([0.6, 0.3, 0.1])
+    return abs(entropy.markov_entropy_rate(p, nu) - (_shannon(nu[:, None] * p) - _shannon(nu)))
+
+
+def test_markov_rate_weights_rows_by_nu(monkeypatch):
+    assert _markov_rate_gap() <= 1e-12
+    # a rate that averages the row entropies uniformly, ignoring nu, is caught
+    rate = entropy.markov_entropy_rate
+    monkeypatch.setattr(entropy, "markov_entropy_rate",
+                        lambda p, nu: rate(p, np.full(len(nu), 1.0 / len(nu))))
+    assert _markov_rate_gap() > 1e-3
+
+
 def test_markov_rate_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         markov_entropy_rate([[0.5, 0.4], [0.5, 0.5]], [0.5, 0.5])

@@ -261,12 +261,13 @@ FINITE = {"spaces", "operators", "norm", "entropy", "verify_finite"}
 
 
 def loaded_after(code, cwd=None):
-    """The munorm submodules a fresh interpreter has loaded after running ``code``."""
+    """The munorm submodules, and ``hashlib`` if loaded, of a fresh interpreter after ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(munorm.__file__)))
-    probe = code + "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('munorm.')))"
+    probe = code + ("\nimport sys; print(' '.join(m for m in sys.modules"
+                    " if m.startswith('munorm.') or m == 'hashlib'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    return {m.split(".", 1)[1] for m in out.stdout.split()}
+    return {m.split(".", 1)[-1] for m in out.stdout.split()}
 
 
 def loaded_by_cli(argv, cwd):
@@ -275,7 +276,7 @@ def loaded_by_cli(argv, cwd):
 
 
 def test_cli_import_leaves_verify_unloaded():
-    assert loaded_after("import munorm.cli") & LAYERS == set()
+    assert loaded_after("import munorm.cli") & (LAYERS | {"io", "hashlib"}) == set()
 
 
 def test_circle_commands_leave_finite_layers_unloaded(files):
@@ -284,7 +285,7 @@ def test_circle_commands_leave_finite_layers_unloaded(files):
     seq = write("seq.json", {"left": [1.0], "right": [2.0], "k0": 1})
     for argv in (["dt-norm", "--op", band], ["rho", "--seq", seq]):
         loaded = loaded_by_cli(argv + ["--out", "r.json"], tmp)
-        assert "circle" in loaded
+        assert {"circle", "io", "hashlib"} <= loaded
         assert loaded & FINITE == set(), argv
 
 
@@ -305,6 +306,7 @@ def test_circle_suite_leaves_finite_layers_unloaded(tmp_path):
     loaded = loaded_by_cli(argv, tmp_path)
     assert {"verify", "verify_circle", "circle"} <= loaded
     assert loaded & FINITE == set()
+    assert "io" not in loaded  # verify reads no file
 
 
 def test_star_import_binds_every_exported_name():

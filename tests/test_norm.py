@@ -162,3 +162,108 @@ def test_invariance_properties(suite):
     rng = np.random.default_rng(99)
     for check in suite(rng, 40):
         assert check.passed, f"{check.name}: {check.max_violation} > {check.tolerance}"
+
+
+def _dense_cyclic_projector(space, action, n):
+    # the group average by dense matrix powers of the composition operator
+    from munorm import koopman
+
+    q = action.order
+    n = int(n) % q
+    u = koopman(space, action.generator).entries
+    acc = np.zeros((space.size, space.size), dtype=complex)
+    power = np.eye(space.size, dtype=complex)
+    r = np.exp(2j * np.pi / q)
+    for k in range(q):
+        acc += r ** (-n * k) * power
+        power = power @ u
+    return acc / q
+
+
+def _shuffled_cyclic_action(rng, q, orbits):
+    # orbits of size q on randomly relabelled atoms, with weights constant on orbits
+    size = q * orbits
+    perm = rng.permutation(size)
+    table = np.empty(size, dtype=int)
+    for o in range(orbits):
+        atoms = perm[o * q:(o + 1) * q]
+        table[atoms] = np.roll(atoms, -1)
+    raw = rng.uniform(0.2, 1.0, orbits)
+    weights = np.empty(size)
+    weights[perm] = np.repeat(raw / (raw.sum() * q), q)
+    sp = make_space(weights)
+    return sp, CyclicAction(sp, Endomorphism(sp, table), q)
+
+
+def test_cyclic_projector_matches_dense_power_sum():
+    rng = np.random.default_rng(31)
+    for _ in range(320):
+        q, orbits = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        sp, action = _shuffled_cyclic_action(rng, q, orbits)
+        n = int(rng.integers(-2 * q, 2 * q + 1))
+        got = cyclic_projector(sp, action, n).entries
+        assert got.tobytes() == _dense_cyclic_projector(sp, action, n).tobytes()
+
+
+def _orbit_walk_refusal(space, generator, order):
+    # the message of the first atom, in index order, whose orbit walk fails
+    seen = np.zeros(space.size, dtype=bool)
+    for start in range(space.size):
+        if seen[start]:
+            continue
+        j, length = start, 0
+        while True:
+            seen[j] = True
+            length += 1
+            j = generator(j)
+            if j == start:
+                break
+            if length > space.size:
+                return "generator table does not close into orbits"
+        if length != order:
+            return (f"action is not almost free: orbit of atom {start} has size {length}, "
+                    f"expected {order}")
+    return None
+
+
+def test_cyclic_action_refusals_match_the_orbit_walk():
+    rng = np.random.default_rng(32)
+    refused = {"close": 0, "free": 0, None: 0}
+    for _ in range(300):
+        order = int(rng.integers(1, 5))
+        free = rng.random() < 0.3  # every cycle of length order
+        cyclic = order * int(rng.integers(1, 4)) if free else int(rng.integers(1, 10))
+        orphans = int(rng.integers(0, 3)) if rng.random() < 0.4 else 0
+        size = cyclic + orphans
+        atoms = rng.permutation(size)
+        on, off = atoms[:cyclic], atoms[cyclic:]
+        table = np.empty(size, dtype=int)
+        if free:
+            table[on] = on.reshape(-1, order)[:, np.r_[1:order, 0]].ravel()
+        else:
+            table[on] = on[rng.permutation(cyclic)]
+        table[off] = rng.choice(on, orphans)  # orphans have no preimage
+        weights = np.full(size, 1e-14)
+        weights[on] = (1.0 - orphans * 1e-14) / cyclic
+        sp = make_space(weights)
+        gen = Endomorphism(sp, table)
+        want = _orbit_walk_refusal(sp, gen, order)
+        if want is None:
+            assert CyclicAction(sp, gen, order).order == order
+        else:
+            with pytest.raises(ValueError) as exc:
+                CyclicAction(sp, gen, order)
+            assert str(exc.value) == want
+        refused["close" if want and "close" in want else "free" if want else None] += 1
+    assert min(refused.values()) >= 20, refused
+
+
+def test_cyclic_action_refusal_messages():
+    b = (0.25 - 1e-14) / 2
+    sp = make_space([1e-14, 0.25, 0.25, 0.25, b, b])
+    # atom 0 has no preimage and leads into the 2-cycle (4 5)
+    with pytest.raises(ValueError, match="^generator table does not close into orbits$"):
+        CyclicAction(sp, Endomorphism(sp, [4, 2, 3, 1, 5, 4]), 3)
+    sp = make_space([0.25, 0.25, 0.25, 0.125, 0.125])
+    with pytest.raises(ValueError, match="orbit of atom 3 has size 2, expected 3"):
+        CyclicAction(sp, Endomorphism(sp, [1, 2, 0, 4, 3]), 3)
