@@ -29,6 +29,7 @@ windows escape any finite set of rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from bisect import bisect_left
@@ -385,8 +386,7 @@ class PeriodicBandOperator:
 
     def row_symbol(self, l: int, a: float) -> complex:
         """Row symbol including perturbations in row ``l``."""
-        d = np.arange(-self._band, self._band + 1)
-        w = complex(self._coeffs[l % self._tau] @ np.exp(-1j * d * a))
+        w = complex(self._coeffs[l % self._tau] @ np.exp(_minus_i_offsets(self._band) * a))
         for (r, c), delta in self._perturbation.items():
             if r == l:
                 w += delta * np.exp(1j * (l - c) * a)
@@ -404,6 +404,14 @@ class PeriodicBandOperator:
             k = r - col
             c[k] = max(c.get(k, 0.0), abs(self.entry(r, col)))
         return {k: v for k, v in c.items() if v > 0.0}
+
+
+@functools.lru_cache(maxsize=16)
+def _minus_i_offsets(band: int) -> np.ndarray:
+    """``-1j * d`` for the offsets ``d = -band..band``, read-only."""
+    out = -1j * np.arange(-band, band + 1)
+    out.setflags(write=False)
+    return out
 
 
 def _phases(band: int, angles: np.ndarray) -> np.ndarray:

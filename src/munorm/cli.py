@@ -12,6 +12,7 @@ loads and compiles only those; see "CLI start-up" in the README.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -24,11 +25,10 @@ from .errors import DEFAULT_TERM_CAP, CapExceeded
 SCHEMA = "mu-norm-lab/1"
 
 
-def _digest(path: str) -> dict:
+def _digest(path: str, data: bytes) -> dict:
     import hashlib
 
-    h = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return {"path": str(path), "sha256": h}
+    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _check(name: str, value: float, tolerance: float) -> dict:
@@ -253,26 +253,37 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a command name, with only that command's subparser.
+
+    A call dispatches one command, so building only its subparser halves
+    the cost of the parser.  The usage line names every command either
+    way, and without a known command all are built, so help and error
+    output do not depend on the filter.
+    """
     parser = argparse.ArgumentParser(
         prog="munorm",
         description="Partition-norm calculator for operators on finite spaces and the circle.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_, flags) in _COMMANDS.items():
+    names = [*_COMMANDS, "verify"]
+    only = command in names
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(names) + "}" if only else None)
+    for name in [command] if only else names:
+        if name == "verify":
+            pv = sub.add_parser("verify", help="run a seeded property suite")
+            pv.add_argument("--suite", required=True,
+                            help="suite name; see README or pass an unknown name to list them")
+            pv.add_argument("--trials", type=int, default=100)
+            pv.add_argument("--seed", type=int, default=0)
+            pv.add_argument("--tol", type=float, default=None, help="override every tolerance")
+            pv.add_argument("--out", default=None)
+            continue
+        _, help_, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="write the JSON report here")
-
-    pv = sub.add_parser("verify", help="run a seeded property suite")
-    pv.add_argument("--suite", required=True,
-                    help="suite name; see README or pass an unknown name to list them")
-    pv.add_argument("--trials", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=float, default=None, help="override every tolerance")
-    pv.add_argument("--out", default=None)
-
     return parser
 
 
@@ -284,11 +295,23 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _recording_inputs(command: str):
+    """Context yielding the bytes of every input file the command parses, by path."""
+    if command == "verify":  # reads no file, so need not load io
+        return contextlib.nullcontext({})
+    from . import io as mio
+
+    return mio.recording_inputs()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     handler = _cmd_verify if args.command == "verify" else _COMMANDS[args.command][0]
     try:
-        input_paths, results, diagnostics = handler(args)
+        with _recording_inputs(args.command) as inputs:
+            input_paths, results, diagnostics = handler(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
@@ -302,7 +325,7 @@ def main(argv=None) -> int:
     report = {
         "schema": SCHEMA,
         "command": args.command,
-        "inputs": {name: _digest(path) for name, path in input_paths.items()},
+        "inputs": {name: _digest(path, inputs[str(path)]) for name, path in input_paths.items()},
         "options": options,
         "results": results,
         "diagnostics": diagnostics,

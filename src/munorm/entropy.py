@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
-from .operators import Endomorphism, OperatorMatrix, projector, unitarity_defect
-from .spaces import FiniteMeasureSpace, Partition
+
+# Only the dense oracle and the closed form call into operators, and they
+# import it when called, so markov-rate loads neither operators nor spaces.
+if TYPE_CHECKING:
+    from .operators import Endomorphism, OperatorMatrix
+    from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = [
     "DEFAULT_TERM_CAP",
@@ -63,6 +67,8 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
     ``digits = (j_0..j_N)`` yields ``pi_{X_{j_N}} U ... U pi_{X_{j_0}}``
     with N copies of U; a single digit gives the bare block projector.
     """
+    from .operators import OperatorMatrix, projector
+
     _check_inputs(u.space, chi)
     digits = [int(d) for d in digits]
     if not digits:
@@ -273,6 +279,8 @@ def quantum_entropy_closed(u: OperatorMatrix) -> float:
     ``-(1/J) sum_{a,b} |U_ab|^2 log |U_ab|^2`` with the 0 log 0 = 0
     convention.  Requires a uniform space and unitarity within 1e-8.
     """
+    from .operators import unitarity_defect
+
     if not u.space.is_uniform():
         raise ValueError("closed entropy formula requires a uniform space")
     defect = unitarity_defect(u)

@@ -9,9 +9,11 @@ omitted.  All angles are radians.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
@@ -41,9 +43,38 @@ __all__ = [
 ]
 
 
+#: The bytes of each file ``load_json`` parses, keyed by path, while a
+#: ``recording_inputs`` block is active.
+_inputs: ContextVar[dict[str, bytes] | None] = ContextVar("munorm_io_inputs", default=None)
+
+
+@contextmanager
+def recording_inputs() -> Iterator[dict[str, bytes]]:
+    """Collect the bytes every ``load_json`` in the block parses, keyed by path.
+
+    The CLI digests these for its report, so a report names exactly the
+    bytes it was computed from, and each input is read once.
+    """
+    token = _inputs.set({})
+    try:
+        yield _inputs.get()
+    finally:
+        _inputs.reset(token)
+
+
 def load_json(path: str | Path) -> Any:
-    """Parse a JSON file; syntax errors keep their line/column context."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a UTF-8 JSON file; syntax errors keep their line/column context.
+
+    Newlines are translated as in text mode, so error positions count
+    ``\\r\\n`` as one character.
+    """
+    data = Path(path).read_bytes()
+    inputs = _inputs.get()
+    if inputs is not None:
+        inputs[str(path)] = data
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -66,6 +97,16 @@ def _is_number(value: Any) -> bool:
 
 
 _NUMBER_TYPES = {int, float}
+
+
+def _all_ints(values: list) -> bool:
+    # one pass over the types decides a parsed file; subclasses of int
+    # and float take the per-entry test
+    return set(map(type, values)) <= {int} or all(_is_int(v) for v in values)
+
+
+def _all_numbers(values: list) -> bool:
+    return set(map(type, values)) <= _NUMBER_TYPES or all(_is_number(v) for v in values)
 
 
 def _entry_types(table: Any) -> set[type]:
@@ -109,7 +150,7 @@ def space_from_obj(obj: Any) -> FiniteMeasureSpace:
     from .spaces import FiniteMeasureSpace
 
     weights = _require(obj, "weights", "space")
-    if not isinstance(weights, list) or not all(_is_number(w) for w in weights):
+    if not isinstance(weights, list) or not _all_numbers(weights):
         raise ValueError("space: field 'weights' must be a list of numbers")
     return FiniteMeasureSpace(weights)
 
@@ -134,12 +175,10 @@ def partition_from_obj(obj: Any, size: int) -> Partition:
     blocks = _require(obj, "blocks", "partition")
     if not isinstance(blocks, list):
         raise ValueError("partition: field 'blocks' must be a list of lists")
-    shifted = []
-    for b in blocks:
-        if not isinstance(b, list) or not all(_is_int(j) for j in b):
-            raise ValueError("partition: each block must be a list of integers")
-        shifted.append([j - 1 for j in b])  # files are 1-based
-    return Partition(size, shifted)
+    if not all(isinstance(b, list) for b in blocks) \
+            or not _all_ints(list(chain.from_iterable(blocks))):
+        raise ValueError("partition: each block must be a list of integers")
+    return Partition(size, [[j - 1 for j in b] for b in blocks])  # files are 1-based
 
 
 def partition_to_obj(partition: Partition) -> dict:
@@ -170,7 +209,7 @@ def endomorphism_from_obj(obj: Any, space: FiniteMeasureSpace) -> Endomorphism:
     from .operators import Endomorphism
 
     table = _require(obj, "map", "endomorphism")
-    if not isinstance(table, list) or not all(_is_int(j) for j in table):
+    if not isinstance(table, list) or not _all_ints(table):
         raise ValueError("endomorphism: field 'map' must be a list of integers")
     return Endomorphism(space, [j - 1 for j in table])
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import Endomorphism, OperatorMatrix, _weighted_norm
+from .operators import Endomorphism, OperatorMatrix
 from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = [
@@ -35,20 +35,41 @@ __all__ = [
 
 ORTHONORMALITY_TOL = 1e-10
 
+#: Complex entries of one stack of column submatrices in ``m_chi`` (256 KB),
+#: so that the stacks of a fine partition do not copy all of W at once.
+M_CHI_STACK_ENTRIES = 2**14
+
 
 def m_chi(w: OperatorMatrix, chi: Partition) -> float:
     """Weighted sum of squared block-restricted operator norms.
 
     ``W pi_Y`` keeps only the columns indexed by the block Y, so each
-    term is the squared norm of the weighted ``J x |Y|`` column submatrix.
+    term is the squared norm of the weighted ``J x |Y|`` column submatrix:
+    its largest singular value, as ``operator_norm`` takes it.  Blocks of
+    one size share a stacked SVD call; the terms are summed in block order.
     """
     if chi.size != w.space.size:
         raise ValueError(
             f"partition over {chi.size} atoms does not match a space with {w.space.size}"
         )
+    blocks = chi.blocks
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    mass = np.empty(len(blocks))
+    sigma = np.empty(len(blocks))
+    mu = w.space.weights
+    s = np.sqrt(mu)
+    for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, ~15 ms cold
+        which = np.flatnonzero(sizes == k)
+        per_stack = max(1, M_CHI_STACK_ENTRIES // (chi.size * k))
+        for lo in range(0, len(which), per_stack):
+            part = which[lo:lo + per_stack]
+            cols = np.array([blocks[i] for i in part])
+            stack = s[:, None, None] * w.entries[:, cols] / s[cols]
+            sigma[part] = np.linalg.svd(stack.transpose(1, 0, 2), compute_uv=False).max(axis=1)
+            mass[part] = mu[cols].sum(axis=1)
     total = 0.0
-    for block in chi.blocks:
-        total += w.space.measure(block) * _weighted_norm(w, list(block)) ** 2
+    for m, g in zip(mass.tolist(), sigma.tolist()):
+        total += m * g ** 2
     return total
 
 
@@ -75,20 +96,28 @@ def weighted_gram_schmidt(space: FiniteMeasureSpace, vectors: Sequence[Sequence[
     Returns a matrix whose columns are orthonormal.
     """
     mu = space.weights
-    cols = []
+    rows = []
     for v in vectors:
-        u = np.asarray(v, dtype=complex).copy()
+        u = np.asarray(v, dtype=complex)
         if u.shape != (space.size,):
             raise ValueError("basis vector length does not match the space")
-        original = np.sqrt(np.sum(mu * np.abs(u) ** 2))
-        if original == 0.0:
-            continue
-        for q in cols:
-            u -= np.sum(mu * u * q.conj()) * q
+        rows.append(u)
+    rows = np.array(rows).reshape(len(rows), space.size)
+    original = np.sqrt(np.sum(mu * np.abs(rows) ** 2, axis=1))
+    rows = rows[original != 0.0]
+    original = original[original != 0.0]
+    # right-looking: once row k is q_k, its component leaves every later
+    # row at once, so each row meets q_0, q_1, ... in the order the
+    # one-vector-at-a-time loop applies them, with the same arithmetic
+    cols = []
+    for k, u in enumerate(rows):
         residual = np.sqrt(max(np.sum(mu * np.abs(u) ** 2).real, 0.0))
-        if residual <= drop_tol * original:
+        if residual <= drop_tol * original[k]:
             continue
-        cols.append(u / residual)
+        q = u / residual
+        cols.append(q)
+        rest = rows[k + 1:]
+        rest -= np.sum(mu * rest * q.conj(), axis=1)[:, None] * q
     if not cols:
         raise ValueError("spanning set contains no independent vector")
     return np.stack(cols, axis=1)

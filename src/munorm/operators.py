@@ -101,13 +101,15 @@ class Endomorphism:
     PRESERVATION_TOL = 1e-12
 
     def __init__(self, space: FiniteMeasureSpace, table: Sequence[int]):
-        t = np.array([int(x) for x in table], dtype=int)
+        t = np.asarray(table)
+        if t.ndim != 1 or t.dtype.kind != "i":  # else each entry is its own int()
+            t = [int(x) for x in table]
+        t = np.array(t, dtype=int)
         if t.shape != (space.size,):
             raise ValueError(f"map table length {t.size} does not match {space.size} atoms")
         if t.size and (t.min() < 0 or t.max() >= space.size):
             raise ValueError("map table contains an out-of-range atom index")
-        preimage_mass = np.zeros(space.size)
-        np.add.at(preimage_mass, t, space.weights)
+        preimage_mass = np.bincount(t, space.weights, space.size)
         dev = np.abs(preimage_mass - space.weights)
         if np.max(dev) > self.PRESERVATION_TOL:
             j = int(np.argmax(dev))

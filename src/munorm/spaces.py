@@ -8,6 +8,8 @@ partitions.  All values are immutable after construction.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,22 +120,23 @@ class Partition:
             raise ValueError("partition universe must be nonempty")
         canon = []
         for b in blocks:
-            tb = tuple(sorted(set(int(j) for j in b)))
+            b = list(b)
+            # int() is the identity on exact ints, the only type a file gives
+            tb = tuple(sorted(set(b) if set(map(type, b)) <= {int} else set(map(int, b))))
             if not tb:
                 raise ValueError("empty block in partition")
             if tb[0] < 0 or tb[-1] >= size:
                 raise ValueError(f"block {tb} out of range for universe of size {size}")
             canon.append(tb)
-        canon.sort(key=lambda b: b[0])
-        counts = np.zeros(size, dtype=int)
-        for b in canon:
-            for j in b:
-                counts[j] += 1
-        if np.any(counts > 1):
-            j = int(np.nonzero(counts > 1)[0][0])
-            raise ValueError(f"blocks are not disjoint: atom {j} appears more than once")
-        if np.any(counts == 0):
-            j = int(np.nonzero(counts == 0)[0][0])
+        canon.sort(key=itemgetter(0))
+        atoms = list(chain.from_iterable(canon))
+        # the atoms are in range, so size distinct ones cover the space
+        if len(atoms) != size or len(set(atoms)) != size:
+            counts = np.bincount(np.array(atoms, dtype=np.intp), minlength=size)
+            if np.any(counts > 1):
+                j = int(np.argmax(counts > 1))
+                raise ValueError(f"blocks are not disjoint: atom {j} appears more than once")
+            j = int(np.argmin(counts))
             raise ValueError(f"blocks do not cover the space: atom {j} is missing")
         self._size = size
         self._blocks = tuple(canon)

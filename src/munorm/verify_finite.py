@@ -387,6 +387,8 @@ def closed_entropy(rng, trials: int) -> list[PropertyCheck]:
     perm0 = _Tracker("permutation-entropy-vanishes", 1e-15)
     balanced = _Tracker("balanced-two-state-entropy-is-log2", 1e-12)
     markov = _Tracker("matches-markov-rate-at-uniform-distribution", 1e-12)
+    # the rate weights row entropies by nu: H(X0, X1) - H(X0), X0 ~ nu
+    chain = _Tracker("markov-rate-matches-chain-rule", 1e-12)
     hadamard = OperatorMatrix(uniform_space(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
     balanced.update(abs(ent.quantum_entropy_closed(hadamard) - math.log(2.0)), {})
     for i in range(trials):
@@ -398,7 +400,23 @@ def closed_entropy(rng, trials: int) -> list[PropertyCheck]:
         closed = ent.quantum_entropy_closed(u)
         rate = ent.markov_entropy_rate(np.abs(u.entries) ** 2, np.full(j, 1.0 / j))
         markov.update(abs(closed - rate), {"trial": i, "J": j})
-    return [perm0.result(), balanced.result(), markov.result()]
+    # drawn after the trials above, so their instances are unchanged
+    for i in range(trials):
+        j = int(rng.integers(2, 9))
+        p = rng.uniform(0.0, 1.0, (j, j))
+        p[p < 0.25] = 0.0
+        p[np.arange(j), rng.integers(0, j, j)] += 1.0  # no empty row
+        p /= p.sum(axis=1, keepdims=True)
+        nu = rng.uniform(0.1, 1.0, j)
+        nu /= nu.sum()
+        conditional = _shannon(nu[:, None] * p) - _shannon(nu)
+        chain.update(abs(ent.markov_entropy_rate(p, nu) - conditional), {"trial": i, "J": j})
+    return [perm0.result(), balanced.result(), markov.result(), chain.result()]
+
+
+def _shannon(probs: np.ndarray) -> float:
+    v = probs[probs > 0.0]
+    return -float(np.sum(v * np.log(v)))
 
 
 def _finest_transition(u: OperatorMatrix) -> np.ndarray:

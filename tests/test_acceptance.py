@@ -103,12 +103,13 @@ def test_criterion_06_closed_entropy():
     balanced = quantum_entropy_closed(
         OperatorMatrix(uniform_space(2), np.array([[h, h], [h, -h]]))
     )
-    perm0, hada, markov = closed_entropy(rng, 50)
+    perm0, hada, markov, chain = closed_entropy(rng, 50)
     ok = (exact_zero == 0.0
           and abs(balanced - math.log(2.0)) <= 1e-12
           and perm0.max_violation == 0.0
           and hada.max_violation <= 1e-12
-          and markov.max_violation <= 1e-12)
+          and markov.max_violation <= 1e-12
+          and chain.max_violation <= 1e-12)
     _line(6, "closed entropy formula (50 unitaries)", ok,
           f"markov agreement worst {markov.max_violation:.3e}")
     assert exact_zero == 0.0
@@ -116,6 +117,7 @@ def test_criterion_06_closed_entropy():
     assert perm0.max_violation == 0.0
     assert hada.max_violation <= 1e-12
     assert markov.max_violation <= 1e-12
+    assert chain.trials == 50 and chain.max_violation <= 1e-12
 
 
 def test_criterion_07_cyclic_dimension():

@@ -290,6 +290,22 @@ def test_w_l_includes_perturbation_in_its_row():
     assert w_l(op, 2, a) == pytest.approx(1.0 + np.exp(1j * (2 - 3) * a), abs=1e-14)
 
 
+def test_w_l_sums_the_row_exactly():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        tau, band = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+        coeffs = rng.standard_normal((tau, 2 * band + 1)) + 1j * rng.standard_normal((tau, 2 * band + 1))
+        rows = rng.choice(np.arange(-3, 4), int(rng.integers(0, 3)), replace=False)
+        pert = [(int(r), int(rng.integers(-6, 7)), complex(rng.standard_normal())) for r in rows]
+        op = PeriodicBandOperator(tau, band, coeffs, pert)
+        l, a = int(rng.integers(-3, 4)), float(rng.uniform(0, 2 * np.pi))
+        want = complex(op.coeffs[l % tau] @ np.exp(-1j * np.arange(-band, band + 1) * a))
+        for r, c, delta in op.perturbation:
+            if r == l:
+                want += delta * np.exp(1j * (l - c) * a)
+        assert w_l(op, l, a) == want
+
+
 def test_rho_la_multiplier_is_symbol_modulus():
     g = {1: 1.0, -1: 1.0}
     op = dt_from_multiplier(g)

@@ -351,6 +351,17 @@ def test_markov_rate_weights_rows_by_nu(monkeypatch):
     assert _markov_rate_gap() > 1e-3
 
 
+def test_closed_entropy_suite_catches_a_rate_that_ignores_nu(monkeypatch):
+    chain = run_suite("closed-entropy", 20, 0)[-1]
+    assert chain.name == "markov-rate-matches-chain-rule"
+    assert chain.trials == 20 and chain.passed
+    rate = entropy.markov_entropy_rate
+    monkeypatch.setattr(entropy, "markov_entropy_rate",
+                        lambda p, nu: rate(p, np.full(len(nu), 1.0 / len(nu))))
+    checks = run_suite("closed-entropy", 20, 0)
+    assert [c.passed for c in checks] == [True, True, True, False]
+
+
 def test_markov_rate_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         markov_entropy_rate([[0.5, 0.4], [0.5, 0.5]], [0.5, 0.5])

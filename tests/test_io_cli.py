@@ -1,8 +1,11 @@
+import enum
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from munorm import (
     make_space,
 )
 from munorm import io as mio
-from munorm.cli import main
+from munorm.cli import _COMMANDS, build_parser, main
 
 
 # --------------------------------------------------------------------------
@@ -105,6 +108,43 @@ def test_field_errors_name_the_field():
         mio.partition_from_obj({"block": []}, 2)
     with pytest.raises(ValueError, match="re, im"):
         mio.seq_from_obj({"left": ["x"], "right": [1]})
+
+
+def test_builders_take_number_subclasses_entry_by_entry():
+    # numpy floats are floats, and int subclasses other than bool are ints
+    sp = mio.space_from_obj({"weights": list(np.full(2, 0.5))})
+    assert sp == make_space([0.5, 0.5])
+    one, two = enum.IntEnum("Atom", "one two")
+    assert mio.endomorphism_from_obj({"map": [two, one]}, sp).table.tolist() == [1, 0]
+    assert mio.partition_from_obj({"blocks": [[two], [one]]}, 2).blocks == ((0,), (1,))
+    with pytest.raises(ValueError, match="list of numbers"):
+        mio.space_from_obj({"weights": [np.float64(0.5), True]})
+    with pytest.raises(ValueError, match="list of integers"):
+        mio.partition_from_obj({"blocks": [[1, 2], 3]}, 3)
+    with pytest.raises(ValueError, match="list of integers"):
+        mio.partition_from_obj({"blocks": [[1, [2]]]}, 2)
+    with pytest.raises(ValueError, match="list of integers"):
+        mio.endomorphism_from_obj({"map": [2, 1.0]}, sp)
+
+
+def test_load_json_decodes_as_text_mode(tmp_path):
+    # error positions count \r\n and \r as one newline, as text mode reads them
+    for raw in (b'{"a": 1,\r\n "b": [1,\r\n 2,]}', b'{"a":\r 1,\r "b": }'):
+        path = tmp_path / "newlines.json"
+        path.write_bytes(raw)
+        with pytest.raises(json.JSONDecodeError) as got:
+            mio.load_json(path)
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(path.read_text(encoding="utf-8"))
+        assert (got.value.lineno, got.value.colno, got.value.pos) == \
+            (want.value.lineno, want.value.colno, want.value.pos)
+        assert got.value.msg == f"{path}: {want.value.msg}"
+    path.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(UnicodeDecodeError) as got:
+        mio.load_json(path)
+    with pytest.raises(UnicodeDecodeError) as want:
+        path.read_text(encoding="utf-8")
+    assert str(got.value) == str(want.value)
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +292,57 @@ def test_cli_tol_only_on_commands_with_checks(argv, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+#: Help requests and malformed command lines: the parser built for the
+#: named command must answer each as the parser of every command does.
+PARSER_ARGV = [
+    [], ["-h"], ["--help"], ["bogus"], ["--", "mu-norm"], ["-x", "mu-norm"],
+    *([name, "--help"] for name in [*_COMMANDS, "verify"]),
+    *([name] for name in [*_COMMANDS, "verify"]),
+    ["mu-norm", "--space", "a"], ["mu-norm", "--space", "a", "--op", "b", "--bogus"],
+    ["mu-norm", "--spa", "a", "--op", "b", "--tol", "x"], ["mu-norm", "--space=a", "--op=b", "--tol=x"],
+    ["mu-norm", "--space", "a", "--op", "b", "extra"], ["mu-norm", "--", "--space", "a"],
+    ["entropy", "--space", "s", "--op", "u", "--partition", "c", "--N", "x"],
+    ["entropy", "--space", "s", "--op", "u", "--partition", "c", "--N", "2", "--log-base", "10"],
+    ["ks-entropy", "--space", "s", "--endo", "f", "--partition", "c"],
+    ["ks-entropy", "--space", "s", "--endo", "f", "--partition", "c", "--N", "3", "--cap", "2.0"],
+    ["markov-rate", "--p", "p", "--dist", "d", "--tol", "1"],
+    ["mu-dim", "--space", "s", "--basis", "b", "--orthonormalize=1"],
+    ["dt-mu-norm", "--op", "b", "--quad", "-"], ["rho", "--seq"], ["dt-norm", "--op", "a", "--out"],
+    ["avg-trace", "--op", "a", "-h"], ["verify", "--suite"], ["verify", "--suite", "x", "--trials", "1.5"],
+    ["verify", "--suite", "x", "--seed=abc"], ["verify", "--suite", "a", "mu-norm"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV)
+def test_dispatched_parser_answers_as_the_full_parser(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as dispatched:
+        main(argv)
+    assert dispatched.value.code == full.value.code
+    assert capsys.readouterr() == want
+
+
+def test_cli_digests_the_bytes_it_parsed(files, capsys, monkeypatch):
+    tmp, write = files
+    space = write("u2.json", {"weights": [0.5, 0.5]})
+    op = write("id.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})
+    parsed = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+              for name, path in (("space", space), ("op", op))}
+    build = mio.space_from_obj
+
+    def rewrite_then_build(obj):
+        Path(space).write_text(json.dumps({"weights": [0.25, 0.75]}), encoding="utf-8")
+        return build(obj)
+
+    monkeypatch.setattr(mio, "space_from_obj", rewrite_then_build)
+    code, rep = run_cli(capsys, ["mu-norm", "--space", space, "--op", op])
+    assert code == 0
+    assert {name: d["sha256"] for name, d in rep["inputs"].items()} == parsed
+    assert rep["inputs"]["space"]["path"] == space
+
+
 # --------------------------------------------------------------------------
 # import footprint: each check runs in a fresh interpreter and reads sys.modules
 
@@ -299,6 +390,14 @@ def test_finite_commands_leave_circle_unloaded(files):
         loaded = loaded_by_cli(argv + ["--out", "r.json"], tmp)
         assert "norm" in loaded or "entropy" in loaded
         assert "circle" not in loaded, argv
+
+
+def test_markov_rate_loads_io_and_entropy_only(files):
+    tmp, write = files
+    p = write("p.json", {"re": [[0.5, 0.5], [0.2, 0.8]]})
+    dist = write("d.json", {"weights": [0.3, 0.7]})
+    loaded = loaded_by_cli(["markov-rate", "--p", p, "--dist", dist, "--out", "r.json"], tmp)
+    assert loaded & (LAYERS | {"io"}) == {"io", "entropy"}
 
 
 def test_circle_suite_leaves_finite_layers_unloaded(tmp_path):

@@ -35,6 +35,9 @@ from munorm.verify_finite import (
     weighted_additivity,
 )
 
+from munorm import norm
+from munorm.operators import _weighted_norm
+
 W3 = make_space([0.2, 0.3, 0.5])
 U2 = make_space([0.5, 0.5])
 
@@ -80,6 +83,85 @@ def test_closed_form_verified_against_finest_partition():
         sp = make_space(raw / raw.sum())
         w = OperatorMatrix(sp, rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
         assert mu_norm_sq(w) == pytest.approx(m_chi(w, finest_partition(sp)), abs=1e-10)
+
+
+def _m_chi_by_block(w, chi):
+    # one spectral norm per block, summed in block order
+    total = 0.0
+    for block in chi.blocks:
+        total += w.space.measure(block) * _weighted_norm(w, list(block)) ** 2
+    return total
+
+
+@pytest.mark.parametrize("stack_entries", [None, 1, 40])
+def test_m_chi_matches_per_block_norms(monkeypatch, stack_entries):
+    # stacks of one block, of a few blocks, and of every block of a size
+    if stack_entries is not None:
+        monkeypatch.setattr(norm, "M_CHI_STACK_ENTRIES", stack_entries)
+    rng = np.random.default_rng(41)
+    for trial in range(320 if stack_entries is None else 60):
+        j = int(rng.integers(1, 40))
+        raw = rng.uniform(0.05, 1.0, j)
+        sp = make_space(raw / raw.sum() if trial % 4 else np.full(j, 1.0 / j))
+        w = OperatorMatrix(sp, rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
+        if trial % 3 == 0:
+            chi = finest_partition(sp)
+        else:
+            labels = rng.integers(0, int(rng.integers(1, j + 1)), j)
+            chi = Partition(j, [np.flatnonzero(labels == b) for b in np.unique(labels)])
+        assert m_chi(w, chi) == _m_chi_by_block(w, chi)
+
+
+def _gram_schmidt_by_vector(space, vectors, drop_tol=1e-12):
+    # modified Gram-Schmidt taking one vector at a time through every q so far
+    mu, cols = space.weights, []
+    for v in vectors:
+        u = np.asarray(v, dtype=complex).copy()
+        original = np.sqrt(np.sum(mu * np.abs(u) ** 2))
+        if original == 0.0:
+            continue
+        for q in cols:
+            u -= np.sum(mu * u * q.conj()) * q
+        residual = np.sqrt(max(np.sum(mu * np.abs(u) ** 2).real, 0.0))
+        if residual > drop_tol * original:
+            cols.append(u / residual)
+    return np.stack(cols, axis=1)
+
+
+def test_weighted_gram_schmidt_matches_vector_at_a_time_loop():
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        j = int(rng.integers(1, 33))
+        m = int(rng.integers(1, 2 * j + 3))
+        raw = rng.uniform(0.05, 1.0, j)
+        sp = make_space(raw / raw.sum() if trial % 4 else np.full(j, 1.0 / j))
+        v = rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j))
+        if m > 2 and trial % 2:
+            v[1] = 2 * v[0] - 1j * v[m // 2]  # dependent
+        if m > 1 and trial % 3 == 0:
+            v[m // 3] = 0.0
+        if m > 3 and trial % 5 == 0:
+            v[-1] = v[0] + 1e-9 * v[1]  # nearly dependent
+        vectors = list(v.real if trial % 7 == 0 else v)
+        got = weighted_gram_schmidt(sp, vectors)
+        want = _gram_schmidt_by_vector(sp, vectors)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_weighted_gram_schmidt_drops_relative_to_each_vector():
+    # the residual of the second vector is tiny against its own size, not the first's
+    x, y = np.array([1.0, 2.0, 3.0]), np.array([3.0, 0.0, -1.0])
+    assert weighted_gram_schmidt(W3, [1e-8 * x, 1e4 * x + 1e-10 * y]).shape == (3, 1)
+    assert weighted_gram_schmidt(W3, [1e-8 * x, 1e4 * x + 1e-6 * y]).shape == (3, 2)
+
+
+def test_weighted_gram_schmidt_refusals():
+    with pytest.raises(ValueError, match="length does not match"):
+        weighted_gram_schmidt(W3, [[1.0, 0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="no independent vector"):
+        weighted_gram_schmidt(W3, [[0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="no independent vector"):
+        weighted_gram_schmidt(W3, [])
 
 
 def test_mu_norm_between_zero_and_operator_norm_for_projectors():

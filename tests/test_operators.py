@@ -72,6 +72,22 @@ def test_endomorphism_accepts_orphan_atoms_only_below_the_tolerance():
                 Endomorphism(sp, table)
 
 
+def test_endomorphism_table_entries_go_through_int():
+    sp = make_space([0.25] * 4)
+    want = Endomorphism(sp, [1, 2, 3, 0])
+    source = np.array([1, 2, 3, 0])
+    for table in (source, source.astype(np.int32), [1.0, 2.9, 3, 0], [True, 2, 3, False],
+                  (j for j in [1, 2, 3, 0])):
+        endo = Endomorphism(sp, table)
+        assert endo == want and endo.table.dtype == int
+    endo = Endomorphism(sp, source)
+    source[0] = 0
+    assert endo == want  # the table is copied
+    for table in (np.array([[0, 1], [2, 3]]), [[0, 1], [2, 3]]):
+        with pytest.raises(TypeError):
+            Endomorphism(sp, table)
+
+
 def test_endomorphism_reports_violated_atom():
     sp = make_space([0.25, 0.25, 0.5])
     with pytest.raises(ValueError, match="atom 0"):

@@ -80,6 +80,29 @@ def test_partition_validation():
         Partition(3, [[0], [2]])
 
 
+def test_partition_refusals_name_the_least_atom():
+    with pytest.raises(ValueError, match="atom 1 appears more than once"):
+        Partition(4, [[3, 1], [3, 0], [3, 2], [1]])
+    with pytest.raises(ValueError, match="atom 1 appears more than once"):
+        Partition(3, [[0, 1], [1]])  # as many atoms as the space has
+    with pytest.raises(ValueError, match="atom 2 is missing"):
+        Partition(5, [[4, 0], [3, 1]])
+    # a shared atom is reported before a missing one
+    with pytest.raises(ValueError, match="atom 3 appears more than once"):
+        Partition(5, [[3], [3, 1], [4]])
+    with pytest.raises(ValueError, match="atom 0 is missing"):
+        Partition(2, [])
+
+
+def test_partition_entries_go_through_int():
+    # repeats inside a block collapse; numpy and float entries become ints
+    p = Partition(3, [[2, 2, 0], np.array([1, 1])])
+    assert p.blocks == ((0, 2), (1,))
+    q = Partition(3, [(2.0, np.int32(0)), (j for j in [1])])
+    assert q.blocks == p.blocks
+    assert {type(j) for b in q.blocks for j in b} == {int}
+
+
 def test_blocks_are_canonically_ordered():
     p = Partition(4, [[3, 2], [1, 0]])
     assert p.blocks == ((0, 1), (2, 3))
