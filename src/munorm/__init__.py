@@ -29,9 +29,8 @@ _LAYERS = {
                 "ks_path_measure_table", "markov_entropy_rate", "path_mass_table",
                 "path_mass_total", "path_operator", "quantum_entropy_at",
                 "quantum_entropy_closed", "quantum_entropy_rate"),
-    "circle": ("DiagonalSeqOperator", "DtMuNorm", "EventuallyPeriodicSeq",
-               "PeriodicBandOperator", "avg_trace", "avg_trace_window",
-               "conv_mu_norm_sq", "conv_norm", "dt_add", "dt_adjoint", "dt_compose",
+    "circle": ("DtMuNorm", "EventuallyPeriodicSeq", "PeriodicBandOperator", "avg_trace",
+               "avg_trace_window", "conv_norm", "dt_add", "dt_adjoint", "dt_compose",
                "dt_from_conv", "dt_from_multiplier", "dt_mu_norm_sq", "dt_norm",
                "dt_scale", "finite_section", "rho", "rho_la", "rho_window_max", "w_l"),
     "errors": ("CapExceeded", "DEFAULT_TERM_CAP"),

@@ -42,11 +42,9 @@ from .errors import CapExceeded
 __all__ = [
     "EventuallyPeriodicSeq",
     "PeriodicBandOperator",
-    "DiagonalSeqOperator",
     "DtMuNorm",
     "rho",
     "conv_norm",
-    "conv_mu_norm_sq",
     "rho_window_max",
     "dt_from_conv",
     "dt_from_multiplier",
@@ -240,6 +238,10 @@ def rho(seq: EventuallyPeriodicSeq) -> float:
     For this sequence class long windows are dominated by the heavier
     tail, so the limsup equals ``max(left_mean, right_mean)``; the finite
     middle is washed out.  ``rho_window_max`` is the brute-force oracle.
+
+    This is the squared partition norm of the convolution by the
+    sequence.  A finitely supported sequence gives 0 while the operator
+    itself need not be compact, so 0 here does not imply compactness.
     """
     return max(seq.left_mean, seq.right_mean)
 
@@ -250,15 +252,6 @@ def conv_norm(seq: EventuallyPeriodicSeq) -> float:
     for v in seq.middle.values():
         sup = max(sup, abs(v))
     return sup
-
-
-def conv_mu_norm_sq(seq: EventuallyPeriodicSeq) -> float:
-    """Squared partition norm of the convolution operator; equals ``rho``.
-
-    A finitely supported sequence gives 0 while the operator itself need
-    not be compact, so 0 here does not imply compactness.
-    """
-    return rho(seq)
 
 
 def rho_window_max(seq: EventuallyPeriodicSeq, window: int,
@@ -384,14 +377,6 @@ class PeriodicBandOperator:
         """
         return self._coeffs @ _phases(self._band, np.asarray(angles, dtype=float).ravel())
 
-    def row_symbol(self, l: int, a: float) -> complex:
-        """Row symbol including perturbations in row ``l``."""
-        w = complex(self._coeffs[l % self._tau] @ np.exp(_minus_i_offsets(self._band) * a))
-        for (r, c), delta in self._perturbation.items():
-            if r == l:
-                w += delta * np.exp(1j * (l - c) * a)
-        return w
-
     def majorant(self) -> dict[int, float]:
         """Diagonal sup sequence ``c_k = sup_j |W_{k+j,j}|``, perturbations included.
 
@@ -432,61 +417,32 @@ def _phases(band: int, angles: np.ndarray) -> np.ndarray:
     return table
 
 
-class DiagonalSeqOperator:
-    """Diagonal operator ``W_{k,k} = lam_k`` backed by an eventually periodic sequence.
+def dt_from_conv(seq: EventuallyPeriodicSeq,
+                 max_tau: int = DEFAULT_MAX_TAU) -> PeriodicBandOperator:
+    """The convolution by ``seq`` as a diagonal (band 0) operator in the Fourier basis.
 
-    The convolution by ``lam`` in the Fourier basis.  Not tau-periodic in
-    general (the two tails may differ); ``to_periodic`` converts when
-    they align.
+    ``W_{k,k} = lam_k``.  Requires both tails to repeat the same
+    absolutely aligned pattern of one common period, which becomes the
+    period of the operator; middle values that deviate from the pattern
+    become perturbation entries.  A convolution whose tails differ has
+    no such form: ``rho``, ``conv_norm`` and ``rho_window_max`` take the
+    sequence itself.
     """
-
-    __slots__ = ("_seq",)
-
-    def __init__(self, seq: EventuallyPeriodicSeq):
-        self._seq = seq
-
-    @property
-    def seq(self) -> EventuallyPeriodicSeq:
-        return self._seq
-
-    def __repr__(self) -> str:
-        return f"DiagonalSeqOperator({self._seq!r})"
-
-    def entry(self, row: int, col: int) -> complex:
-        return self._seq.value_at(row) if row == col else 0.0 + 0.0j
-
-    def to_periodic(self, max_tau: int = DEFAULT_MAX_TAU) -> PeriodicBandOperator:
-        """Convert to a periodic diagonal with the middle as a perturbation.
-
-        Requires both tails to repeat the same absolutely-aligned pattern
-        of one common period; middle values that deviate from the pattern
-        become perturbation entries.
-        """
-        seq = self._seq
-        p = int(seq.right.size)
-        if seq.left.size != p:
-            raise ValueError("tail periods have different lengths; not a periodic diagonal")
-        pattern = np.empty(p, dtype=complex)
-        for m in range(p):
-            pattern[m] = seq.right[(m - seq.k0) % p]
-            left_val = seq.left[(-seq.k0 - m) % p]
-            if left_val != pattern[m]:
-                raise ValueError(
-                    "left and right tails disagree on the common period; "
-                    "not a periodic diagonal"
-                )
-        pert = []
-        for k in range(-seq.k0 + 1, seq.k0):
-            v = seq.value_at(k)
-            base = pattern[k % p]
-            if v != base:
-                pert.append((k, k, v - base))
-        return PeriodicBandOperator(p, 0, pattern.reshape(p, 1), pert, max_tau=max_tau)
-
-
-def dt_from_conv(seq: EventuallyPeriodicSeq) -> DiagonalSeqOperator:
-    """Embed a convolution as a diagonal operator in the Fourier basis."""
-    return DiagonalSeqOperator(seq)
+    p = int(seq.right.size)
+    if seq.left.size != p:
+        raise ValueError("tail periods have different lengths; not a periodic diagonal")
+    m = np.arange(p)
+    pattern = seq.right[(m - seq.k0) % p]  # lam_k = pattern[k mod p] on both tails
+    if (seq.left[(-seq.k0 - m) % p] != pattern).any():
+        raise ValueError(
+            "left and right tails disagree on the common period; not a periodic diagonal"
+        )
+    pert = []
+    for k in range(1 - seq.k0, seq.k0):
+        v, base = seq.value_at(k), pattern[k % p]
+        if v != base:
+            pert.append((k, k, v - base))
+    return PeriodicBandOperator(p, 0, pattern.reshape(p, 1), pert, max_tau=max_tau)
 
 
 def dt_from_multiplier(coeffs: Mapping[int, complex],
@@ -521,14 +477,12 @@ class DtMuNorm(NamedTuple):
     closed_form: float
 
 
-def dt_norm(op: PeriodicBandOperator | DiagonalSeqOperator) -> float:
+def dt_norm(op: PeriodicBandOperator) -> float:
     """Diagonal-type algebra norm: ``sum_k sup_j |W_{k+j,j}|``.
 
     Dominates the operator norm.  Perturbed entries participate in the
     sups.
     """
-    if isinstance(op, DiagonalSeqOperator):
-        return conv_norm(op.seq)
     return float(sum(op.majorant().values()))
 
 
@@ -543,21 +497,10 @@ def _lift_coeffs(op: PeriodicBandOperator, tau: int, band: int) -> np.ndarray:
     return out
 
 
-def _require_band_op(op, name: str) -> PeriodicBandOperator:
-    if isinstance(op, DiagonalSeqOperator):
-        raise TypeError(
-            f"{name} needs a PeriodicBandOperator; convert the diagonal model "
-            "with .to_periodic() first"
-        )
-    return op
-
-
 def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator,
            max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
            ) -> PeriodicBandOperator:
     """Sum; the period lifts to the lcm, the band to the max."""
-    a = _require_band_op(a, "dt_add")
-    b = _require_band_op(b, "dt_add")
     tau = _lcm(a.tau, b.tau)
     band = max(a.band, b.band)
     if tau > max_tau:
@@ -574,7 +517,6 @@ def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator,
 def dt_scale(lam: complex, a: PeriodicBandOperator,
              max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
              ) -> PeriodicBandOperator:
-    a = _require_band_op(a, "dt_scale")
     lam = complex(lam)
     return PeriodicBandOperator(
         a.tau, a.band, lam * a.coeffs,
@@ -587,7 +529,6 @@ def dt_adjoint(a: PeriodicBandOperator,
                max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
                ) -> PeriodicBandOperator:
     """Conjugate transpose; the circle measure is uniform so no weights enter."""
-    a = _require_band_op(a, "dt_adjoint")
     key = ("adjoint", a.tau, a.band)
     flat = _PLANS.get(key)
     if flat is None:  # (l, d) reads coeffs[(l + d) % tau, band - d] of the flattened table
@@ -605,8 +546,6 @@ def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator,
                max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
                ) -> PeriodicBandOperator:
     """Product ``a b`` (b acts first); band radii add, periods take the lcm."""
-    a = _require_band_op(a, "dt_compose")
-    b = _require_band_op(b, "dt_compose")
     tau = _lcm(a.tau, b.tau)
     band = a.band + b.band
     if tau > max_tau:
@@ -701,25 +640,30 @@ def _product_perturbation(a: PeriodicBandOperator, b: PeriodicBandOperator
     return [(r, c, v) for (r, c), v in pert.items()]
 
 
-def w_l(op: PeriodicBandOperator | DiagonalSeqOperator, l: int, a: float) -> complex:
-    """Row symbol ``w_l(a) = sum_j W_{l,j} e^{i(l-j)a}``; bounded by ``dt_norm``."""
-    if isinstance(op, DiagonalSeqOperator):
-        return op.seq.value_at(l)
-    return op.row_symbol(int(l), float(a))
+def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
+    """Row symbol ``w_l(a) = sum_j W_{l,j} e^{i(l-j)a}``, perturbations in row ``l`` included.
+
+    Bounded by ``dt_norm``.
+    """
+    l, a = int(l), float(a)
+    w = complex(op.coeffs[l % op.tau] @ np.exp(_minus_i_offsets(op.band) * a))
+    for (r, c), delta in op._perturbation.items():
+        if r == l:
+            w += delta * np.exp(1j * (l - c) * a)
+    return w
 
 
-def rho_la(op: PeriodicBandOperator | DiagonalSeqOperator, a: float) -> float:
-    """Window density of the row symbols at angle ``a``.
+def rho_la(op: PeriodicBandOperator, a: float | np.ndarray) -> float | np.ndarray:
+    """Window density of the row symbols at the angle ``a``, or at each angle of an array.
 
     For a tau-periodic operator the symbols repeat with period tau, so
     the limsup of window averages is the plain period average
     ``(1/tau) sum_l |w_l(a)|^2``.  Finite perturbations change finitely
-    many symbols and are ignored by the limsup.
+    many symbols and are ignored by the limsup.  A float angle gives a
+    float, an array of angles a flat array.
     """
-    if isinstance(op, DiagonalSeqOperator):
-        return rho(op.seq)
-    sym = op.periodic_symbols(np.array([float(a)]))
-    return float(np.mean(np.abs(sym[:, 0]) ** 2))
+    density = np.mean(np.abs(op.periodic_symbols(a)) ** 2, axis=0)
+    return float(density[0]) if np.ndim(a) == 0 else density
 
 
 def required_quad_points(op: PeriodicBandOperator) -> int:
@@ -733,8 +677,7 @@ def required_quad_points(op: PeriodicBandOperator) -> int:
     return 2 * op.band + 1
 
 
-def dt_mu_norm_sq(op: PeriodicBandOperator | DiagonalSeqOperator,
-                  quad_points: int | None = None) -> DtMuNorm:
+def dt_mu_norm_sq(op: PeriodicBandOperator, quad_points: int | None = None) -> DtMuNorm:
     """Squared partition norm: circle average of the symbol density.
 
     Uniform-grid rectangle quadrature; the integrand is a trigonometric
@@ -744,18 +687,7 @@ def dt_mu_norm_sq(op: PeriodicBandOperator | DiagonalSeqOperator,
     Parseval closed form is returned alongside for cross-checking.
     Perturbations do not contribute (they are a compact correction on an
     atomless space).
-
-    For a ``DiagonalSeqOperator`` the density does not depend on the
-    angle: the "quadrature" averages the constant ``rho(seq)`` over the
-    grid, so it is not a second route to the closed form.
     """
-    if isinstance(op, DiagonalSeqOperator):
-        n = 16 if quad_points is None else int(quad_points)
-        if n < 2:
-            raise ValueError("insufficient quadrature points: need at least 2")
-        grid = 2.0 * np.pi * np.arange(n) / n
-        vals = [rho_la(op, a) for a in grid]
-        return DtMuNorm(float(np.mean(vals)), rho(op.seq))
     need = required_quad_points(op)
     if quad_points is None:
         n = max(16, 8 * op.band)
@@ -767,26 +699,21 @@ def dt_mu_norm_sq(op: PeriodicBandOperator | DiagonalSeqOperator,
                 f"for tau={op.tau}, band={op.band}"
             )
     grid = 2.0 * np.pi * np.arange(n) / n
-    sym = op.periodic_symbols(grid)
-    density = np.mean(np.abs(sym) ** 2, axis=0)
-    closed = float((np.abs(op.coeffs) ** 2).sum() / op.tau)
-    return DtMuNorm(float(np.mean(density)), closed)
+    return DtMuNorm(float(np.mean(rho_la(op, grid))), avg_trace(op))
 
 
-def avg_trace(op: PeriodicBandOperator | DiagonalSeqOperator) -> float:
+def avg_trace(op: PeriodicBandOperator) -> float:
     """Average trace: limsup of windowed row-mass averages of ``|W_{l,j}|^2``.
 
     For a tau-periodic matrix this is the per-period mean
     ``(1/tau) sum_l sum_j |W_{l,j}|^2`` of the unperturbed part; a lower
-    bound for the squared partition norm.
+    bound for the squared partition norm, and the Parseval closed form
+    of ``dt_mu_norm_sq``: on this class the bound is attained.
     """
-    if isinstance(op, DiagonalSeqOperator):
-        return rho(op.seq)
     return float((np.abs(op.coeffs) ** 2).sum() / op.tau)
 
 
-def avg_trace_window(op: PeriodicBandOperator | DiagonalSeqOperator,
-                     lo: int, hi: int) -> float:
+def avg_trace_window(op: PeriodicBandOperator, lo: int, hi: int) -> float:
     """Finite-window row-mass average (perturbations included).
 
     Converges to ``avg_trace`` as the window grows; useful as an oracle.
@@ -794,9 +721,6 @@ def avg_trace_window(op: PeriodicBandOperator | DiagonalSeqOperator,
     if hi < lo:
         raise ValueError("empty row window")
     count = hi - lo + 1
-    if isinstance(op, DiagonalSeqOperator):
-        vals = op.seq.values(lo, hi)
-        return float(np.mean(np.abs(vals) ** 2))
     row_mass = np.sum(np.abs(op.coeffs) ** 2, axis=1)
     total = float(np.sum(row_mass[np.arange(lo, hi + 1) % op.tau]))
     for (r, c), _ in op._perturbation_dict().items():
@@ -805,8 +729,7 @@ def avg_trace_window(op: PeriodicBandOperator | DiagonalSeqOperator,
     return total / count
 
 
-def finite_section(op: PeriodicBandOperator | DiagonalSeqOperator,
-                   rows: range) -> np.ndarray:
+def finite_section(op: PeriodicBandOperator, rows: Iterable[int]) -> np.ndarray:
     """Dense submatrix over ``rows`` x ``rows`` (perturbations included).
 
     ``rows`` is any iterable of distinct indices, such as a ``range`` with
@@ -825,9 +748,6 @@ def finite_section(op: PeriodicBandOperator | DiagonalSeqOperator,
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("section rows must be distinct")
     out = np.zeros((n, n), dtype=complex)
-    if isinstance(op, DiagonalSeqOperator):
-        out[np.diag_indices(n)] = op.seq._values_at(idx)
-        return out
     # the in-band columns of row i are order[first[i] + k] for k < count[i]
     first = np.searchsorted(ordered, idx - op.band)
     count = np.searchsorted(ordered, idx + op.band, side="right") - first

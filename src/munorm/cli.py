@@ -42,10 +42,6 @@ def _load_space(args):
     return mio.space_from_obj(mio.load_json(args.space))
 
 
-def _convert(value: float, log_base: str) -> float:
-    return value * (1.0 if log_base == "e" else 1.0 / math.log(2.0))
-
-
 def _cmd_mu_norm(args):
     from . import io as mio
     from .norm import m_chi, mu_norm_sq
@@ -119,15 +115,14 @@ def _cmd_ks_entropy(args):
 
 def _cmd_markov_rate(args):
     from . import io as mio
-    from .entropy import markov_entropy_rate
+    from .entropy import log_unit, markov_entropy_rate
 
     p = mio.matrix_from_obj(mio.load_json(args.p), "transition matrix")
     if np.max(np.abs(p.imag)) > 0:
         raise ValueError("transition matrix must be real")
     nu = mio.distribution_from_obj(mio.load_json(args.dist))
-    value = markov_entropy_rate(p.real, nu)
-    results = {"entropy_rate": _convert(value, args.log_base),
-               "unit": "nats" if args.log_base == "e" else "bits"}
+    conv, unit = log_unit(args.log_base)
+    results = {"entropy_rate": markov_entropy_rate(p.real, nu) * conv, "unit": unit}
     return {"p": args.p, "dist": args.dist}, results, {}
 
 

@@ -219,6 +219,11 @@ def quantum_entropy_at(u: OperatorMatrix, chi: Partition, n: int,
     return _entropies(_operator_levels(u, chi, n, term_cap), n)[n]
 
 
+def log_unit(log_base: str) -> tuple[float, str]:
+    """Factor that takes a value in nats to ``log_base`` ("e" or "2"), and the unit's name."""
+    return (1.0, "nats") if log_base == "e" else (1.0 / math.log(2.0), "bits")
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """Per-horizon entropy values and the derived rate estimates.
@@ -237,14 +242,14 @@ class EntropyReport:
     closed_form: float | None
 
     def to_dict(self, log_base: str = "e") -> dict:
-        conv = 1.0 if log_base == "e" else 1.0 / math.log(2.0)
+        conv, unit = log_unit(log_base)
         return {
             "lengths": list(self.lengths),
             "values": [v * conv for v in self.values],
             "rates": [r * conv for r in self.rates],
             "differences": [d * conv for d in self.differences],
             "closed_form": None if self.closed_form is None else self.closed_form * conv,
-            "unit": "nats" if log_base == "e" else "bits",
+            "unit": unit,
         }
 
 

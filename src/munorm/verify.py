@@ -111,9 +111,10 @@ SUITES: dict[str, tuple[str, str]] = {
     "dt-star-algebra": ("verify_circle", "dt_star_algebra"),
     "w-symbol-bound": ("verify_circle", "w_symbol_bound"),
     "rho-la-continuity": ("verify_circle", "rho_la_continuity"),
+    "section-route": ("verify_circle", "section_route"),
 }
 
-#: Suites that run several single suites in turn on one generator.
+#: Suites that run several single suites in turn, each from its own generator.
 GROUPS: dict[str, tuple[str, ...]] = {
     # the eight properties of the invariance battery
     "invariance-battery": (
@@ -129,15 +130,19 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, trials: int, seed: int) -> list[PropertyCheck]:
-    """Run a registered suite; deterministic for a given seed (PCG64)."""
+    """Run a registered suite; deterministic for a given seed (PCG64).
+
+    Every member of a group draws from its own generator seeded with
+    ``seed``, so a group reports exactly what its members report when
+    each runs alone.
+    """
     if name not in SUITES and name not in GROUPS:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
     out: list[PropertyCheck] = []
     for member in GROUPS.get(name, (name,)):
         module, function = SUITES[member]
         suite = getattr(importlib.import_module(f".{module}", __package__), function)
-        out.extend(suite(rng, trials))
+        out.extend(suite(np.random.default_rng(seed), trials))
     return out

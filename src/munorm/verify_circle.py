@@ -175,10 +175,65 @@ def rho_la_continuity(rng, trials: int) -> list[PropertyCheck]:
     grid = 2.0 * np.pi * np.arange(1025) / 1024
     for i in range(trials):
         op = random_bandop(rng, max_tau=6, max_band=6)
-        sym = op.periodic_symbols(grid)
-        density = np.mean(np.abs(sym) ** 2, axis=0)
+        density = circ.rho_la(op, grid)
         max_step = float(np.max(np.abs(np.diff(density))))
         lip = circ.dt_norm(op) ** 2 * (op.band * op.tau * 4)
         t.update(max_step - lip * (2.0 * np.pi / 1024),
                  {"trial": i, "tau": op.tau, "band": op.band})
     return [t.result()]
+
+
+def _covering_window(*ops: circ.PeriodicBandOperator) -> range:
+    """Rows of a section that holds every perturbation entry of ``ops`` with a margin.
+
+    Past the outermost perturbed row or column lie ``tau + 2*band + 1``
+    more rows on each side, so every periodic value of every diagonal
+    appears unperturbed in the section, and every row within ``band`` of
+    a perturbed row has its whole band inside.
+    """
+    ends = [0] + [x for op in ops for r, c, _ in op.perturbation for x in (r, c)]
+    margin = max(op.tau + 2 * op.band for op in ops) + 1
+    return range(min(ends) - margin, max(ends) + margin + 1)
+
+
+def _diagonal_sups(sec: np.ndarray) -> dict[int, float]:
+    """``k -> max_j |sec[j + k, j]|`` for every nonzero diagonal of a square section."""
+    n = sec.shape[0]
+    sups = {k: float(np.abs(np.diagonal(sec, -k)).max()) for k in range(1 - n, n)}
+    return {k: v for k, v in sups.items() if v > 0.0}
+
+
+def section_route(rng, trials: int) -> list[PropertyCheck]:
+    """Majorant, row symbols and perturbed products against dense finite sections.
+
+    A section that covers a full period beyond every perturbed row and
+    column holds each diagonal's values, each row's entries and, away
+    from its edges, each entry of a product: a second route to all three.
+    """
+    sup = _Tracker("majorant-is-the-diagonal-sup-of-a-section", 1e-12)
+    symbol = _Tracker("row-symbol-sums-its-section-row", 1e-12)
+    product = _Tracker("perturbed-product-matches-section-product", 1e-12)
+    for i in range(trials):
+        a = random_bandop(rng, max_tau=5, max_band=4, perturbed=True)
+        b = random_bandop(rng, max_tau=5, max_band=4, perturbed=True)
+        rows = _covering_window(a, b)
+        index = np.arange(rows.start, rows.stop)
+        sections = []
+        for op in (a, b):
+            sec = circ.finite_section(op, rows)
+            sections.append(sec)
+            got, want = op.majorant(), _diagonal_sups(sec)
+            sup.update(max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in {*got, *want}),
+                           default=0.0),
+                       {"trial": i, "tau": op.tau, "band": op.band})
+            for l in sorted({*range(op.tau), *(r for r, _, _ in op.perturbation)}):
+                angle = float(rng.uniform(0.0, 2.0 * np.pi))
+                want_w = complex(sec[l - rows.start] @ np.exp(1j * (l - index) * angle))
+                symbol.update(abs(circ.w_l(op, l, angle) - want_w), {"trial": i, "l": l})
+        # rows at least a.band inside the window see every term of the product
+        inner = slice(a.band, len(rows) - a.band)
+        got = circ.finite_section(circ.dt_compose(a, b), rows)[inner]
+        want = (sections[0] @ sections[1])[inner]
+        product.update(float(np.max(np.abs(got - want))),
+                       {"trial": i, "tau": (a.tau, b.tau), "band": (a.band, b.band)})
+    return [sup.result(), symbol.result(), product.result()]

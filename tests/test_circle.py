@@ -5,12 +5,10 @@ import pytest
 
 from munorm import (
     CapExceeded,
-    DiagonalSeqOperator,
     EventuallyPeriodicSeq,
     PeriodicBandOperator,
     avg_trace,
     avg_trace_window,
-    conv_mu_norm_sq,
     conv_norm,
     dt_add,
     dt_adjoint,
@@ -32,6 +30,7 @@ from munorm.verify_circle import random_bandop
 ALL_ONES = EventuallyPeriodicSeq([1.0], [1.0])
 ZERO_SEQ = EventuallyPeriodicSeq([0.0], [0.0])
 HALF_SEQ = EventuallyPeriodicSeq([0.0], [1.0, 0.0], k0=1)  # ..0,0,[1,0,1,0..] from k=1
+ODD_SEQ = EventuallyPeriodicSeq([1.0, 0.0], [1.0, 0.0], k0=1)  # lam_k = 1 iff k odd
 SHIFT = dt_from_multiplier({1: 1.0})
 TWO_COS = dt_from_multiplier({1: 1.0, -1: 1.0})
 
@@ -89,11 +88,12 @@ def test_conv_norm_examples():
 
 
 def test_conv_mu_norm_sq():
-    assert conv_mu_norm_sq(ALL_ONES) == 1.0
-    assert conv_mu_norm_sq(HALF_SEQ) == 0.5
+    # the squared partition norm of a convolution is its window density
+    assert rho(ALL_ONES) == 1.0
+    assert rho(HALF_SEQ) == 0.5
     finite = EventuallyPeriodicSeq([0.0], [0.0], middle={0: 2.0}, k0=1)
     # vanishing partition norm without compactness: the boundary case
-    assert conv_mu_norm_sq(finite) == 0.0
+    assert rho(finite) == 0.0
     assert conv_norm(finite) == 2.0
     assert dt_norm(dt_from_conv(finite)) == 2.0  # diagonal model keeps the sup
 
@@ -117,7 +117,7 @@ def test_dt_from_conv_constant():
 
 def test_dt_from_conv_middle_exception_becomes_perturbation():
     seq = EventuallyPeriodicSeq([1.0], [1.0], middle={0: 3.0}, k0=1)
-    op = dt_from_conv(seq).to_periodic()
+    op = dt_from_conv(seq)
     assert op.tau == 1 and op.band == 0
     assert op.perturbation == ((0, 0, 2.0 + 0.0j),)
     np.testing.assert_array_equal(
@@ -125,10 +125,14 @@ def test_dt_from_conv_middle_exception_becomes_perturbation():
     )
 
 
-def test_to_periodic_rejects_misaligned_tails():
-    seq = EventuallyPeriodicSeq([0.0], [1.0, 0.0], k0=1)
-    with pytest.raises(ValueError, match="disagree|different"):
-        dt_from_conv(seq).to_periodic()
+def test_dt_from_conv_rejects_misaligned_tails():
+    with pytest.raises(ValueError, match="different lengths"):
+        dt_from_conv(HALF_SEQ)
+    shifted = EventuallyPeriodicSeq([0.0, 1.0], [1.0, 0.0], k0=1)  # lam_-1 = 0, lam_1 = 1
+    with pytest.raises(ValueError, match="disagree"):
+        dt_from_conv(shifted)
+    # the sequence itself still has its density and norm
+    assert rho(shifted) == 0.5 and conv_norm(shifted) == 1.0
 
 
 def test_diagonal_model_w_and_density():
@@ -256,12 +260,6 @@ def test_caps_raise():
         dt_compose(wide, wide)
 
 
-def test_algebra_rejects_diagonal_model():
-    d = dt_from_conv(ALL_ONES)
-    with pytest.raises(TypeError, match="to_periodic"):
-        dt_add(d, d)
-
-
 # --------------------------------------------------------------------------
 # symbols, density, quadrature, trace
 
@@ -326,10 +324,10 @@ def test_dt_mu_norm_two_cos():
 
 
 def test_dt_mu_norm_matches_conv_for_periodic_diagonal():
-    seq = EventuallyPeriodicSeq([1.0, 0.0], [1.0, 0.0], k0=1)  # lam_k = 1 iff k odd
-    op = dt_from_conv(seq).to_periodic()
+    op = dt_from_conv(ODD_SEQ)
+    assert op.tau == 2 and op.band == 0 and op.perturbation == ()
     res = dt_mu_norm_sq(op)
-    assert res.quadrature == pytest.approx(conv_mu_norm_sq(seq), abs=1e-12)
+    assert res.quadrature == pytest.approx(rho(ODD_SEQ), abs=1e-12)
     assert res.closed_form == pytest.approx(0.5, abs=1e-15)
 
 
@@ -435,10 +433,12 @@ def test_finite_section_matches_entry_loop():
         for sub in (op, far):
             for rows in ranges:
                 np.testing.assert_array_equal(finite_section(sub, rows), _entry_section(sub, rows))
-    seq = EventuallyPeriodicSeq([2.0, -1j], [1.0, 0.5, 3j], middle={-2: 7.0, 1: 0.25j}, k0=3)
+    # a convolution with aligned tails and a middle, as a band-0 operator
+    seq = EventuallyPeriodicSeq([1.0, 3j, 0.5], [1.0, 0.5, 3j], middle={-2: 7.0, 1: 0.25j}, k0=3)
+    d = dt_from_conv(seq)
     for rows in ranges:
-        d = DiagonalSeqOperator(seq)
         np.testing.assert_array_equal(finite_section(d, rows), _entry_section(d, rows))
+        np.testing.assert_array_equal(finite_section(d, rows), np.diag([seq.value_at(r) for r in rows]))
 
 
 def test_finite_section_fills_rows_in_blocks(monkeypatch):
@@ -497,10 +497,10 @@ def test_compose_sums_each_coefficient_in_ascending_d1():
 
 
 def test_diagonal_model_sections_and_window_trace():
-    d = DiagonalSeqOperator(HALF_SEQ)
+    d = dt_from_conv(ODD_SEQ)
     sec = finite_section(d, range(1, 5))
     np.testing.assert_array_equal(sec, np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
-    assert avg_trace(d) == 0.5
+    assert avg_trace(d) == 0.5 == rho(ODD_SEQ)
     assert avg_trace_window(d, 1, 10**4) == pytest.approx(0.5, abs=1e-4)
 
 
@@ -604,3 +604,50 @@ def test_phase_tables_serve_narrower_bands_exactly():
 def _random_coeffs(rng, tau, band):
     shape = (tau, 2 * band + 1)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# --------------------------------------------------------------------------
+# the section-route suite against the faults it is there to catch
+
+
+def _failing_section_route_checks():
+    from munorm.verify import run_suite
+
+    return {c.name for c in run_suite("section-route", 20, 0) if not c.passed}
+
+
+def test_section_route_kills_the_perturbation_mutants(monkeypatch):
+    from munorm import circle
+
+    assert _failing_section_route_checks() == set()
+
+    def majorant_reversed(self):  # reads diagonal k from offset k: the diagonals reversed
+        sup = np.abs(self.coeffs).max(axis=0)
+        c = dict(zip(range(-self.band, self.band + 1), sup.tolist()))
+        for r, col, _ in self.perturbation:
+            c[r - col] = max(c.get(r - col, 0.0), abs(self.entry(r, col)))
+        return {k: v for k, v in c.items() if v > 0.0}
+
+    def w_l_flipped_phase(op, l, a):
+        w = complex(op.coeffs[l % op.tau] @ np.exp(-1j * np.arange(-op.band, op.band + 1) * a))
+        for r, c, delta in op.perturbation:
+            if r == l:
+                w += delta * np.exp(-1j * (l - c) * a)
+        return w
+
+    product_perturbation = circle._product_perturbation
+
+    def transposed(a, b):
+        return [(c, r, v) for r, c, v in product_perturbation(a, b)]
+
+    mutants = [
+        (PeriodicBandOperator, "majorant", majorant_reversed,
+         "majorant-is-the-diagonal-sup-of-a-section"),
+        (circle, "w_l", w_l_flipped_phase, "row-symbol-sums-its-section-row"),
+        (circle, "_product_perturbation", transposed,
+         "perturbed-product-matches-section-product"),
+    ]
+    for target, name, mutant, killed_by in mutants:
+        with monkeypatch.context() as m:
+            m.setattr(target, name, mutant)
+            assert _failing_section_route_checks() == {killed_by}, name

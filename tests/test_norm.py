@@ -246,6 +246,14 @@ def test_invariance_properties(suite):
         assert check.passed, f"{check.name}: {check.max_violation} > {check.tolerance}"
 
 
+def test_group_reports_what_its_members_report_alone():
+    from munorm.verify import GROUPS, run_suite
+
+    group = run_suite("invariance-battery", 5, 3)
+    alone = [c for member in GROUPS["invariance-battery"] for c in run_suite(member, 5, 3)]
+    assert group == alone
+
+
 def _dense_cyclic_projector(space, action, n):
     # the group average by dense matrix powers of the composition operator
     from munorm import koopman
