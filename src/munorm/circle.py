@@ -61,8 +61,9 @@ __all__ = [
     "finite_section",
 ]
 
-DEFAULT_MAX_TAU = 128
-DEFAULT_MAX_BAND = 128
+#: Caps on the period and band radius of every operator, so that composed
+#: operators cannot grow without bound.
+MAX_TAU = MAX_BAND = 128
 #: Band entries ``finite_section`` fills per block of rows.
 SECTION_BLOCK_ENTRIES = 2**14
 
@@ -295,25 +296,23 @@ class PeriodicBandOperator:
     the matrix follows from ``W_{r+tau, c+tau} = W_{r,c}``.  The
     perturbation is a finite list of additive corrections
     ``(row, col, delta)`` at absolute positions, not restricted to the
-    band.  Periods and bands are capped (default 128) so that composed
-    operators cannot grow without bound.
+    band.  Periods and bands are capped at ``MAX_TAU`` and ``MAX_BAND``.
     """
 
     __slots__ = ("_tau", "_band", "_coeffs", "_perturbation")
 
     def __init__(self, tau: int, band: int, coeffs,
-                 perturbation: Iterable[tuple[int, int, complex]] | None = None,
-                 max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND):
+                 perturbation: Iterable[tuple[int, int, complex]] | None = None):
         tau = int(tau)
         band = int(band)
         if tau < 1:
             raise ValueError("period tau must be >= 1")
         if band < 0:
             raise ValueError("band radius must be >= 0")
-        if tau > max_tau:
-            raise CapExceeded(f"period {tau} exceeds the cap {max_tau}")
-        if band > max_band:
-            raise CapExceeded(f"band radius {band} exceeds the cap {max_band}")
+        if tau > MAX_TAU:
+            raise CapExceeded(f"period {tau} exceeds the cap {MAX_TAU}")
+        if band > MAX_BAND:
+            raise CapExceeded(f"band radius {band} exceeds the cap {MAX_BAND}")
         c = np.array(coeffs, dtype=complex)
         if c.shape != (tau, 2 * band + 1):
             raise ValueError(
@@ -417,8 +416,7 @@ def _phases(band: int, angles: np.ndarray) -> np.ndarray:
     return table
 
 
-def dt_from_conv(seq: EventuallyPeriodicSeq,
-                 max_tau: int = DEFAULT_MAX_TAU) -> PeriodicBandOperator:
+def dt_from_conv(seq: EventuallyPeriodicSeq) -> PeriodicBandOperator:
     """The convolution by ``seq`` as a diagonal (band 0) operator in the Fourier basis.
 
     ``W_{k,k} = lam_k``.  Requires both tails to repeat the same
@@ -442,11 +440,10 @@ def dt_from_conv(seq: EventuallyPeriodicSeq,
         v, base = seq.value_at(k), pattern[k % p]
         if v != base:
             pert.append((k, k, v - base))
-    return PeriodicBandOperator(p, 0, pattern.reshape(p, 1), pert, max_tau=max_tau)
+    return PeriodicBandOperator(p, 0, pattern.reshape(p, 1), pert)
 
 
-def dt_from_multiplier(coeffs: Mapping[int, complex],
-                       max_band: int = DEFAULT_MAX_BAND) -> PeriodicBandOperator:
+def dt_from_multiplier(coeffs: Mapping[int, complex]) -> PeriodicBandOperator:
     """Multiplication by a trigonometric polynomial ``g(x) = sum_k g_k e^{ikx}``.
 
     A 1-periodic Toeplitz band matrix with ``W_{r,c} = g_{r-c}``.
@@ -458,7 +455,7 @@ def dt_from_multiplier(coeffs: Mapping[int, complex],
         k = int(k)
         if complex(v) != 0:
             row[band - k] = complex(v)  # offset d = -k puts g_k on diagonal r-c=k
-    return PeriodicBandOperator(1, band, row.reshape(1, -1), max_band=max_band)
+    return PeriodicBandOperator(1, band, row.reshape(1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -497,37 +494,26 @@ def _lift_coeffs(op: PeriodicBandOperator, tau: int, band: int) -> np.ndarray:
     return out
 
 
-def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator,
-           max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
-           ) -> PeriodicBandOperator:
+def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
     """Sum; the period lifts to the lcm, the band to the max."""
     tau = _lcm(a.tau, b.tau)
     band = max(a.band, b.band)
-    if tau > max_tau:
-        raise CapExceeded(f"sum period {tau} exceeds the cap {max_tau}")
+    if tau > MAX_TAU:  # before the lift allocates the lcm period
+        raise CapExceeded(f"sum period {tau} exceeds the cap {MAX_TAU}")
     coeffs = _lift_coeffs(a, tau, band) + _lift_coeffs(b, tau, band)
     pert = a._perturbation_dict()
     for key, v in b._perturbation_dict().items():
         pert[key] = pert.get(key, 0.0 + 0.0j) + v
-    return PeriodicBandOperator(tau, band, coeffs,
-                                [(r, c, v) for (r, c), v in pert.items()],
-                                max_tau=max_tau, max_band=max_band)
+    return PeriodicBandOperator(tau, band, coeffs, [(r, c, v) for (r, c), v in pert.items()])
 
 
-def dt_scale(lam: complex, a: PeriodicBandOperator,
-             max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
-             ) -> PeriodicBandOperator:
+def dt_scale(lam: complex, a: PeriodicBandOperator) -> PeriodicBandOperator:
     lam = complex(lam)
-    return PeriodicBandOperator(
-        a.tau, a.band, lam * a.coeffs,
-        [(r, c, lam * v) for r, c, v in a.perturbation],
-        max_tau=max_tau, max_band=max_band,
-    )
+    return PeriodicBandOperator(a.tau, a.band, lam * a.coeffs,
+                                [(r, c, lam * v) for r, c, v in a.perturbation])
 
 
-def dt_adjoint(a: PeriodicBandOperator,
-               max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
-               ) -> PeriodicBandOperator:
+def dt_adjoint(a: PeriodicBandOperator) -> PeriodicBandOperator:
     """Conjugate transpose; the circle measure is uniform so no weights enter."""
     key = ("adjoint", a.tau, a.band)
     flat = _PLANS.get(key)
@@ -539,27 +525,24 @@ def dt_adjoint(a: PeriodicBandOperator,
         _PLANS.put(key, flat, flat.size)
     out = np.conj(a.coeffs.take(flat))
     pert = [(c, r, np.conj(v)) for r, c, v in a.perturbation]
-    return PeriodicBandOperator(a.tau, a.band, out, pert, max_tau=max_tau, max_band=max_band)
+    return PeriodicBandOperator(a.tau, a.band, out, pert)
 
 
-def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator,
-               max_tau: int = DEFAULT_MAX_TAU, max_band: int = DEFAULT_MAX_BAND
-               ) -> PeriodicBandOperator:
+def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
     """Product ``a b`` (b acts first); band radii add, periods take the lcm."""
     tau = _lcm(a.tau, b.tau)
     band = a.band + b.band
-    if tau > max_tau:
-        raise CapExceeded(f"product period {tau} exceeds the cap {max_tau}")
-    if band > max_band:
-        raise CapExceeded(f"product band {band} exceeds the cap {max_band}")
+    if tau > MAX_TAU:  # before the gathers allocate the lcm period
+        raise CapExceeded(f"product period {tau} exceeds the cap {MAX_TAU}")
+    if band > MAX_BAND:
+        raise CapExceeded(f"product band {band} exceeds the cap {MAX_BAND}")
     ia, ib = _compose_gather(tau, a.tau, a.band, b.tau)
     terms = a.coeffs.take(ia, axis=0)[:, :, None] * b.coeffs.take(ib, axis=0)
     # real and imaginary parts side by side: one bincount sums both
     sums = np.bincount(_compose_slots(tau, a.band, b.band), terms.view(float).ravel(),
                        2 * tau * (2 * band + 1))
     coeffs = sums.view(complex).reshape(tau, 2 * band + 1)
-    return PeriodicBandOperator(tau, band, coeffs, _product_perturbation(a, b),
-                                max_tau=max_tau, max_band=max_band)
+    return PeriodicBandOperator(tau, band, coeffs, _product_perturbation(a, b))
 
 
 # The index arrays of a product depend only on its shape, so they are kept
@@ -660,7 +643,9 @@ def rho_la(op: PeriodicBandOperator, a: float | np.ndarray) -> float | np.ndarra
     the limsup of window averages is the plain period average
     ``(1/tau) sum_l |w_l(a)|^2``.  Finite perturbations change finitely
     many symbols and are ignored by the limsup.  A float angle gives a
-    float, an array of angles a flat array.
+    float, an array of angles a flat array.  The two forms round
+    independently, so ``rho_la(op, grid)[i]`` and ``rho_la(op, grid[i])``
+    may differ in the last bits.
     """
     density = np.mean(np.abs(op.periodic_symbols(a)) ** 2, axis=0)
     return float(density[0]) if np.ndim(a) == 0 else density

@@ -87,12 +87,12 @@ def mu_norm(w: OperatorMatrix) -> float:
     return float(np.sqrt(mu_norm_sq(w)))
 
 
-def weighted_gram_schmidt(space: FiniteMeasureSpace, vectors: Sequence[Sequence[complex]],
-                          drop_tol: float = 1e-12) -> np.ndarray:
+def weighted_gram_schmidt(space: FiniteMeasureSpace,
+                          vectors: Sequence[Sequence[complex]]) -> np.ndarray:
     """Orthonormalize a spanning set in the weighted inner product.
 
-    Modified Gram-Schmidt; vectors whose residual drops below
-    ``drop_tol`` times their original size are discarded as dependent.
+    Modified Gram-Schmidt; vectors whose residual drops to 1e-12 times
+    their original size or below are discarded as dependent.
     Returns a matrix whose columns are orthonormal.
     """
     mu = space.weights
@@ -112,7 +112,7 @@ def weighted_gram_schmidt(space: FiniteMeasureSpace, vectors: Sequence[Sequence[
     cols = []
     for k, u in enumerate(rows):
         residual = np.sqrt(max(np.sum(mu * np.abs(u) ** 2).real, 0.0))
-        if residual <= drop_tol * original[k]:
+        if residual <= 1e-12 * original[k]:
             continue
         q = u / residual
         cols.append(q)

@@ -84,9 +84,9 @@ class FiniteMeasureSpace:
     def __repr__(self) -> str:
         return f"FiniteMeasureSpace({self._weights.tolist()!r})"
 
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        """Whether all atoms carry the same mass 1/J within ``tol``."""
-        return bool(np.max(np.abs(self._weights - 1.0 / self.size)) <= tol)
+    def is_uniform(self) -> bool:
+        """Whether all atoms carry the same mass 1/J within 1e-12."""
+        return bool(np.max(np.abs(self._weights - 1.0 / self.size)) <= 1e-12)
 
     def validate_subset(self, subset: Iterable[int]) -> np.ndarray:
         """Canonicalize ``subset`` to a sorted array of unique atom indices.

@@ -24,13 +24,23 @@ __all__ = ["PropertyCheck", "SUITES", "GROUPS", "run_suite", "suite_names"]
 
 @dataclass
 class PropertyCheck:
-    """Outcome of one property over a batch of random instances."""
+    """Outcome of one property over a batch of random instances.
+
+    A suite creates it with a name and a tolerance and feeds it one
+    ``update`` per instance checked; ``trials`` counts the updates.
+    """
 
     name: str
-    trials: int
     tolerance: float
-    max_violation: float
+    trials: int = 0
+    max_violation: float = 0.0
     worst: dict | None = None
+
+    def update(self, violation: float, instance: dict | None = None) -> None:
+        self.trials += 1
+        if violation > self.max_violation:
+            self.max_violation = float(violation)
+            self.worst = instance
 
     @property
     def passed(self) -> bool:
@@ -47,25 +57,6 @@ class PropertyCheck:
         if self.worst is not None and not self.passed:
             out["worst"] = self.worst
         return out
-
-
-class _Tracker:
-    def __init__(self, name: str, tolerance: float):
-        self.name = name
-        self.tolerance = tolerance
-        self.max_violation = 0.0
-        self.worst: dict | None = None
-        self.count = 0
-
-    def update(self, violation: float, instance: dict | None = None) -> None:
-        self.count += 1
-        if violation > self.max_violation:
-            self.max_violation = float(violation)
-            self.worst = instance
-
-    def result(self) -> PropertyCheck:
-        return PropertyCheck(self.name, self.count, self.tolerance,
-                             self.max_violation, self.worst)
 
 
 def _random_complex(rng, n, amp: float = 2.0) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import circle as circ
-from .verify import PropertyCheck, _random_complex, _Tracker
+from .verify import PropertyCheck, _random_complex
 
 # ---------------------------------------------------------------------------
 # Random instance generators
@@ -55,8 +55,8 @@ def _period_mass(seq: circ.EventuallyPeriodicSeq) -> float:
 
 
 def rho_oracle(rng, trials: int, window: int = 10**4) -> list[PropertyCheck]:
-    bound = _Tracker("window-oracle-within-derived-bound", 1e-12)
-    fixed = _Tracker("window-oracle-within-1e-2-at-1e4", 1e-2)
+    bound = PropertyCheck("window-oracle-within-derived-bound", 1e-12)
+    fixed = PropertyCheck("window-oracle-within-1e-2-at-1e4", 1e-2)
     for i in range(trials):
         seq = random_seq(rng)
         closed = circ.rho(seq)
@@ -64,12 +64,12 @@ def rho_oracle(rng, trials: int, window: int = 10**4) -> list[PropertyCheck]:
         diff = abs(closed - brute)
         bound.update(diff - 10.0 * _period_mass(seq) / window, {"trial": i})
         fixed.update(diff, {"trial": i})
-    return [bound.result(), fixed.result()]
+    return [bound, fixed]
 
 
 def dt_integral(rng, trials: int) -> list[PropertyCheck]:
-    agree = _Tracker("quadrature-matches-parseval-closed-form", 1e-10)
-    cosine = _Tracker("double-cosine-multiplier-norm-is-2", 1e-12)
+    agree = PropertyCheck("quadrature-matches-parseval-closed-form", 1e-10)
+    cosine = PropertyCheck("double-cosine-multiplier-norm-is-2", 1e-12)
     res = circ.dt_mu_norm_sq(circ.dt_from_multiplier({1: 1.0, -1: 1.0}))
     cosine.update(abs(res.quadrature - 2.0), {})
     cosine.update(abs(res.closed_form - 2.0), {})
@@ -78,25 +78,25 @@ def dt_integral(rng, trials: int) -> list[PropertyCheck]:
         r = circ.dt_mu_norm_sq(op)
         agree.update(abs(r.quadrature - r.closed_form),
                      {"trial": i, "tau": op.tau, "band": op.band})
-    return [agree.result(), cosine.result()]
+    return [agree, cosine]
 
 
 def parseval_bridge(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("average-trace-equals-quadrature-when-periodic", 1e-10)
+    t = PropertyCheck("average-trace-equals-quadrature-when-periodic", 1e-10)
     for i in range(trials):
         op = random_bandop(rng)
         t.update(abs(circ.dt_mu_norm_sq(op).quadrature - circ.avg_trace(op)),
                  {"trial": i, "tau": op.tau, "band": op.band})
-    return [t.result()]
+    return [t]
 
 
 def trace_bound(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("average-trace-below-squared-norm", 1e-10)
+    t = PropertyCheck("average-trace-below-squared-norm", 1e-10)
     for i in range(trials):
         op = random_bandop(rng, perturbed=bool(rng.random() < 0.5))
         t.update(circ.avg_trace(op) - circ.dt_mu_norm_sq(op).quadrature,
                  {"trial": i, "tau": op.tau, "band": op.band})
-    return [t.result()]
+    return [t]
 
 
 def _unitary_conjugators(rng) -> list[circ.PeriodicBandOperator]:
@@ -110,7 +110,7 @@ def _unitary_conjugators(rng) -> list[circ.PeriodicBandOperator]:
 
 
 def trace_invariance(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("average-trace-unitary-invariance", 1e-10)
+    t = PropertyCheck("average-trace-unitary-invariance", 1e-10)
     for i in range(trials):
         w = random_bandop(rng, max_tau=4, max_band=4)
         base = circ.avg_trace(w)
@@ -121,12 +121,12 @@ def trace_invariance(rng, trials: int) -> list[PropertyCheck]:
             conj = circ.avg_trace(circ.dt_compose(circ.dt_adjoint(u), wu))
             v = max(abs(left - base), abs(right - base), abs(conj - base))
             t.update(v, {"trial": i, "tau": w.tau, "band": w.band})
-    return [t.result()]
+    return [t]
 
 
 def norm_chain(rng, trials: int) -> list[PropertyCheck]:
-    section = _Tracker("finite-section-norm-below-dt-norm", 1e-10)
-    submult = _Tracker("dt-norm-submultiplicative", 1e-10)
+    section = PropertyCheck("finite-section-norm-below-dt-norm", 1e-10)
+    submult = PropertyCheck("dt-norm-submultiplicative", 1e-10)
     for i in range(trials):
         op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
         size = int(rng.integers(4, 65))
@@ -139,13 +139,13 @@ def norm_chain(rng, trials: int) -> list[PropertyCheck]:
         submult.update(circ.dt_norm(circ.dt_compose(w1, w2))
                        - circ.dt_norm(w1) * circ.dt_norm(w2),
                        {"trial": i})
-    return [section.result(), submult.result()]
+    return [section, submult]
 
 
 def dt_star_algebra(rng, trials: int) -> list[PropertyCheck]:
-    adj_norm = _Tracker("adjoint-preserves-dt-norm", 1e-12)
-    involution = _Tracker("adjoint-is-an-involution", 1e-12)
-    tri = _Tracker("dt-norm-triangle", 1e-12)
+    adj_norm = PropertyCheck("adjoint-preserves-dt-norm", 1e-12)
+    involution = PropertyCheck("adjoint-is-an-involution", 1e-12)
+    tri = PropertyCheck("dt-norm-triangle", 1e-12)
     for i in range(trials):
         a = random_bandop(rng, max_tau=5, max_band=5, perturbed=bool(rng.random() < 0.3))
         b = random_bandop(rng, max_tau=5, max_band=5)
@@ -155,11 +155,11 @@ def dt_star_algebra(rng, trials: int) -> list[PropertyCheck]:
         sec_aa = circ.finite_section(circ.dt_adjoint(adj), range(-10, 11))
         involution.update(float(np.max(np.abs(sec_a - sec_aa))), {"trial": i})
         tri.update(circ.dt_norm(circ.dt_add(a, b)) - (norm_a + circ.dt_norm(b)), {"trial": i})
-    return [adj_norm.result(), involution.result(), tri.result()]
+    return [adj_norm, involution, tri]
 
 
 def w_symbol_bound(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("row-symbol-bounded-by-dt-norm", 1e-10)
+    t = PropertyCheck("row-symbol-bounded-by-dt-norm", 1e-10)
     for i in range(trials):
         op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
         c = circ.dt_norm(op)
@@ -167,11 +167,11 @@ def w_symbol_bound(rng, trials: int) -> list[PropertyCheck]:
             l = int(rng.integers(-12, 13))
             a = float(rng.uniform(0, 2 * np.pi))
             t.update(abs(circ.w_l(op, l, a)) - c, {"trial": i, "l": l})
-    return [t.result()]
+    return [t]
 
 
 def rho_la_continuity(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("symbol-density-grid-continuity", 1e-12)
+    t = PropertyCheck("symbol-density-grid-continuity", 1e-12)
     grid = 2.0 * np.pi * np.arange(1025) / 1024
     for i in range(trials):
         op = random_bandop(rng, max_tau=6, max_band=6)
@@ -180,7 +180,7 @@ def rho_la_continuity(rng, trials: int) -> list[PropertyCheck]:
         lip = circ.dt_norm(op) ** 2 * (op.band * op.tau * 4)
         t.update(max_step - lip * (2.0 * np.pi / 1024),
                  {"trial": i, "tau": op.tau, "band": op.band})
-    return [t.result()]
+    return [t]
 
 
 def _covering_window(*ops: circ.PeriodicBandOperator) -> range:
@@ -210,9 +210,9 @@ def section_route(rng, trials: int) -> list[PropertyCheck]:
     column holds each diagonal's values, each row's entries and, away
     from its edges, each entry of a product: a second route to all three.
     """
-    sup = _Tracker("majorant-is-the-diagonal-sup-of-a-section", 1e-12)
-    symbol = _Tracker("row-symbol-sums-its-section-row", 1e-12)
-    product = _Tracker("perturbed-product-matches-section-product", 1e-12)
+    sup = PropertyCheck("majorant-is-the-diagonal-sup-of-a-section", 1e-12)
+    symbol = PropertyCheck("row-symbol-sums-its-section-row", 1e-12)
+    product = PropertyCheck("perturbed-product-matches-section-product", 1e-12)
     for i in range(trials):
         a = random_bandop(rng, max_tau=5, max_band=4, perturbed=True)
         b = random_bandop(rng, max_tau=5, max_band=4, perturbed=True)
@@ -236,4 +236,4 @@ def section_route(rng, trials: int) -> list[PropertyCheck]:
         want = (sections[0] @ sections[1])[inner]
         product.update(float(np.max(np.abs(got - want))),
                        {"trial": i, "tau": (a.tau, b.tau), "band": (a.band, b.band)})
-    return [sup.result(), symbol.result(), product.result()]
+    return [sup, symbol, product]

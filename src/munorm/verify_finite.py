@@ -22,7 +22,7 @@ from .operators import (
     vector_norm,
 )
 from .spaces import FiniteMeasureSpace, Partition, finest_partition, join
-from .verify import PropertyCheck, _random_complex, _Tracker
+from .verify import PropertyCheck, _random_complex
 
 # ---------------------------------------------------------------------------
 # Random instance generators
@@ -110,19 +110,19 @@ def random_cyclic_setup(rng, q: int, orbits: int) -> tuple[FiniteMeasureSpace, C
 
 
 def projector_measure(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("projector-norm-equals-measure", 1e-12)
+    t = PropertyCheck("projector-norm-equals-measure", 1e-12)
     for i in range(trials):
         space = random_space(rng, 2, 12)
         subset = random_subset(rng, space.size)
         v = abs(mu_norm_sq(projector(space, subset)) - space.measure(subset))
         t.update(v, {"trial": i, "J": space.size, "subset_size": len(subset)})
-    return [t.result()]
+    return [t]
 
 
 def finest_formula(rng, trials: int) -> list[PropertyCheck]:
-    uni = _Tracker("uniform-entrywise-mean", 1e-12)
-    fin_u = _Tracker("uniform-matches-finest-partition", 1e-10)
-    fin_w = _Tracker("weighted-matches-finest-partition", 1e-10)
+    uni = PropertyCheck("uniform-entrywise-mean", 1e-12)
+    fin_u = PropertyCheck("uniform-matches-finest-partition", 1e-10)
+    fin_w = PropertyCheck("weighted-matches-finest-partition", 1e-10)
     for i in range(trials):
         j = int(rng.integers(2, 17))
         space = uniform_space(j)
@@ -136,23 +136,23 @@ def finest_formula(rng, trials: int) -> list[PropertyCheck]:
         ww = random_matrix(rng, wspace)
         fin_w.update(abs(mu_norm_sq(ww) - m_chi(ww, finest_partition(wspace))),
                      {"trial": i, "J": wspace.size})
-    return [uni.result(), fin_u.result(), fin_w.result()]
+    return [uni, fin_u, fin_w]
 
 
 def multiplication_law(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("multiplier-norm-equals-weighted-mass", 1e-12)
+    t = PropertyCheck("multiplier-norm-equals-weighted-mass", 1e-12)
     for i in range(trials):
         space = random_space(rng)
         g = _random_complex(rng, space.size)
         expected = float(np.sum(space.weights * np.abs(g) ** 2))
         t.update(abs(mu_norm_sq(multiplication(space, g)) - expected),
                  {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def partition_monotone(rng, trials: int) -> list[PropertyCheck]:
-    mono = _Tracker("refinement-never-increases-m-chi", 1e-9)
-    lower = _Tracker("mu-norm-below-every-m-chi", 1e-9)
+    mono = PropertyCheck("refinement-never-increases-m-chi", 1e-9)
+    lower = PropertyCheck("mu-norm-below-every-m-chi", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w = random_matrix(rng, space)
@@ -162,11 +162,11 @@ def partition_monotone(rng, trials: int) -> list[PropertyCheck]:
         fine = m_chi(w, join(chi, kappa))
         mono.update(fine - coarse, {"trial": i, "J": space.size})
         lower.update(mu_norm_sq(w) - coarse, {"trial": i, "J": space.size})
-    return [mono.result(), lower.result()]
+    return [mono, lower]
 
 
 def triangle(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("triangle-inequality", 1e-9)
+    t = PropertyCheck("triangle-inequality", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w1 = random_matrix(rng, space)
@@ -174,75 +174,75 @@ def triangle(rng, trials: int) -> list[PropertyCheck]:
         lhs = math.sqrt(mu_norm_sq(w1 + w2))
         rhs = math.sqrt(mu_norm_sq(w1)) + math.sqrt(mu_norm_sq(w2))
         t.update(lhs - rhs, {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def homogeneity(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("absolute-homogeneity", 1e-9)
+    t = PropertyCheck("absolute-homogeneity", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w = random_matrix(rng, space)
         lam = complex(_random_complex(rng, 1)[0])
         t.update(abs(mu_norm_sq(lam * w) - abs(lam) ** 2 * mu_norm_sq(w)),
                  {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def left_unitary(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("left-unitary-invariance", 1e-9)
+    t = PropertyCheck("left-unitary-invariance", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w = random_matrix(rng, space)
         u = random_weighted_unitary(rng, space)
         t.update(abs(mu_norm_sq(compose(u, w)) - mu_norm_sq(w)), {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def right_koopman(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("right-composition-invariance", 1e-9)
+    t = PropertyCheck("right-composition-invariance", 1e-9)
     for i in range(trials):
         space, endo = random_space_with_automorphism(rng)
         w = random_matrix(rng, space)
         u = koopman(space, endo)
         t.update(abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w)), {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def right_unitary_uniform(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("right-unitary-invariance-uniform", 1e-9)
+    t = PropertyCheck("right-unitary-invariance-uniform", 1e-9)
     for i in range(trials):
         j = int(rng.integers(2, 9))
         space = uniform_space(j)
         w = random_matrix(rng, space)
         u = OperatorMatrix(space, random_standard_unitary(rng, j))
         t.update(abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w)), {"trial": i, "J": j})
-    return [t.result()]
+    return [t]
 
 
 def right_additivity(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("right-additivity-over-partitions", 1e-9)
+    t = PropertyCheck("right-additivity-over-partitions", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w = random_matrix(rng, space)
         chi = random_partition(rng, space.size)
         parts = sum(mu_norm_sq(compose(w, projector(space, b))) for b in chi.blocks)
         t.update(abs(parts - mu_norm_sq(w)), {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def left_subadditivity(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("left-subadditivity-over-partitions", 1e-9)
+    t = PropertyCheck("left-subadditivity-over-partitions", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w = random_matrix(rng, space)
         chi = random_partition(rng, space.size)
         parts = sum(mu_norm_sq(compose(projector(space, b), w)) for b in chi.blocks)
         t.update(mu_norm_sq(w) - parts, {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def weighted_additivity(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("pointwise-split-additivity", 1e-9)
+    t = PropertyCheck("pointwise-split-additivity", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w = random_matrix(rng, space)
@@ -257,37 +257,37 @@ def weighted_additivity(rng, trials: int) -> list[PropertyCheck]:
             for s in range(k)
         )
         t.update(abs(parts - total), {"trial": i, "J": space.size, "k": k})
-    return [t.result()]
+    return [t]
 
 
 def lipschitz(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("operator-norm-lipschitz-bound", 1e-9)
+    t = PropertyCheck("operator-norm-lipschitz-bound", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w1 = random_matrix(rng, space)
         w2 = random_matrix(rng, space)
         lhs = abs(math.sqrt(mu_norm_sq(w2)) - math.sqrt(mu_norm_sq(w1)))
         t.update(lhs - operator_norm(w2 - w1), {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def submultiplicative(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("left-operator-norm-domination", 1e-9)
+    t = PropertyCheck("left-operator-norm-domination", 1e-9)
     for i in range(trials):
         space = random_space(rng)
         w1 = random_matrix(rng, space)
         w2 = random_matrix(rng, space)
         lhs = mu_norm_sq(compose(w1, w2))
         t.update(lhs - operator_norm(w1) ** 2 * mu_norm_sq(w2), {"trial": i, "J": space.size})
-    return [t.result()]
+    return [t]
 
 
 def operator_identities(rng, trials: int) -> list[PropertyCheck]:
-    iso = _Tracker("composition-operator-isometry", 1e-10)
-    prod = _Tracker("composition-respects-products", 1e-12)
-    commute = _Tracker("projector-pullback-identity", 1e-12)
-    masked = _Tracker("column-mask-contracts-norm", 1e-10)
-    left_inv = _Tracker("unitary-left-norm-invariance", 1e-10)
+    iso = PropertyCheck("composition-operator-isometry", 1e-10)
+    prod = PropertyCheck("composition-respects-products", 1e-12)
+    commute = PropertyCheck("projector-pullback-identity", 1e-12)
+    masked = PropertyCheck("column-mask-contracts-norm", 1e-10)
+    left_inv = PropertyCheck("unitary-left-norm-invariance", 1e-10)
     for i in range(trials):
         space, endo = random_space_with_automorphism(rng)
         u = koopman(space, endo)
@@ -309,11 +309,11 @@ def operator_identities(rng, trials: int) -> list[PropertyCheck]:
         uu = random_weighted_unitary(rng, space)
         a, b = operator_norm(compose(uu, w)), operator_norm(w)
         left_inv.update(abs(a - b) / max(b, 1e-30), {"trial": i, "J": space.size})
-    return [iso.result(), prod.result(), commute.result(), masked.result(), left_inv.result()]
+    return [iso, prod, commute, masked, left_inv]
 
 
 def projector_product(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("projector-chain-norm-equals-intersection-measure", 1e-9)
+    t = PropertyCheck("projector-chain-norm-equals-intersection-measure", 1e-9)
     for i in range(trials):
         space, endo = random_space_with_automorphism(rng)
         u = koopman(space, endo)
@@ -332,7 +332,7 @@ def projector_product(rng, trials: int) -> list[PropertyCheck]:
             inter &= m[endo.iterate(step).table]
         expected = float(space.weights[inter].sum())
         t.update(abs(got - expected), {"trial": i, "J": space.size, "k": k})
-    return [t.result()]
+    return [t]
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +340,8 @@ def projector_product(rng, trials: int) -> list[PropertyCheck]:
 
 
 def koopman_bridge(rng, trials: int) -> list[PropertyCheck]:
-    term = _Tracker("path-mass-matches-itinerary-measure", 1e-12)
-    total = _Tracker("operator-entropy-matches-measure-entropy", 1e-12)
+    term = PropertyCheck("path-mass-matches-itinerary-measure", 1e-12)
+    total = PropertyCheck("operator-entropy-matches-measure-entropy", 1e-12)
     for i in range(trials):
         j = int(rng.integers(2, 7))
         space = uniform_space(j)
@@ -360,12 +360,12 @@ def koopman_bridge(rng, trials: int) -> list[PropertyCheck]:
         term.update(worst, {"trial": i, "J": j, "n": n})
         total.update(abs(ent.quantum_entropy_at(u, chi, n) - ent.ks_entropy_at(endo, chi, n)),
                      {"trial": i, "J": j, "n": n})
-    return [term.result(), total.result()]
+    return [term, total]
 
 
 def entropy_normalization(rng, trials: int) -> list[PropertyCheck]:
-    finest = _Tracker("finest-partition-path-masses-sum-to-one", 1e-10)
-    any_chi = _Tracker("any-partition-path-masses-sum-to-one", 1e-10)
+    finest = PropertyCheck("finest-partition-path-masses-sum-to-one", 1e-10)
+    any_chi = PropertyCheck("any-partition-path-masses-sum-to-one", 1e-10)
     for i in range(trials):
         j = int(rng.integers(2, 7))
         space = uniform_space(j)
@@ -380,15 +380,15 @@ def entropy_normalization(rng, trials: int) -> list[PropertyCheck]:
         for n in (1, 2, 3):
             any_chi.update(abs(ent.path_mass_total(wu, coarse, n) - 1.0),
                            {"trial": i, "J": wspace.size, "n": n})
-    return [finest.result(), any_chi.result()]
+    return [finest, any_chi]
 
 
 def closed_entropy(rng, trials: int) -> list[PropertyCheck]:
-    perm0 = _Tracker("permutation-entropy-vanishes", 1e-15)
-    balanced = _Tracker("balanced-two-state-entropy-is-log2", 1e-12)
-    markov = _Tracker("matches-markov-rate-at-uniform-distribution", 1e-12)
+    perm0 = PropertyCheck("permutation-entropy-vanishes", 1e-15)
+    balanced = PropertyCheck("balanced-two-state-entropy-is-log2", 1e-12)
+    markov = PropertyCheck("matches-markov-rate-at-uniform-distribution", 1e-12)
     # the rate weights row entropies by nu: H(X0, X1) - H(X0), X0 ~ nu
-    chain = _Tracker("markov-rate-matches-chain-rule", 1e-12)
+    chain = PropertyCheck("markov-rate-matches-chain-rule", 1e-12)
     hadamard = OperatorMatrix(uniform_space(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
     balanced.update(abs(ent.quantum_entropy_closed(hadamard) - math.log(2.0)), {})
     for i in range(trials):
@@ -411,7 +411,7 @@ def closed_entropy(rng, trials: int) -> list[PropertyCheck]:
         nu /= nu.sum()
         conditional = _shannon(nu[:, None] * p) - _shannon(nu)
         chain.update(abs(ent.markov_entropy_rate(p, nu) - conditional), {"trial": i, "J": j})
-    return [perm0.result(), balanced.result(), markov.result(), chain.result()]
+    return [perm0, balanced, markov, chain]
 
 
 def _shannon(probs: np.ndarray) -> float:
@@ -446,8 +446,8 @@ def finest_markov_route(rng, trials: int) -> list[PropertyCheck]:
     mu with transition ``_finest_transition``.  Sizes reach 8^5 terms
     (J = 8, n = 4), past what the dense oracle enumerates.
     """
-    uniform = _Tracker("finest-entropy-matches-markov-chain-uniform", 1e-10)
-    weighted = _Tracker("finest-entropy-matches-markov-chain-weighted", 1e-10)
+    uniform = PropertyCheck("finest-entropy-matches-markov-chain-uniform", 1e-10)
+    weighted = PropertyCheck("finest-entropy-matches-markov-chain-weighted", 1e-10)
     for i in range(trials):
         j = int(rng.integers(2, 9))
         n = int(rng.integers(2, 5))
@@ -459,11 +459,11 @@ def finest_markov_route(rng, trials: int) -> list[PropertyCheck]:
         wu = random_weighted_unitary(rng, wspace)
         weighted.update(abs(ent.quantum_entropy_at(wu, finest_partition(wspace), n)
                             - _markov_path_entropy(wu, n)), {"trial": i, "J": j, "n": n})
-    return [uniform.result(), weighted.result()]
+    return [uniform, weighted]
 
 
 def cyclic_dimension(rng, trials: int) -> list[PropertyCheck]:
-    t = _Tracker("cyclic-eigenspace-dimension-is-1-over-q", 1e-10)
+    t = PropertyCheck("cyclic-eigenspace-dimension-is-1-over-q", 1e-10)
     combos = [(q, m) for q in (2, 3, 4, 6) for m in (1, 2, 3)]
     for i in range(max(1, trials // len(combos))):
         for q, m in combos:
@@ -471,4 +471,4 @@ def cyclic_dimension(rng, trials: int) -> list[PropertyCheck]:
             for n in range(q):
                 v = abs(mu_norm_sq(cyclic_projector(space, action, n)) - 1.0 / q)
                 t.update(v, {"round": i, "q": q, "orbits": m, "residue": n})
-    return [t.result()]
+    return [t]

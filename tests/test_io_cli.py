@@ -292,12 +292,80 @@ def test_cli_tol_only_on_commands_with_checks(argv, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+#: Each command on small inputs, with the keys of its report's ``inputs``,
+#: ``options``, ``results`` and ``diagnostics``.
+REPORT_KEYS = [
+    (["mu-norm", "--space", "U2", "--op", "ID2", "--tol", "1e-9"],
+     {"space", "op"}, {"tol"}, {"mu_norm_sq", "mu_norm"}, {"checks"}),
+    (["m-chi", "--space", "U2", "--op", "ID2", "--partition", "CHI"],
+     {"space", "op", "partition"}, set(), {"m_chi", "mu_norm_sq"}, {"checks"}),
+    (["mu-dim", "--space", "U2", "--basis", "BASIS", "--orthonormalize"],
+     {"space", "basis"}, {"orthonormalize"}, {"mu_dim"}, {"checks"}),
+    (["entropy", "--space", "U2", "--op", "ID2", "--partition", "CHI", "--N", "2"],
+     {"space", "op", "partition"}, {"N", "cap", "log_base"},
+     {"lengths", "values", "rates", "differences", "closed_form", "unit"},
+     {"term_cap", "paths_at_longest_horizon"}),
+    (["ks-entropy", "--space", "U2", "--endo", "SWAP", "--partition", "CHI", "--N", "2"],
+     {"space", "endo", "partition"}, {"N", "cap", "log_base"},
+     {"lengths", "values", "rates", "differences", "closed_form", "unit"},
+     {"term_cap", "paths_at_longest_horizon"}),
+    (["markov-rate", "--p", "P", "--dist", "U2"],
+     {"p", "dist"}, {"log_base"}, {"entropy_rate", "unit"}, set()),
+    (["rho", "--seq", "SEQ"],
+     {"seq"}, set(), {"rho", "left_mean", "right_mean"}, {"window_length", "checks"}),
+    (["conv", "--seq", "SEQ"],
+     {"seq"}, set(), {"conv_norm", "mu_norm_sq", "rho", "left_mean", "right_mean"}, set()),
+    (["dt-norm", "--op", "BAND"], {"op"}, set(), {"dt_norm"}, set()),
+    (["dt-mu-norm", "--op", "BAND", "--quad", "3"],
+     {"op"}, {"quad"}, {"quadrature", "closed_form"}, {"checks"}),
+    (["avg-trace", "--op", "BAND"],
+     {"op"}, set(), {"avg_trace"}, {"window_length", "window_average"}),
+    (["verify", "--suite", "triangle", "--trials", "2", "--tol", "1e-9"],
+     set(), {"suite", "trials", "seed", "tol"}, {"suite", "properties", "all_passed"},
+     {"trials", "seed"}),
+]
+
+
+def test_report_keys_cover_every_command():
+    assert [argv[0] for argv, *_ in REPORT_KEYS] == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv, inputs, options, results, diagnostics", REPORT_KEYS,
+                         ids=[argv[0] for argv, *_ in REPORT_KEYS])
+def test_cli_report_keys_per_command(files, capsys, argv, inputs, options, results,
+                                     diagnostics):
+    tmp, write = files
+    paths = {"U2": write("u2.json", {"weights": [0.5, 0.5]}),
+             "ID2": write("id2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]}),
+             "CHI": write("chi.json", {"blocks": [[1], [2]]}),
+             "BASIS": write("basis.json", {"re": [[1.0, 0.0]]}),
+             "SWAP": write("swap.json", {"map": [2, 1]}),
+             "P": write("p.json", {"re": [[0.5, 0.5], [0.5, 0.5]]}),
+             "SEQ": write("seq.json", {"left": [1.0], "right": [2.0], "k0": 1}),
+             "BAND": write("band.json", {"tau": 1, "band": 1, "coeffs": [[1.0, 0.0, 1.0]]})}
+    code, rep = run_cli(capsys, [paths.get(a, a) for a in argv])
+    assert code == 0
+    assert {k: set(rep[k]) for k in ("inputs", "options", "results", "diagnostics")} == \
+        {"inputs": inputs, "options": options, "results": results, "diagnostics": diagnostics}
+    assert {name: d["path"] for name, d in rep["inputs"].items()} == \
+        {name: paths[argv[argv.index(f"--{name}") + 1]] for name in inputs}
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["verify", "--suite", "triangle", "--trials", "2", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write report: ") and captured.err.count("\n") == 1
+
+
 #: Help requests and malformed command lines: the parser built for the
 #: named command must answer each as the parser of every command does.
 PARSER_ARGV = [
     [], ["-h"], ["--help"], ["bogus"], ["--", "mu-norm"], ["-x", "mu-norm"],
-    *([name, "--help"] for name in [*_COMMANDS, "verify"]),
-    *([name] for name in [*_COMMANDS, "verify"]),
+    *([name, "--help"] for name in _COMMANDS),
+    *([name] for name in _COMMANDS),
     ["mu-norm", "--space", "a"], ["mu-norm", "--space", "a", "--op", "b", "--bogus"],
     ["mu-norm", "--spa", "a", "--op", "b", "--tol", "x"], ["mu-norm", "--space=a", "--op=b", "--tol=x"],
     ["mu-norm", "--space", "a", "--op", "b", "extra"], ["mu-norm", "--", "--space", "a"],
