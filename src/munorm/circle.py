@@ -173,48 +173,31 @@ class EventuallyPeriodicSeq:
             f"right={self._right.tolist()!r}, middle={self._middle!r}, k0={self._k0})"
         )
 
-    def value_at(self, k: int) -> complex:
-        k = int(k)
-        if k >= self._k0:
-            return complex(self._right[(k - self._k0) % self._right.size])
-        if k <= -self._k0:
-            return complex(self._left[(-self._k0 - k) % self._left.size])
-        return self._middle.get(k, 0.0 + 0.0j)
-
-    def _values_at(self, ks: np.ndarray) -> np.ndarray:
-        """``lam_k`` for every entry of the integer array ``ks``."""
-        out = np.zeros(ks.shape, dtype=complex)
-        lmask = ks <= -self._k0
-        rmask = ks >= self._k0
-        out[lmask] = self._left[(-self._k0 - ks[lmask]) % self._left.size]
-        out[rmask] = self._right[(ks[rmask] - self._k0) % self._right.size]
-        inner = ~(lmask | rmask)
-        if self._middle and inner.any():
-            out[inner] = [self._middle.get(k, 0.0) for k in ks[inner].tolist()]
-        return out
-
-    def _squares(self, lo: int, hi: int) -> np.ndarray:
-        """``|lam_k|^2`` for ``k = lo..hi``: each tail period squared once, then tiled."""
-        out = np.zeros(hi - lo + 1)
-        k0 = self._k0
+    def _run(self, lo: int, hi: int, f=lambda v: v) -> np.ndarray:
+        """``f(lam_k)`` for ``k = lo..hi``, for an elementwise array map ``f``,
+        which maps each tail period once, before the period is tiled."""
+        inner = [(k, v) for k, v in self._middle.items() if lo <= k <= hi]
+        left, right, k0 = f(self._left), f(self._right), self._k0
+        out = np.zeros(hi - lo + 1, dtype=left.dtype)
         if lo <= -k0:  # lam_{-k0-m} = left[m mod p], so the left run is read backwards
             top = min(hi, -k0)
-            out[:top - lo + 1] = _periodic_run(np.abs(self._left) ** 2,
-                                               -k0 - top, top - lo + 1)[::-1]
-        if hi >= k0:  # with k0 = 0 the right tail takes index 0, as in ``_values_at``
+            out[:top - lo + 1] = _periodic_run(left, -k0 - top, top - lo + 1)[::-1]
+        if hi >= k0:  # with k0 = 0 the right tail takes index 0
             start = max(lo, k0)
-            out[start - lo:] = _periodic_run(np.abs(self._right) ** 2, start - k0, hi - start + 1)
-        inner = [(k, v) for k, v in self._middle.items() if lo <= k <= hi]
+            out[start - lo:] = _periodic_run(right, start - k0, hi - start + 1)
         if inner:
             ks, vs = zip(*inner)
-            out[np.array(ks) - lo] = np.abs(np.array(vs, dtype=complex)) ** 2
+            out[np.array(ks) - lo] = f(np.array(vs, dtype=complex))
         return out
+
+    def value_at(self, k: int) -> complex:
+        return complex(self._run(int(k), int(k))[0])
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """The slice ``lam_lo..lam_hi`` inclusive, as a dense array."""
         if hi < lo:
             raise ValueError("empty index range")
-        return self._values_at(np.arange(lo, hi + 1))
+        return self._run(lo, hi)
 
     @property
     def left_mean(self) -> float:
@@ -276,7 +259,7 @@ def rho_window_max(seq: EventuallyPeriodicSeq, window: int,
         raise ValueError("empty index range")
     if hi - lo + 1 < window:
         raise ValueError("domain is shorter than the window")
-    sq = seq._squares(lo, hi)
+    sq = seq._run(lo, hi, lambda v: np.abs(v) ** 2)
     csum = np.empty(sq.size + 1)
     csum[0] = 0.0
     np.cumsum(sq, out=csum[1:])
@@ -429,17 +412,15 @@ def dt_from_conv(seq: EventuallyPeriodicSeq) -> PeriodicBandOperator:
     p = int(seq.right.size)
     if seq.left.size != p:
         raise ValueError("tail periods have different lengths; not a periodic diagonal")
-    m = np.arange(p)
-    pattern = seq.right[(m - seq.k0) % p]  # lam_k = pattern[k mod p] on both tails
-    if (seq.left[(-seq.k0 - m) % p] != pattern).any():
+    c = -(-seq.k0 // p) * p  # a multiple of p in the right tail; -c - 1 is in the left
+    pattern = seq.values(c, c + p - 1)  # lam_k = pattern[k mod p] on the right tail
+    if (seq.values(-c - p, -c - 1) != pattern).any():
         raise ValueError(
             "left and right tails disagree on the common period; not a periodic diagonal"
         )
-    pert = []
-    for k in range(1 - seq.k0, seq.k0):
-        v, base = seq.value_at(k), pattern[k % p]
-        if v != base:
-            pert.append((k, k, v - base))
+    ks = np.arange(1 - seq.k0, seq.k0)
+    deltas = seq.values(-seq.k0, seq.k0)[1:-1] - pattern[ks % p]  # the middle
+    pert = [(k, k, v) for k, v in zip(ks.tolist(), deltas) if v != 0]
     return PeriodicBandOperator(p, 0, pattern.reshape(p, 1), pert)
 
 

@@ -352,6 +352,8 @@ def markov_entropy_rate(p, nu) -> float:
     vector; ``nu`` is used as given (typically a stationary distribution).
     """
     pm = np.asarray(p, dtype=float)
+    if not np.isfinite(pm).all():
+        raise ValueError("p: numbers must be finite")
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
         raise ValueError("transition matrix must be square")
     if np.any(pm < -1e-12):
@@ -360,6 +362,8 @@ def markov_entropy_rate(p, nu) -> float:
     if row_dev > 1e-10:
         raise ValueError(f"rows must sum to 1 within 1e-10; worst deviation {row_dev:.3e}")
     nv = np.asarray(nu, dtype=float)
+    if not np.isfinite(nv).all():
+        raise ValueError("nu: numbers must be finite")
     if nv.shape != (pm.shape[0],):
         raise ValueError("distribution length does not match the matrix")
     if np.any(nv < -1e-12) or abs(float(nv.sum()) - 1.0) > 1e-9:

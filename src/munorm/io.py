@@ -3,13 +3,13 @@
 Conventions: atom indices are 1-based in files (0-based in the library);
 complex numbers are ``[re, im]`` pairs, with bare reals accepted on
 input; matrices use separate ``re``/``im`` tables where ``im`` may be
-omitted.  All angles are radians.
+omitted.  Every number must be finite.  All angles are radians.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
@@ -87,26 +87,21 @@ def _require(obj: Any, field: str, where: str) -> Any:
     return obj[field]
 
 
-def _is_int(value: Any) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
+def _numeric(types: set[type], kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """Whether entries of these types are numbers of ``kind``.
+
+    Subclasses count (numpy floats, ``IntEnum``); booleans, which JSON
+    ``true``/``false`` load as, never do.
+    """
+    return all(issubclass(t, kind) and not issubclass(t, bool) for t in types)
 
 
-def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-_NUMBER_TYPES = {int, float}
-
-
-def _all_ints(values: list) -> bool:
-    # one pass over the types decides a parsed file; subclasses of int
-    # and float take the per-entry test
-    return set(map(type, values)) <= {int} or all(_is_int(v) for v in values)
-
-
-def _all_numbers(values: list) -> bool:
-    return set(map(type, values)) <= _NUMBER_TYPES or all(_is_number(v) for v in values)
+def _finite(values: np.ndarray, where: str) -> np.ndarray:
+    """``values`` if every number in it is finite: JSON ``NaN``, ``Infinity``
+    and literals that overflow a float, such as ``1e999``, are refused."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where}: numbers must be finite")
+    return values
 
 
 def _entry_types(table: Any) -> set[type]:
@@ -126,19 +121,39 @@ def _entry_types(table: Any) -> set[type]:
 
 
 def _number_table(table: Any, where: str) -> np.ndarray:
-    """A nested JSON array of numbers as a float array; booleans are refused."""
-    if not _entry_types(table) <= _NUMBER_TYPES:
+    """A nested JSON array of finite numbers as a float array."""
+    if not _numeric(_entry_types(table)):
         raise ValueError(f"{where}: expected a table of numbers")
-    return np.asarray(table, dtype=float)
+    return _finite(np.asarray(table, dtype=float), where)
 
 
 def _complex_in(value: Any, where: str) -> complex:
-    if _is_number(value):
+    if _numeric({type(value)}):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(_is_number(x) for x in value):
+            and _numeric(set(map(type, value))):
         return complex(value[0], value[1])
     raise ValueError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
+
+
+def _complex_list(values: Any, depth: int, where: str) -> np.ndarray:
+    """A ``depth``-dimensional table of finite complex numbers, each a bare
+    real or an ``[re, im]`` pair, as an array (float if all are bare reals).
+
+    Bare reals alone or pairs alone convert in one pass; a mix, or a table
+    numpy cannot shape, is read entry by entry, so an error names its entry.
+    """
+    table = None
+    if isinstance(values, list) and _numeric(_entry_types(values)):
+        with suppress(ValueError):  # ragged
+            table = np.asarray(values, dtype=float)
+    if table is not None and table.ndim == depth + 1 and table.shape[-1] == 2:
+        table = table.view(complex)[..., 0]
+    if table is None or table.ndim != depth:
+        rows = [values] if depth == 1 else values
+        table = np.array([[_complex_in(v, where) for v in row] for row in rows], dtype=complex)
+        table = table[0] if depth == 1 else table
+    return _finite(table, where)
 
 
 def _complex_out(z: complex) -> list[float]:
@@ -150,9 +165,9 @@ def space_from_obj(obj: Any) -> FiniteMeasureSpace:
     from .spaces import FiniteMeasureSpace
 
     weights = _require(obj, "weights", "space")
-    if not isinstance(weights, list) or not _all_numbers(weights):
+    if not isinstance(weights, list) or not _numeric(set(map(type, weights))):
         raise ValueError("space: field 'weights' must be a list of numbers")
-    return FiniteMeasureSpace(weights)
+    return FiniteMeasureSpace(_finite(np.asarray(weights, dtype=float), "space: 'weights'"))
 
 
 def space_to_obj(space: FiniteMeasureSpace) -> dict:
@@ -176,7 +191,7 @@ def partition_from_obj(obj: Any, size: int) -> Partition:
     if not isinstance(blocks, list):
         raise ValueError("partition: field 'blocks' must be a list of lists")
     if not all(isinstance(b, list) for b in blocks) \
-            or not _all_ints(list(chain.from_iterable(blocks))):
+            or not _numeric(set(map(type, chain.from_iterable(blocks))), int):
         raise ValueError("partition: each block must be a list of integers")
     return Partition(size, [[j - 1 for j in b] for b in blocks])  # files are 1-based
 
@@ -209,7 +224,7 @@ def endomorphism_from_obj(obj: Any, space: FiniteMeasureSpace) -> Endomorphism:
     from .operators import Endomorphism
 
     table = _require(obj, "map", "endomorphism")
-    if not isinstance(table, list) or not _all_ints(table):
+    if not isinstance(table, list) or not _numeric(set(map(type, table)), int):
         raise ValueError("endomorphism: field 'map' must be a list of integers")
     return Endomorphism(space, [j - 1 for j in table])
 
@@ -221,10 +236,10 @@ def endomorphism_to_obj(endo: Endomorphism) -> dict:
 def seq_from_obj(obj: Any) -> EventuallyPeriodicSeq:
     from .circle import EventuallyPeriodicSeq
 
-    left = [_complex_in(v, "seq.left") for v in _require(obj, "left", "seq")]
-    right = [_complex_in(v, "seq.right") for v in _require(obj, "right", "seq")]
+    left = _complex_list(_require(obj, "left", "seq"), 1, "seq.left")
+    right = _complex_list(_require(obj, "right", "seq"), 1, "seq.right")
     k0 = obj.get("k0", 0)
-    if not _is_int(k0):
+    if not _numeric({type(k0)}, int):
         raise ValueError("seq: field 'k0' must be an integer")
     middle_raw = obj.get("middle", {})
     if not isinstance(middle_raw, dict):
@@ -236,6 +251,7 @@ def seq_from_obj(obj: Any) -> EventuallyPeriodicSeq:
         except ValueError:
             raise ValueError(f"seq.middle: key {key!r} is not an integer") from None
         middle[k] = _complex_in(val, f"seq.middle[{key}]")
+    _finite(np.array(list(middle.values()), dtype=complex), "seq.middle")
     return EventuallyPeriodicSeq(left, right, middle, k0)
 
 
@@ -253,28 +269,21 @@ def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
 
     tau = _require(obj, "tau", "band operator")
     band = _require(obj, "band", "band operator")
-    if not _is_int(tau) or not _is_int(band):
+    if not _numeric({type(tau), type(band)}, int):
         raise ValueError("band operator: 'tau' and 'band' must be integers")
     rows = _require(obj, "coeffs", "band operator")
     if not isinstance(rows, list):
         raise ValueError("band operator: 'coeffs' must be a list of rows")
-    coeffs = None
-    if _entry_types(rows) <= _NUMBER_TYPES:
-        table = np.asarray(rows, dtype=float)
-        if table.ndim == 2:  # bare reals
-            coeffs = table
-        elif table.ndim == 3 and table.shape[2] == 2:  # [re, im] pairs
-            coeffs = table.view(complex)[..., 0]
-    if coeffs is None:  # mixed reals and pairs, or malformed entries
-        coeffs = [[_complex_in(v, "band operator.coeffs") for v in row] for row in rows]
+    coeffs = _complex_list(rows, 2, "band operator.coeffs")
     pert = []
     for item in obj.get("perturbation", []):
         if not (isinstance(item, list) and len(item) == 3
-                and _is_int(item[0]) and _is_int(item[1])):
+                and _numeric({type(item[0]), type(item[1])}, int)):
             raise ValueError(
                 "band operator: each perturbation item must be [row, col, value]"
             )
         pert.append((item[0], item[1], _complex_in(item[2], "band operator.perturbation")))
+    _finite(np.array([z for _, _, z in pert], dtype=complex), "band operator.perturbation")
     return PeriodicBandOperator(tau, band, coeffs, pert)
 
 

@@ -103,6 +103,8 @@ def weighted_gram_schmidt(space: FiniteMeasureSpace,
             raise ValueError("basis vector length does not match the space")
         rows.append(u)
     rows = np.array(rows).reshape(len(rows), space.size)
+    if not np.isfinite(rows).all():
+        raise ValueError("vectors: numbers must be finite")
     original = np.sqrt(np.sum(mu * np.abs(rows) ** 2, axis=1))
     rows = rows[original != 0.0]
     original = original[original != 0.0]
@@ -139,6 +141,8 @@ def mu_dim(space: FiniteMeasureSpace, vectors: Sequence[Sequence[complex]],
         v = np.stack([np.asarray(x, dtype=complex) for x in vectors], axis=1)
         if v.shape[0] != space.size:
             raise ValueError("basis vector length does not match the space")
+        if not np.isfinite(v).all():
+            raise ValueError("vectors: numbers must be finite")
         gram = (v.conj().T * space.weights[None, :]) @ v
         defect = np.max(np.abs(gram - np.eye(v.shape[1])))
         if defect > ORTHONORMALITY_TOL:

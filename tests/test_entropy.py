@@ -371,6 +371,17 @@ def test_markov_rate_validation():
         markov_entropy_rate([[1.0, 0.0], [0.0, 1.0]], [0.9, 0.5])
 
 
+def test_markov_rate_refuses_non_finite_entries():
+    p, nu = np.full((2, 2), 0.5), np.full(2, 0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        q, v = p.copy(), nu.copy()
+        q[0, 1], v[1] = bad, bad
+        with pytest.raises(ValueError, match="^p: numbers must be finite"):
+            markov_entropy_rate(q, nu)
+        with pytest.raises(ValueError, match="^nu: numbers must be finite"):
+            markov_entropy_rate(p, v)
+
+
 def test_weighted_permutation_entropy_is_weight_entropy():
     sp = make_space([0.5, 0.25, 0.25])
     endo = Endomorphism(sp, [0, 2, 1])  # swaps the two equal-weight atoms

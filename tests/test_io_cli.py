@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from munorm import (
     make_space,
 )
 from munorm import io as mio
-from munorm.cli import _COMMANDS, build_parser, main
+from munorm.cli import _BUILDERS, _COMMANDS, build_parser, main
 
 
 # --------------------------------------------------------------------------
@@ -70,23 +71,27 @@ def test_bandop_round_trip():
 
 
 def test_bandop_array_path_matches_per_entry_path():
+    # band coefficients and sequence tails read pairs, bare reals and a mix
+    # of the two into the same bytes, signed zeros included
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     coeffs[rng.random((3, 5)) < 0.4] = rng.standard_normal()  # some real entries
+    coeffs[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    coeffs[1, 0] = -0.0
     pairs = [[[z.real, z.imag] for z in row] for row in coeffs.tolist()]
-    mixed = [[z.real if z.imag == 0 else [z.real, z.imag] for z in row]
-             for row in coeffs.tolist()]
-    got_pairs = mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": pairs}).coeffs
-    got_mixed = mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": mixed}).coeffs
-    assert got_pairs.tobytes() == got_mixed.tobytes()
-    np.testing.assert_array_equal(got_pairs, coeffs)
-
+    mixed = [[z.real if z.imag == 0 and math.copysign(1.0, z.imag) > 0 else [z.real, z.imag]
+              for z in row] for row in coeffs.tolist()]
     reals = coeffs.real.tolist()
     real_pairs = [[[x, 0.0] for x in row] for row in reals]
     mixed_reals = [[x if j % 2 else [x, 0.0] for j, x in enumerate(row)] for row in reals]
-    tables = [mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": t}).coeffs.tobytes()
-              for t in (reals, real_pairs, mixed_reals)]
-    assert tables[0] == tables[1] == tables[2]
+    readers = [
+        lambda t: mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": t}).coeffs,
+        lambda t: mio.seq_from_obj({"left": [0.0], "right": sum(t, []), "k0": 1}).right,
+    ]
+    for read in readers:
+        assert read(pairs).tobytes() == read(mixed).tobytes() == coeffs.tobytes()
+        tables = [read(t).tobytes() for t in (reals, real_pairs, mixed_reals)]
+        assert tables[0] == tables[1] == tables[2] == coeffs.real.astype(complex).tobytes()
 
 
 def test_tables_reject_booleans_and_strings():
@@ -125,6 +130,29 @@ def test_builders_take_number_subclasses_entry_by_entry():
         mio.partition_from_obj({"blocks": [[1, [2]]]}, 2)
     with pytest.raises(ValueError, match="list of integers"):
         mio.endomorphism_from_obj({"map": [2, 1.0]}, sp)
+
+    # every table builder takes numpy floats and refuses True and numpy booleans
+    half = np.float64(0.5)
+    np.testing.assert_array_equal(mio.distribution_from_obj({"weights": [half, half]}),
+                                  [0.5, 0.5])
+    np.testing.assert_array_equal(mio.matrix_from_obj({"re": [[half]], "im": [[half]]}),
+                                  [[0.5 + 0.5j]])
+    for coeffs in ([[half]], [[[half, half]]], [[half, 0.5, [half, 0.0]]]):
+        op = mio.bandop_from_obj({"tau": 1, "band": len(coeffs[0]) // 2, "coeffs": coeffs})
+        assert op.coeffs[0, 0] == (0.5 + 0.5j if isinstance(coeffs[0][0], list) else 0.5)
+    seq = mio.seq_from_obj({"left": [half, [half, half]], "right": [half], "k0": 1})
+    assert seq.left.tolist() == [0.5, 0.5 + 0.5j] and seq.right.tolist() == [0.5]
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="table of numbers"):
+            mio.distribution_from_obj({"weights": [bad, 0.5]})
+        with pytest.raises(ValueError, match="table of numbers"):
+            mio.matrix_from_obj({"re": [[1.0]], "im": [[bad]]})
+        for coeffs in ([[bad]], [[[0.5, bad]]]):
+            with pytest.raises(ValueError, match="number or an \\[re, im\\] pair"):
+                mio.bandop_from_obj({"tau": 1, "band": 0, "coeffs": coeffs})
+        for left in ([bad], [[bad, 0.5]]):
+            with pytest.raises(ValueError, match="number or an \\[re, im\\] pair"):
+                mio.seq_from_obj({"left": left, "right": [1.0], "k0": 1})
 
 
 def test_load_json_decodes_as_text_mode(tmp_path):
@@ -564,6 +592,60 @@ def test_cli_rejects_integers_too_large_for_a_float(files, capsys, argv, bad):
              "ID2": write("id2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})}
     assert main([paths.get(a, a) for a in argv]) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+#: A minimal valid input for each file flag, with ``X`` for the number the
+#: refusal sweep replaces; ``--op`` is a band operator on a command without
+#: ``--space``.
+SWEEP_INPUTS = {
+    "space": ('{"weights": [X, 0.5]}', "0.5"),
+    "op": ('{"re": [[X, 0.0], [0.0, 1.0]]}', "1.0"),
+    "band op": ('{"tau": 1, "band": 0, "coeffs": [[X]]}', "1.0"),
+    "partition": ('{"blocks": [[X], [2]]}', "1"),
+    "endo": ('{"map": [X, 1]}', "2"),
+    "basis": ('{"re": [[X, 0.0]]}', "1.0"),
+    "p": ('{"re": [[X, 0.5], [0.5, 0.5]]}', "0.5"),
+    "dist": ('{"weights": [X, 0.5]}', "0.5"),
+    "seq": ('{"left": [X], "right": [1.0]}', "1.0"),
+}
+SWEEP_FLAGS = {"--N": ["2"], "--orthonormalize": []}
+SWEEP_BAD = ["NaN", "Infinity", "-Infinity", "1e999", "true", '"1"']
+SWEEP = [(name, flag) for name, (_, _, flags, _) in _COMMANDS.items()
+         for flag in flags if flag[2:] in _BUILDERS]
+
+
+def _sweep_key(flag, flags):
+    return "band op" if flag == "--op" and "--space" not in flags else flag[2:]
+
+
+@pytest.mark.parametrize("command, target", SWEEP, ids=[f"{c}{f}" for c, f in SWEEP])
+def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
+    # one number of one input file becomes a non-finite or non-number literal;
+    # every command refuses it with exit 2 and one line, and no warning
+    flags = _COMMANDS[command][2]
+
+    def run(bad=None):
+        argv = [command]
+        for flag in flags:
+            if flag[2:] in _BUILDERS:
+                template, good = SWEEP_INPUTS[_sweep_key(flag, flags)]
+                path = tmp_path / f"{flag[2:]}.json"
+                path.write_text(template.replace("X", bad if bad and flag == target else good))
+                argv += [flag, str(path)]
+            elif flag in SWEEP_FLAGS:
+                argv += [flag, *SWEEP_FLAGS[flag]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err, [str(w.message) for w in caught]
+
+    assert run(None)[0] == 0
+    for bad in SWEEP_BAD:
+        code, out, err, caught = run(bad)
+        assert (code, out, caught) == (2, "", []), (bad, code, out, caught)
+        assert err.startswith("invalid input: ") and err.count("\n") == 1, (bad, err)
+        assert "Traceback" not in err and "RuntimeWarning" not in err, (bad, err)
 
 
 def test_cli_exit_codes(files, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ def test_weighted_gram_schmidt_refusals():
         weighted_gram_schmidt(W3, [[0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="no independent vector"):
         weighted_gram_schmidt(W3, [])
+
+
+def test_non_finite_vectors_are_refused_before_any_arithmetic():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        for bad in (math.nan, math.inf, -math.inf):
+            vectors = [[bad, 0.0, 0.0], [0.0, 1.0, 0.0]]
+            for call in (lambda: weighted_gram_schmidt(W3, vectors),
+                         lambda: mu_dim(W3, vectors, orthonormalize=True),
+                         lambda: mu_dim(W3, vectors)):
+                with pytest.raises(ValueError, match="^vectors: numbers must be finite"):
+                    call()
 
 
 def test_mu_norm_between_zero_and_operator_norm_for_projectors():
