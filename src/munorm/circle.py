@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from bisect import bisect_left
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -64,8 +63,6 @@ __all__ = [
 #: Caps on the period and band radius of every operator, so that composed
 #: operators cannot grow without bound.
 MAX_TAU = MAX_BAND = 128
-#: Band entries ``finite_section`` fills per block of rows.
-SECTION_BLOCK_ENTRIES = 2**14
 
 
 class _SmallCache:
@@ -210,10 +207,11 @@ class EventuallyPeriodicSeq:
 
 
 def _periodic_run(period: np.ndarray, start: int, count: int) -> np.ndarray:
-    """``period[(start + i) % p]`` for ``i = 0..count-1``."""
-    p = period.size
+    """``period[(start + i) % p]`` for ``i = 0..count-1``, along the first axis."""
+    p = len(period)
     s = start % p
-    return np.tile(period, (s + count - 1) // p + 1)[s:s + count]
+    reps = (s + count - 1) // p + 1
+    return np.tile(period, (reps,) + (1,) * (period.ndim - 1))[s:s + count]
 
 
 def rho(seq: EventuallyPeriodicSeq) -> float:
@@ -349,9 +347,6 @@ class PeriodicBandOperator:
     def entry(self, row: int, col: int) -> complex:
         return self.base_entry(row, col) + self._perturbation.get((int(row), int(col)), 0.0)
 
-    def _perturbation_dict(self) -> dict[tuple[int, int], complex]:
-        return dict(self._perturbation)
-
     def periodic_symbols(self, angles: np.ndarray) -> np.ndarray:
         """Row symbols of the periodic part on a grid: shape (tau, len(angles)).
 
@@ -471,7 +466,7 @@ def _lcm(a: int, b: int) -> int:
 def _lift_coeffs(op: PeriodicBandOperator, tau: int, band: int) -> np.ndarray:
     out = np.zeros((tau, 2 * band + 1), dtype=complex)
     lo = band - op.band
-    out[:, lo:lo + 2 * op.band + 1] = op.coeffs[np.arange(tau) % op.tau]
+    out[:, lo:lo + 2 * op.band + 1] = _periodic_run(op.coeffs, 0, tau)
     return out
 
 
@@ -482,8 +477,8 @@ def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOper
     if tau > MAX_TAU:  # before the lift allocates the lcm period
         raise CapExceeded(f"sum period {tau} exceeds the cap {MAX_TAU}")
     coeffs = _lift_coeffs(a, tau, band) + _lift_coeffs(b, tau, band)
-    pert = a._perturbation_dict()
-    for key, v in b._perturbation_dict().items():
+    pert = dict(a._perturbation)
+    for key, v in b._perturbation.items():
         pert[key] = pert.get(key, 0.0 + 0.0j) + v
     return PeriodicBandOperator(tau, band, coeffs, [(r, c, v) for (r, c), v in pert.items()])
 
@@ -688,47 +683,33 @@ def avg_trace_window(op: PeriodicBandOperator, lo: int, hi: int) -> float:
         raise ValueError("empty row window")
     count = hi - lo + 1
     row_mass = np.sum(np.abs(op.coeffs) ** 2, axis=1)
-    total = float(np.sum(row_mass[np.arange(lo, hi + 1) % op.tau]))
-    for (r, c), _ in op._perturbation_dict().items():
+    total = float(np.sum(_periodic_run(row_mass, lo, count)))
+    for r, c in op._perturbation:
         if lo <= r <= hi:
             total += abs(op.entry(r, c)) ** 2 - abs(op.base_entry(r, c)) ** 2
     return total / count
 
 
-def finite_section(op: PeriodicBandOperator, rows: Iterable[int]) -> np.ndarray:
+def finite_section(op: PeriodicBandOperator, rows: range) -> np.ndarray:
     """Dense submatrix over ``rows`` x ``rows`` (perturbations included).
 
-    ``rows`` is any iterable of distinct indices, such as a ``range`` with
-    any step.  The in-band columns of every row are found by binary
-    search in the sorted indices, so beyond the sort and the dense
-    output the band costs O(n * band).  Rows are filled in blocks of
-    about ``SECTION_BLOCK_ENTRIES`` band entries, which bounds the index
-    arrays besides the output.
+    ``rows`` is a nonempty ``range`` of step 1, a contiguous window.  The
+    window's coefficient rows are read once, and each of the at most
+    ``2*band + 1`` diagonals is filled by one strided slice, so beyond
+    the dense output the band costs O(n * band).
     """
-    idx = np.fromiter(rows, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("empty section range")
-    n = idx.size
-    order = np.argsort(idx)
-    ordered = idx[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("section rows must be distinct")
+    if not (isinstance(rows, range) and rows.step == 1 and len(rows) > 0):
+        raise ValueError("section rows must be a nonempty range of step 1")
+    n, lo, band = len(rows), rows.start, op.band
+    width = 2 * band + 1
+    coeffs = _periodic_run(op.coeffs, lo, n).ravel()  # entry (i, i + d) at i*width + band + d
     out = np.zeros((n, n), dtype=complex)
-    # the in-band columns of row i are order[first[i] + k] for k < count[i]
-    first = np.searchsorted(ordered, idx - op.band)
-    count = np.searchsorted(ordered, idx + op.band, side="right") - first
-    ks = np.arange(min(2 * op.band + 1, n))
-    step = max(1, SECTION_BLOCK_ENTRIES // ks.size)
-    for lo in range(0, n, step):
-        i, k = np.nonzero(ks < count[lo:lo + step, None])
-        i += lo
-        j = order[first[i] + k]
-        row = idx[i]
-        out[i, j] = op.coeffs[row % op.tau, idx[j] - row + op.band]
-    if op._perturbation:
-        keys = ordered.tolist()
-        for (r, c), delta in op._perturbation.items():
-            pr, pc = bisect_left(keys, r), bisect_left(keys, c)
-            if pr < n and pc < n and keys[pr] == r and keys[pc] == c:
-                out[order[pr], order[pc]] += delta
+    flat = out.ravel()  # entry (i, i + d) at i*(n + 1) + d
+    for d in range(-min(band, n - 1), min(band, n - 1) + 1):
+        first, last = max(0, -d), min(n, n - d) - 1  # the rows that reach diagonal d
+        flat[first * (n + 1) + d:last * (n + 1) + d + 1:n + 1] = \
+            coeffs[first * width + band + d:last * width + band + d + 1:width]
+    for (r, c), delta in op._perturbation.items():
+        if lo <= r < lo + n and lo <= c < lo + n:
+            out[r - lo, c - lo] += delta
     return out

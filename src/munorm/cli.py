@@ -37,7 +37,7 @@ def _check(name: str, value: float, tolerance: float) -> dict:
 
 def _transition_matrix(mio, obj, built):
     p = mio.matrix_from_obj(obj, "transition matrix")
-    if np.max(np.abs(p.imag)) > 0:
+    if np.any(p.imag):  # an empty table is left to the square-shape check
         raise ValueError("transition matrix must be real")
     return p.real
 

@@ -142,6 +142,7 @@ def _complex_list(values: Any, depth: int, where: str) -> np.ndarray:
 
     Bare reals alone or pairs alone convert in one pass; a mix, or a table
     numpy cannot shape, is read entry by entry, so an error names its entry.
+    A value that is not a list, or rows of unequal length, name the table.
     """
     table = None
     if isinstance(values, list) and _numeric(_entry_types(values)):
@@ -151,6 +152,9 @@ def _complex_list(values: Any, depth: int, where: str) -> np.ndarray:
         table = table.view(complex)[..., 0]
     if table is None or table.ndim != depth:
         rows = [values] if depth == 1 else values
+        if not all(isinstance(row, list) for row in rows) or len(set(map(len, rows))) > 1:
+            shape = "a list" if depth == 1 else "rows of one length"
+            raise ValueError(f"{where}: expected {shape} of numbers or [re, im] pairs")
         table = np.array([[_complex_in(v, where) for v in row] for row in rows], dtype=complex)
         table = table[0] if depth == 1 else table
     return _finite(table, where)
@@ -275,8 +279,11 @@ def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
     if not isinstance(rows, list):
         raise ValueError("band operator: 'coeffs' must be a list of rows")
     coeffs = _complex_list(rows, 2, "band operator.coeffs")
+    items = obj.get("perturbation", [])
+    if not isinstance(items, list):
+        raise ValueError("band operator: 'perturbation' must be a list of [row, col, value]")
     pert = []
-    for item in obj.get("perturbation", []):
+    for item in items:
         if not (isinstance(item, list) and len(item) == 3
                 and _numeric({type(item[0]), type(item[1])}, int)):
             raise ValueError(

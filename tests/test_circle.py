@@ -411,10 +411,9 @@ def test_majorant_is_the_sup_along_each_diagonal():
 
 
 def test_finite_section_validation():
-    with pytest.raises(ValueError, match="empty"):
-        finite_section(SHIFT, range(3, 3))
-    with pytest.raises(ValueError, match="distinct"):
-        finite_section(SHIFT, [0, 1, 0])
+    for rows in (range(3, 3), range(0, 9, 2), range(5, -5, -1), [0, 1, 2], (r for r in range(3))):
+        with pytest.raises(ValueError, match="nonempty range of step 1"):
+            finite_section(SHIFT, rows)
 
 
 def _entry_section(op, rows):
@@ -423,35 +422,42 @@ def _entry_section(op, rows):
 
 def test_finite_section_matches_entry_loop():
     rng = np.random.default_rng(8)
-    ranges = [range(-7, 9), range(-20, -3), range(-9, 14, 2), range(12, -13, -3),
-              range(5, 6), range(-30, 31, 7), [4, -9, 0, 13, -2, 7, 1, -8, 3]]
-    for _ in range(20):
-        op = random_bandop(rng, max_tau=6, max_band=5, perturbed=True)
+    # far starts, one row, fewer rows than the band, fewer rows than the period
+    windows = [range(-7, 9), range(-20, -3), range(5, 6), range(-1000, -979),
+               range(1000, 1013), range(-1001, -1000), range(3, 5), range(-2, 1)]
+    ops = [random_bandop(rng, max_tau=6, max_band=5, perturbed=True) for _ in range(20)]
+    ops.append(PeriodicBandOperator(9, 5, rng.normal(size=(9, 11)) + 1j * rng.normal(size=(9, 11))))
+    for op in ops:
         # one perturbation far off the band, inside some of the windows
         far = PeriodicBandOperator(op.tau, op.band, op.coeffs,
                                    op.perturbation + ((-5, 5 + op.band + 3, 2.5 - 1j),))
-        for sub in (op, far):
-            for rows in ranges:
-                np.testing.assert_array_equal(finite_section(sub, rows), _entry_section(sub, rows))
+        for rows in windows:
+            lo, hi = rows.start, rows.stop - 1
+            # perturbations on the window's edge, and just outside it
+            edge = PeriodicBandOperator(op.tau, op.band, op.coeffs, op.perturbation + (
+                (lo, hi, 1.5j), (hi, lo, -2.0), (lo - 1, lo, 0.5), (hi, hi + 1, 3.0)))
+            for sub in (op, far, edge):
+                assert finite_section(sub, rows).tobytes() == _entry_section(sub, rows).tobytes()
     # a convolution with aligned tails and a middle, as a band-0 operator
     seq = EventuallyPeriodicSeq([1.0, 3j, 0.5], [1.0, 0.5, 3j], middle={-2: 7.0, 1: 0.25j}, k0=3)
     d = dt_from_conv(seq)
-    for rows in ranges:
-        np.testing.assert_array_equal(finite_section(d, rows), _entry_section(d, rows))
+    for rows in windows:
+        assert finite_section(d, rows).tobytes() == _entry_section(d, rows).tobytes()
         np.testing.assert_array_equal(finite_section(d, rows), np.diag([seq.value_at(r) for r in rows]))
 
 
-def test_finite_section_fills_rows_in_blocks(monkeypatch):
-    from munorm import circle
+def test_periodic_run_reads_rows_modulo_the_period():
+    from munorm.circle import _periodic_run
 
     rng = np.random.default_rng(9)
-    ops = [random_bandop(rng, max_tau=6, max_band=5, perturbed=True) for _ in range(10)]
-    rows_list = [range(-9, 14), range(12, -13, -3), [4, -9, 0, 13, -2, 7, 1, -8, 3]]
-    for block in (1, 7, 40):  # one row per block up to several rows per block
-        monkeypatch.setattr(circle, "SECTION_BLOCK_ENTRIES", block)
-        for op in ops:
-            for rows in rows_list:
-                np.testing.assert_array_equal(finite_section(op, rows), _entry_section(op, rows))
+    for p in range(1, 9):
+        period = rng.normal(size=p) + 1j * rng.normal(size=p)
+        table = rng.normal(size=(p, 5)) + 1j * rng.normal(size=(p, 5))
+        for start in range(-20, 21):
+            for count in range(1, 41):
+                rows = (start + np.arange(count)) % p
+                assert _periodic_run(period, start, count).tobytes() == period[rows].tobytes()
+                assert _periodic_run(table, start, count).tobytes() == table[rows].tobytes()
 
 
 def test_adjoint_matches_conjugate_entries():
@@ -550,14 +556,14 @@ def _looped_product_perturbation(a, b):
         if v != 0:
             pert[key] = pert.get(key, 0.0 + 0.0j) + v
 
-    for (m, j), d2 in b._perturbation_dict().items():
+    for (m, j), d2 in b._perturbation.items():
         for r in range(m - a.band, m + a.band + 1):
             bump((r, j), a.base_entry(r, m) * d2)
-    for (l, m), d1 in a._perturbation_dict().items():
+    for (l, m), d1 in a._perturbation.items():
         for j in range(m - b.band, m + b.band + 1):
             bump((l, j), d1 * b.base_entry(m, j))
-    for (l, m), d1 in a._perturbation_dict().items():
-        for (m2, j), d2 in b._perturbation_dict().items():
+    for (l, m), d1 in a._perturbation.items():
+        for (m2, j), d2 in b._perturbation.items():
             if m2 == m:
                 bump((l, j), d1 * d2)
     return [(r, c, v) for (r, c), v in pert.items()]

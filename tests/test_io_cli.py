@@ -648,6 +648,28 @@ def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
         assert "Traceback" not in err and "RuntimeWarning" not in err, (bad, err)
 
 
+@pytest.mark.parametrize("argv, bad, field", [
+    (["rho", "--seq", "BAD"], {"left": 3, "right": [1.0]}, "seq.left"),
+    (["rho", "--seq", "BAD"], {"left": [1.0], "right": {"0": 1.0}}, "seq.right"),
+    (["dt-norm", "--op", "BAD"], {"tau": 2, "band": 0, "coeffs": [[1.0], [1.0, 2.0]]},
+     "band operator.coeffs"),
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": [1.0]}, "band operator.coeffs"),
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": [[1.0]], "perturbation": 5},
+     "band operator"),
+    (["markov-rate", "--p", "BAD", "--dist", "U2"], {"re": [[]]}, "transition matrix"),
+])
+def test_cli_names_the_field_of_malformed_structure(files, capsys, argv, bad, field):
+    # a table of the wrong shape is refused as a bad number is: exit 2 and
+    # one line that names the field, not Python's or numpy's own message
+    tmp, write = files
+    paths = {"BAD": write("bad.json", bad), "U2": write("u2.json", {"weights": [0.5, 0.5]})}
+    code = main([paths.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: {field}") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_cli_exit_codes(files, capsys):
     tmp, write = files
     bad = tmp / "bad.json"
