@@ -29,9 +29,7 @@ windows escape any finite set of rows.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -65,41 +63,8 @@ __all__ = [
 MAX_TAU = MAX_BAND = 128
 
 
-class _SmallCache:
-    """Read-only arrays kept between calls, for values fixed by their key.
-
-    At most ``keys`` values of at most ``largest`` array entries each are
-    kept, the least recently used going first, so a large band or period
-    holds no memory past its call.
-    """
-
-    def __init__(self, keys: int, largest: int):
-        self._items: dict = {}  # least recently used first
-        self._keys = keys
-        self._largest = largest
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._items.pop(key, None)
-            if value is not None:
-                self._items[key] = value
-            return value
-
-    def put(self, key, value, entries: int) -> None:
-        if entries > self._largest:
-            return
-        with self._lock:
-            self._items.pop(key, None)
-            if len(self._items) >= self._keys:
-                del self._items[next(iter(self._items))]
-            self._items[key] = value
-
-
-#: Phase tables by grid, each for the widest band seen on it; see ``_phases``.
-_PHASES = _SmallCache(keys=8, largest=2**15)
-#: Index arrays of ``dt_compose`` and ``dt_adjoint`` by shape; see ``_compose_gather``.
-_PLANS = _SmallCache(keys=128, largest=2**12)
+#: The phase table last kept, as ``(grid bytes, band, table)``; see ``_phases``.
+_PHASES: tuple = (None, -1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -368,29 +333,24 @@ class PeriodicBandOperator:
         return {k: v for k, v in c.items() if v > 0.0}
 
 
-@functools.lru_cache(maxsize=16)
-def _minus_i_offsets(band: int) -> np.ndarray:
-    """``-1j * d`` for the offsets ``d = -band..band``, read-only."""
-    out = -1j * np.arange(-band, band + 1)
-    out.setflags(write=False)
-    return out
-
-
 def _phases(band: int, angles: np.ndarray) -> np.ndarray:
     """``exp(-i d a)`` for offsets ``d = -band..band`` (rows) and ``angles`` (columns).
 
     Entries are computed one by one, so rows ``[B - band, B + band]`` of
-    the band-``B`` table are exactly this table: one table per grid, for
-    the widest band seen, serves every narrower band.
+    the band-``B`` table are exactly this table.  One table is kept, for
+    the last grid and the widest band seen on it, so a repeated grid
+    computes its exponentials once; a table of more than 2^15 entries
+    holds no memory past its call.
     """
+    global _PHASES
     key = angles.tobytes()
-    hit = _PHASES.get(key)
-    if hit is not None and hit[0] >= band:
-        wide, table = hit
+    kept, wide, table = _PHASES
+    if kept == key and wide >= band:
         return table[wide - band:wide + band + 1]
     table = np.exp(-1j * np.outer(np.arange(-band, band + 1), angles))
     table.setflags(write=False)
-    _PHASES.put(key, (band, table), table.size)
+    if table.size <= 2**15:
+        _PHASES = (key, band, table)
     return table
 
 
@@ -490,79 +450,38 @@ def dt_scale(lam: complex, a: PeriodicBandOperator) -> PeriodicBandOperator:
 
 
 def dt_adjoint(a: PeriodicBandOperator) -> PeriodicBandOperator:
-    """Conjugate transpose; the circle measure is uniform so no weights enter."""
-    key = ("adjoint", a.tau, a.band)
-    flat = _PLANS.get(key)
-    if flat is None:  # (l, d) reads coeffs[(l + d) % tau, band - d] of the flattened table
-        l = np.arange(a.tau)[:, None]
-        d = np.arange(-a.band, a.band + 1)
-        flat = (l + d) % a.tau * (2 * a.band + 1) + a.band - d
-        flat.setflags(write=False)
-        _PLANS.put(key, flat, flat.size)
-    out = np.conj(a.coeffs.take(flat))
+    """Conjugate transpose; the circle measure is uniform so no weights enter.
+
+    Entry ``(l, l + d)`` of the adjoint is ``conj(W_{l+d, l})``, read at
+    ``coeffs[(l + d) % tau, band - d]`` by one gather.
+    """
+    l = np.arange(a.tau)[:, None]
+    d = np.arange(-a.band, a.band + 1)
+    out = np.conj(a.coeffs[(l + d) % a.tau, a.band - d])
     pert = [(c, r, np.conj(v)) for r, c, v in a.perturbation]
     return PeriodicBandOperator(a.tau, a.band, out, pert)
 
 
 def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
-    """Product ``a b`` (b acts first); band radii add, periods take the lcm."""
+    """Product ``a b`` (b acts first); band radii add, periods take the lcm.
+
+    The coefficient ``(r, d)`` sums ``a_{r, r+d1} b_{r+d1, r+d}`` over the
+    offsets ``d1`` of ``a``.  Each ``d1`` adds one array product to a slice
+    of the output, so every coefficient adds its terms to 0.0 in ascending
+    ``d1``, and beyond its output a product needs O(tau * band) memory.
+    """
     tau = _lcm(a.tau, b.tau)
     band = a.band + b.band
-    if tau > MAX_TAU:  # before the gathers allocate the lcm period
+    if tau > MAX_TAU:  # before any array of the lcm period is made
         raise CapExceeded(f"product period {tau} exceeds the cap {MAX_TAU}")
     if band > MAX_BAND:
         raise CapExceeded(f"product band {band} exceeds the cap {MAX_BAND}")
-    ia, ib = _compose_gather(tau, a.tau, a.band, b.tau)
-    terms = a.coeffs.take(ia, axis=0)[:, :, None] * b.coeffs.take(ib, axis=0)
-    # real and imaginary parts side by side: one bincount sums both
-    sums = np.bincount(_compose_slots(tau, a.band, b.band), terms.view(float).ravel(),
-                       2 * tau * (2 * band + 1))
-    coeffs = sums.view(complex).reshape(tau, 2 * band + 1)
+    rows_a = _periodic_run(a.coeffs, 0, tau)
+    rows_b = _periodic_run(b.coeffs, -a.band, tau + 2 * a.band)  # row r + d1 at r + d1 + a.band
+    coeffs = np.zeros((tau, 2 * band + 1), dtype=complex)
+    for i in range(2 * a.band + 1):  # d1 = i - a.band; output column d1 + d2 + band
+        coeffs[:, i:i + 2 * b.band + 1] += rows_a[:, i, None] * rows_b[i:i + tau]
     return PeriodicBandOperator(tau, band, coeffs, _product_perturbation(a, b))
-
-
-# The index arrays of a product depend only on its shape, so they are kept
-# in ``_PLANS``.  ``dt_compose`` asks for the slots after forming the terms:
-# slots too large to keep are then built in the memory the gathers freed.
-
-
-def _compose_gather(tau: int, a_tau: int, a_band: int, b_tau: int):
-    """Rows ``ia[r]`` of ``a.coeffs`` and ``ib[r, :]`` of ``b.coeffs`` for row ``r``.
-
-    They give ``terms[r, d1 + a_band, d2 + b_band] = a_{r, r+d1} b_{r+d1, r+d1+d2}``.
-    """
-    key = ("gather", tau, a_tau, a_band, b_tau)
-    plan = _PLANS.get(key)
-    if plan is None:
-        rows = np.arange(tau)
-        plan = (rows % a_tau, (rows[:, None] + np.arange(-a_band, a_band + 1)) % b_tau)
-        for index in plan:
-            index.setflags(write=False)
-        _PLANS.put(key, plan, plan[1].size)
-    return plan
-
-
-def _compose_slots(tau: int, a_band: int, b_band: int) -> np.ndarray:
-    """For each float of the terms, the float of the product's coefficients it adds to.
-
-    The term at row ``r`` and offsets ``d1, d2`` adds to the coefficient
-    ``(r, d1 + d2)``: its real part to that coefficient's real part, its
-    imaginary part to the imaginary part.  Each coefficient sums an
-    anti-diagonal; ``np.bincount`` adds its terms in C order, so from 0.0
-    in ascending d1, as a loop over d1 does.
-    """
-    key = ("slots", tau, a_band, b_band)
-    slot = _PLANS.get(key)
-    if slot is None:
-        shape = (tau, 2 * a_band + 1, 2 * b_band + 1)
-        slot = np.empty(2 * math.prod(shape), dtype=np.intp)
-        real, imag = slot[0::2].reshape(shape), slot[1::2].reshape(shape)
-        rows = np.arange(tau)[:, None, None] * (4 * (a_band + b_band) + 2)
-        np.add(rows + 2 * np.arange(shape[1])[:, None], 2 * np.arange(shape[2]), out=real)
-        np.add(real, 1, out=imag)
-        slot.setflags(write=False)
-        _PLANS.put(key, slot, slot.size)
-    return slot
 
 
 def _product_perturbation(a: PeriodicBandOperator, b: PeriodicBandOperator
@@ -605,7 +524,7 @@ def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
     Bounded by ``dt_norm``.
     """
     l, a = int(l), float(a)
-    w = complex(op.coeffs[l % op.tau] @ np.exp(_minus_i_offsets(op.band) * a))
+    w = complex(op.coeffs[l % op.tau] @ np.exp(-1j * np.arange(-op.band, op.band + 1) * a))
     for (r, c), delta in op._perturbation.items():
         if r == l:
             w += delta * np.exp(1j * (l - c) * a)

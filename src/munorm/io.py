@@ -160,6 +160,14 @@ def _complex_list(values: Any, depth: int, where: str) -> np.ndarray:
     return _finite(table, where)
 
 
+def _built(where: str, make, *args):
+    """``make(*args)``, its refusal prefixed with the input it was read from."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _complex_out(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -171,7 +179,8 @@ def space_from_obj(obj: Any) -> FiniteMeasureSpace:
     weights = _require(obj, "weights", "space")
     if not isinstance(weights, list) or not _numeric(set(map(type, weights))):
         raise ValueError("space: field 'weights' must be a list of numbers")
-    return FiniteMeasureSpace(_finite(np.asarray(weights, dtype=float), "space: 'weights'"))
+    return _built("space", FiniteMeasureSpace,
+                  _finite(np.asarray(weights, dtype=float), "space: 'weights'"))
 
 
 def space_to_obj(space: FiniteMeasureSpace) -> dict:
@@ -197,7 +206,7 @@ def partition_from_obj(obj: Any, size: int) -> Partition:
     if not all(isinstance(b, list) for b in blocks) \
             or not _numeric(set(map(type, chain.from_iterable(blocks))), int):
         raise ValueError("partition: each block must be a list of integers")
-    return Partition(size, [[j - 1 for j in b] for b in blocks])  # files are 1-based
+    return _built("partition", Partition, size, [[j - 1 for j in b] for b in blocks])  # 1-based
 
 
 def partition_to_obj(partition: Partition) -> dict:
@@ -221,7 +230,7 @@ def matrix_to_obj(entries: np.ndarray) -> dict:
 def operator_from_obj(obj: Any, space: FiniteMeasureSpace) -> OperatorMatrix:
     from .operators import OperatorMatrix
 
-    return OperatorMatrix(space, matrix_from_obj(obj, "operator"))
+    return _built("operator", OperatorMatrix, space, matrix_from_obj(obj, "operator"))
 
 
 def endomorphism_from_obj(obj: Any, space: FiniteMeasureSpace) -> Endomorphism:
@@ -230,7 +239,7 @@ def endomorphism_from_obj(obj: Any, space: FiniteMeasureSpace) -> Endomorphism:
     table = _require(obj, "map", "endomorphism")
     if not isinstance(table, list) or not _numeric(set(map(type, table)), int):
         raise ValueError("endomorphism: field 'map' must be a list of integers")
-    return Endomorphism(space, [j - 1 for j in table])
+    return _built("endomorphism", Endomorphism, space, [j - 1 for j in table])
 
 
 def endomorphism_to_obj(endo: Endomorphism) -> dict:
@@ -291,7 +300,7 @@ def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
             )
         pert.append((item[0], item[1], _complex_in(item[2], "band operator.perturbation")))
     _finite(np.array([z for _, _, z in pert], dtype=complex), "band operator.perturbation")
-    return PeriodicBandOperator(tau, band, coeffs, pert)
+    return _built("band operator", PeriodicBandOperator, tau, band, coeffs, pert)
 
 
 def bandop_to_obj(op: PeriodicBandOperator) -> dict:

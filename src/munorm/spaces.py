@@ -51,7 +51,7 @@ class FiniteMeasureSpace:
         bad = np.nonzero(w <= 0.0)[0]
         if bad.size:
             j = int(bad[0])
-            raise ValueError(f"nonpositive weight {w[j]!r} at atom {j}; all weights must be > 0")
+            raise ValueError(f"nonpositive weight {float(w[j])} at atom {j}; all weights must be > 0")
         deviation = abs(float(w.sum()) - 1.0)
         if deviation > WEIGHT_SUM_TOL:
             raise ValueError(

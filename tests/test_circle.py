@@ -486,9 +486,13 @@ def test_compose_matches_entrywise_dense_product():
 def test_compose_sums_each_coefficient_in_ascending_d1():
     # reference: one array product per d1, added to 0.0 in ascending d1
     rng = np.random.default_rng(12)
-    for _ in range(40):
-        a = random_bandop(rng, max_tau=6, max_band=6)
-        b = random_bandop(rng, max_tau=4, max_band=6)
+    pairs = [(random_bandop(rng, max_tau=6, max_band=6), random_bandop(rng, max_tau=4, max_band=6))
+             for _ in range(40)]
+    # the benchmark's band product, and the largest product the caps allow
+    for (ta, ba), (tb, bb) in [((8, 32), (16, 32)), ((128, 64), (128, 64))]:
+        pairs.append((PeriodicBandOperator(ta, ba, _random_coeffs(rng, ta, ba)),
+                      PeriodicBandOperator(tb, bb, _random_coeffs(rng, tb, bb))))
+    for a, b in pairs:
         coeffs = a.coeffs.copy()
         coeffs[rng.random(coeffs.shape) < 0.2] = complex(-0.0, -0.0)  # signed zeros too
         a = PeriodicBandOperator(a.tau, a.band, coeffs)
@@ -500,6 +504,21 @@ def test_compose_sums_each_coefficient_in_ascending_d1():
             want[:, lo:lo + 2 * b.band + 1] += (a.coeffs[rows % a.tau, d1 + a.band, None]
                                                 * b.coeffs[(rows + d1) % b.tau])
         assert c.coeffs.tobytes() == want.tobytes()
+
+
+def test_compose_at_the_caps_needs_memory_of_its_output_only():
+    import tracemalloc
+
+    rng = np.random.default_rng(13)
+    a, b = (PeriodicBandOperator(128, 64, _random_coeffs(rng, 128, 64)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        c = dt_compose(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (c.tau, c.band) == (128, 128)
+    assert peak < 8 * 2**20, peak  # the output alone is 128 x 257 complex, 0.5 MB
 
 
 def test_diagonal_model_sections_and_window_trace():
@@ -604,7 +623,11 @@ def test_phase_tables_serve_narrower_bands_exactly():
     wide = PeriodicBandOperator(2, 128, _random_coeffs(rng, 2, 128))
     assert dt_mu_norm_sq(wide).quadrature == pytest.approx(avg_trace(wide), rel=1e-12)
     # the band-128 table (257 x 1024 entries) is not kept past its call
-    assert all(band < 128 for band, _ in circle._PHASES._items.values())
+    kept, band, table = circle._PHASES
+    assert kept == grid.tobytes() and band < 128
+    # a second call on the kept grid reads the kept table, narrower bands its middle rows
+    for narrower in (band, 0):
+        assert circle._phases(narrower, grid).base is table
 
 
 def _random_coeffs(rng, tau, band):

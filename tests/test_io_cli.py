@@ -657,12 +657,24 @@ def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
     (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": [[1.0]], "perturbation": 5},
      "band operator"),
     (["markov-rate", "--p", "BAD", "--dist", "U2"], {"re": [[]]}, "transition matrix"),
+    # refusals of the library's constructors, prefixed with the input they came from
+    (["mu-norm", "--space", "U2", "--op", "BAD"], {"re": [[1.0, 2.0]]}, "operator: entries"),
+    (["ks-entropy", "--space", "U2", "--endo", "BAD", "--partition", "P2", "--N", "2"],
+     {"map": [1, 2, 2]}, "endomorphism: map"),
+    (["dt-norm", "--op", "BAD"], {"tau": 2, "band": 1, "coeffs": [[1, 2, 3]]},
+     "band operator: coeffs shape"),
+    (["m-chi", "--space", "U2", "--op", "I2", "--partition", "BAD"], {"blocks": [[1], [1]]},
+     "partition: blocks"),
+    (["mu-norm", "--space", "BAD", "--op", "I2"], {"weights": [0.5, -0.5, 1.0]},
+     "space: nonpositive weight -0.5 at atom 1"),
 ])
 def test_cli_names_the_field_of_malformed_structure(files, capsys, argv, bad, field):
     # a table of the wrong shape is refused as a bad number is: exit 2 and
     # one line that names the field, not Python's or numpy's own message
     tmp, write = files
-    paths = {"BAD": write("bad.json", bad), "U2": write("u2.json", {"weights": [0.5, 0.5]})}
+    paths = {"BAD": write("bad.json", bad), "U2": write("u2.json", {"weights": [0.5, 0.5]}),
+             "I2": write("i2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]}),
+             "P2": write("p2.json", {"blocks": [[1], [2]]})}
     code = main([paths.get(a, a) for a in argv])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")

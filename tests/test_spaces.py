@@ -21,7 +21,7 @@ def test_make_space_valid():
 
 
 def test_make_space_rejects_nonpositive():
-    with pytest.raises(ValueError, match="nonpositive"):
+    with pytest.raises(ValueError, match=r"^nonpositive weight -0\.5 at atom 1;"):
         make_space([0.5, -0.5, 1.0])
     with pytest.raises(ValueError, match="nonpositive"):
         make_space([1.0, 0.0])
