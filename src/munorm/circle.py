@@ -29,7 +29,9 @@ windows escape any finite set of rows.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -90,12 +92,12 @@ class EventuallyPeriodicSeq:
             raise ValueError("period lists must be nonempty one-dimensional sequences")
         if not (np.all(np.isfinite(lv)) and np.all(np.isfinite(rv))):
             raise ValueError("period values must be finite")
-        k0 = int(k0)
+        k0 = operator.index(k0)
         if k0 < 0:
             raise ValueError("cutoff index k0 must be nonnegative")
         mid: dict[int, complex] = {}
         for key, val in (middle or {}).items():
-            k = int(key)
+            k = operator.index(key)
             if not (-k0 < k < k0):
                 raise ValueError(f"middle index {k} is not strictly inside (-{k0}, {k0})")
             z = complex(val)
@@ -153,7 +155,8 @@ class EventuallyPeriodicSeq:
         return out
 
     def value_at(self, k: int) -> complex:
-        return complex(self._run(int(k), int(k))[0])
+        k = operator.index(k)
+        return complex(self._run(k, k)[0])
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """The slice ``lam_lo..lam_hi`` inclusive, as a dense array."""
@@ -210,14 +213,14 @@ def rho_window_max(seq: EventuallyPeriodicSeq, window: int,
     returns the maximal average of ``|lam_k|^2``.  Converges to
     ``rho(seq)`` at rate O(period/window).
     """
-    window = int(window)
+    window = operator.index(window)
     if window < 1:
         raise ValueError("window length must be positive")
     if lo is None:
         lo = -(seq.k0 + 2 * window)
     if hi is None:
         hi = seq.k0 + 2 * window
-    lo, hi = int(lo), int(hi)
+    lo, hi = operator.index(lo), operator.index(hi)
     if hi < lo:
         raise ValueError("empty index range")
     if hi - lo + 1 < window:
@@ -249,8 +252,8 @@ class PeriodicBandOperator:
 
     def __init__(self, tau: int, band: int, coeffs,
                  perturbation: Iterable[tuple[int, int, complex]] | None = None):
-        tau = int(tau)
-        band = int(band)
+        tau = operator.index(tau)
+        band = operator.index(band)
         if tau < 1:
             raise ValueError("period tau must be >= 1")
         if band < 0:
@@ -268,12 +271,11 @@ class PeriodicBandOperator:
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         pert: dict[tuple[int, int], complex] = {}
-        for row, col, delta in perturbation or ():
-            z = complex(delta)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError("perturbation values must be finite")
-            key = (int(row), int(col))
-            pert[key] = pert.get(key, 0.0 + 0.0j) + z
+        for row, col, delta in perturbation or ():  # summed per position from 0.0
+            key = (operator.index(row), operator.index(col))
+            pert[key] = pert.get(key, 0.0 + 0.0j) + complex(delta)
+        if not all(map(cmath.isfinite, pert.values())):
+            raise ValueError("perturbation values must be finite")
         c.setflags(write=False)
         self._tau = tau
         self._band = band
@@ -310,7 +312,8 @@ class PeriodicBandOperator:
         return complex(self._coeffs[row % self._tau, d + self._band])
 
     def entry(self, row: int, col: int) -> complex:
-        return self.base_entry(row, col) + self._perturbation.get((int(row), int(col)), 0.0)
+        row, col = operator.index(row), operator.index(col)
+        return self.base_entry(row, col) + self._perturbation.get((row, col), 0.0)
 
     def periodic_symbols(self, angles: np.ndarray) -> np.ndarray:
         """Row symbols of the periodic part on a grid: shape (tau, len(angles)).
@@ -375,7 +378,7 @@ def dt_from_conv(seq: EventuallyPeriodicSeq) -> PeriodicBandOperator:
         )
     ks = np.arange(1 - seq.k0, seq.k0)
     deltas = seq.values(-seq.k0, seq.k0)[1:-1] - pattern[ks % p]  # the middle
-    pert = [(k, k, v) for k, v in zip(ks.tolist(), deltas) if v != 0]
+    pert = [(k, k, v) for k, v in zip(ks.tolist(), deltas)]
     return PeriodicBandOperator(p, 0, pattern.reshape(p, 1), pert)
 
 
@@ -384,11 +387,11 @@ def dt_from_multiplier(coeffs: Mapping[int, complex]) -> PeriodicBandOperator:
 
     A 1-periodic Toeplitz band matrix with ``W_{r,c} = g_{r-c}``.
     """
-    ks = [int(k) for k, v in coeffs.items() if complex(v) != 0]
+    ks = [operator.index(k) for k, v in coeffs.items() if complex(v) != 0]
     band = max((abs(k) for k in ks), default=0)
     row = np.zeros(2 * band + 1, dtype=complex)
     for k, v in coeffs.items():
-        k = int(k)
+        k = operator.index(k)
         if complex(v) != 0:
             row[band - k] = complex(v)  # offset d = -k puts g_k on diagonal r-c=k
     return PeriodicBandOperator(1, band, row.reshape(1, -1))
@@ -437,10 +440,8 @@ def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOper
     if tau > MAX_TAU:  # before the lift allocates the lcm period
         raise CapExceeded(f"sum period {tau} exceeds the cap {MAX_TAU}")
     coeffs = _lift_coeffs(a, tau, band) + _lift_coeffs(b, tau, band)
-    pert = dict(a._perturbation)
-    for key, v in b._perturbation.items():
-        pert[key] = pert.get(key, 0.0 + 0.0j) + v
-    return PeriodicBandOperator(tau, band, coeffs, [(r, c, v) for (r, c), v in pert.items()])
+    pert = [(r, c, v) for op in (a, b) for (r, c), v in op._perturbation.items()]
+    return PeriodicBandOperator(tau, band, coeffs, pert)
 
 
 def dt_scale(lam: complex, a: PeriodicBandOperator) -> PeriodicBandOperator:
@@ -486,36 +487,17 @@ def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBand
 
 def _product_perturbation(a: PeriodicBandOperator, b: PeriodicBandOperator
                           ) -> list[tuple[int, int, complex]]:
-    """Perturbation of ``a b``: the terms of ``a b_pert + a_pert b + a_pert b_pert``.
-
-    The base entries that each perturbation list meets are gathered in
-    one index operation; the terms are summed per position from 0.0,
-    zero terms skipped, in the order of the entrywise loops.
-    """
+    """Perturbation terms of ``a b``: the nonzero terms of ``a b_pert``,
+    ``a_pert b`` and ``a_pert b_pert``, in that order; the constructor
+    sums them per position."""
     ap, bp = a._perturbation, b._perturbation
-    pert: dict[tuple[int, int], complex] = {}
-
-    def bump(key, v):
-        if v != 0:
-            pert[key] = pert.get(key, 0.0 + 0.0j) + v
-
-    if bp:  # a_{r, m} d2 at (r, j) for r = m - a.band .. m + a.band
-        t = np.arange(-a.band, a.band + 1)
-        mids = np.array([m % a.tau for m, _ in bp])
-        bases = a.coeffs[(mids[:, None] + t) % a.tau, a.band - t].tolist()
-        for ((m, j), d2), base in zip(bp.items(), bases):
-            for r, x in enumerate(base, m - a.band):
-                bump((r, j), x * d2)
-    if ap:  # d1 b_{m, j} at (l, j) for j = m - b.band .. m + b.band
-        bases = b.coeffs[[m % b.tau for _, m in ap]].tolist()
-        for ((l, m), d1), base in zip(ap.items(), bases):
-            for j, x in enumerate(base, m - b.band):
-                bump((l, j), d1 * x)
-    for (l, m), d1 in ap.items():
-        for (m2, j), d2 in bp.items():
-            if m2 == m:
-                bump((l, j), d1 * d2)
-    return [(r, c, v) for (r, c), v in pert.items()]
+    terms = [(r, j, a.base_entry(r, m) * d2) for (m, j), d2 in bp.items()
+             for r in range(m - a.band, m + a.band + 1)]
+    terms += [(l, j, d1 * b.base_entry(m, j)) for (l, m), d1 in ap.items()
+              for j in range(m - b.band, m + b.band + 1)]
+    terms += [(l, j, d1 * d2) for (l, m), d1 in ap.items()
+              for (m2, j), d2 in bp.items() if m2 == m]
+    return [t for t in terms if t[2] != 0]
 
 
 def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
@@ -523,7 +505,7 @@ def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
 
     Bounded by ``dt_norm``.
     """
-    l, a = int(l), float(a)
+    l, a = operator.index(l), float(a)
     w = complex(op.coeffs[l % op.tau] @ np.exp(-1j * np.arange(-op.band, op.band + 1) * a))
     for (r, c), delta in op._perturbation.items():
         if r == l:
@@ -572,7 +554,7 @@ def dt_mu_norm_sq(op: PeriodicBandOperator, quad_points: int | None = None) -> D
     if quad_points is None:
         n = max(16, 8 * op.band)
     else:
-        n = int(quad_points)
+        n = operator.index(quad_points)
         if n < need:
             raise ValueError(
                 f"insufficient quadrature points: got {n}, need at least {need} "

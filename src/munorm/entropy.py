@@ -14,6 +14,7 @@ Natural logarithm throughout; ``0 log 0 = 0`` by explicit branch.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -70,7 +71,7 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
     from .operators import OperatorMatrix, projector
 
     _check_inputs(u.space, chi)
-    digits = [int(d) for d in digits]
+    digits = [operator.index(d) for d in digits]
     if not digits:
         raise ValueError("multiindex must have at least one digit")
     for d in digits:
@@ -150,18 +151,10 @@ def _operator_levels(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: in
             elif keep[c].any():
                 parts.append((c, g[lo:hi, np.repeat(keep[c], widths)]))
         step, state = np.nonzero(keep)
-        digits = _extend(digits[state], step)
+        digits = np.column_stack((digits[state], step))
         yield digits, masses[keep]
         if parts:
             stack.append((digits, parts))
-
-
-def _extend(digits: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Digit rows with ``last`` appended as one more column."""
-    out = np.empty((len(digits), digits.shape[1] + 1), dtype=np.intp)
-    out[:, :-1] = digits
-    out[:, -1] = last
-    return out
 
 
 def _split(digits: np.ndarray, parts, widths: np.ndarray, chunk: int) -> list:
@@ -322,7 +315,7 @@ def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: 
         present[refined] = True
         codes = np.flatnonzero(present)
         cell = (np.cumsum(present) - 1)[refined]
-        digits = _extend(digits[codes // num_blocks], codes % num_blocks)
+        digits = np.column_stack((digits[codes // num_blocks], codes % num_blocks))
         yield digits, np.bincount(cell, space.weights, len(codes))
         orbit = endo.table[orbit]
 

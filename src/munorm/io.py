@@ -62,11 +62,21 @@ def recording_inputs() -> Iterator[dict[str, bytes]]:
         _inputs.reset(token)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object from its pairs, refusing a key that appears twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str | Path) -> Any:
     """Parse a UTF-8 JSON file; syntax errors keep their line/column context.
 
     Newlines are translated as in text mode, so error positions count
-    ``\\r\\n`` as one character.
+    ``\\r\\n`` as one character.  A key repeated in one object is refused.
     """
     data = Path(path).read_bytes()
     inputs = _inputs.get()
@@ -76,9 +86,11 @@ def load_json(path: str | Path) -> Any:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _require(obj: Any, field: str, where: str) -> Any:
@@ -262,10 +274,12 @@ def seq_from_obj(obj: Any) -> EventuallyPeriodicSeq:
         try:
             k = int(key)
         except ValueError:
-            raise ValueError(f"seq.middle: key {key!r} is not an integer") from None
+            k = None
+        if k is None or str(k) != key:  # one spelling per index: no "01", "+1" or "1_0"
+            raise ValueError(f"seq.middle: key {key!r} is not an integer in canonical form")
         middle[k] = _complex_in(val, f"seq.middle[{key}]")
     _finite(np.array(list(middle.values()), dtype=complex), "seq.middle")
-    return EventuallyPeriodicSeq(left, right, middle, k0)
+    return _built("seq", EventuallyPeriodicSeq, left, right, middle, k0)
 
 
 def seq_to_obj(seq: EventuallyPeriodicSeq) -> dict:

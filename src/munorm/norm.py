@@ -16,6 +16,7 @@ averaged projectors of an almost-free cyclic group action.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -164,31 +165,29 @@ class CyclicAction:
     __slots__ = ("_space", "_order", "_generator")
 
     def __init__(self, space: FiniteMeasureSpace, generator: Endomorphism, order: int):
-        order = int(order)
+        order = operator.index(order)
         if order < 1:
             raise ValueError("group order must be >= 1")
         if generator.space != space:
             raise ValueError("generator is defined on a different space")
-        # After s steps of pointer doubling, low[j] is the least atom among
-        # F^k(j), 0 <= k < 2^s, and jump = F^(2^s); once 2^s >= size, low
-        # names the cycle of every atom on one, and the atoms on cycles are
-        # exactly the image of jump.
-        low, jump = np.arange(space.size), generator.table
-        for _ in range((space.size - 1).bit_length()):
-            low, jump = np.minimum(low, low[jump]), jump[jump]
-        on_cycle = np.zeros(space.size, dtype=bool)
-        on_cycle[jump] = True
-        length = np.bincount(low[on_cycle], minlength=space.size)
-        # refuse at the least atom that is on no cycle or is the least atom
-        # of a cycle whose length is not the order
-        bad = ~on_cycle | ((low == np.arange(space.size)) & (length != order))
-        if bad.any():
+        # one gather per step finds each atom's first return, good at step order;
+        # no orbit is longer than the space, so with order > size no atom is good
+        atoms, image = np.arange(space.size), generator.table
+        bad = np.zeros(space.size, dtype=bool)
+        for _ in range(min(order, space.size + 1) - 1):
+            bad |= image == atoms
+            image = generator.table[image]
+        bad |= image != atoms
+        if bad.any():  # refuse at the least bad atom, with the length of its orbit
             start = int(np.argmax(bad))
-            if not on_cycle[start]:
+            j, length = generator(start), 1
+            while j != start and length <= space.size:
+                j, length = generator(j), length + 1
+            if j != start:
                 raise ValueError("generator table does not close into orbits")
             raise ValueError(
                 f"action is not almost free: orbit of atom {start} has size "
-                f"{int(length[start])}, expected {order}"
+                f"{length}, expected {order}"
             )
         self._space = space
         self._order = order
@@ -218,7 +217,7 @@ def cyclic_projector(space: FiniteMeasureSpace, action: CyclicAction, n: int) ->
     if action.space != space:
         raise ValueError("action is defined on a different space")
     q = action.order
-    n = int(n) % q
+    n = operator.index(n) % q
     # U^k has a single 1 per row, at (j, F^k(j)), and the orbits have size
     # q, so the q terms of the average fill distinct entries
     table = action.generator.table

@@ -8,6 +8,7 @@ output atom, column index = input atom.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,10 +102,7 @@ class Endomorphism:
     PRESERVATION_TOL = 1e-12
 
     def __init__(self, space: FiniteMeasureSpace, table: Sequence[int]):
-        t = np.asarray(table)
-        if t.ndim != 1 or t.dtype.kind != "i":  # else each entry is its own int()
-            t = [int(x) for x in table]
-        t = np.array(t, dtype=int)
+        t = np.array([operator.index(x) for x in table], dtype=int)
         if t.shape != (space.size,):
             raise ValueError(f"map table length {t.size} does not match {space.size} atoms")
         if t.size and (t.min() < 0 or t.max() >= space.size):

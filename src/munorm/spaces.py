@@ -8,8 +8,8 @@ partitions.  All values are immutable after construction.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,9 +91,10 @@ class FiniteMeasureSpace:
     def validate_subset(self, subset: Iterable[int]) -> np.ndarray:
         """Canonicalize ``subset`` to a sorted array of unique atom indices.
 
-        Raises ``ValueError`` on out-of-range or non-integer entries.
+        Raises ``ValueError`` on out-of-range entries and ``TypeError`` on
+        entries that are not integers.
         """
-        idx = np.array(sorted(set(int(j) for j in subset)), dtype=int)
+        idx = np.array(sorted(set(map(operator.index, subset))), dtype=int)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.size):
             off = idx[0] if idx[0] < 0 else idx[-1]
             raise ValueError(f"atom index {off} out of range for a space with {self.size} atoms")
@@ -115,20 +116,18 @@ class Partition:
     __slots__ = ("_size", "_blocks")
 
     def __init__(self, size: int, blocks: Iterable[Iterable[int]]):
-        size = int(size)
+        size = operator.index(size)
         if size <= 0:
             raise ValueError("partition universe must be nonempty")
         canon = []
         for b in blocks:
-            b = list(b)
-            # int() is the identity on exact ints, the only type a file gives
-            tb = tuple(sorted(set(b) if set(map(type, b)) <= {int} else set(map(int, b))))
+            tb = tuple(sorted(set(map(operator.index, b))))
             if not tb:
                 raise ValueError("empty block in partition")
             if tb[0] < 0 or tb[-1] >= size:
                 raise ValueError(f"block {tb} out of range for universe of size {size}")
             canon.append(tb)
-        canon.sort(key=itemgetter(0))
+        canon.sort(key=operator.itemgetter(0))
         atoms = list(chain.from_iterable(canon))
         # the atoms are in range, so size distinct ones cover the space
         if len(atoms) != size or len(set(atoms)) != size:

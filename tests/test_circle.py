@@ -608,6 +608,50 @@ def test_compose_perturbation_matches_per_term_loop():
                 == np.array(list(want._perturbation.values())).tobytes())
 
 
+def _summed_perturbation(a, b):
+    # per position a's delta plus b's, positions in the order they first appear
+    keys = dict.fromkeys([*a._perturbation, *b._perturbation])
+    sums = {k: a._perturbation.get(k, 0.0) + b._perturbation.get(k, 0.0) for k in keys}
+    return {k: v for k, v in sums.items() if v != 0}
+
+
+def test_chained_sums_and_products_match_a_reference_accumulator():
+    rng = np.random.default_rng(44)
+    signed_zeros = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 0.0]
+    checked = {"sum": 0, "product": 0, "cancelled": 0}
+    for _ in range(150):
+        op = random_bandop(rng, max_tau=3, max_band=2, perturbed=True)
+        for _ in range(4):
+            other = random_bandop(rng, max_tau=3, max_band=2, perturbed=True)
+            coeffs = other.coeffs.copy()
+            coeffs[rng.random(coeffs.shape) < 0.3] = signed_zeros[int(rng.integers(4))]
+            extra = [(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
+                      signed_zeros[int(rng.integers(4))])]  # a zero delta
+            # entries that cancel some of op's in a sum
+            extra += [(r, c, -v) for r, c, v in op.perturbation if rng.random() < 0.5]
+            other = PeriodicBandOperator(other.tau, other.band, coeffs,
+                                         list(other.perturbation) + extra)
+            a, b = (op, other) if rng.random() < 0.5 else (other, op)
+            try:
+                if rng.random() < 0.5:
+                    got, want = dt_add(a, b), _summed_perturbation(a, b)
+                    checked["sum"] += 1
+                    checked["cancelled"] += len(set(a._perturbation) & set(b._perturbation)
+                                                - set(want))
+                else:
+                    got = dt_compose(a, b)
+                    want = {(r, c): v for r, c, v in _looped_product_perturbation(a, b)
+                            if v != 0}
+                    checked["product"] += 1
+            except CapExceeded:
+                break
+            assert list(got._perturbation) == list(want)
+            assert (np.array(list(got._perturbation.values()), dtype=complex).tobytes()
+                    == np.array(list(want.values()), dtype=complex).tobytes())
+            op = got
+    assert min(checked.values()) >= 50, checked
+
+
 def test_phase_tables_serve_narrower_bands_exactly():
     from munorm import circle
 

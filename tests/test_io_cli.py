@@ -155,6 +155,53 @@ def test_builders_take_number_subclasses_entry_by_entry():
                 mio.seq_from_obj({"left": left, "right": [1.0], "k0": 1})
 
 
+def _integer_sites():
+    # (site, a valid integer value); each site calls the library with one value
+    sp = make_space([0.5, 0.5])
+    swap = Endomorphism(sp, [1, 0])
+    action = munorm.CyclicAction(sp, swap, 2)
+    seq = EventuallyPeriodicSeq([1.0], [2.0], {1: 3.0}, 2)
+    op = PeriodicBandOperator(1, 1, np.ones((1, 3)), [(1, 2, 0.5)])
+    return {
+        "seq k0": (lambda k: EventuallyPeriodicSeq([1.0], [2.0], None, k), 1),
+        "seq middle key": (lambda k: EventuallyPeriodicSeq([1.0], [2.0], {k: 3.0}, 2), 1),
+        "value_at": (seq.value_at, 1),
+        "rho_window_max window": (lambda k: munorm.rho_window_max(seq, k), 1),
+        "rho_window_max lo": (lambda k: munorm.rho_window_max(seq, 1, k, 5), 1),
+        "rho_window_max hi": (lambda k: munorm.rho_window_max(seq, 1, -5, k), 1),
+        "tau": (lambda k: PeriodicBandOperator(k, 0, np.ones((1, 1))), 1),
+        "band": (lambda k: PeriodicBandOperator(1, k, np.ones((1, 3))), 1),
+        "perturbation row": (lambda k: PeriodicBandOperator(1, 0, [[1.0]], [(k, 0, 1.0)]), 1),
+        "perturbation col": (lambda k: PeriodicBandOperator(1, 0, [[1.0]], [(0, k, 1.0)]), 1),
+        "entry row": (lambda k: op.entry(k, 2), 1),
+        "entry col": (lambda k: op.entry(1, k), 1),
+        "dt_from_multiplier key": (lambda k: munorm.dt_from_multiplier({k: 1.0}), 1),
+        "w_l": (lambda k: munorm.w_l(op, k, 0.3), 1),
+        "quad_points": (lambda k: munorm.dt_mu_norm_sq(op, k), 3),
+        "partition size": (lambda k: Partition(k, [[0]]), 1),
+        "partition block": (lambda k: Partition(2, [[k], [0]]), 1),
+        "validate_subset": (lambda k: sp.validate_subset([k]), 1),
+        "projector": (lambda k: munorm.projector(sp, [k]), 1),
+        "endomorphism table": (lambda k: Endomorphism(sp, [k, 0]), 1),
+        "cyclic order": (lambda k: munorm.CyclicAction(sp, swap, k), 2),
+        "cyclic_projector n": (lambda k: munorm.cyclic_projector(sp, action, k), 1),
+        "path_operator digit": (lambda k: munorm.path_operator(
+            munorm.identity(sp), munorm.finest_partition(sp), [k, 0]), 1),
+    }
+
+
+@pytest.mark.parametrize("site", list(_integer_sites()))
+def test_integer_arguments_refuse_non_integral_values(site):
+    # no library function truncates a value that is not an integer
+    call, good = _integer_sites()[site]
+    for bad in (2.5, float(good)):
+        with pytest.raises(TypeError):
+            call(bad)
+    call(np.int64(good))
+    if good == 1:
+        call(True)
+
+
 def test_load_json_decodes_as_text_mode(tmp_path):
     # error positions count \r\n and \r as one newline, as text mode reads them
     for raw in (b'{"a": 1,\r\n "b": [1,\r\n 2,]}', b'{"a":\r 1,\r "b": }'):
@@ -667,6 +714,19 @@ def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
      "partition: blocks"),
     (["mu-norm", "--space", "BAD", "--op", "I2"], {"weights": [0.5, -0.5, 1.0]},
      "space: nonpositive weight -0.5 at atom 1"),
+    (["rho", "--seq", "BAD"], {"left": [1.0], "right": [2.0]},
+     "seq: with k0 = 0 both tails cover index 0"),
+    (["rho", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "k0": -1},
+     "seq: cutoff index k0 must be nonnegative"),
+    # middle keys name their index one way only
+    (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"1": 2.0, "01": 3.0},
+                                "k0": 2}, "seq.middle: key '01'"),
+    (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"1_0": 3.0}, "k0": 20},
+     "seq.middle: key '1_0'"),
+    (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"+1": 3.0}, "k0": 2},
+     "seq.middle: key '+1'"),
+    (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"-0": 3.0}, "k0": 2},
+     "seq.middle: key '-0'"),
 ])
 def test_cli_names_the_field_of_malformed_structure(files, capsys, argv, bad, field):
     # a table of the wrong shape is refused as a bad number is: exit 2 and
@@ -680,6 +740,27 @@ def test_cli_names_the_field_of_malformed_structure(files, capsys, argv, bad, fi
     assert (code, out) == (2, "")
     assert err.startswith(f"invalid input: {field}") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, text, field", [
+    # json.loads alone keeps the last of two equal keys and exits 0
+    (["mu-norm", "--space", "BAD", "--op", "I2"],
+     '{"weights": [0.5, 0.5], "weights": [0.25, 0.75]}', "duplicate key 'weights'"),
+    (["markov-rate", "--p", "I2", "--dist", "BAD"],
+     '{"weights": [0.5, 0.5], "weights": [0.5, 0.5]}', "duplicate key 'weights'"),
+    (["conv", "--seq", "BAD"],
+     '{"left": [1.0], "right": [1.0], "middle": {"1": 2.0, "1": 3.0}, "k0": 2}',
+     "duplicate key '1'"),
+])
+def test_cli_refuses_a_key_repeated_in_an_object(files, capsys, argv, text, field):
+    tmp, write = files
+    bad = tmp / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    paths = {"BAD": str(bad), "I2": write("i2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})}
+    code = main([paths.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {bad}: {field}\n"
 
 
 def test_cli_exit_codes(files, capsys):

@@ -76,10 +76,12 @@ def test_endomorphism_table_entries_go_through_int():
     sp = make_space([0.25] * 4)
     want = Endomorphism(sp, [1, 2, 3, 0])
     source = np.array([1, 2, 3, 0])
-    for table in (source, source.astype(np.int32), [1.0, 2.9, 3, 0], [True, 2, 3, False],
+    for table in (source, source.astype(np.int32), [True, 2, 3, False],
                   (j for j in [1, 2, 3, 0])):
         endo = Endomorphism(sp, table)
         assert endo == want and endo.table.dtype == int
+    with pytest.raises(TypeError):  # a float entry is refused, not truncated
+        Endomorphism(sp, [1.0, 2.9, 3, 0])
     endo = Endomorphism(sp, source)
     source[0] = 0
     assert endo == want  # the table is copied

@@ -95,12 +95,14 @@ def test_partition_refusals_name_the_least_atom():
 
 
 def test_partition_entries_go_through_int():
-    # repeats inside a block collapse; numpy and float entries become ints
+    # repeats inside a block collapse; numpy integer entries become ints
     p = Partition(3, [[2, 2, 0], np.array([1, 1])])
     assert p.blocks == ((0, 2), (1,))
-    q = Partition(3, [(2.0, np.int32(0)), (j for j in [1])])
+    q = Partition(3, [(2, np.int32(0)), (j for j in [1])])
     assert q.blocks == p.blocks
     assert {type(j) for b in q.blocks for j in b} == {int}
+    with pytest.raises(TypeError):  # a float entry is refused, not truncated
+        Partition(3, [(2.0, np.int32(0)), (j for j in [1])])
 
 
 def test_blocks_are_canonically_ordered():
