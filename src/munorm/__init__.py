@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 #: ``import munorm.cli`` loads none of them.
 _LAYERS = {
     "spaces": ("FiniteMeasureSpace", "Partition", "finest_partition", "is_subpartition",
-               "join", "make_space", "measure_of", "trivial_partition"),
+               "join", "trivial_partition"),
     "operators": ("Endomorphism", "OperatorMatrix", "add", "adjoint", "compose",
                   "identity", "inner", "koopman", "multiplication", "operator_norm",
                   "projector", "scale", "unitarity_defect", "vector_norm"),

@@ -306,6 +306,7 @@ class PeriodicBandOperator:
 
     def base_entry(self, row: int, col: int) -> complex:
         """Entry of the unperturbed periodic part."""
+        row, col = operator.index(row), operator.index(col)
         d = col - row
         if abs(d) > self._band:
             return 0.0 + 0.0j

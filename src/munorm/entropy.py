@@ -47,6 +47,7 @@ UNITARITY_TOL = 1e-8
 
 
 def _check_horizon(num_blocks: int, n: int, term_cap: int) -> None:
+    n, term_cap = operator.index(n), operator.index(term_cap)
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     total = num_blocks ** (n + 1)
@@ -59,7 +60,7 @@ def _check_horizon(num_blocks: int, n: int, term_cap: int) -> None:
 
 def _check_inputs(space: FiniteMeasureSpace, chi: Partition) -> None:
     if chi.size != space.size:
-        raise ValueError("partition does not match the space")
+        raise ValueError(f"partition over {chi.size} atoms does not match a space with {space.size}")
 
 
 def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> OperatorMatrix:
@@ -173,7 +174,7 @@ def _split(digits: np.ndarray, parts, widths: np.ndarray, chunk: int) -> list:
 
 def _entropies(levels, n_max: int) -> list[float]:
     """``-sum v log v`` per horizon 0..n_max over a walk's ``(digits, masses)`` blocks."""
-    acc = [0.0] * (n_max + 1)
+    acc = [0.0] * (operator.index(n_max) + 1)
     for digits, masses in levels:
         v = masses[masses > 0.0]
         acc[digits.shape[1] - 1] -= float(v @ np.log(v))
@@ -246,11 +247,11 @@ class EntropyReport:
         }
 
 
-def _rate_report(walk, n_max: int, closed: float | None) -> EntropyReport:
-    """Values for horizons 0..n_max of ``walk(n_max)`` with rates and differences."""
-    if n_max < 2:
+def _rate_report(levels, n_max: int, closed: float | None) -> EntropyReport:
+    """Values for horizons 0..n_max of a walk's ``levels`` with rates and differences."""
+    if operator.index(n_max) < 2:
         raise ValueError("n_max must be at least 2")
-    values = _entropies(walk(n_max), n_max)
+    values = _entropies(levels, n_max)
     lengths = tuple(range(1, n_max + 2))
     rates = tuple(v / length for v, length in zip(values, lengths))
     diffs = tuple(values[i + 1] - values[i] for i in range(n_max))
@@ -268,7 +269,7 @@ def quantum_entropy_rate(u: OperatorMatrix, chi: Partition, n_max: int,
         closed = quantum_entropy_closed(u)
     except ValueError:
         closed = None
-    return _rate_report(lambda n: _operator_levels(u, chi, n, term_cap), n_max, closed)
+    return _rate_report(_operator_levels(u, chi, n_max, term_cap), n_max, closed)
 
 
 def quantum_entropy_closed(u: OperatorMatrix) -> float:
@@ -329,7 +330,7 @@ def ks_entropy_at(endo: Endomorphism, chi: Partition, n: int,
 def ks_entropy_rate(endo: Endomorphism, chi: Partition, n_max: int,
                     term_cap: int = DEFAULT_TERM_CAP) -> EntropyReport:
     """``quantum_entropy_rate`` for the itinerary sets of F; no closed form."""
-    return _rate_report(lambda n: _itinerary_levels(endo, chi, n, term_cap), n_max, None)
+    return _rate_report(_itinerary_levels(endo, chi, n_max, term_cap), n_max, None)
 
 
 def ks_path_measure_table(endo: Endomorphism, chi: Partition, n: int,

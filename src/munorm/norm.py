@@ -162,26 +162,25 @@ class CyclicAction:
     means every atom orbit has size exactly q.
     """
 
-    __slots__ = ("_space", "_order", "_generator")
+    __slots__ = ("_order", "_generator")
 
-    def __init__(self, space: FiniteMeasureSpace, generator: Endomorphism, order: int):
+    def __init__(self, generator: Endomorphism, order: int):
         order = operator.index(order)
         if order < 1:
             raise ValueError("group order must be >= 1")
-        if generator.space != space:
-            raise ValueError("generator is defined on a different space")
+        size = generator.space.size
         # one gather per step finds each atom's first return, good at step order;
         # no orbit is longer than the space, so with order > size no atom is good
-        atoms, image = np.arange(space.size), generator.table
-        bad = np.zeros(space.size, dtype=bool)
-        for _ in range(min(order, space.size + 1) - 1):
+        atoms, image = np.arange(size), generator.table
+        bad = np.zeros(size, dtype=bool)
+        for _ in range(min(order, size + 1) - 1):
             bad |= image == atoms
             image = generator.table[image]
         bad |= image != atoms
         if bad.any():  # refuse at the least bad atom, with the length of its orbit
             start = int(np.argmax(bad))
             j, length = generator(start), 1
-            while j != start and length <= space.size:
+            while j != start and length <= size:
                 j, length = generator(j), length + 1
             if j != start:
                 raise ValueError("generator table does not close into orbits")
@@ -189,13 +188,12 @@ class CyclicAction:
                 f"action is not almost free: orbit of atom {start} has size "
                 f"{length}, expected {order}"
             )
-        self._space = space
         self._order = order
         self._generator = generator
 
     @property
     def space(self) -> FiniteMeasureSpace:
-        return self._space
+        return self._generator.space
 
     @property
     def order(self) -> int:
@@ -206,7 +204,7 @@ class CyclicAction:
         return self._generator
 
 
-def cyclic_projector(space: FiniteMeasureSpace, action: CyclicAction, n: int) -> OperatorMatrix:
+def cyclic_projector(action: CyclicAction, n: int) -> OperatorMatrix:
     """Projector onto the weight-n eigenspace of an almost-free cyclic action.
 
     With ``r = exp(2 pi i / q)`` this is the group average
@@ -214,8 +212,7 @@ def cyclic_projector(space: FiniteMeasureSpace, action: CyclicAction, n: int) ->
     the generator.  It is idempotent, self-adjoint, and its squared norm
     is 1/q for every residue n.
     """
-    if action.space != space:
-        raise ValueError("action is defined on a different space")
+    space = action.space
     q = action.order
     n = operator.index(n) % q
     # U^k has a single 1 per row, at (j, F^k(j)), and the orbits have size

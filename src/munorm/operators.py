@@ -128,7 +128,7 @@ class Endomorphism:
         return self._table
 
     def __call__(self, j: int) -> int:
-        return int(self._table[j])
+        return int(self._table[operator.index(j)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Endomorphism):
@@ -187,15 +187,14 @@ def multiplication(space: FiniteMeasureSpace, g: Sequence[complex]) -> OperatorM
     return OperatorMatrix(space, np.diag(gv))
 
 
-def koopman(space: FiniteMeasureSpace, endo: Endomorphism) -> OperatorMatrix:
-    """Composition operator ``f -> f o F`` for a measure-preserving map F.
+def koopman(endo: Endomorphism) -> OperatorMatrix:
+    """Composition operator ``f -> f o F`` on the space of a measure-preserving map F.
 
     The matrix has a single 1 per row: entry (j, F(j)).  It preserves the
     weighted inner product; since F is necessarily bijective here, it is
     unitary.
     """
-    if endo.space != space:
-        raise ValueError("endomorphism is defined on a different space")
+    space = endo.space
     u = np.zeros((space.size, space.size))
     u[np.arange(space.size), endo.table] = 1.0
     return OperatorMatrix(space, u)

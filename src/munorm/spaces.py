@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "FiniteMeasureSpace",
     "Partition",
-    "make_space",
-    "measure_of",
     "join",
     "finest_partition",
     "trivial_partition",
@@ -164,16 +162,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self._size}, {list(map(list, self._blocks))!r})"
-
-
-def make_space(weights: Sequence[float]) -> FiniteMeasureSpace:
-    """Build a finite measure space, rejecting invalid weight vectors."""
-    return FiniteMeasureSpace(weights)
-
-
-def measure_of(space: FiniteMeasureSpace, subset: Iterable[int]) -> float:
-    """Mass of ``subset``; additive over disjoint subsets."""
-    return space.measure(subset)
 
 
 def join(chi: Partition, kappa: Partition) -> Partition:

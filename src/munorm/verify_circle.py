@@ -14,34 +14,33 @@ from .verify import PropertyCheck, _random_complex
 # Random instance generators
 
 
-def random_seq(rng, max_period: int = 8, max_k0: int = 4, amp: float = 2.0
-               ) -> circ.EventuallyPeriodicSeq:
+def random_seq(rng, max_period: int = 8, max_k0: int = 4) -> circ.EventuallyPeriodicSeq:
     pl = int(rng.integers(1, max_period + 1))
     pr = int(rng.integers(1, max_period + 1))
     k0 = int(rng.integers(0, max_k0 + 1))
-    left = _random_complex(rng, pl, amp)
-    right = _random_complex(rng, pr, amp)
+    left = _random_complex(rng, pl)
+    right = _random_complex(rng, pr)
     middle = {}
     if k0 > 0:
         for k in range(-k0 + 1, k0):
             if rng.random() < 0.5:
-                middle[k] = complex(_random_complex(rng, 1, amp)[0])
+                middle[k] = complex(_random_complex(rng, 1)[0])
     else:
         left[0] = right[0]
     return circ.EventuallyPeriodicSeq(left, right, middle, k0)
 
 
-def random_bandop(rng, max_tau: int = 8, max_band: int = 8, amp: float = 1.0,
+def random_bandop(rng, max_tau: int = 8, max_band: int = 8,
                   perturbed: bool = False) -> circ.PeriodicBandOperator:
     tau = int(rng.integers(1, max_tau + 1))
     band = int(rng.integers(0, max_band + 1))
-    coeffs = _random_complex(rng, (tau, 2 * band + 1), amp)
+    coeffs = _random_complex(rng, (tau, 2 * band + 1), 1.0)
     pert = []
     if perturbed:
         for _ in range(int(rng.integers(1, 4))):
             r = int(rng.integers(-12, 13))
             c = int(rng.integers(r - band - 2, r + band + 3))
-            pert.append((r, c, complex(_random_complex(rng, 1, amp)[0])))
+            pert.append((r, c, complex(_random_complex(rng, 1, 1.0)[0])))
     return circ.PeriodicBandOperator(tau, band, coeffs, pert)
 
 
@@ -54,7 +53,8 @@ def _period_mass(seq: circ.EventuallyPeriodicSeq) -> float:
     return mass + sum(abs(v) ** 2 for v in seq.middle.values())
 
 
-def rho_oracle(rng, trials: int, window: int = 10**4) -> list[PropertyCheck]:
+def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
+    window = 10**4
     bound = PropertyCheck("window-oracle-within-derived-bound", 1e-12)
     fixed = PropertyCheck("window-oracle-within-1e-2-at-1e4", 1e-2)
     for i in range(trials):

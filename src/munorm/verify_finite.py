@@ -38,15 +38,9 @@ def random_space(rng, min_atoms: int = 2, max_atoms: int = 8) -> FiniteMeasureSp
     return FiniteMeasureSpace(raw / raw.sum())
 
 
-def random_subset(rng, j: int, nonempty: bool = False, proper: bool = False) -> list[int]:
-    for _ in range(64):
-        mask = rng.random(j) < rng.uniform(0.2, 0.8)
-        if nonempty and not mask.any():
-            continue
-        if proper and mask.all():
-            continue
-        return list(np.nonzero(mask)[0])
-    return [0] if nonempty else []
+def random_subset(rng, j: int) -> list[int]:
+    mask = rng.random(j) < rng.uniform(0.2, 0.8)
+    return list(np.nonzero(mask)[0])
 
 
 def random_partition(rng, j: int) -> Partition:
@@ -56,9 +50,9 @@ def random_partition(rng, j: int) -> Partition:
     return Partition(j, [b for b in blocks if b])
 
 
-def random_matrix(rng, space: FiniteMeasureSpace, scale: float = 1.0) -> OperatorMatrix:
+def random_matrix(rng, space: FiniteMeasureSpace) -> OperatorMatrix:
     j = space.size
-    entries = scale * (rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
+    entries = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
     return OperatorMatrix(space, entries / math.sqrt(2.0))
 
 
@@ -75,12 +69,10 @@ def random_weighted_unitary(rng, space: FiniteMeasureSpace) -> OperatorMatrix:
     return OperatorMatrix(space, (q * s[None, :]) / s[:, None])
 
 
-def random_space_with_automorphism(rng, max_classes: int = 3,
-                                   max_class_size: int = 4
-                                   ) -> tuple[FiniteMeasureSpace, Endomorphism]:
-    """A space whose weights repeat within classes, plus a weight-preserving permutation."""
-    nclasses = int(rng.integers(1, max_classes + 1))
-    sizes = [int(rng.integers(1, max_class_size + 1)) for _ in range(nclasses)]
+def random_space_with_automorphism(rng) -> tuple[FiniteMeasureSpace, Endomorphism]:
+    """1-3 classes of 1-4 atoms of equal weight, plus a permutation within each class."""
+    nclasses = int(rng.integers(1, 4))
+    sizes = [int(rng.integers(1, 5)) for _ in range(nclasses)]
     raw = rng.uniform(0.2, 1.0, nclasses)
     total = float(np.sum(raw * np.array(sizes)))
     weights = np.concatenate([np.full(s, raw[i] / total) for i, s in enumerate(sizes)])
@@ -93,7 +85,7 @@ def random_space_with_automorphism(rng, max_classes: int = 3,
     return space, Endomorphism(space, table)
 
 
-def random_cyclic_setup(rng, q: int, orbits: int) -> tuple[FiniteMeasureSpace, CyclicAction]:
+def random_cyclic_setup(rng, q: int, orbits: int) -> CyclicAction:
     raw = rng.uniform(0.2, 1.0, orbits)
     total = float(raw.sum()) * q
     weights = np.repeat(raw / total, q)
@@ -102,7 +94,7 @@ def random_cyclic_setup(rng, q: int, orbits: int) -> tuple[FiniteMeasureSpace, C
     for o in range(orbits):
         base = o * q
         table[base:base + q] = base + (np.arange(q) + 1) % q
-    return space, CyclicAction(space, Endomorphism(space, table), q)
+    return CyclicAction(Endomorphism(space, table), q)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +195,7 @@ def right_koopman(rng, trials: int) -> list[PropertyCheck]:
     for i in range(trials):
         space, endo = random_space_with_automorphism(rng)
         w = random_matrix(rng, space)
-        u = koopman(space, endo)
+        u = koopman(endo)
         t.update(abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w)), {"trial": i, "J": space.size})
     return [t]
 
@@ -290,7 +282,7 @@ def operator_identities(rng, trials: int) -> list[PropertyCheck]:
     left_inv = PropertyCheck("unitary-left-norm-invariance", 1e-10)
     for i in range(trials):
         space, endo = random_space_with_automorphism(rng)
-        u = koopman(space, endo)
+        u = koopman(endo)
         f = _random_complex(rng, space.size)
         g = _random_complex(rng, space.size)
         iso.update(abs(vector_norm(space, u.apply(f)) - vector_norm(space, f)),
@@ -316,7 +308,7 @@ def projector_product(rng, trials: int) -> list[PropertyCheck]:
     t = PropertyCheck("projector-chain-norm-equals-intersection-measure", 1e-9)
     for i in range(trials):
         space, endo = random_space_with_automorphism(rng)
-        u = koopman(space, endo)
+        u = koopman(endo)
         k = int(rng.integers(1, 4))
         sets = [random_subset(rng, space.size) for _ in range(k + 1)]
         acc = projector(space, sets[0]).entries  # order: sets[0] acts first
@@ -346,7 +338,7 @@ def koopman_bridge(rng, trials: int) -> list[PropertyCheck]:
         j = int(rng.integers(2, 7))
         space = uniform_space(j)
         endo = Endomorphism(space, rng.permutation(j))
-        u = koopman(space, endo)
+        u = koopman(endo)
         chi = random_partition(rng, j)
         n = int(rng.integers(1, 4))
         q_table = ent.path_mass_table(u, chi, n)
@@ -394,7 +386,7 @@ def closed_entropy(rng, trials: int) -> list[PropertyCheck]:
     for i in range(trials):
         j = int(rng.integers(2, 9))
         space = uniform_space(j)
-        perm = koopman(space, Endomorphism(space, rng.permutation(j)))
+        perm = koopman(Endomorphism(space, rng.permutation(j)))
         perm0.update(abs(ent.quantum_entropy_closed(perm)), {"trial": i, "J": j})
         u = OperatorMatrix(space, random_standard_unitary(rng, j))
         closed = ent.quantum_entropy_closed(u)
@@ -467,8 +459,8 @@ def cyclic_dimension(rng, trials: int) -> list[PropertyCheck]:
     combos = [(q, m) for q in (2, 3, 4, 6) for m in (1, 2, 3)]
     for i in range(max(1, trials // len(combos))):
         for q, m in combos:
-            space, action = random_cyclic_setup(rng, q, m)
+            action = random_cyclic_setup(rng, q, m)
             for n in range(q):
-                v = abs(mu_norm_sq(cyclic_projector(space, action, n)) - 1.0 / q)
+                v = abs(mu_norm_sq(cyclic_projector(action, n)) - 1.0 / q)
                 t.update(v, {"round": i, "q": q, "orbits": m, "residue": n})
     return [t]

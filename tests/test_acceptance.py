@@ -97,7 +97,7 @@ def test_criterion_05_koopman_bridge():
 def test_criterion_06_closed_entropy():
     rng = np.random.default_rng(106)
     sp = uniform_space(4)
-    perm = koopman(sp, Endomorphism(sp, [2, 0, 3, 1]))
+    perm = koopman(Endomorphism(sp, [2, 0, 3, 1]))
     exact_zero = quantum_entropy_closed(perm)
     h = 1 / math.sqrt(2.0)
     balanced = quantum_entropy_closed(

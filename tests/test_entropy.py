@@ -7,6 +7,7 @@ import pytest
 from munorm import (
     CapExceeded,
     Endomorphism,
+    FiniteMeasureSpace,
     OperatorMatrix,
     Partition,
     finest_partition,
@@ -15,7 +16,6 @@ from munorm import (
     ks_entropy_at,
     ks_entropy_rate,
     ks_path_measure_table,
-    make_space,
     markov_entropy_rate,
     mu_norm_sq,
     path_mass_table,
@@ -59,7 +59,7 @@ def test_path_operator_digit_out_of_range():
 
 def test_path_operator_koopman_mass_is_itinerary_measure():
     cycle = Endomorphism(U3, [1, 2, 0])
-    u = koopman(U3, cycle)
+    u = koopman(cycle)
     chi = finest_partition(U3)
     # digits (a, b): mass = mu({b} cap F^{-1}({a}))
     for a in range(3):
@@ -82,7 +82,7 @@ def test_quantum_entropy_permutation_constant_log_j():
     rng = np.random.default_rng(0)
     for j in (2, 3, 5):
         sp = uniform_space(j)
-        u = koopman(sp, Endomorphism(sp, rng.permutation(j)))
+        u = koopman(Endomorphism(sp, rng.permutation(j)))
         chi = finest_partition(sp)
         for n in range(4):
             assert quantum_entropy_at(u, chi, n) == pytest.approx(math.log(j), abs=1e-12)
@@ -98,7 +98,7 @@ def test_term_cap_reports_required_count():
 
 
 def test_rate_report_permutation():
-    u = koopman(U3, Endomorphism(U3, [1, 2, 0]))
+    u = koopman(Endomorphism(U3, [1, 2, 0]))
     rep = quantum_entropy_rate(u, finest_partition(U3), 4)
     assert rep.lengths == (1, 2, 3, 4, 5)
     assert all(abs(d) <= 1e-12 for d in rep.differences)
@@ -120,7 +120,7 @@ def test_rate_report_requires_n_max_two():
 
 
 def test_closed_entropy_values():
-    perm = koopman(U3, Endomorphism(U3, [2, 0, 1]))
+    perm = koopman(Endomorphism(U3, [2, 0, 1]))
     assert quantum_entropy_closed(perm) == 0.0
     assert quantum_entropy_closed(HADAMARD) == pytest.approx(math.log(2.0), abs=1e-12)
     assert quantum_entropy_closed(identity(U4)) == 0.0
@@ -128,7 +128,7 @@ def test_closed_entropy_values():
 
 def test_closed_entropy_rejects_nonuniform_and_non_unitary():
     with pytest.raises(ValueError, match="uniform"):
-        quantum_entropy_closed(identity(make_space([0.2, 0.3, 0.5])))
+        quantum_entropy_closed(identity(FiniteMeasureSpace([0.2, 0.3, 0.5])))
     with pytest.raises(ValueError, match="not unitary"):
         quantum_entropy_closed(OperatorMatrix(U2, np.ones((2, 2))))
 
@@ -170,7 +170,7 @@ def test_koopman_bridge_term_by_term():
         j = int(rng.integers(2, 7))
         sp = uniform_space(j)
         endo = Endomorphism(sp, rng.permutation(j))
-        u = koopman(sp, endo)
+        u = koopman(endo)
         chi = random_partition(rng, j)
         n = int(rng.integers(1, 4))
         q = path_mass_table(u, chi, n)
@@ -196,7 +196,7 @@ def _assert_tables_match_dense_oracle(u, chi, n):
 
 def test_path_mass_table_matches_dense_path_operator():
     rng = np.random.default_rng(17)
-    sp = make_space([0.1, 0.05, 0.2, 0.15, 0.3, 0.2])
+    sp = FiniteMeasureSpace([0.1, 0.05, 0.2, 0.15, 0.3, 0.2])
     w = OperatorMatrix(sp, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     chi = Partition(6, [[0, 4], [1], [2, 3, 5]])
     for n in range(4):
@@ -207,7 +207,7 @@ def test_path_mass_table_matches_dense_path_operator():
 
 
 def test_path_mass_table_prunes_disjoint_blocks():
-    sp = make_space([0.2, 0.3, 0.5])
+    sp = FiniteMeasureSpace([0.2, 0.3, 0.5])
     chi = Partition(3, [[0, 1], [2]])
     for n in range(4):
         _assert_tables_match_dense_oracle(identity(sp), chi, n)
@@ -217,7 +217,7 @@ def test_path_mass_table_prunes_disjoint_blocks():
 
 def test_split_frontiers_match_dense_oracle(monkeypatch):
     rng = np.random.default_rng(18)
-    sp = make_space([0.1, 0.05, 0.2, 0.15, 0.3, 0.2])
+    sp = FiniteMeasureSpace([0.1, 0.05, 0.2, 0.15, 0.3, 0.2])
     w = OperatorMatrix(sp, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     chi = Partition(6, [[0, 4], [1], [2, 3, 5]])
     whole = quantum_entropy_rate(w, chi, 3).values
@@ -234,7 +234,7 @@ def test_split_frontiers_match_dense_oracle(monkeypatch):
 
 
 def test_underflowed_mass_is_still_expanded():
-    sp = make_space([0.5, 0.5])
+    sp = FiniteMeasureSpace([0.5, 0.5])
     u = OperatorMatrix(sp, np.array([[0.0, 1e150], [1e-170, 0.0]]))
     chi = finest_partition(sp)
     # the state of (0, 1) is 1e-170: nonzero, but its mass underflows to 0.0
@@ -248,7 +248,7 @@ def test_ks_table_matches_preimage_intersections():
     # atom 5 weighs 1e-14 and has no preimage, so F is measure-preserving
     # within tolerance but not injective
     b = (0.25 - 1e-14) / 2
-    sp = make_space([0.25, 0.25, 0.25, b, b, 1e-14])
+    sp = FiniteMeasureSpace([0.25, 0.25, 0.25, b, b, 1e-14])
     endo = Endomorphism(sp, [1, 2, 0, 4, 3, 3])
     chi = Partition(6, [[0, 3], [1, 5], [2, 4]])
     masks = [np.isin(np.arange(6), block) for block in chi.blocks]
@@ -383,9 +383,9 @@ def test_markov_rate_refuses_non_finite_entries():
 
 
 def test_weighted_permutation_entropy_is_weight_entropy():
-    sp = make_space([0.5, 0.25, 0.25])
+    sp = FiniteMeasureSpace([0.5, 0.25, 0.25])
     endo = Endomorphism(sp, [0, 2, 1])  # swaps the two equal-weight atoms
-    u = koopman(sp, endo)
+    u = koopman(endo)
     chi = finest_partition(sp)
     expected = -(0.5 * math.log(0.5) + 2 * 0.25 * math.log(0.25))
     for n in (0, 1, 2):

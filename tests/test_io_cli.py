@@ -15,9 +15,9 @@ import munorm
 from munorm import (
     Endomorphism,
     EventuallyPeriodicSeq,
+    FiniteMeasureSpace,
     Partition,
     PeriodicBandOperator,
-    make_space,
 )
 from munorm import io as mio
 from munorm.cli import _BUILDERS, _COMMANDS, build_parser, main
@@ -28,7 +28,7 @@ from munorm.cli import _BUILDERS, _COMMANDS, build_parser, main
 
 
 def test_space_round_trip():
-    sp = make_space([0.2, 0.3, 0.5])
+    sp = FiniteMeasureSpace([0.2, 0.3, 0.5])
     assert mio.space_from_obj(mio.space_to_obj(sp)) == sp
 
 
@@ -48,7 +48,7 @@ def test_matrix_round_trip_and_optional_im():
 
 
 def test_endomorphism_round_trip_one_based():
-    sp = make_space([0.25] * 4)
+    sp = FiniteMeasureSpace([0.25] * 4)
     endo = Endomorphism(sp, [1, 2, 3, 0])
     obj = mio.endomorphism_to_obj(endo)
     assert obj == {"map": [2, 3, 4, 1]}
@@ -118,7 +118,7 @@ def test_field_errors_name_the_field():
 def test_builders_take_number_subclasses_entry_by_entry():
     # numpy floats are floats, and int subclasses other than bool are ints
     sp = mio.space_from_obj({"weights": list(np.full(2, 0.5))})
-    assert sp == make_space([0.5, 0.5])
+    assert sp == FiniteMeasureSpace([0.5, 0.5])
     one, two = enum.IntEnum("Atom", "one two")
     assert mio.endomorphism_from_obj({"map": [two, one]}, sp).table.tolist() == [1, 0]
     assert mio.partition_from_obj({"blocks": [[two], [one]]}, 2).blocks == ((0,), (1,))
@@ -157,11 +157,12 @@ def test_builders_take_number_subclasses_entry_by_entry():
 
 def _integer_sites():
     # (site, a valid integer value); each site calls the library with one value
-    sp = make_space([0.5, 0.5])
+    sp = FiniteMeasureSpace([0.5, 0.5])
     swap = Endomorphism(sp, [1, 0])
-    action = munorm.CyclicAction(sp, swap, 2)
+    action = munorm.CyclicAction(swap, 2)
     seq = EventuallyPeriodicSeq([1.0], [2.0], {1: 3.0}, 2)
     op = PeriodicBandOperator(1, 1, np.ones((1, 3)), [(1, 2, 0.5)])
+    u, chi = munorm.koopman(swap), munorm.finest_partition(sp)
     return {
         "seq k0": (lambda k: EventuallyPeriodicSeq([1.0], [2.0], None, k), 1),
         "seq middle key": (lambda k: EventuallyPeriodicSeq([1.0], [2.0], {k: 3.0}, 2), 1),
@@ -183,10 +184,22 @@ def _integer_sites():
         "validate_subset": (lambda k: sp.validate_subset([k]), 1),
         "projector": (lambda k: munorm.projector(sp, [k]), 1),
         "endomorphism table": (lambda k: Endomorphism(sp, [k, 0]), 1),
-        "cyclic order": (lambda k: munorm.CyclicAction(sp, swap, k), 2),
-        "cyclic_projector n": (lambda k: munorm.cyclic_projector(sp, action, k), 1),
-        "path_operator digit": (lambda k: munorm.path_operator(
-            munorm.identity(sp), munorm.finest_partition(sp), [k, 0]), 1),
+        "cyclic order": (lambda k: munorm.CyclicAction(swap, k), 2),
+        "cyclic_projector n": (lambda k: munorm.cyclic_projector(action, k), 1),
+        "path_operator digit": (lambda k: munorm.path_operator(u, chi, [k, 0]), 1),
+        "map call": (swap, 1),
+        "base_entry row": (lambda k: op.base_entry(k, 2), 1),
+        "base_entry col": (lambda k: op.base_entry(1, k), 1),
+        "path_mass_table horizon": (lambda k: munorm.path_mass_table(u, chi, k), 1),
+        "path_mass_total horizon": (lambda k: munorm.path_mass_total(u, chi, k), 1),
+        "quantum_entropy_at horizon": (lambda k: munorm.quantum_entropy_at(u, chi, k), 1),
+        "quantum_entropy_rate horizon": (lambda k: munorm.quantum_entropy_rate(u, chi, k), 2),
+        "ks_entropy_at horizon": (lambda k: munorm.ks_entropy_at(swap, chi, k), 1),
+        "ks_entropy_rate horizon": (lambda k: munorm.ks_entropy_rate(swap, chi, k), 2),
+        "ks_path_measure_table horizon": (
+            lambda k: munorm.ks_path_measure_table(swap, chi, k), 1),
+        "term_cap": (lambda k: munorm.path_mass_total(u, chi, 1, term_cap=k), 100),
+        "rate term_cap": (lambda k: munorm.ks_entropy_rate(swap, chi, 2, term_cap=k), 100),
     }
 
 
@@ -200,6 +213,76 @@ def test_integer_arguments_refuse_non_integral_values(site):
     call(np.int64(good))
     if good == 1:
         call(True)
+
+
+def _library_refusals():
+    # name -> (call, exception type, message fragment); each call meets one refusal
+    sp = FiniteMeasureSpace([0.5, 0.5])
+    swap = Endomorphism(sp, [1, 0])
+    u = munorm.koopman(swap)
+    seq = EventuallyPeriodicSeq([1.0], [1.0])
+    op = PeriodicBandOperator(1, 0, [[1.0]])
+    nan = float("nan")
+    return {
+        "seq period values": (lambda: EventuallyPeriodicSeq([nan], [1.0]),
+                              ValueError, "period values must be finite"),
+        "seq middle values": (lambda: EventuallyPeriodicSeq([1.0], [1.0], {1: nan}, 2),
+                              ValueError, "middle values must be finite"),
+        "seq values range": (lambda: seq.values(3, 2),
+                             ValueError, "empty index range"),
+        "rho window": (lambda: munorm.rho_window_max(seq, 0),
+                       ValueError, "window length must be positive"),
+        "band tau": (lambda: PeriodicBandOperator(0, 0, np.ones((0, 1))),
+                     ValueError, "period tau must be >= 1"),
+        "band radius": (lambda: PeriodicBandOperator(1, -1, [[]]),
+                        ValueError, "band radius must be >= 0"),
+        "band tau cap": (lambda: PeriodicBandOperator(129, 0, np.ones((129, 1))),
+                         munorm.CapExceeded, "period 129 exceeds the cap 128"),
+        "band coeffs": (lambda: PeriodicBandOperator(1, 0, [[nan]]),
+                        ValueError, "coefficients must be finite"),
+        "band perturbation": (lambda: PeriodicBandOperator(1, 0, [[1.0]], [(0, 0, nan)]),
+                              ValueError, "perturbation values must be finite"),
+        "product period cap": (lambda: munorm.dt_compose(PeriodicBandOperator(
+            127, 0, np.ones((127, 1))), PeriodicBandOperator(2, 0, np.ones((2, 1)))),
+                               munorm.CapExceeded, "product period 254 exceeds the cap 128"),
+        "trace window": (lambda: munorm.avg_trace_window(op, 1, 0),
+                         ValueError, "empty row window"),
+        "entropy partition size": (  # the wording of norm.m_chi for the same mismatch
+            lambda: munorm.path_mass_table(u, Partition(3, [[0, 1, 2]]), 1),
+            ValueError, "partition over 3 atoms does not match a space with 2"),
+        "empty multiindex": (lambda: munorm.path_operator(u, munorm.finest_partition(sp), []),
+                             ValueError, "multiindex must have at least one digit"),
+        "markov distribution length": (lambda: munorm.markov_entropy_rate(np.eye(2), [1.0]),
+                                       ValueError, "distribution length does not match"),
+        "basis length": (lambda: munorm.mu_dim(sp, [[1.0, 0.0, 0.0]]),
+                         ValueError, "basis vector length does not match the space"),
+        "cyclic order": (lambda: munorm.CyclicAction(swap, 0),
+                         ValueError, "group order must be >= 1"),
+        "operator entries": (lambda: munorm.OperatorMatrix(sp, [[nan, 0.0], [0.0, 1.0]]),
+                             ValueError, "operator entries must be finite"),
+        "apply length": (lambda: u.apply([1.0, 2.0, 3.0]),
+                         ValueError, "vector length does not match the space"),
+        "map table range": (lambda: Endomorphism(sp, [2, 0]),
+                            ValueError, "out-of-range atom index"),
+        "iterate count": (lambda: swap.iterate(-1),
+                          ValueError, "iteration count must be nonnegative"),
+        "weights shape": (lambda: FiniteMeasureSpace([]),
+                          ValueError, "weights must be a nonempty one-dimensional sequence"),
+        "weights finite": (lambda: FiniteMeasureSpace([nan, 0.5]),
+                           ValueError, "weights must be finite"),
+        "partition universe": (lambda: Partition(0, []),
+                               ValueError, "partition universe must be nonempty"),
+        "partition block range": (lambda: Partition(2, [[0, 2]]),
+                                  ValueError, "block (0, 2) out of range for universe of size 2"),
+    }
+
+
+@pytest.mark.parametrize("site", list(_library_refusals()))
+def test_every_library_refusal_can_fire(site):
+    call, kind, fragment = _library_refusals()[site]
+    with pytest.raises(kind) as got:
+        call()
+    assert fragment in str(got.value)
 
 
 def test_load_json_decodes_as_text_mode(tmp_path):
@@ -761,6 +844,39 @@ def test_cli_refuses_a_key_repeated_in_an_object(files, capsys, argv, text, fiel
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == f"invalid input: {bad}: {field}\n"
+
+
+@pytest.mark.parametrize("argv, bad, field", [
+    (["markov-rate", "--p", "BAD", "--dist", "U2"], {"re": [[1.0, 0.0], [0.0, 1.0]],
+                                                     "im": [[0.5, 0.0], [0.0, 0.0]]},
+     "transition matrix must be real"),
+    (["markov-rate", "--p", "I2", "--dist", "BAD"], {"weights": []},
+     "distribution: 'weights' must be a nonempty list"),
+    (["markov-rate", "--p", "I2", "--dist", "BAD"], {"weights": [0.7, 0.7]},
+     "distribution: entries must be nonnegative and sum to 1"),
+    (["m-chi", "--space", "U2", "--op", "I2", "--partition", "BAD"], {"blocks": 3},
+     "partition: field 'blocks' must be a list of lists"),
+    (["mu-norm", "--space", "U2", "--op", "BAD"], {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]},
+     "operator: 're' and 'im' must be equal-shape 2-d tables"),
+    (["rho", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": [2.0], "k0": 2},
+     "seq: field 'middle' must be an object keyed by index"),
+    (["dt-norm", "--op", "BAD"], {"tau": "1", "band": 0, "coeffs": [[1.0]]},
+     "band operator: 'tau' and 'band' must be integers"),
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": 1.0},
+     "band operator: 'coeffs' must be a list of rows"),
+    (["dt-norm", "--op", "BAD"],
+     {"tau": 1, "band": 0, "coeffs": [[1.0]], "perturbation": [[0, 0]]},
+     "band operator: each perturbation item must be [row, col, value]"),
+])
+def test_every_cli_refusal_can_fire(files, capsys, argv, bad, field):
+    tmp, write = files
+    paths = {"BAD": write("bad.json", bad),
+             "U2": write("u2.json", {"weights": [0.5, 0.5]}),
+             "I2": write("i2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})}
+    code = main([paths.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {field}\n"
 
 
 def test_cli_exit_codes(files, capsys):

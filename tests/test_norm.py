@@ -7,13 +7,13 @@ import pytest
 from munorm import (
     CyclicAction,
     Endomorphism,
+    FiniteMeasureSpace,
     OperatorMatrix,
     Partition,
     cyclic_projector,
     finest_partition,
     identity,
     m_chi,
-    make_space,
     mu_dim,
     mu_norm,
     mu_norm_sq,
@@ -39,8 +39,8 @@ from munorm.verify_finite import (
 from munorm import norm
 from munorm.operators import _weighted_norm
 
-W3 = make_space([0.2, 0.3, 0.5])
-U2 = make_space([0.5, 0.5])
+W3 = FiniteMeasureSpace([0.2, 0.3, 0.5])
+U2 = FiniteMeasureSpace([0.5, 0.5])
 
 
 def test_m_chi_projector_two_block():
@@ -81,7 +81,7 @@ def test_closed_form_verified_against_finest_partition():
     for _ in range(20):
         j = int(rng.integers(2, 9))
         raw = rng.uniform(0.2, 1.0, j)
-        sp = make_space(raw / raw.sum())
+        sp = FiniteMeasureSpace(raw / raw.sum())
         w = OperatorMatrix(sp, rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
         assert mu_norm_sq(w) == pytest.approx(m_chi(w, finest_partition(sp)), abs=1e-10)
 
@@ -103,7 +103,7 @@ def test_m_chi_matches_per_block_norms(monkeypatch, stack_entries):
     for trial in range(320 if stack_entries is None else 60):
         j = int(rng.integers(1, 40))
         raw = rng.uniform(0.05, 1.0, j)
-        sp = make_space(raw / raw.sum() if trial % 4 else np.full(j, 1.0 / j))
+        sp = FiniteMeasureSpace(raw / raw.sum() if trial % 4 else np.full(j, 1.0 / j))
         w = OperatorMatrix(sp, rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
         if trial % 3 == 0:
             chi = finest_partition(sp)
@@ -135,7 +135,7 @@ def test_weighted_gram_schmidt_matches_vector_at_a_time_loop():
         j = int(rng.integers(1, 33))
         m = int(rng.integers(1, 2 * j + 3))
         raw = rng.uniform(0.05, 1.0, j)
-        sp = make_space(raw / raw.sum() if trial % 4 else np.full(j, 1.0 / j))
+        sp = FiniteMeasureSpace(raw / raw.sum() if trial % 4 else np.full(j, 1.0 / j))
         v = rng.standard_normal((m, j)) + 1j * rng.standard_normal((m, j))
         if m > 2 and trial % 2:
             v[1] = 2 * v[0] - 1j * v[m // 2]  # dependent
@@ -197,7 +197,7 @@ def test_mu_dim_full_basis_is_one():
 def test_mu_dim_uniform_equals_relative_dimension():
     rng = np.random.default_rng(11)
     j, d = 6, 3
-    sp = make_space([1 / j] * j)
+    sp = FiniteMeasureSpace([1 / j] * j)
     span = rng.standard_normal((d, j)) + 1j * rng.standard_normal((d, j))
     assert mu_dim(sp, list(span), orthonormalize=True) == pytest.approx(d / j, abs=1e-10)
 
@@ -216,17 +216,17 @@ def test_weighted_gram_schmidt_drops_dependent_vectors():
 
 
 def test_cyclic_projector_order_one_is_identity():
-    sp = make_space([0.2, 0.3, 0.5])
-    action = CyclicAction(sp, Endomorphism(sp, [0, 1, 2]), 1)
-    np.testing.assert_allclose(cyclic_projector(sp, action, 0).entries, np.eye(3), atol=1e-15)
+    sp = FiniteMeasureSpace([0.2, 0.3, 0.5])
+    action = CyclicAction(Endomorphism(sp, [0, 1, 2]), 1)
+    np.testing.assert_allclose(cyclic_projector(action, 0).entries, np.eye(3), atol=1e-15)
 
 
 def test_cyclic_projector_swap():
-    action = CyclicAction(U2, Endomorphism(U2, [1, 0]), 2)
-    p0 = cyclic_projector(U2, action, 0)
+    action = CyclicAction(Endomorphism(U2, [1, 0]), 2)
+    p0 = cyclic_projector(action, 0)
     np.testing.assert_allclose(p0.entries, np.full((2, 2), 0.5), atol=1e-15)
     assert mu_norm_sq(p0) == pytest.approx(0.5, abs=1e-12)
-    p1 = cyclic_projector(U2, action, 1)
+    p1 = cyclic_projector(action, 1)
     np.testing.assert_allclose(p1.entries, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-15)
     assert mu_norm_sq(p1) == pytest.approx(0.5, abs=1e-12)
 
@@ -235,17 +235,17 @@ def test_cyclic_projector_idempotent_self_adjoint():
     from munorm import adjoint, compose
     from munorm.verify_finite import random_cyclic_setup
 
-    sp, action = random_cyclic_setup(np.random.default_rng(2), 3, 2)
-    p = cyclic_projector(sp, action, 1)
+    action = random_cyclic_setup(np.random.default_rng(2), 3, 2)
+    p = cyclic_projector(action, 1)
     np.testing.assert_allclose(compose(p, p).entries, p.entries, atol=1e-12)
     np.testing.assert_allclose(adjoint(p).entries, p.entries, atol=1e-12)
 
 
 def test_cyclic_action_rejects_wrong_orbit_size():
-    sp = make_space([0.25] * 4)
+    sp = FiniteMeasureSpace([0.25] * 4)
     swap_two = Endomorphism(sp, [1, 0, 2, 3])  # one 2-orbit, two fixed points
     with pytest.raises(ValueError, match="not almost free"):
-        CyclicAction(sp, swap_two, 2)
+        CyclicAction(swap_two, 2)
 
 
 @pytest.mark.parametrize("suite", [
@@ -273,7 +273,7 @@ def _dense_cyclic_projector(space, action, n):
 
     q = action.order
     n = int(n) % q
-    u = koopman(space, action.generator).entries
+    u = koopman(action.generator).entries
     acc = np.zeros((space.size, space.size), dtype=complex)
     power = np.eye(space.size, dtype=complex)
     r = np.exp(2j * np.pi / q)
@@ -294,8 +294,8 @@ def _shuffled_cyclic_action(rng, q, orbits):
     raw = rng.uniform(0.2, 1.0, orbits)
     weights = np.empty(size)
     weights[perm] = np.repeat(raw / (raw.sum() * q), q)
-    sp = make_space(weights)
-    return sp, CyclicAction(sp, Endomorphism(sp, table), q)
+    sp = FiniteMeasureSpace(weights)
+    return sp, CyclicAction(Endomorphism(sp, table), q)
 
 
 def test_cyclic_projector_matches_dense_power_sum():
@@ -304,7 +304,7 @@ def test_cyclic_projector_matches_dense_power_sum():
         q, orbits = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         sp, action = _shuffled_cyclic_action(rng, q, orbits)
         n = int(rng.integers(-2 * q, 2 * q + 1))
-        got = cyclic_projector(sp, action, n).entries
+        got = cyclic_projector(action, n).entries
         assert got.tobytes() == _dense_cyclic_projector(sp, action, n).tobytes()
 
 
@@ -348,14 +348,14 @@ def test_cyclic_action_refusals_match_the_orbit_walk():
         table[off] = rng.choice(on, orphans)  # orphans have no preimage
         weights = np.full(size, 1e-14)
         weights[on] = (1.0 - orphans * 1e-14) / cyclic
-        sp = make_space(weights)
+        sp = FiniteMeasureSpace(weights)
         gen = Endomorphism(sp, table)
         want = _orbit_walk_refusal(sp, gen, order)
         if want is None:
-            assert CyclicAction(sp, gen, order).order == order
+            assert CyclicAction(gen, order).order == order
         else:
             with pytest.raises(ValueError) as exc:
-                CyclicAction(sp, gen, order)
+                CyclicAction(gen, order)
             assert str(exc.value) == want
         refused["close" if want and "close" in want else "free" if want else None] += 1
     assert min(refused.values()) >= 20, refused
@@ -363,10 +363,10 @@ def test_cyclic_action_refusals_match_the_orbit_walk():
 
 def test_cyclic_action_refusal_messages():
     b = (0.25 - 1e-14) / 2
-    sp = make_space([1e-14, 0.25, 0.25, 0.25, b, b])
+    sp = FiniteMeasureSpace([1e-14, 0.25, 0.25, 0.25, b, b])
     # atom 0 has no preimage and leads into the 2-cycle (4 5)
     with pytest.raises(ValueError, match="^generator table does not close into orbits$"):
-        CyclicAction(sp, Endomorphism(sp, [4, 2, 3, 1, 5, 4]), 3)
-    sp = make_space([0.25, 0.25, 0.25, 0.125, 0.125])
+        CyclicAction(Endomorphism(sp, [4, 2, 3, 1, 5, 4]), 3)
+    sp = FiniteMeasureSpace([0.25, 0.25, 0.25, 0.125, 0.125])
     with pytest.raises(ValueError, match="orbit of atom 3 has size 2, expected 3"):
-        CyclicAction(sp, Endomorphism(sp, [1, 2, 0, 4, 3]), 3)
+        CyclicAction(Endomorphism(sp, [1, 2, 0, 4, 3]), 3)

@@ -3,6 +3,7 @@ import pytest
 
 from munorm import (
     Endomorphism,
+    FiniteMeasureSpace,
     OperatorMatrix,
     add,
     adjoint,
@@ -10,7 +11,6 @@ from munorm import (
     identity,
     inner,
     koopman,
-    make_space,
     multiplication,
     operator_norm,
     projector,
@@ -18,8 +18,8 @@ from munorm import (
     unitarity_defect,
 )
 
-U3 = make_space([1 / 3] * 3)
-W3 = make_space([0.2, 0.3, 0.5])
+U3 = FiniteMeasureSpace([1 / 3] * 3)
+W3 = FiniteMeasureSpace([0.2, 0.3, 0.5])
 
 
 def test_projector_examples():
@@ -34,7 +34,7 @@ def test_multiplication_examples():
     ind = multiplication(W3, [1.0, 0.0, 1.0])
     np.testing.assert_array_equal(ind.entries, projector(W3, [0, 2]).entries)
     np.testing.assert_array_equal(multiplication(U3, [2j] * 3).entries, 2j * np.eye(3))
-    u2 = make_space([0.5, 0.5])
+    u2 = FiniteMeasureSpace([0.5, 0.5])
     np.testing.assert_array_equal(multiplication(u2, [1, 1j]).entries, np.diag([1, 1j]))
     with pytest.raises(ValueError, match="length"):
         multiplication(u2, [1.0])
@@ -42,16 +42,16 @@ def test_multiplication_examples():
 
 def test_koopman_identity_and_cycle():
     ident = Endomorphism(U3, [0, 1, 2])
-    np.testing.assert_array_equal(koopman(U3, ident).entries, np.eye(3))
+    np.testing.assert_array_equal(koopman(ident).entries, np.eye(3))
     cycle = Endomorphism(U3, [1, 2, 0])
-    u = koopman(U3, cycle)
+    u = koopman(cycle)
     # row j has its 1 at column F(j)
     np.testing.assert_array_equal(u.entries, np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
     assert unitarity_defect(u) <= 1e-14
 
 
 def test_koopman_rejects_non_measure_preserving():
-    sp = make_space([0.25, 0.25, 0.5])
+    sp = FiniteMeasureSpace([0.25, 0.25, 0.5])
     # F(0)=F(1)=2 forces preimage mass 0.5 at atom 0 or 1 regardless of F(2)
     for target in (0, 1):
         with pytest.raises(ValueError, match="not measure-preserving"):
@@ -62,7 +62,7 @@ def test_endomorphism_accepts_orphan_atoms_only_below_the_tolerance():
     # atom 5 has no preimage; atoms 3 and 4 map onto atom 3 or 4 and absorb its weight
     for orphan, accepted in ((1e-14, True), (1e-9, False)):
         b = (0.25 - orphan) / 2
-        sp = make_space([0.25, 0.25, 0.25, b, b, orphan])
+        sp = FiniteMeasureSpace([0.25, 0.25, 0.25, b, b, orphan])
         table = [1, 2, 0, 4, 3, 3]
         if accepted:
             endo = Endomorphism(sp, table)
@@ -73,7 +73,7 @@ def test_endomorphism_accepts_orphan_atoms_only_below_the_tolerance():
 
 
 def test_endomorphism_table_entries_go_through_int():
-    sp = make_space([0.25] * 4)
+    sp = FiniteMeasureSpace([0.25] * 4)
     want = Endomorphism(sp, [1, 2, 3, 0])
     source = np.array([1, 2, 3, 0])
     for table in (source, source.astype(np.int32), [True, 2, 3, False],
@@ -91,7 +91,7 @@ def test_endomorphism_table_entries_go_through_int():
 
 
 def test_endomorphism_reports_violated_atom():
-    sp = make_space([0.25, 0.25, 0.5])
+    sp = FiniteMeasureSpace([0.25, 0.25, 0.5])
     with pytest.raises(ValueError, match="atom 0"):
         Endomorphism(sp, [2, 2, 0])
 
@@ -99,7 +99,7 @@ def test_endomorphism_reports_violated_atom():
 def test_operator_norm_examples():
     assert operator_norm(projector(W3, [1, 2])) == pytest.approx(1.0, abs=1e-12)
     assert operator_norm(OperatorMatrix(U3, np.zeros((3, 3)))) == 0.0
-    u2 = make_space([0.5, 0.5])
+    u2 = FiniteMeasureSpace([0.5, 0.5])
     assert operator_norm(multiplication(u2, [2, 3])) == pytest.approx(3.0, rel=1e-12)
 
 
@@ -133,7 +133,7 @@ def test_projector_lattice_identities():
 
 def test_algebra_space_mismatch():
     with pytest.raises(ValueError, match="different spaces"):
-        add(identity(U3), identity(make_space([0.5, 0.25, 0.25])))
+        add(identity(U3), identity(FiniteMeasureSpace([0.5, 0.25, 0.25])))
 
 
 def test_scale_and_sugar():

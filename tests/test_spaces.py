@@ -9,42 +9,40 @@ from munorm import (
     finest_partition,
     is_subpartition,
     join,
-    make_space,
-    measure_of,
     trivial_partition,
 )
 
 
 def test_make_space_valid():
-    assert make_space([0.5, 0.5]).size == 2
-    assert make_space([0.2, 0.3, 0.5]).size == 3
+    assert FiniteMeasureSpace([0.5, 0.5]).size == 2
+    assert FiniteMeasureSpace([0.2, 0.3, 0.5]).size == 3
 
 
 def test_make_space_rejects_nonpositive():
     with pytest.raises(ValueError, match=r"^nonpositive weight -0\.5 at atom 1;"):
-        make_space([0.5, -0.5, 1.0])
+        FiniteMeasureSpace([0.5, -0.5, 1.0])
     with pytest.raises(ValueError, match="nonpositive"):
-        make_space([1.0, 0.0])
+        FiniteMeasureSpace([1.0, 0.0])
 
 
 def test_make_space_rejects_bad_sum_and_reports_deviation():
     with pytest.raises(ValueError, match="deviation"):
-        make_space([0.5, 0.6])
+        FiniteMeasureSpace([0.5, 0.6])
     # within the 1e-9 input tolerance: accepted, never renormalized
-    sp = make_space([0.5, 0.5 + 5e-10])
+    sp = FiniteMeasureSpace([0.5, 0.5 + 5e-10])
     assert sp.weights[1] == 0.5 + 5e-10
 
 
 def test_measure_of():
-    u4 = make_space([0.25] * 4)
-    assert measure_of(u4, [0, 1]) == pytest.approx(0.5, abs=1e-15)
-    assert measure_of(u4, []) == 0.0
-    assert measure_of(make_space([0.2, 0.3, 0.5]), [2]) == pytest.approx(0.5, abs=1e-15)
+    u4 = FiniteMeasureSpace([0.25] * 4)
+    assert u4.measure([0, 1]) == pytest.approx(0.5, abs=1e-15)
+    assert u4.measure([]) == 0.0
+    assert FiniteMeasureSpace([0.2, 0.3, 0.5]).measure([2]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_measure_of_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        measure_of(make_space([0.5, 0.5]), [2])
+        FiniteMeasureSpace([0.5, 0.5]).measure([2])
 
 
 def test_join_crossing_pairs():
@@ -54,7 +52,7 @@ def test_join_crossing_pairs():
 
 
 def test_join_finest_absorbing_and_idempotent():
-    sp = make_space([0.25] * 4)
+    sp = FiniteMeasureSpace([0.25] * 4)
     chi = Partition(4, [[0, 1], [2, 3]])
     assert join(chi, finest_partition(sp)) == finest_partition(sp)
     assert join(chi, chi) == chi
@@ -66,9 +64,9 @@ def test_join_rejects_mismatched_sizes():
 
 
 def test_finest_partition():
-    assert finest_partition(make_space([1 / 3] * 3)).blocks == ((0,), (1,), (2,))
-    assert finest_partition(make_space([1.0])).blocks == ((0,),)
-    assert len(finest_partition(make_space([0.5, 0.5]))) == 2
+    assert finest_partition(FiniteMeasureSpace([1 / 3] * 3)).blocks == ((0,), (1,), (2,))
+    assert finest_partition(FiniteMeasureSpace([1.0])).blocks == ((0,),)
+    assert len(finest_partition(FiniteMeasureSpace([0.5, 0.5]))) == 2
 
 
 def test_partition_validation():
@@ -161,5 +159,5 @@ def test_measure_additive_over_disjoint_subsets(raw, pick):
 
 
 def test_trivial_partition():
-    sp = make_space([0.2, 0.3, 0.5])
+    sp = FiniteMeasureSpace([0.2, 0.3, 0.5])
     assert trivial_partition(sp).blocks == ((0, 1, 2),)
