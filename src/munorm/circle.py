@@ -204,28 +204,19 @@ def conv_norm(seq: EventuallyPeriodicSeq) -> float:
     return sup
 
 
-def rho_window_max(seq: EventuallyPeriodicSeq, window: int,
-                   lo: int | None = None, hi: int | None = None) -> float:
+def rho_window_max(seq: EventuallyPeriodicSeq, window: int) -> float:
     """Brute-force oracle for ``rho``: best average over sliding windows.
 
-    Scans every length-``window`` interval inside ``[lo, hi]`` (by
-    default wide enough that windows sit fully inside either tail) and
-    returns the maximal average of ``|lam_k|^2``.  Converges to
-    ``rho(seq)`` at rate O(period/window).
+    Scans every length-``window`` interval inside
+    ``[-(k0 + 2*window), k0 + 2*window]``, wide enough that windows sit
+    fully inside either tail, and returns the maximal average of
+    ``|lam_k|^2``.  Converges to ``rho(seq)`` at rate O(period/window).
     """
     window = operator.index(window)
     if window < 1:
         raise ValueError("window length must be positive")
-    if lo is None:
-        lo = -(seq.k0 + 2 * window)
-    if hi is None:
-        hi = seq.k0 + 2 * window
-    lo, hi = operator.index(lo), operator.index(hi)
-    if hi < lo:
-        raise ValueError("empty index range")
-    if hi - lo + 1 < window:
-        raise ValueError("domain is shorter than the window")
-    sq = seq._run(lo, hi, lambda v: np.abs(v) ** 2)
+    reach = seq.k0 + 2 * window
+    sq = seq._run(-reach, reach, lambda v: np.abs(v) ** 2)
     csum = np.empty(sq.size + 1)
     csum[0] = 0.0
     np.cumsum(sq, out=csum[1:])
@@ -529,38 +520,18 @@ def rho_la(op: PeriodicBandOperator, a: float | np.ndarray) -> float | np.ndarra
     return float(density[0]) if np.ndim(a) == 0 else density
 
 
-def required_quad_points(op: PeriodicBandOperator) -> int:
-    """Fewest grid points that integrate the symbol density exactly.
-
-    ``|w_l(a)|^2`` is a trigonometric polynomial of degree ``2*band``, and
-    an ``n``-point uniform grid averages ``e^{ika}`` exactly for
-    ``0 < |k| < n``; so ``2*band + 1`` points suffice and ``2*band`` can
-    alias (``2cos`` on 2 points averages 4, not 2).
-    """
-    return 2 * op.band + 1
-
-
-def dt_mu_norm_sq(op: PeriodicBandOperator, quad_points: int | None = None) -> DtMuNorm:
+def dt_mu_norm_sq(op: PeriodicBandOperator) -> DtMuNorm:
     """Squared partition norm: circle average of the symbol density.
 
-    Uniform-grid rectangle quadrature; the integrand is a trigonometric
-    polynomial of degree ``2*band``, so any grid of at least
-    ``required_quad_points(op) = 2*band + 1`` points integrates it exactly
-    to rounding.  The default grid has ``max(16, 8*band)`` points.  The
+    Uniform-grid rectangle quadrature on ``max(16, 8*band)`` points.  The
+    integrand ``|w_l(a)|^2`` is a trigonometric polynomial of degree
+    ``2*band``, which any grid of at least ``2*band + 1`` points averages
+    exactly to rounding, and the grid always exceeds that floor.  The
     Parseval closed form is returned alongside for cross-checking.
     Perturbations do not contribute (they are a compact correction on an
     atomless space).
     """
-    need = required_quad_points(op)
-    if quad_points is None:
-        n = max(16, 8 * op.band)
-    else:
-        n = operator.index(quad_points)
-        if n < need:
-            raise ValueError(
-                f"insufficient quadrature points: got {n}, need at least {need} "
-                f"for tau={op.tau}, band={op.band}"
-            )
+    n = max(16, 8 * op.band)
     grid = 2.0 * np.pi * np.arange(n) / n
     return DtMuNorm(float(np.mean(rho_la(op, grid))), avg_trace(op))
 

@@ -58,7 +58,7 @@ _BUILDERS = {
 }
 
 
-def _mu_norm(args, inputs, tol):
+def _mu_norm(args, inputs):
     from .norm import m_chi, mu_norm_sq
     from .spaces import finest_partition
 
@@ -66,27 +66,27 @@ def _mu_norm(args, inputs, tol):
     value = mu_norm_sq(op)
     gap = abs(value - m_chi(op, finest_partition(inputs["space"])))
     results = {"mu_norm_sq": value, "mu_norm": math.sqrt(value)}
-    return results, {"checks": [_check("matches-finest-partition", gap, tol)]}
+    return results, {"checks": [_check("matches-finest-partition", gap, 1e-10)]}
 
 
-def _m_chi(args, inputs, tol):
+def _m_chi(args, inputs):
     from .norm import m_chi, mu_norm_sq
 
     value = m_chi(inputs["op"], inputs["partition"])
     lower = mu_norm_sq(inputs["op"])
     results = {"m_chi": value, "mu_norm_sq": lower}
-    return results, {"checks": [_check("dominates-mu-norm", lower - value, tol)]}
+    return results, {"checks": [_check("dominates-mu-norm", lower - value, 1e-10)]}
 
 
-def _mu_dim(args, inputs, tol):
+def _mu_dim(args, inputs):
     from .norm import mu_dim
 
     value = mu_dim(inputs["space"], list(inputs["basis"]), orthonormalize=args.orthonormalize)
-    check = _check("within-unit-interval", max(-value, value - 1.0), tol)
+    check = _check("within-unit-interval", max(-value, value - 1.0), 1e-10)
     return {"mu_dim": value}, {"checks": [check]}
 
 
-def _entropy(args, inputs, tol):
+def _entropy(args, inputs):
     from .entropy import ks_entropy_rate, quantum_entropy_rate
 
     chi = inputs["partition"]
@@ -99,7 +99,7 @@ def _entropy(args, inputs, tol):
     return report.to_dict(args.log_base), diagnostics
 
 
-def _markov_rate(args, inputs, tol):
+def _markov_rate(args, inputs):
     from .entropy import log_unit, markov_entropy_rate
 
     conv, unit = log_unit(args.log_base)
@@ -107,7 +107,7 @@ def _markov_rate(args, inputs, tol):
     return {"entropy_rate": rate, "unit": unit}, {}
 
 
-def _rho(args, inputs, tol):
+def _rho(args, inputs):
     from .circle import rho, rho_window_max
 
     seq = inputs["seq"]
@@ -116,10 +116,10 @@ def _rho(args, inputs, tol):
     brute = rho_window_max(seq, window)
     results = {"rho": value, "left_mean": seq.left_mean, "right_mean": seq.right_mean}
     return results, {"window_length": window,
-                     "checks": [_check("window-oracle-agrees", abs(value - brute), tol)]}
+                     "checks": [_check("window-oracle-agrees", abs(value - brute), 1e-2)]}
 
 
-def _conv(args, inputs, tol):
+def _conv(args, inputs):
     from .circle import conv_norm, rho
 
     seq = inputs["seq"]
@@ -128,22 +128,22 @@ def _conv(args, inputs, tol):
             "left_mean": seq.left_mean, "right_mean": seq.right_mean}, {}
 
 
-def _dt_norm(args, inputs, tol):
+def _dt_norm(args, inputs):
     from .circle import dt_norm
 
     return {"dt_norm": dt_norm(inputs["op"])}, {}
 
 
-def _dt_mu_norm(args, inputs, tol):
+def _dt_mu_norm(args, inputs):
     from .circle import dt_mu_norm_sq
 
-    res = dt_mu_norm_sq(inputs["op"], quad_points=args.quad)
+    res = dt_mu_norm_sq(inputs["op"])
     results = {"quadrature": res.quadrature, "closed_form": res.closed_form}
     return results, {"checks": [_check("quadrature-matches-closed-form",
-                                       abs(res.quadrature - res.closed_form), tol)]}
+                                       abs(res.quadrature - res.closed_form), 1e-10)]}
 
 
-def _avg_trace(args, inputs, tol):
+def _avg_trace(args, inputs):
     from .circle import avg_trace, avg_trace_window
 
     value = avg_trace(inputs["op"])
@@ -152,13 +152,10 @@ def _avg_trace(args, inputs, tol):
     return {"avg_trace": value}, {"window_length": window, "window_average": finite}
 
 
-def _verify(args, inputs, tol):
+def _verify(args, inputs):
     from . import verify
 
     checks = verify.run_suite(args.suite, args.trials, args.seed)
-    if tol is not None:
-        for c in checks:
-            c.tolerance = tol
     results = {"suite": args.suite, "properties": [c.to_dict() for c in checks],
                "all_passed": all(c.passed for c in checks)}
     return results, {"trials": args.trials, "seed": args.seed}
@@ -175,7 +172,6 @@ _FLAGS = {
     "--dist": dict(required=True, help="distribution JSON file"),
     "--p": dict(required=True, help="transition matrix JSON file"),
     "--N": dict(type=int, required=True, help="largest horizon"),
-    "--quad": dict(type=int, default=None, help="quadrature points"),
     "--cap": dict(type=int, default=DEFAULT_TERM_CAP, help="enumeration term cap"),
     "--log-base": dict(dest="log_base", choices=("e", "2"), default="e",
                        help="report entropies in nats (e) or bits (2)"),
@@ -185,35 +181,30 @@ _FLAGS = {
                     help="suite name; see README or pass an unknown name to list them"),
     "--trials": dict(type=int, default=100),
     "--seed": dict(type=int, default=0),
-    "--tol": dict(type=float, default=None, help="override check tolerance"),
 }
 
-#: Command name -> (handler, help line, flags from ``_FLAGS``, default check
-#: tolerance).  A handler takes the parsed arguments, the built inputs by
-#: file flag and the check tolerance, and returns the report's results and
-#: diagnostics.  A command without ``--tol`` has no checks; ``verify`` keeps
-#: each check's own tolerance unless ``--tol`` is given.
+#: Command name -> (handler, help line, flags from ``_FLAGS``).  A handler
+#: takes the parsed arguments and the built inputs by file flag, and
+#: returns the report's results and diagnostics; each check it reports
+#: carries its own fixed tolerance.
 _COMMANDS = {
-    "mu-norm": (_mu_norm, "squared partition norm of an operator",
-                ("--space", "--op", "--tol"), 1e-10),
+    "mu-norm": (_mu_norm, "squared partition norm of an operator", ("--space", "--op")),
     "m-chi": (_m_chi, "partition functional at a given partition",
-              ("--space", "--op", "--partition", "--tol"), 1e-10),
+              ("--space", "--op", "--partition")),
     "mu-dim": (_mu_dim, "dimension of a subspace in the partition norm",
-               ("--space", "--basis", "--orthonormalize", "--tol"), 1e-10),
+               ("--space", "--basis", "--orthonormalize")),
     "entropy": (_entropy, "operator path entropy per horizon",
-                ("--space", "--op", "--partition", "--N", "--cap", "--log-base"), None),
+                ("--space", "--op", "--partition", "--N", "--cap", "--log-base")),
     "ks-entropy": (_entropy, "measure entropy of a map per horizon",
-                   ("--space", "--endo", "--partition", "--N", "--cap", "--log-base"), None),
+                   ("--space", "--endo", "--partition", "--N", "--cap", "--log-base")),
     "markov-rate": (_markov_rate, "entropy rate of a Markov chain",
-                    ("--p", "--dist", "--log-base"), None),
-    "rho": (_rho, "window density of a sequence", ("--seq", "--tol"), 1e-2),
-    "conv": (_conv, "convolution operator norms of a sequence", ("--seq",), None),
-    "dt-norm": (_dt_norm, "diagonal-type algebra norm", ("--op",), None),
-    "dt-mu-norm": (_dt_mu_norm, "squared partition norm of a band operator",
-                   ("--op", "--quad", "--tol"), 1e-10),
-    "avg-trace": (_avg_trace, "average trace of a band operator", ("--op",), None),
-    "verify": (_verify, "run a seeded property suite",
-               ("--suite", "--trials", "--seed", "--tol"), None),
+                    ("--p", "--dist", "--log-base")),
+    "rho": (_rho, "window density of a sequence", ("--seq",)),
+    "conv": (_conv, "convolution operator norms of a sequence", ("--seq",)),
+    "dt-norm": (_dt_norm, "diagonal-type algebra norm", ("--op",)),
+    "dt-mu-norm": (_dt_mu_norm, "squared partition norm of a band operator", ("--op",)),
+    "avg-trace": (_avg_trace, "average trace of a band operator", ("--op",)),
+    "verify": (_verify, "run a seeded property suite", ("--suite", "--trials", "--seed")),
 }
 
 
@@ -233,7 +224,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
     for name in [command] if only else _COMMANDS:
-        _, help_, flags, _ = _COMMANDS[name]
+        _, help_, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -245,9 +236,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    handler, _, flags, default_tol = _COMMANDS[args.command]
+    handler, _, flags = _COMMANDS[args.command]
     paths = {f[2:]: str(getattr(args, f[2:])) for f in flags if f[2:] in _BUILDERS}
-    tol = default_tol if getattr(args, "tol", None) is None else args.tol
     raw, inputs = {}, {}
     try:
         if paths:  # a command that reads no file need not load io
@@ -256,7 +246,7 @@ def main(argv=None) -> int:
             with mio.recording_inputs() as raw:
                 for name, path in paths.items():
                     inputs[name] = _BUILDERS[name](mio, mio.load_json(path), inputs)
-        results, diagnostics = handler(args, inputs, tol)
+        results, diagnostics = handler(args, inputs)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3

@@ -215,6 +215,8 @@ def quantum_entropy_at(u: OperatorMatrix, chi: Partition, n: int,
 
 def log_unit(log_base: str) -> tuple[float, str]:
     """Factor that takes a value in nats to ``log_base`` ("e" or "2"), and the unit's name."""
+    if log_base not in ("e", "2"):
+        raise ValueError(f"log base must be 'e' or '2', got {log_base!r}")
     return (1.0, "nats") if log_base == "e" else (1.0 / math.log(2.0), "bits")
 
 

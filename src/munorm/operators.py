@@ -128,7 +128,7 @@ class Endomorphism:
         return self._table
 
     def __call__(self, j: int) -> int:
-        return int(self._table[operator.index(j)])
+        return int(self._table[self._space.validate_subset([j])[0]])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Endomorphism):
@@ -143,6 +143,7 @@ class Endomorphism:
 
     def iterate(self, n: int) -> "Endomorphism":
         """The n-fold composition F^n, n >= 0."""
+        n = operator.index(n)
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
         t = np.arange(self._space.size)
@@ -245,6 +246,8 @@ def inner(space: FiniteMeasureSpace, f, g) -> complex:
     """Weighted inner product ``sum_j mu_j f_j conj(g_j)``."""
     fv = np.asarray(f, dtype=complex)
     gv = np.asarray(g, dtype=complex)
+    if fv.shape != (space.size,) or gv.shape != (space.size,):
+        raise ValueError("vector length does not match the space")
     return complex(np.sum(space.weights * fv * gv.conj()))
 
 def vector_norm(space: FiniteMeasureSpace, f) -> float:

@@ -20,7 +20,8 @@ from munorm import (
     PeriodicBandOperator,
 )
 from munorm import io as mio
-from munorm.cli import _BUILDERS, _COMMANDS, build_parser, main
+from munorm.cli import _BUILDERS, _COMMANDS, _FLAGS, build_parser, main
+from munorm.entropy import log_unit
 
 
 # --------------------------------------------------------------------------
@@ -168,8 +169,6 @@ def _integer_sites():
         "seq middle key": (lambda k: EventuallyPeriodicSeq([1.0], [2.0], {k: 3.0}, 2), 1),
         "value_at": (seq.value_at, 1),
         "rho_window_max window": (lambda k: munorm.rho_window_max(seq, k), 1),
-        "rho_window_max lo": (lambda k: munorm.rho_window_max(seq, 1, k, 5), 1),
-        "rho_window_max hi": (lambda k: munorm.rho_window_max(seq, 1, -5, k), 1),
         "tau": (lambda k: PeriodicBandOperator(k, 0, np.ones((1, 1))), 1),
         "band": (lambda k: PeriodicBandOperator(1, k, np.ones((1, 3))), 1),
         "perturbation row": (lambda k: PeriodicBandOperator(1, 0, [[1.0]], [(k, 0, 1.0)]), 1),
@@ -178,7 +177,6 @@ def _integer_sites():
         "entry col": (lambda k: op.entry(1, k), 1),
         "dt_from_multiplier key": (lambda k: munorm.dt_from_multiplier({k: 1.0}), 1),
         "w_l": (lambda k: munorm.w_l(op, k, 0.3), 1),
-        "quad_points": (lambda k: munorm.dt_mu_norm_sq(op, k), 3),
         "partition size": (lambda k: Partition(k, [[0]]), 1),
         "partition block": (lambda k: Partition(2, [[k], [0]]), 1),
         "validate_subset": (lambda k: sp.validate_subset([k]), 1),
@@ -188,6 +186,7 @@ def _integer_sites():
         "cyclic_projector n": (lambda k: munorm.cyclic_projector(action, k), 1),
         "path_operator digit": (lambda k: munorm.path_operator(u, chi, [k, 0]), 1),
         "map call": (swap, 1),
+        "iterate count": (swap.iterate, 1),
         "base_entry row": (lambda k: op.base_entry(k, 2), 1),
         "base_entry col": (lambda k: op.base_entry(1, k), 1),
         "path_mass_table horizon": (lambda k: munorm.path_mass_table(u, chi, k), 1),
@@ -219,6 +218,8 @@ def _library_refusals():
     # name -> (call, exception type, message fragment); each call meets one refusal
     sp = FiniteMeasureSpace([0.5, 0.5])
     swap = Endomorphism(sp, [1, 0])
+    u4 = FiniteMeasureSpace([0.25] * 4)
+    shift = Endomorphism(u4, [1, 2, 3, 0])
     u = munorm.koopman(swap)
     seq = EventuallyPeriodicSeq([1.0], [1.0])
     op = PeriodicBandOperator(1, 0, [[1.0]])
@@ -266,6 +267,19 @@ def _library_refusals():
                             ValueError, "out-of-range atom index"),
         "iterate count": (lambda: swap.iterate(-1),
                           ValueError, "iteration count must be nonnegative"),
+        "map call negative": (lambda: shift(-1),
+                              ValueError, "atom index -1 out of range for a space with 4 atoms"),
+        "map call past the end": (lambda: shift(4),
+                                  ValueError, "atom index 4 out of range for a space with 4 atoms"),
+        "inner length": (lambda: munorm.inner(u4, [1, 2, 3, 4], [1]),
+                         ValueError, "vector length does not match the space"),
+        "vector_norm length": (lambda: munorm.vector_norm(u4, [2]),
+                               ValueError, "vector length does not match the space"),
+        "vector_norm nested": (lambda: munorm.vector_norm(u4, [[1, 2, 3, 4]]),
+                               ValueError, "vector length does not match the space"),
+        "log_unit base": (lambda: log_unit("E"), ValueError, "log base must be 'e' or '2'"),
+        "report log base": (lambda: munorm.ks_entropy_rate(swap, munorm.finest_partition(sp), 2)
+                            .to_dict("10"), ValueError, "log base must be 'e' or '2'"),
         "weights shape": (lambda: FiniteMeasureSpace([]),
                           ValueError, "weights must be a nonempty one-dimensional sequence"),
         "weights finite": (lambda: FiniteMeasureSpace([nan, 0.5]),
@@ -423,38 +437,11 @@ def test_cli_dt_commands(files, capsys):
     assert rep["diagnostics"]["window_average"] == pytest.approx(2.0, abs=1e-2)
 
 
-def test_cli_dt_mu_norm_quad_floor(files, capsys):
-    tmp, write = files
-    rng = np.random.default_rng(3)
-    table = rng.standard_normal((8, 17, 2)).tolist()
-    op = write("band.json", {"tau": 8, "band": 8, "coeffs": table, "perturbation": []})
-    code, rep = run_cli(capsys, ["dt-mu-norm", "--op", op, "--quad", "17"])
-    assert code == 0
-    assert rep["diagnostics"]["checks"][0]["passed"]
-    assert main(["dt-mu-norm", "--op", op, "--quad", "16"]) == 2
-    assert "need at least 17" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["entropy", "--space", "s", "--op", "u", "--partition", "c", "--N", "2"],
-    ["ks-entropy", "--space", "s", "--endo", "f", "--partition", "c", "--N", "2"],
-    ["markov-rate", "--p", "p", "--dist", "d"],
-    ["conv", "--seq", "q"],
-    ["dt-norm", "--op", "b"],
-    ["avg-trace", "--op", "b"],
-])
-def test_cli_tol_only_on_commands_with_checks(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--tol", "5"])
-    assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
-
-
 #: Each command on small inputs, with the keys of its report's ``inputs``,
 #: ``options``, ``results`` and ``diagnostics``.
 REPORT_KEYS = [
-    (["mu-norm", "--space", "U2", "--op", "ID2", "--tol", "1e-9"],
-     {"space", "op"}, {"tol"}, {"mu_norm_sq", "mu_norm"}, {"checks"}),
+    (["mu-norm", "--space", "U2", "--op", "ID2"],
+     {"space", "op"}, set(), {"mu_norm_sq", "mu_norm"}, {"checks"}),
     (["m-chi", "--space", "U2", "--op", "ID2", "--partition", "CHI"],
      {"space", "op", "partition"}, set(), {"m_chi", "mu_norm_sq"}, {"checks"}),
     (["mu-dim", "--space", "U2", "--basis", "BASIS", "--orthonormalize"],
@@ -474,18 +461,41 @@ REPORT_KEYS = [
     (["conv", "--seq", "SEQ"],
      {"seq"}, set(), {"conv_norm", "mu_norm_sq", "rho", "left_mean", "right_mean"}, set()),
     (["dt-norm", "--op", "BAND"], {"op"}, set(), {"dt_norm"}, set()),
-    (["dt-mu-norm", "--op", "BAND", "--quad", "3"],
-     {"op"}, {"quad"}, {"quadrature", "closed_form"}, {"checks"}),
+    (["dt-mu-norm", "--op", "BAND"],
+     {"op"}, set(), {"quadrature", "closed_form"}, {"checks"}),
     (["avg-trace", "--op", "BAND"],
      {"op"}, set(), {"avg_trace"}, {"window_length", "window_average"}),
-    (["verify", "--suite", "triangle", "--trials", "2", "--tol", "1e-9"],
-     set(), {"suite", "trials", "seed", "tol"}, {"suite", "properties", "all_passed"},
+    (["verify", "--suite", "triangle", "--trials", "2"],
+     set(), {"suite", "trials", "seed"}, {"suite", "properties", "all_passed"},
      {"trials", "seed"}),
 ]
 
 
 def test_report_keys_cover_every_command():
     assert [argv[0] for argv, *_ in REPORT_KEYS] == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, *_ in REPORT_KEYS],
+                         ids=[argv[0] for argv, *_ in REPORT_KEYS])
+def test_cli_takes_no_tuning_options(argv, capsys):
+    # no tolerance or quadrature size is settable: each check keeps its own
+    for extra in (["--tol", "1"], ["--quad", "17"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_readme_synopsis_matches_the_command_table():
+    # every command is in the README's CLI synopsis, and each flag shown there is
+    # one of _FLAGS that its command takes, so a removed option cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("munorm ")]
+    assert [words[1] for words in lines] == list(_COMMANDS)
+    for _, command, *words in lines:
+        shown = {w.strip("[]") for w in words if w.startswith(("--", "[--"))}
+        assert shown <= set(_FLAGS) & set(_COMMANDS[command][2]), command
 
 
 @pytest.mark.parametrize("argv, inputs, options, results, diagnostics", REPORT_KEYS,
@@ -740,7 +750,7 @@ SWEEP_INPUTS = {
 }
 SWEEP_FLAGS = {"--N": ["2"], "--orthonormalize": []}
 SWEEP_BAD = ["NaN", "Infinity", "-Infinity", "1e999", "true", '"1"']
-SWEEP = [(name, flag) for name, (_, _, flags, _) in _COMMANDS.items()
+SWEEP = [(name, flag) for name, (_, _, flags) in _COMMANDS.items()
          for flag in flags if flag[2:] in _BUILDERS]
 
 
