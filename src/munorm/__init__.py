@@ -4,7 +4,8 @@ The core object is a seminorm on bounded operators defined through
 measurable partitions: the infimum over partitions of the weighted sum
 of squared block-restricted operator norms.  On finite spaces it is
 computed exactly; on the circle it is evaluated in closed form for
-convolution operators and for periodic banded (diagonal-type) matrices.
+banded (diagonal-type) matrices with two periodic tails, convolutions
+among them.
 On top of it sit the dimension of a subspace, a path entropy for
 unitaries mirroring the measure entropy of a map, and the average-trace
 lower bound for the diagonal-type algebra.
@@ -29,10 +30,10 @@ _LAYERS = {
                 "ks_path_measure_table", "markov_entropy_rate", "path_mass_table",
                 "path_mass_total", "path_operator", "quantum_entropy_at",
                 "quantum_entropy_closed", "quantum_entropy_rate"),
-    "circle": ("DtMuNorm", "EventuallyPeriodicSeq", "PeriodicBandOperator", "avg_trace",
-               "avg_trace_window", "conv_norm", "dt_add", "dt_adjoint", "dt_compose",
-               "dt_from_conv", "dt_from_multiplier", "dt_mu_norm_sq", "dt_norm",
-               "dt_scale", "finite_section", "rho", "rho_la", "rho_window_max", "w_l"),
+    "circle": ("DtMuNorm", "PeriodicBandOperator", "avg_trace", "avg_trace_window",
+               "dt_add", "dt_adjoint", "dt_compose", "dt_from_multiplier", "dt_from_seq",
+               "dt_mu_norm_sq", "dt_norm", "dt_scale", "finite_section", "rho_la",
+               "rho_window_max", "tail_masses", "w_l"),
     "errors": ("CapExceeded", "DEFAULT_TERM_CAP"),
 }
 _EXPORTS = {name: module for module, names in _LAYERS.items() for name in names}

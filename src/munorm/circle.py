@@ -1,30 +1,15 @@
 """Operators on the circle through their Fourier coefficients.
 
-Two exactly-computable families are covered:
-
-* eventually periodic two-sided sequences ``{lam_k}`` (a periodic left
-  tail, a periodic right tail, finitely many explicit middle values),
-  modelling convolution operators.  Their window density
-
-      rho(lam) = limsup over long integer intervals I of
-                 (1/#I) sum_{k in I} |lam_k|^2
-
-  is the squared partition norm of the convolution and reduces on this
-  class to the larger of the two tail-period means; the finite middle
-  never contributes.  An independent sliding-window oracle is provided.
-
-* tau-periodic banded bi-infinite matrices with an optional finite
-  perturbation, the computable slice of the diagonal-type algebra.  The
-  diagonal sup sequence ``c_k = sup_j |W_{k+j,j}|`` gives the algebra
-  norm ``sum_k c_k``; the row symbols ``w_l(a) = sum_j W_{l,j}
-  e^{i(l-j)a}`` give the density ``rho_la(a) = (1/tau) sum_l |w_l(a)|^2``
-  whose circle average is the squared partition norm, evaluated here by
-  an exact uniform-grid quadrature and cross-checked against the
-  Parseval closed form ``(1/tau) sum_{l,j} |W_{l,j}|^2``.
-
-Finite perturbations count toward the sup-based algebra norm but are
-invisible to the limsup-based quantities (density, average trace), whose
-windows escape any finite set of rows.
+One class covers the computable slice of the diagonal-type algebra:
+banded bi-infinite matrices whose rows ``l < 0`` follow one periodic
+pattern and rows ``l >= 0`` another, plus a finite perturbation.  A
+convolution (``dt_from_seq``) is the band-0 case, a multiplier
+(``dt_from_multiplier``) a one-pattern Toeplitz case.  The diagonal sups
+``c_k = sup_j |W_{k+j,j}|`` give the algebra norm ``sum_k c_k``; the row
+symbols ``w_l(a) = sum_j W_{l,j} e^{i(l-j)a}`` give each tail a density
+``(1/tau) sum_l |w_l(a)|^2``, and the circle average of the larger one
+is the squared partition norm.  Perturbations count toward the sups but
+not toward the limsup-based density and average trace.
 """
 
 from __future__ import annotations
@@ -32,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from functools import reduce
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -39,13 +25,10 @@ import numpy as np
 from .errors import CapExceeded
 
 __all__ = [
-    "EventuallyPeriodicSeq",
     "PeriodicBandOperator",
     "DtMuNorm",
-    "rho",
-    "conv_norm",
     "rho_window_max",
-    "dt_from_conv",
+    "dt_from_seq",
     "dt_from_multiplier",
     "dt_norm",
     "dt_add",
@@ -55,6 +38,7 @@ __all__ = [
     "w_l",
     "rho_la",
     "dt_mu_norm_sq",
+    "tail_masses",
     "avg_trace",
     "avg_trace_window",
     "finite_section",
@@ -69,111 +53,6 @@ MAX_TAU = MAX_BAND = 128
 _PHASES: tuple = (None, -1, None)
 
 
-# ---------------------------------------------------------------------------
-# Eventually periodic sequences and convolution operators
-
-
-class EventuallyPeriodicSeq:
-    """Two-sided complex sequence with periodic tails and a finite middle.
-
-    ``lam_k = right[(k - k0) mod len(right)]`` for ``k >= k0``,
-    ``lam_k = left[(-k0 - k) mod len(left)]`` for ``k <= -k0`` (the left
-    period is read outward), and explicit ``middle`` values for
-    ``-k0 < k < k0`` (missing middle entries are 0).  With ``k0 = 0`` the
-    tails overlap at k = 0 and must agree there.
-    """
-
-    __slots__ = ("_left", "_right", "_middle", "_k0")
-
-    def __init__(self, left, right, middle: Mapping[int, complex] | None = None, k0: int = 0):
-        lv = np.array(left, dtype=complex)
-        rv = np.array(right, dtype=complex)
-        if lv.ndim != 1 or lv.size == 0 or rv.ndim != 1 or rv.size == 0:
-            raise ValueError("period lists must be nonempty one-dimensional sequences")
-        if not (np.all(np.isfinite(lv)) and np.all(np.isfinite(rv))):
-            raise ValueError("period values must be finite")
-        k0 = operator.index(k0)
-        if k0 < 0:
-            raise ValueError("cutoff index k0 must be nonnegative")
-        mid: dict[int, complex] = {}
-        for key, val in (middle or {}).items():
-            k = operator.index(key)
-            if not (-k0 < k < k0):
-                raise ValueError(f"middle index {k} is not strictly inside (-{k0}, {k0})")
-            z = complex(val)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError("middle values must be finite")
-            mid[k] = z
-        if k0 == 0 and lv[0] != rv[0]:
-            raise ValueError(
-                "with k0 = 0 both tails cover index 0, so left[0] must equal right[0]"
-            )
-        lv.setflags(write=False)
-        rv.setflags(write=False)
-        self._left = lv
-        self._right = rv
-        self._middle = mid
-        self._k0 = k0
-
-    @property
-    def left(self) -> np.ndarray:
-        return self._left
-
-    @property
-    def right(self) -> np.ndarray:
-        return self._right
-
-    @property
-    def middle(self) -> dict[int, complex]:
-        return dict(self._middle)
-
-    @property
-    def k0(self) -> int:
-        return self._k0
-
-    def __repr__(self) -> str:
-        return (
-            f"EventuallyPeriodicSeq(left={self._left.tolist()!r}, "
-            f"right={self._right.tolist()!r}, middle={self._middle!r}, k0={self._k0})"
-        )
-
-    def _run(self, lo: int, hi: int, f=lambda v: v) -> np.ndarray:
-        """``f(lam_k)`` for ``k = lo..hi``, for an elementwise array map ``f``,
-        which maps each tail period once, before the period is tiled."""
-        inner = [(k, v) for k, v in self._middle.items() if lo <= k <= hi]
-        left, right, k0 = f(self._left), f(self._right), self._k0
-        out = np.zeros(hi - lo + 1, dtype=left.dtype)
-        if lo <= -k0:  # lam_{-k0-m} = left[m mod p], so the left run is read backwards
-            top = min(hi, -k0)
-            out[:top - lo + 1] = _periodic_run(left, -k0 - top, top - lo + 1)[::-1]
-        if hi >= k0:  # with k0 = 0 the right tail takes index 0
-            start = max(lo, k0)
-            out[start - lo:] = _periodic_run(right, start - k0, hi - start + 1)
-        if inner:
-            ks, vs = zip(*inner)
-            out[np.array(ks) - lo] = f(np.array(vs, dtype=complex))
-        return out
-
-    def value_at(self, k: int) -> complex:
-        k = operator.index(k)
-        return complex(self._run(k, k)[0])
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """The slice ``lam_lo..lam_hi`` inclusive, as a dense array."""
-        if hi < lo:
-            raise ValueError("empty index range")
-        return self._run(lo, hi)
-
-    @property
-    def left_mean(self) -> float:
-        """Mean of ``|lam|^2`` over the left period."""
-        return float(np.mean(np.abs(self._left) ** 2))
-
-    @property
-    def right_mean(self) -> float:
-        return float(np.mean(np.abs(self._right) ** 2))
-
-
 def _periodic_run(period: np.ndarray, start: int, count: int) -> np.ndarray:
     """``period[(start + i) % p]`` for ``i = 0..count-1``, along the first axis."""
     p = len(period)
@@ -182,95 +61,62 @@ def _periodic_run(period: np.ndarray, start: int, count: int) -> np.ndarray:
     return np.tile(period, (reps,) + (1,) * (period.ndim - 1))[s:s + count]
 
 
-def rho(seq: EventuallyPeriodicSeq) -> float:
-    """Window density: limsup of interval averages of ``|lam_k|^2``.
-
-    For this sequence class long windows are dominated by the heavier
-    tail, so the limsup equals ``max(left_mean, right_mean)``; the finite
-    middle is washed out.  ``rho_window_max`` is the brute-force oracle.
-
-    This is the squared partition norm of the convolution by the
-    sequence.  A finitely supported sequence gives 0 while the operator
-    itself need not be compact, so 0 here does not imply compactness.
-    """
-    return max(seq.left_mean, seq.right_mean)
-
-
-def conv_norm(seq: EventuallyPeriodicSeq) -> float:
-    """Operator norm of the convolution by the sequence: ``sup_k |lam_k|``."""
-    sup = max(float(np.max(np.abs(seq.left))), float(np.max(np.abs(seq.right))))
-    for v in seq.middle.values():
-        sup = max(sup, abs(v))
-    return sup
-
-
-def rho_window_max(seq: EventuallyPeriodicSeq, window: int) -> float:
-    """Brute-force oracle for ``rho``: best average over sliding windows.
-
-    Scans every length-``window`` interval inside
-    ``[-(k0 + 2*window), k0 + 2*window]``, wide enough that windows sit
-    fully inside either tail, and returns the maximal average of
-    ``|lam_k|^2``.  Converges to ``rho(seq)`` at rate O(period/window).
-    """
-    window = operator.index(window)
-    if window < 1:
-        raise ValueError("window length must be positive")
-    reach = seq.k0 + 2 * window
-    sq = seq._run(-reach, reach, lambda v: np.abs(v) ** 2)
-    csum = np.empty(sq.size + 1)
-    csum[0] = 0.0
-    np.cumsum(sq, out=csum[1:])
-    # rounding is monotone, so the largest window sum gives the largest average
-    return float(np.max(csum[window:] - csum[:-window]) / window)
-
-
 # ---------------------------------------------------------------------------
-# Periodic band operators
+# Band operators with two periodic tails
+
+
+def _pattern(tau: int, band: int, coeffs, side: str = "") -> tuple[int, np.ndarray]:
+    """A validated periodic pattern ``(tau, coeffs)`` of band radius ``band``."""
+    tau = operator.index(tau)
+    if tau < 1:
+        raise ValueError(f"{side}period tau must be >= 1")
+    if tau > MAX_TAU:
+        raise CapExceeded(f"{side}period {tau} exceeds the cap {MAX_TAU}")
+    c = np.array(coeffs, dtype=complex)
+    if c.shape != (tau, 2 * band + 1):
+        raise ValueError(f"{side}coeffs shape {c.shape} does not match tau={tau}, "
+                         f"band={band} (expected {(tau, 2 * band + 1)})")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    c.setflags(write=False)
+    return tau, c
 
 
 class PeriodicBandOperator:
-    """tau-periodic banded bi-infinite matrix with a finite perturbation.
+    """Banded bi-infinite matrix with two periodic tails and a finite perturbation.
 
-    ``coeffs[l, d + band]`` holds the entry ``W_{l, l+d}`` for rows
-    ``l = 0..tau-1`` and diagonal offsets ``|d| <= band``; the rest of
-    the matrix follows from ``W_{r+tau, c+tau} = W_{r,c}``.  The
-    perturbation is a finite list of additive corrections
-    ``(row, col, delta)`` at absolute positions, not restricted to the
-    band.  Periods and bands are capped at ``MAX_TAU`` and ``MAX_BAND``.
+    ``coeffs[l % tau, d + band]`` holds ``W_{l, l+d}`` for rows ``l >= 0``
+    and offsets ``|d| <= band``; rows ``l < 0`` read ``left = (tau_L,
+    coeffs_L)`` the same way, so the seam is row 0.  A ``left`` equal to
+    the right pattern, or none, keeps one ``tau``-periodic pattern.  The
+    perturbation is a finite list of additive corrections ``(row, col,
+    delta)`` at absolute positions.  Periods and bands are capped at
+    ``MAX_TAU`` and ``MAX_BAND``.
     """
 
-    __slots__ = ("_tau", "_band", "_coeffs", "_perturbation")
+    __slots__ = ("_tau", "_band", "_coeffs", "_left", "_perturbation")
 
     def __init__(self, tau: int, band: int, coeffs,
-                 perturbation: Iterable[tuple[int, int, complex]] | None = None):
-        tau = operator.index(tau)
+                 perturbation: Iterable[tuple[int, int, complex]] | None = None,
+                 left: tuple[int, object] | None = None):
         band = operator.index(band)
-        if tau < 1:
-            raise ValueError("period tau must be >= 1")
         if band < 0:
             raise ValueError("band radius must be >= 0")
-        if tau > MAX_TAU:
-            raise CapExceeded(f"period {tau} exceeds the cap {MAX_TAU}")
         if band > MAX_BAND:
             raise CapExceeded(f"band radius {band} exceeds the cap {MAX_BAND}")
-        c = np.array(coeffs, dtype=complex)
-        if c.shape != (tau, 2 * band + 1):
-            raise ValueError(
-                f"coeffs shape {c.shape} does not match tau={tau}, band={band} "
-                f"(expected {(tau, 2 * band + 1)})"
-            )
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
+        self._tau, self._coeffs = _pattern(tau, band, coeffs)
+        self._band = band
+        if left is not None:
+            left = _pattern(left[0], band, left[1], side="left ")
+            if left[0] == self._tau and np.array_equal(left[1], self._coeffs):
+                left = None
+        self._left = left
         pert: dict[tuple[int, int], complex] = {}
         for row, col, delta in perturbation or ():  # summed per position from 0.0
             key = (operator.index(row), operator.index(col))
             pert[key] = pert.get(key, 0.0 + 0.0j) + complex(delta)
         if not all(map(cmath.isfinite, pert.values())):
             raise ValueError("perturbation values must be finite")
-        c.setflags(write=False)
-        self._tau = tau
-        self._band = band
-        self._coeffs = c
         self._perturbation = {k: v for k, v in pert.items() if v != 0}
 
     @property
@@ -286,46 +132,64 @@ class PeriodicBandOperator:
         return self._coeffs
 
     @property
+    def left(self) -> tuple[int, np.ndarray]:
+        """The pattern ``(tau_L, coeffs_L)`` of rows ``l < 0``."""
+        return self._left or (self._tau, self._coeffs)
+
+    @property
+    def tails(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """The distinct patterns, left first: one when the tails are equal."""
+        return ((self._left,) if self._left else ()) + ((self._tau, self._coeffs),)
+
+    @property
     def perturbation(self) -> tuple[tuple[int, int, complex], ...]:
         return tuple((r, c, v) for (r, c), v in sorted(self._perturbation.items()))
 
     def __repr__(self) -> str:
-        return (
-            f"PeriodicBandOperator(tau={self._tau}, band={self._band}, "
-            f"perturbed={len(self._perturbation)})"
-        )
+        left = "" if self._left is None else f"tau_left={self._left[0]}, "
+        return (f"PeriodicBandOperator(tau={self._tau}, {left}band={self._band}, "
+                f"perturbed={len(self._perturbation)})")
+
+    def _tail(self, row: int) -> tuple[int, np.ndarray]:
+        return self._left if row < 0 and self._left is not None else (self._tau, self._coeffs)
 
     def base_entry(self, row: int, col: int) -> complex:
-        """Entry of the unperturbed periodic part."""
+        """Entry of the unperturbed two-tail part."""
         row, col = operator.index(row), operator.index(col)
+        tau, coeffs = self._tail(row)
         d = col - row
         if abs(d) > self._band:
             return 0.0 + 0.0j
-        return complex(self._coeffs[row % self._tau, d + self._band])
+        return complex(coeffs[row % tau, d + self._band])
 
     def entry(self, row: int, col: int) -> complex:
         row, col = operator.index(row), operator.index(col)
         return self.base_entry(row, col) + self._perturbation.get((row, col), 0.0)
 
-    def periodic_symbols(self, angles: np.ndarray) -> np.ndarray:
-        """Row symbols of the periodic part on a grid: shape (tau, len(angles)).
-
-        ``w_l(a) = sum_d coeffs[l, d+band] e^{-i d a}``.
-        """
-        return self._coeffs @ _phases(self._band, np.asarray(angles, dtype=float).ravel())
-
     def majorant(self) -> dict[int, float]:
         """Diagonal sup sequence ``c_k = sup_j |W_{k+j,j}|``, perturbations included.
 
-        Every periodic value on a diagonal is attained at infinitely many
-        unperturbed positions, so a perturbation can only raise the sup.
+        Every value of either tail on a diagonal is attained at infinitely
+        many unperturbed positions, so a perturbation can only raise the sup.
         """
-        sup = np.abs(self._coeffs).max(axis=0)[::-1]  # diagonal k = -band..band
-        c = dict(zip(range(-self._band, self._band + 1), sup.tolist()))
+        sup = reduce(np.maximum, (np.abs(c).max(axis=0) for _, c in self.tails))[::-1]
+        c = dict(zip(range(-self._band, self._band + 1), sup.tolist()))  # k = -band..band
         for (r, col), _ in self._perturbation.items():
             k = r - col
             c[k] = max(c.get(k, 0.0), abs(self.entry(r, col)))
         return {k: v for k, v in c.items() if v > 0.0}
+
+
+def _tail_run(op: PeriodicBandOperator, lo: int, count: int, f=None) -> np.ndarray:
+    """Rows ``lo..lo+count-1`` of each row's tail pattern, mapped by ``f``
+    (an array map applied to each pattern once, before it is tiled)."""
+    right = op.coeffs if f is None else f(op.coeffs)
+    if op._left is None or lo >= 0:
+        return _periodic_run(right, lo, count)
+    left = op._left[1] if f is None else f(op._left[1])
+    if lo + count <= 0:
+        return _periodic_run(left, lo, count)
+    return np.concatenate((_periodic_run(left, lo, -lo), _periodic_run(right, 0, lo + count)))
 
 
 def _phases(band: int, angles: np.ndarray) -> np.ndarray:
@@ -349,29 +213,39 @@ def _phases(band: int, angles: np.ndarray) -> np.ndarray:
     return table
 
 
-def dt_from_conv(seq: EventuallyPeriodicSeq) -> PeriodicBandOperator:
-    """The convolution by ``seq`` as a diagonal (band 0) operator in the Fourier basis.
+def dt_from_seq(left, right, middle: Mapping[int, complex] | None = None,
+                k0: int = 0) -> PeriodicBandOperator:
+    """Convolution by an eventually periodic sequence: the band-0 operator ``W_{k,k} = lam_k``.
 
-    ``W_{k,k} = lam_k``.  Requires both tails to repeat the same
-    absolutely aligned pattern of one common period, which becomes the
-    period of the operator; middle values that deviate from the pattern
-    become perturbation entries.  A convolution whose tails differ has
-    no such form: ``rho``, ``conv_norm`` and ``rho_window_max`` take the
-    sequence itself.
+    ``lam_k = right[(k - k0) % len(right)]`` for ``k >= k0``, ``left[(-k0 -
+    k) % len(left)]`` for ``k <= -k0`` (read outward), else ``middle[k]``
+    or 0; with ``k0 = 0`` both tails cover k = 0 and must agree there.  The
+    periods become the tails, re-indexed so that row ``l`` reads
+    ``coeffs[l % tau]``, and the middle becomes perturbation entries.
     """
-    p = int(seq.right.size)
-    if seq.left.size != p:
-        raise ValueError("tail periods have different lengths; not a periodic diagonal")
-    c = -(-seq.k0 // p) * p  # a multiple of p in the right tail; -c - 1 is in the left
-    pattern = seq.values(c, c + p - 1)  # lam_k = pattern[k mod p] on the right tail
-    if (seq.values(-c - p, -c - 1) != pattern).any():
-        raise ValueError(
-            "left and right tails disagree on the common period; not a periodic diagonal"
-        )
-    ks = np.arange(1 - seq.k0, seq.k0)
-    deltas = seq.values(-seq.k0, seq.k0)[1:-1] - pattern[ks % p]  # the middle
-    pert = [(k, k, v) for k, v in zip(ks.tolist(), deltas)]
-    return PeriodicBandOperator(p, 0, pattern.reshape(p, 1), pert)
+    lv, rv = np.array(left, dtype=complex), np.array(right, dtype=complex)
+    if lv.ndim != 1 or lv.size == 0 or rv.ndim != 1 or rv.size == 0:
+        raise ValueError("period lists must be nonempty one-dimensional sequences")
+    if not (np.all(np.isfinite(lv)) and np.all(np.isfinite(rv))):
+        raise ValueError("period values must be finite")
+    k0 = operator.index(k0)
+    if k0 < 0:
+        raise ValueError("cutoff index k0 must be nonnegative")
+    mid: dict[int, complex] = {}
+    for key, val in (middle or {}).items():
+        k = operator.index(key)
+        if not (-k0 < k < k0):
+            raise ValueError(f"middle index {k} is not strictly inside (-{k0}, {k0})")
+        mid[k] = complex(val)
+        if not cmath.isfinite(mid[k]):
+            raise ValueError("middle values must be finite")
+    if k0 == 0 and lv[0] != rv[0]:
+        raise ValueError("with k0 = 0 both tails cover index 0, so left[0] must equal right[0]")
+    p, q = lv.size, rv.size
+    tails = lv[(-k0 - np.arange(p)) % p, None], rv[(np.arange(q) - k0) % q, None]
+    pert = [(k, k, mid.get(k, 0.0) - complex(tails[k >= 0][k % len(tails[k >= 0]), 0]))
+            for k in range(1 - k0, k0)]
+    return PeriodicBandOperator(q, 0, tails[1], pert, left=(p, tails[0]))
 
 
 def dt_from_multiplier(coeffs: Mapping[int, complex]) -> PeriodicBandOperator:
@@ -394,87 +268,106 @@ def dt_from_multiplier(coeffs: Mapping[int, complex]) -> PeriodicBandOperator:
 
 
 class DtMuNorm(NamedTuple):
-    """Squared partition norm of a band operator, via two routes.
-
-    ``quadrature`` integrates the density of the row symbols over the
-    circle; ``closed_form`` is the Parseval expression
-    ``(1/tau) sum_{l,j} |W_{l,j}|^2``.  They agree to rounding.
-    """
+    """Squared partition norm of a band operator by two routes; see ``dt_mu_norm_sq``."""
 
     quadrature: float
     closed_form: float
 
 
 def dt_norm(op: PeriodicBandOperator) -> float:
-    """Diagonal-type algebra norm: ``sum_k sup_j |W_{k+j,j}|``.
-
-    Dominates the operator norm.  Perturbed entries participate in the
-    sups.
-    """
+    """Diagonal-type algebra norm ``sum_k sup_j |W_{k+j,j}|``, perturbations included;
+    it dominates the operator norm."""
     return float(sum(op.majorant().values()))
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def _lift_coeffs(op: PeriodicBandOperator, tau: int, band: int) -> np.ndarray:
+def _lift_coeffs(tail: tuple[int, np.ndarray], tau: int, band: int) -> np.ndarray:
     out = np.zeros((tau, 2 * band + 1), dtype=complex)
-    lo = band - op.band
-    out[:, lo:lo + 2 * op.band + 1] = _periodic_run(op.coeffs, 0, tau)
+    lo = band - (tail[1].shape[1] - 1) // 2
+    out[:, lo:out.shape[1] - lo] = _periodic_run(tail[1], 0, tau)
     return out
 
 
+def _tailwise(f, band: int, pert: list, *ops: PeriodicBandOperator) -> PeriodicBandOperator:
+    """The operator with perturbation terms ``pert`` whose right tail is ``f`` of the
+    operands' right tails and whose left one, if any operand has two, ``f`` of theirs."""
+    tau, coeffs = f(*[(op._tau, op._coeffs) for op in ops])
+    left = None if ops[0]._left is None and ops[-1]._left is None else f(*[op.left for op in ops])
+    return PeriodicBandOperator(tau, band, coeffs, pert, left)
+
+
 def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
-    """Sum; the period lifts to the lcm, the band to the max."""
-    tau = _lcm(a.tau, b.tau)
+    """Sum, tail by tail; each period lifts to the lcm, the band to the max."""
     band = max(a.band, b.band)
-    if tau > MAX_TAU:  # before the lift allocates the lcm period
-        raise CapExceeded(f"sum period {tau} exceeds the cap {MAX_TAU}")
-    coeffs = _lift_coeffs(a, tau, band) + _lift_coeffs(b, tau, band)
+
+    def add(ta, tb):
+        tau = math.lcm(ta[0], tb[0])
+        if tau > MAX_TAU:  # before the lift allocates the lcm period
+            raise CapExceeded(f"sum period {tau} exceeds the cap {MAX_TAU}")
+        return tau, _lift_coeffs(ta, tau, band) + _lift_coeffs(tb, tau, band)
     pert = [(r, c, v) for op in (a, b) for (r, c), v in op._perturbation.items()]
-    return PeriodicBandOperator(tau, band, coeffs, pert)
+    return _tailwise(add, band, pert, a, b)
 
 
 def dt_scale(lam: complex, a: PeriodicBandOperator) -> PeriodicBandOperator:
     lam = complex(lam)
-    return PeriodicBandOperator(a.tau, a.band, lam * a.coeffs,
-                                [(r, c, lam * v) for r, c, v in a.perturbation])
+    return _tailwise(lambda t: (t[0], lam * t[1]), a.band,
+                     [(r, c, lam * v) for r, c, v in a.perturbation], a)
 
 
 def dt_adjoint(a: PeriodicBandOperator) -> PeriodicBandOperator:
     """Conjugate transpose; the circle measure is uniform so no weights enter.
 
-    Entry ``(l, l + d)`` of the adjoint is ``conj(W_{l+d, l})``, read at
-    ``coeffs[(l + d) % tau, band - d]`` by one gather.
+    Entry ``(l, l + d)`` is ``conj(W_{l+d, l})``, read in each tail at
+    ``coeffs[(l + d) % tau, band - d]`` by one gather; ``_adjoint_seam``
+    adds the entries whose row ``l + d`` lies across row 0.
     """
-    l = np.arange(a.tau)[:, None]
     d = np.arange(-a.band, a.band + 1)
-    out = np.conj(a.coeffs[(l + d) % a.tau, a.band - d])
+
+    def adjoint(t):
+        return t[0], np.conj(t[1][(np.arange(t[0])[:, None] + d) % t[0], a.band - d])
     pert = [(c, r, np.conj(v)) for r, c, v in a.perturbation]
-    return PeriodicBandOperator(a.tau, a.band, out, pert)
+    return _tailwise(adjoint, a.band, pert + _adjoint_seam(a), a)
+
+
+def _adjoint_seam(a: PeriodicBandOperator) -> list[tuple[int, int, complex]]:
+    """Terms that move the adjoint's rows ``-band <= l < band`` from the
+    tail of row ``l`` to the tail of the row ``m`` each entry is read from."""
+    if a._left is None:
+        return []
+    terms = []
+    for l in range(-a.band, a.band):
+        for m in range(l - a.band, l + a.band + 1):
+            (t1, c1), (t2, c2) = a._tail(m), a._tail(l)
+            v = c1[m % t1, l - m + a.band] - c2[m % t2, l - m + a.band]
+            if (m < 0) != (l < 0) and v != 0:
+                terms.append((l, m, np.conj(v)))
+    return terms
 
 
 def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
-    """Product ``a b`` (b acts first); band radii add, periods take the lcm.
+    """Product ``a b`` (b acts first), tail by tail; band radii add, periods take the lcm.
 
     The coefficient ``(r, d)`` sums ``a_{r, r+d1} b_{r+d1, r+d}`` over the
     offsets ``d1`` of ``a``.  Each ``d1`` adds one array product to a slice
     of the output, so every coefficient adds its terms to 0.0 in ascending
     ``d1``, and beyond its output a product needs O(tau * band) memory.
+    ``_compose_seam`` corrects the rows that read ``b`` across row 0.
     """
-    tau = _lcm(a.tau, b.tau)
     band = a.band + b.band
-    if tau > MAX_TAU:  # before any array of the lcm period is made
-        raise CapExceeded(f"product period {tau} exceeds the cap {MAX_TAU}")
     if band > MAX_BAND:
         raise CapExceeded(f"product band {band} exceeds the cap {MAX_BAND}")
-    rows_a = _periodic_run(a.coeffs, 0, tau)
-    rows_b = _periodic_run(b.coeffs, -a.band, tau + 2 * a.band)  # row r + d1 at r + d1 + a.band
-    coeffs = np.zeros((tau, 2 * band + 1), dtype=complex)
-    for i in range(2 * a.band + 1):  # d1 = i - a.band; output column d1 + d2 + band
-        coeffs[:, i:i + 2 * b.band + 1] += rows_a[:, i, None] * rows_b[i:i + tau]
-    return PeriodicBandOperator(tau, band, coeffs, _product_perturbation(a, b))
+
+    def product(ta, tb):
+        tau = math.lcm(ta[0], tb[0])
+        if tau > MAX_TAU:  # before any array of the lcm period is made
+            raise CapExceeded(f"product period {tau} exceeds the cap {MAX_TAU}")
+        rows_a = _periodic_run(ta[1], 0, tau)
+        rows_b = _periodic_run(tb[1], -a.band, tau + 2 * a.band)  # row r + d1 at r + d1 + a.band
+        coeffs = np.zeros((tau, 2 * band + 1), dtype=complex)
+        for i in range(2 * a.band + 1):  # d1 = i - a.band; output column d1 + d2 + band
+            coeffs[:, i:i + 2 * b.band + 1] += rows_a[:, i, None] * rows_b[i:i + tau]
+        return tau, coeffs
+    return _tailwise(product, band, _product_perturbation(a, b) + _compose_seam(a, b), a, b)
 
 
 def _product_perturbation(a: PeriodicBandOperator, b: PeriodicBandOperator
@@ -492,13 +385,32 @@ def _product_perturbation(a: PeriodicBandOperator, b: PeriodicBandOperator
     return [t for t in terms if t[2] != 0]
 
 
-def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
-    """Row symbol ``w_l(a) = sum_j W_{l,j} e^{i(l-j)a}``, perturbations in row ``l`` included.
+def _compose_seam(a: PeriodicBandOperator, b: PeriodicBandOperator
+                  ) -> list[tuple[int, int, complex]]:
+    """Terms that correct the product's rows ``-a.band <= l < a.band``:
+    the tail-by-tail product reads each row ``m`` of ``b`` from the tail of
+    row ``l``, which is the wrong one when ``m`` lies across row 0."""
+    if b._left is None:
+        return []
+    terms = []
+    offsets = range(-b.band, b.band + 1)
+    for l in range(-a.band, a.band):
+        for m in range(l - a.band, l + a.band + 1):
+            x = a.base_entry(l, m)
+            if (m < 0) == (l < 0) or x == 0:
+                continue
+            (t1, c1), (t2, c2) = b._tail(m), b._tail(l)
+            diff = c1[m % t1] - c2[m % t2]
+            terms += [(l, m + d, x * v) for d, v in zip(offsets, diff.tolist()) if v != 0]
+    return terms
 
-    Bounded by ``dt_norm``.
-    """
+
+def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
+    """Row symbol ``w_l(a) = sum_j W_{l,j} e^{i(l-j)a}``, perturbations in row ``l``
+    included; bounded by ``dt_norm``."""
     l, a = operator.index(l), float(a)
-    w = complex(op.coeffs[l % op.tau] @ np.exp(-1j * np.arange(-op.band, op.band + 1) * a))
+    tau, coeffs = op._tail(l)
+    w = complex(coeffs[l % tau] @ np.exp(-1j * np.arange(-op.band, op.band + 1) * a))
     for (r, c), delta in op._perturbation.items():
         if r == l:
             w += delta * np.exp(1j * (l - c) * a)
@@ -508,59 +420,122 @@ def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
 def rho_la(op: PeriodicBandOperator, a: float | np.ndarray) -> float | np.ndarray:
     """Window density of the row symbols at the angle ``a``, or at each angle of an array.
 
-    For a tau-periodic operator the symbols repeat with period tau, so
-    the limsup of window averages is the plain period average
-    ``(1/tau) sum_l |w_l(a)|^2``.  Finite perturbations change finitely
-    many symbols and are ignored by the limsup.  A float angle gives a
-    float, an array of angles a flat array.  The two forms round
-    independently, so ``rho_la(op, grid)[i]`` and ``rho_la(op, grid[i])``
-    may differ in the last bits.
+    The limsup of window averages of ``|w_l(a)|^2`` is the larger of the
+    two tails' period averages; perturbations do not reach it.  A float
+    angle gives a float, an array a flat array; the two forms round
+    independently.
     """
-    density = np.mean(np.abs(op.periodic_symbols(a)) ** 2, axis=0)
+    phases = _phases(op.band, np.asarray(a, dtype=float).ravel())
+    density = reduce(np.maximum, (np.mean(np.abs(c @ phases) ** 2, axis=0) for _, c in op.tails))
     return float(density[0]) if np.ndim(a) == 0 else density
 
 
-def dt_mu_norm_sq(op: PeriodicBandOperator) -> DtMuNorm:
-    """Squared partition norm: circle average of the symbol density.
+def _density_coefficients(tail: tuple[int, np.ndarray]) -> np.ndarray:
+    """``r`` with ``(1/tau) sum_l |w_l(a)|^2 = sum_k r[k + 2*band] e^{-ika}``:
+    the autocorrelations of the pattern's rows, averaged over the period."""
+    tau, coeffs = tail
+    return sum(np.correlate(row, row, "full") for row in coeffs) / tau
 
-    Uniform-grid rectangle quadrature on ``max(16, 8*band)`` points.  The
-    integrand ``|w_l(a)|^2`` is a trigonometric polynomial of degree
-    ``2*band``, which any grid of at least ``2*band + 1`` points averages
-    exactly to rounding, and the grid always exceeds that floor.  The
-    Parseval closed form is returned alongside for cross-checking.
-    Perturbations do not contribute (they are a compact correction on an
-    atomless space).
+
+def _crossings(g: np.ndarray) -> np.ndarray:
+    """Sorted angles in ``[0, 2pi)`` of the roots ``z = e^{-ia}`` of ``sum_k g[k] z^k``.
+
+    Every root yields an angle, on the unit circle (a crossing) or not (it
+    only splits an arc)."""
+    return np.unique(np.mod(-np.angle(np.roots(g[::-1])), 2.0 * np.pi))
+
+
+def _arc_integrals(r: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``int_s^t sum_k r[k + K] e^{-ika} da`` for each arc, ``k = -K..K``."""
+    half = (r.size - 1) // 2
+    k = np.arange(-half, half + 1)
+    k = k[k != 0]
+    steps = (np.exp(-1j * np.outer(t, k)) - np.exp(-1j * np.outer(s, k))) / (-1j * k)
+    return (t - s) * r[half].real + (steps @ r[k + half]).real
+
+
+def dt_mu_norm_sq(op: PeriodicBandOperator) -> DtMuNorm:
+    """Squared partition norm: circle average of the window density ``rho_la``.
+
+    Equal tails: the quadrature is the mean over ``max(16, 8*band)``
+    uniform points, exact for the density, a trigonometric polynomial of
+    degree ``2*band``; the closed form is the Parseval sum ``avg_trace``.
+    Unequal tails: the densities cross at the unit-circle roots of one
+    polynomial of degree ``4*band``.  On each arc between the crossings,
+    the closed form integrates exactly the density that wins at the arc's
+    midpoint (a root off by ``e`` costs ``O(e^2)``), and the quadrature
+    applies to ``rho_la`` a Gauss-Legendre rule of ``ceil(band * length) +
+    16`` nodes, past the order where its error on ``e^{ika}``, ``|k| <=
+    2*band``, falls below rounding.  Perturbations, a compact correction,
+    do not contribute.
     """
-    n = max(16, 8 * op.band)
-    grid = 2.0 * np.pi * np.arange(n) / n
-    return DtMuNorm(float(np.mean(rho_la(op, grid))), avg_trace(op))
+    if op._left is None:
+        n = max(16, 8 * op.band)
+        grid = 2.0 * np.pi * np.arange(n) / n
+        return DtMuNorm(float(np.mean(rho_la(op, grid))), avg_trace(op))
+    r_left, r_right = map(_density_coefficients, op.tails)
+    cuts = _crossings(r_left - r_right)
+    ends = np.append(cuts, cuts[0] + 2.0 * np.pi) if cuts.size else np.array([0.0, 2.0 * np.pi])
+    s, t = ends[:-1], ends[1:]
+    k = np.arange(-2 * op.band, 2 * op.band + 1)
+    left_wins = (np.exp(-1j * np.outer((s + t) / 2, k)) @ (r_left - r_right)).real > 0
+    arcs = np.where(left_wins, _arc_integrals(r_left, s, t), _arc_integrals(r_right, s, t))
+    half, mid = (t - s) / 2, (t + s) / 2
+    rules = [np.polynomial.legendre.leggauss(math.ceil(op.band * 2 * h) + 16) for h in half]
+    nodes = np.concatenate([m + h * x for m, h, (x, _) in zip(mid, half, rules)])
+    weights = np.concatenate([h * w for h, (_, w) in zip(half, rules)])
+    quad = float(weights @ rho_la(op, nodes))
+    return DtMuNorm(quad / (2.0 * np.pi), float(np.sum(arcs)) / (2.0 * np.pi))
+
+
+def tail_masses(op: PeriodicBandOperator) -> tuple[float, float]:
+    """Row mass per row of each tail, ``(1/tau) sum_{l,j} |W_{l,j}|^2``: left, right."""
+    masses = [float((np.abs(c) ** 2).sum() / tau) for tau, c in op.tails]
+    return masses[0], masses[-1]
 
 
 def avg_trace(op: PeriodicBandOperator) -> float:
-    """Average trace: limsup of windowed row-mass averages of ``|W_{l,j}|^2``.
+    """Average trace: limsup of windowed row-mass averages, the larger ``tail_masses``.
 
-    For a tau-periodic matrix this is the per-period mean
-    ``(1/tau) sum_l sum_j |W_{l,j}|^2`` of the unperturbed part; a lower
-    bound for the squared partition norm, and the Parseval closed form
-    of ``dt_mu_norm_sq``: on this class the bound is attained.
+    A lower bound for the squared partition norm, attained when the tails
+    are equal; ``rho_window_max`` is its sliding-window oracle.
     """
-    return float((np.abs(op.coeffs) ** 2).sum() / op.tau)
+    return max(tail_masses(op))
+
+
+def _row_masses(op: PeriodicBandOperator, lo: int, hi: int):
+    """Tail row masses ``sum_j |W_{l,j}|^2`` of rows ``lo..hi``, and perturbed ``(row, change)``."""
+    if hi < lo:
+        raise ValueError("empty row window")
+    masses = _tail_run(op, lo, hi - lo + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
+    changes = [(r, abs(op.entry(r, c)) ** 2 - abs(op.base_entry(r, c)) ** 2)
+               for r, c in op._perturbation if lo <= r <= hi]
+    return masses, changes
 
 
 def avg_trace_window(op: PeriodicBandOperator, lo: int, hi: int) -> float:
-    """Finite-window row-mass average (perturbations included).
+    """Finite-window row-mass average (perturbations included); an oracle."""
+    masses, changes = _row_masses(op, lo, hi)
+    return sum((change for _, change in changes), float(np.sum(masses))) / (hi - lo + 1)
 
-    Converges to ``avg_trace`` as the window grows; useful as an oracle.
+
+def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
+    """Brute-force oracle for ``avg_trace``: best average row mass over sliding windows.
+
+    Scans the windows inside ``[-(s + 2*window), s + 2*window]``, ``s`` one
+    past the largest perturbed ``|row|`` (else 0), with the row masses of
+    ``avg_trace_window``.  Converges at rate O(period/window).
     """
-    if hi < lo:
-        raise ValueError("empty row window")
-    count = hi - lo + 1
-    row_mass = np.sum(np.abs(op.coeffs) ** 2, axis=1)
-    total = float(np.sum(_periodic_run(row_mass, lo, count)))
-    for r, c in op._perturbation:
-        if lo <= r <= hi:
-            total += abs(op.entry(r, c)) ** 2 - abs(op.base_entry(r, c)) ** 2
-    return total / count
+    window = operator.index(window)
+    if window < 1:
+        raise ValueError("window length must be positive")
+    reach = max((abs(r) + 1 for r, _ in op._perturbation), default=0) + 2 * window
+    sq, changes = _row_masses(op, -reach, reach)
+    for r, change in changes:
+        sq[r + reach] += change
+    csum = np.concatenate(([0.0], np.cumsum(sq)))
+    # rounding is monotone, so the largest window sum gives the largest average
+    return float(np.max(csum[window:] - csum[:-window]) / window)
 
 
 def finite_section(op: PeriodicBandOperator, rows: range) -> np.ndarray:
@@ -575,7 +550,7 @@ def finite_section(op: PeriodicBandOperator, rows: range) -> np.ndarray:
         raise ValueError("section rows must be a nonempty range of step 1")
     n, lo, band = len(rows), rows.start, op.band
     width = 2 * band + 1
-    coeffs = _periodic_run(op.coeffs, lo, n).ravel()  # entry (i, i + d) at i*width + band + d
+    coeffs = _tail_run(op, lo, n).ravel()  # entry (i, i + d) at i*width + band + d
     out = np.zeros((n, n), dtype=complex)
     flat = out.ravel()  # entry (i, i + d) at i*(n + 1) + d
     for d in range(-min(band, n - 1), min(band, n - 1) + 1):

@@ -108,24 +108,22 @@ def _markov_rate(args, inputs):
 
 
 def _rho(args, inputs):
-    from .circle import rho, rho_window_max
+    from .circle import avg_trace, rho_window_max, tail_masses
 
-    seq = inputs["seq"]
-    value = rho(seq)
-    window = 10**4
-    brute = rho_window_max(seq, window)
-    results = {"rho": value, "left_mean": seq.left_mean, "right_mean": seq.right_mean}
-    return results, {"window_length": window,
-                     "checks": [_check("window-oracle-agrees", abs(value - brute), 1e-2)]}
+    op, window = inputs["seq"], 10**4
+    value, (left, right) = avg_trace(op), tail_masses(op)
+    check = _check("window-oracle-agrees", abs(value - rho_window_max(op, window)), 1e-2)
+    return ({"rho": value, "left_mean": left, "right_mean": right},
+            {"window_length": window, "checks": [check]})
 
 
 def _conv(args, inputs):
-    from .circle import conv_norm, rho
+    from .circle import avg_trace, dt_norm, tail_masses
 
-    seq = inputs["seq"]
-    value = rho(seq)
-    return {"conv_norm": conv_norm(seq), "mu_norm_sq": value, "rho": value,
-            "left_mean": seq.left_mean, "right_mean": seq.right_mean}, {}
+    op = inputs["seq"]
+    value, (left, right) = avg_trace(op), tail_masses(op)
+    return {"conv_norm": dt_norm(op), "mu_norm_sq": value, "rho": value,
+            "left_mean": left, "right_mean": right}, {}
 
 
 def _dt_norm(args, inputs):

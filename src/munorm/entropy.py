@@ -50,12 +50,13 @@ def _check_horizon(num_blocks: int, n: int, term_cap: int) -> None:
     n, term_cap = operator.index(n), operator.index(term_cap)
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    total = num_blocks ** (n + 1)
-    if total > term_cap:
-        raise CapExceeded(
-            f"enumeration needs {total} multiindex terms "
-            f"({num_blocks} blocks, horizon {n}); cap is {term_cap}"
-        )
+    if term_cap < 1:
+        raise ValueError(f"term cap must be at least 1, got {term_cap}")
+    bits = (n + 1) * (num_blocks.bit_length() - 1)  # 2^bits <= the count K^(n+1)
+    if bits > term_cap.bit_length() or num_blocks ** (n + 1) > term_cap:  # no huge power
+        need = num_blocks ** (n + 1) if bits <= 64 else f"{num_blocks}^{n + 1}"
+        raise CapExceeded(f"enumeration needs {need} multiindex terms "
+                          f"({num_blocks} blocks, horizon {n}); cap is {term_cap}")
 
 
 def _check_inputs(space: FiniteMeasureSpace, chi: Partition) -> None:

@@ -1,4 +1,4 @@
-"""JSON serialization for spaces, operators, sequences, and band matrices.
+"""JSON readers for spaces, operators, sequences and band matrices, and a band writer.
 
 Conventions: atom indices are 1-based in files (0-based in the library);
 complex numbers are ``[re, im]`` pairs, with bare reals accepted on
@@ -20,24 +20,19 @@ import numpy as np
 # The builders import their layer when called, so reading a band operator
 # does not load the finite layers, nor reading a space the circle layer.
 if TYPE_CHECKING:
-    from .circle import EventuallyPeriodicSeq, PeriodicBandOperator
+    from .circle import PeriodicBandOperator
     from .operators import Endomorphism, OperatorMatrix
     from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = [
     "load_json",
     "space_from_obj",
-    "space_to_obj",
     "distribution_from_obj",
     "partition_from_obj",
-    "partition_to_obj",
     "matrix_from_obj",
-    "matrix_to_obj",
     "operator_from_obj",
     "endomorphism_from_obj",
-    "endomorphism_to_obj",
     "seq_from_obj",
-    "seq_to_obj",
     "bandop_from_obj",
     "bandop_to_obj",
 ]
@@ -195,10 +190,6 @@ def space_from_obj(obj: Any) -> FiniteMeasureSpace:
                   _finite(np.asarray(weights, dtype=float), "space: 'weights'"))
 
 
-def space_to_obj(space: FiniteMeasureSpace) -> dict:
-    return {"weights": space.weights.tolist()}
-
-
 def distribution_from_obj(obj: Any) -> np.ndarray:
     """A probability vector; unlike a space, zero entries are allowed."""
     v = _number_table(_require(obj, "weights", "distribution"), "distribution: 'weights'")
@@ -221,10 +212,6 @@ def partition_from_obj(obj: Any, size: int) -> Partition:
     return _built("partition", Partition, size, [[j - 1 for j in b] for b in blocks])  # 1-based
 
 
-def partition_to_obj(partition: Partition) -> dict:
-    return {"blocks": [[j + 1 for j in b] for b in partition.blocks]}
-
-
 def matrix_from_obj(obj: Any, where: str = "matrix") -> np.ndarray:
     re = _number_table(_require(obj, "re", where), f"{where}: 're'")
     im_raw = obj.get("im")
@@ -232,11 +219,6 @@ def matrix_from_obj(obj: Any, where: str = "matrix") -> np.ndarray:
     if re.ndim != 2 or re.shape != im.shape:
         raise ValueError(f"{where}: 're' and 'im' must be equal-shape 2-d tables")
     return re + 1j * im
-
-
-def matrix_to_obj(entries: np.ndarray) -> dict:
-    arr = np.asarray(entries, dtype=complex)
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
 def operator_from_obj(obj: Any, space: FiniteMeasureSpace) -> OperatorMatrix:
@@ -254,12 +236,9 @@ def endomorphism_from_obj(obj: Any, space: FiniteMeasureSpace) -> Endomorphism:
     return _built("endomorphism", Endomorphism, space, [j - 1 for j in table])
 
 
-def endomorphism_to_obj(endo: Endomorphism) -> dict:
-    return {"map": [int(j) + 1 for j in endo.table]}
-
-
-def seq_from_obj(obj: Any) -> EventuallyPeriodicSeq:
-    from .circle import EventuallyPeriodicSeq
+def seq_from_obj(obj: Any) -> PeriodicBandOperator:
+    """An eventually periodic sequence, as the band-0 operator of its convolution."""
+    from .circle import dt_from_seq
 
     left = _complex_list(_require(obj, "left", "seq"), 1, "seq.left")
     right = _complex_list(_require(obj, "right", "seq"), 1, "seq.right")
@@ -279,29 +258,31 @@ def seq_from_obj(obj: Any) -> EventuallyPeriodicSeq:
             raise ValueError(f"seq.middle: key {key!r} is not an integer in canonical form")
         middle[k] = _complex_in(val, f"seq.middle[{key}]")
     _finite(np.array(list(middle.values()), dtype=complex), "seq.middle")
-    return _built("seq", EventuallyPeriodicSeq, left, right, middle, k0)
+    return _built("seq", dt_from_seq, left, right, middle, k0)
 
 
-def seq_to_obj(seq: EventuallyPeriodicSeq) -> dict:
-    return {
-        "left": [_complex_out(v) for v in seq.left],
-        "right": [_complex_out(v) for v in seq.right],
-        "middle": {str(k): _complex_out(v) for k, v in sorted(seq.middle.items())},
-        "k0": seq.k0,
-    }
+def _coeff_rows(obj: Any, where: str) -> np.ndarray:
+    rows = _require(obj, "coeffs", where)
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: 'coeffs' must be a list of rows")
+    return _complex_list(rows, 2, f"{where}.coeffs")
 
 
 def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
+    """A band operator; an optional ``left`` ``{"tau", "coeffs"}`` patterns rows ``l < 0``."""
     from .circle import PeriodicBandOperator
 
     tau = _require(obj, "tau", "band operator")
     band = _require(obj, "band", "band operator")
     if not _numeric({type(tau), type(band)}, int):
         raise ValueError("band operator: 'tau' and 'band' must be integers")
-    rows = _require(obj, "coeffs", "band operator")
-    if not isinstance(rows, list):
-        raise ValueError("band operator: 'coeffs' must be a list of rows")
-    coeffs = _complex_list(rows, 2, "band operator.coeffs")
+    coeffs = _coeff_rows(obj, "band operator")
+    left = obj.get("left")
+    if left is not None:
+        tau_left = _require(left, "tau", "band operator.left")
+        if not _numeric({type(tau_left)}, int):
+            raise ValueError("band operator.left: 'tau' must be an integer")
+        left = (tau_left, _coeff_rows(left, "band operator.left"))
     items = obj.get("perturbation", [])
     if not isinstance(items, list):
         raise ValueError("band operator: 'perturbation' must be a list of [row, col, value]")
@@ -314,13 +295,15 @@ def bandop_from_obj(obj: Any) -> PeriodicBandOperator:
             )
         pert.append((item[0], item[1], _complex_in(item[2], "band operator.perturbation")))
     _finite(np.array([z for _, _, z in pert], dtype=complex), "band operator.perturbation")
-    return _built("band operator", PeriodicBandOperator, tau, band, coeffs, pert)
+    return _built("band operator", PeriodicBandOperator, tau, band, coeffs, pert, left)
 
 
 def bandop_to_obj(op: PeriodicBandOperator) -> dict:
-    return {
-        "tau": op.tau,
-        "band": op.band,
-        "coeffs": [[_complex_out(v) for v in row] for row in op.coeffs],
-        "perturbation": [[r, c, _complex_out(v)] for r, c, v in op.perturbation],
-    }
+    """The JSON form of ``op``; the ``left`` field only when the tails differ."""
+    obj = {"tau": op.tau, "band": op.band,
+           "coeffs": [list(map(_complex_out, row)) for row in op.coeffs],
+           "perturbation": [[r, c, _complex_out(v)] for r, c, v in op.perturbation]}
+    if len(op.tails) > 1:
+        tau, coeffs = op.left
+        obj["left"] = {"tau": tau, "coeffs": [list(map(_complex_out, row)) for row in coeffs]}
+    return obj

@@ -95,8 +95,8 @@ SUITES: dict[str, tuple[str, str]] = {
     "cyclic-dimension": ("verify_finite", "cyclic_dimension"),
     "rho-oracle": ("verify_circle", "rho_oracle"),
     "dt-integral": ("verify_circle", "dt_integral"),
-    "parseval-bridge": ("verify_circle", "parseval_bridge"),
-    "trace-bound": ("verify_circle", "trace_bound"),
+    "two-tail-integral": ("verify_circle", "two_tail_integral"),
+    "two-tail-section": ("verify_circle", "two_tail_section"),
     "trace-invariance": ("verify_circle", "trace_invariance"),
     "norm-chain": ("verify_circle", "norm_chain"),
     "dt-star-algebra": ("verify_circle", "dt_star_algebra"),
@@ -131,6 +131,8 @@ def run_suite(name: str, trials: int, seed: int) -> list[PropertyCheck]:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     out: list[PropertyCheck] = []
     for member in GROUPS.get(name, (name,)):
         module, function = SUITES[member]

@@ -1,4 +1,4 @@
-"""Property suites on the circle layer: sequences and band operators.
+"""Property suites on the circle layer: band operators with one or two tails.
 
 Registered in ``verify.SUITES``; run them through ``verify.run_suite``.
 """
@@ -14,7 +14,7 @@ from .verify import PropertyCheck, _random_complex
 # Random instance generators
 
 
-def random_seq(rng, max_period: int = 8, max_k0: int = 4) -> circ.EventuallyPeriodicSeq:
+def random_seq(rng, max_period: int = 8, max_k0: int = 4) -> circ.PeriodicBandOperator:
     pl = int(rng.integers(1, max_period + 1))
     pr = int(rng.integers(1, max_period + 1))
     k0 = int(rng.integers(0, max_k0 + 1))
@@ -27,7 +27,7 @@ def random_seq(rng, max_period: int = 8, max_k0: int = 4) -> circ.EventuallyPeri
                 middle[k] = complex(_random_complex(rng, 1)[0])
     else:
         left[0] = right[0]
-    return circ.EventuallyPeriodicSeq(left, right, middle, k0)
+    return circ.dt_from_seq(left, right, middle, k0)
 
 
 def random_bandop(rng, max_tau: int = 8, max_band: int = 8,
@@ -44,13 +44,27 @@ def random_bandop(rng, max_tau: int = 8, max_band: int = 8,
     return circ.PeriodicBandOperator(tau, band, coeffs, pert)
 
 
+def random_two_tail(rng, max_tau: int = 4, max_band: int = 3,
+                    perturbed: bool = False) -> circ.PeriodicBandOperator:
+    """A random band operator given a second random pattern for rows ``l < 0``."""
+    op = random_bandop(rng, max_tau, max_band, perturbed)
+    tau = int(rng.integers(1, max_tau + 1))
+    left = (tau, _random_complex(rng, (tau, 2 * op.band + 1), 1.0))
+    return circ.PeriodicBandOperator(op.tau, op.band, op.coeffs, op.perturbation, left)
+
+
+#: 2 sin x on rows l >= 0, 2 cos x on rows l < 0: both tails have mass 2, and the
+#: squared norm is the mean of max(4 cos^2, 4 sin^2) = 2 + 2|cos 2a|, 2 + 4/pi.
+COS_SIN = circ.PeriodicBandOperator(1, 1, [[-1j, 0.0, 1j]], left=(1, [[1.0, 0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # Circle suites
 
 
-def _period_mass(seq: circ.EventuallyPeriodicSeq) -> float:
-    mass = max(float(np.sum(np.abs(seq.left) ** 2)), float(np.sum(np.abs(seq.right) ** 2)))
-    return mass + sum(abs(v) ** 2 for v in seq.middle.values())
+def _period_mass(op: circ.PeriodicBandOperator) -> float:
+    mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
+    return mass + sum(abs(op.entry(r, c)) ** 2 for r, c, _ in op.perturbation)
 
 
 def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
@@ -58,11 +72,9 @@ def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
     bound = PropertyCheck("window-oracle-within-derived-bound", 1e-12)
     fixed = PropertyCheck("window-oracle-within-1e-2-at-1e4", 1e-2)
     for i in range(trials):
-        seq = random_seq(rng)
-        closed = circ.rho(seq)
-        brute = circ.rho_window_max(seq, window)
-        diff = abs(closed - brute)
-        bound.update(diff - 10.0 * _period_mass(seq) / window, {"trial": i})
+        op = random_seq(rng)
+        diff = abs(circ.avg_trace(op) - circ.rho_window_max(op, window))
+        bound.update(diff - 10.0 * _period_mass(op) / window, {"trial": i})
         fixed.update(diff, {"trial": i})
     return [bound, fixed]
 
@@ -81,22 +93,40 @@ def dt_integral(rng, trials: int) -> list[PropertyCheck]:
     return [agree, cosine]
 
 
-def parseval_bridge(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("average-trace-equals-quadrature-when-periodic", 1e-10)
-    for i in range(trials):
-        op = random_bandop(rng)
-        t.update(abs(circ.dt_mu_norm_sq(op).quadrature - circ.avg_trace(op)),
-                 {"trial": i, "tau": op.tau, "band": op.band})
-    return [t]
+def _grid_error(op: circ.PeriodicBandOperator, n: int) -> float:
+    """Bound on |grid mean - integral| of ``rho_la = rho_R + max(D, 0)`` on ``n`` points.
+
+    The grid mean, the periodic trapezoid rule, is exact on ``rho_R`` (degree
+    ``2B < n``); on ``max(D, 0)`` it errs by ``h^3 max|D''|/12`` per cell, or
+    ``h^2 max|D'|/4`` on the at most ``4B`` cells with a crossing.
+    """
+    g = np.abs(circ._density_coefficients(op.left)
+               - circ._density_coefficients((op.tau, op.coeffs)))
+    k = np.abs(np.arange(g.size) - 2 * op.band)
+    h = 2.0 * np.pi / n
+    return h * h * (float(k**2 @ g) / 12.0 + op.band * float(k @ g) / (2.0 * np.pi))
 
 
-def trace_bound(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("average-trace-below-squared-norm", 1e-10)
-    for i in range(trials):
-        op = random_bandop(rng, perturbed=bool(rng.random() < 0.5))
-        t.update(circ.avg_trace(op) - circ.dt_mu_norm_sq(op).quadrature,
-                 {"trial": i, "tau": op.tau, "band": op.band})
-    return [t]
+def two_tail_integral(rng, trials: int) -> list[PropertyCheck]:
+    """Both routes of the crossing integral against each other and a fine grid; the trace below."""
+    routes = PropertyCheck("closed-form-matches-gauss-legendre", 1e-10)
+    grid = PropertyCheck("closed-form-within-derived-bound-of-grid-mean", 1e-12)
+    bound = PropertyCheck("average-trace-below-squared-norm", 1e-10)
+    strict = PropertyCheck("cos-sin-tails-exceed-average-trace-by-4-over-pi", 1e-14)
+    for value in circ.dt_mu_norm_sq(COS_SIN):
+        strict.update(abs(value - circ.avg_trace(COS_SIN) - 4.0 / np.pi), {})
+    n = 4096
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ops = [COS_SIN] + [random_two_tail(rng, perturbed=bool(rng.random() < 0.3))
+                       for _ in range(trials)]
+    for i, op in enumerate(ops):
+        r = circ.dt_mu_norm_sq(op)
+        info = {"trial": i, "tau": (op.left[0], op.tau), "band": op.band}
+        routes.update(abs(r.quadrature - r.closed_form), info)
+        grid.update(abs(float(np.mean(circ.rho_la(op, angles))) - r.closed_form)
+                    - _grid_error(op, n), info)
+        bound.update(circ.avg_trace(op) - r.closed_form, info)
+    return [routes, grid, bound, strict]
 
 
 def _unitary_conjugators(rng) -> list[circ.PeriodicBandOperator]:
@@ -184,15 +214,10 @@ def rho_la_continuity(rng, trials: int) -> list[PropertyCheck]:
 
 
 def _covering_window(*ops: circ.PeriodicBandOperator) -> range:
-    """Rows of a section that holds every perturbation entry of ``ops`` with a margin.
-
-    Past the outermost perturbed row or column lie ``tau + 2*band + 1``
-    more rows on each side, so every periodic value of every diagonal
-    appears unperturbed in the section, and every row within ``band`` of
-    a perturbed row has its whole band inside.
-    """
+    """Rows of a section that holds row 0 and every perturbation entry of ``ops``,
+    plus ``tau + 2*band + 1`` rows on each side for the longest period ``tau``."""
     ends = [0] + [x for op in ops for r, c, _ in op.perturbation for x in (r, c)]
-    margin = max(op.tau + 2 * op.band for op in ops) + 1
+    margin = max(tau + 2 * op.band for op in ops for tau, _ in op.tails) + 1
     return range(min(ends) - margin, max(ends) + margin + 1)
 
 
@@ -203,19 +228,12 @@ def _diagonal_sups(sec: np.ndarray) -> dict[int, float]:
     return {k: v for k, v in sups.items() if v > 0.0}
 
 
-def section_route(rng, trials: int) -> list[PropertyCheck]:
-    """Majorant, row symbols and perturbed products against dense finite sections.
-
-    A section that covers a full period beyond every perturbed row and
-    column holds each diagonal's values, each row's entries and, away
-    from its edges, each entry of a product: a second route to all three.
-    """
-    sup = PropertyCheck("majorant-is-the-diagonal-sup-of-a-section", 1e-12)
-    symbol = PropertyCheck("row-symbol-sums-its-section-row", 1e-12)
-    product = PropertyCheck("perturbed-product-matches-section-product", 1e-12)
+def _section_checks(rng, trials: int, draw, checks: list[PropertyCheck]) -> list[PropertyCheck]:
+    """Majorant, row symbols, products and, given a fourth check, adjoints of operators from
+    ``draw`` against dense sections holding a period of each tail beyond all perturbations."""
+    sup, symbol, product, *adjoint = checks
     for i in range(trials):
-        a = random_bandop(rng, max_tau=5, max_band=4, perturbed=True)
-        b = random_bandop(rng, max_tau=5, max_band=4, perturbed=True)
+        a, b = draw(rng), draw(rng)
         rows = _covering_window(a, b)
         index = np.arange(rows.start, rows.stop)
         sections = []
@@ -226,7 +244,8 @@ def section_route(rng, trials: int) -> list[PropertyCheck]:
             sup.update(max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in {*got, *want}),
                            default=0.0),
                        {"trial": i, "tau": op.tau, "band": op.band})
-            for l in sorted({*range(op.tau), *(r for r, _, _ in op.perturbation)}):
+            first = -op.left[0] if len(op.tails) > 1 else 0  # a full period of each tail
+            for l in sorted({*range(first, op.tau), *(r for r, _, _ in op.perturbation)}):
                 angle = float(rng.uniform(0.0, 2.0 * np.pi))
                 want_w = complex(sec[l - rows.start] @ np.exp(1j * (l - index) * angle))
                 symbol.update(abs(circ.w_l(op, l, angle) - want_w), {"trial": i, "l": l})
@@ -236,4 +255,25 @@ def section_route(rng, trials: int) -> list[PropertyCheck]:
         want = (sections[0] @ sections[1])[inner]
         product.update(float(np.max(np.abs(got - want))),
                        {"trial": i, "tau": (a.tau, b.tau), "band": (a.band, b.band)})
-    return [sup, symbol, product]
+        for check in adjoint:
+            star = circ.finite_section(circ.dt_adjoint(a), rows)
+            check.update(float(np.max(np.abs(star - sections[0].conj().T))),
+                         {"trial": i, "tau": a.tau, "band": a.band})
+    return checks
+
+
+def section_route(rng, trials: int) -> list[PropertyCheck]:
+    """Majorant, row symbols and perturbed products against dense finite sections."""
+    return _section_checks(rng, trials, lambda g: random_bandop(g, 5, 4, perturbed=True), [
+        PropertyCheck("majorant-is-the-diagonal-sup-of-a-section", 1e-12),
+        PropertyCheck("row-symbol-sums-its-section-row", 1e-12),
+        PropertyCheck("perturbed-product-matches-section-product", 1e-12)])
+
+
+def two_tail_section(rng, trials: int) -> list[PropertyCheck]:
+    """Two-tail majorant, row symbols, products and adjoints against sections across row 0."""
+    return _section_checks(rng, trials, lambda g: random_two_tail(g, 5, 4, perturbed=True), [
+        PropertyCheck("two-tail-majorant-is-the-diagonal-sup-of-a-section", 1e-12),
+        PropertyCheck("two-tail-row-symbol-sums-its-section-row", 1e-12),
+        PropertyCheck("two-tail-product-matches-section-product", 1e-12),
+        PropertyCheck("two-tail-adjoint-is-the-conjugate-transpose-of-a-section", 1e-12)])

@@ -14,8 +14,8 @@ import pytest
 from munorm import (
     OperatorMatrix,
     koopman,
+    avg_trace,
     quantum_entropy_closed,
-    rho,
     rho_window_max,
 )
 from munorm.operators import Endomorphism
@@ -23,8 +23,8 @@ from munorm.verify_circle import (
     dt_integral,
     norm_chain,
     random_seq,
-    trace_bound,
     trace_invariance,
+    two_tail_integral,
 )
 from munorm.verify_finite import (
     closed_entropy,
@@ -133,7 +133,7 @@ def test_criterion_08_rho_oracle():
     worst4 = worst5 = 0.0
     for _ in range(50):
         seq = random_seq(rng)
-        closed = rho(seq)
+        closed = avg_trace(seq)
         worst4 = max(worst4, abs(closed - rho_window_max(seq, 10**4)))
         worst5 = max(worst5, abs(closed - rho_window_max(seq, 10**5)))
     ok = worst4 <= 1e-2 and worst5 <= 1e-3
@@ -152,10 +152,10 @@ def test_criterion_09_dt_integral():
 
 def test_criterion_10_trace_bound_and_invariance():
     rng = np.random.default_rng(110)
-    bound = trace_bound(rng, 100)
+    bound = two_tail_integral(rng, 100)
     invariance = trace_invariance(rng, 100)
-    _assert_checks(10, "average-trace bound and unitary invariance",
-                   bound + invariance, [1e-10, 1e-10])
+    _assert_checks(10, "two-tail integral, strict average-trace bound and unitary invariance",
+                   bound + invariance, [1e-10, 1e-12, 1e-10, 1e-14, 1e-10])
 
 
 def test_criterion_11_norm_chain():

@@ -5,33 +5,40 @@ import pytest
 
 from munorm import (
     CapExceeded,
-    EventuallyPeriodicSeq,
     PeriodicBandOperator,
     avg_trace,
     avg_trace_window,
-    conv_norm,
     dt_add,
     dt_adjoint,
     dt_compose,
-    dt_from_conv,
     dt_from_multiplier,
+    dt_from_seq,
     dt_mu_norm_sq,
     dt_norm,
     dt_scale,
     finite_section,
-    rho,
     rho_la,
     rho_window_max,
+    tail_masses,
     w_l,
 )
-from munorm.verify_circle import random_bandop
+from munorm.verify_circle import COS_SIN, random_bandop, random_two_tail
 
-ALL_ONES = EventuallyPeriodicSeq([1.0], [1.0])
-ZERO_SEQ = EventuallyPeriodicSeq([0.0], [0.0])
-HALF_SEQ = EventuallyPeriodicSeq([0.0], [1.0, 0.0], k0=1)  # ..0,0,[1,0,1,0..] from k=1
-ODD_SEQ = EventuallyPeriodicSeq([1.0, 0.0], [1.0, 0.0], k0=1)  # lam_k = 1 iff k odd
+ALL_ONES = dt_from_seq([1.0], [1.0])
+ZERO_SEQ = dt_from_seq([0.0], [0.0])
+HALF_SEQ = dt_from_seq([0.0], [1.0, 0.0], k0=1)  # ..0,0,[1,0,1,0..] from k=1
+ODD_SEQ = dt_from_seq([1.0, 0.0], [1.0, 0.0], k0=1)  # lam_k = 1 iff k odd
 SHIFT = dt_from_multiplier({1: 1.0})
 TWO_COS = dt_from_multiplier({1: 1.0, -1: 1.0})
+
+
+def _seq_value(left, right, middle, k0, k):
+    # the eventually periodic sequence by its definition
+    if k >= k0:
+        return right[(k - k0) % len(right)]
+    if k <= -k0:
+        return left[(-k0 - k) % len(left)]
+    return middle.get(k, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -40,31 +47,36 @@ TWO_COS = dt_from_multiplier({1: 1.0, -1: 1.0})
 
 def test_seq_validation():
     with pytest.raises(ValueError, match="nonempty"):
-        EventuallyPeriodicSeq([], [1.0])
+        dt_from_seq([], [1.0])
     with pytest.raises(ValueError, match="k0"):
-        EventuallyPeriodicSeq([1.0], [1.0], k0=-1)
+        dt_from_seq([1.0], [1.0], k0=-1)
     with pytest.raises(ValueError, match="strictly inside"):
-        EventuallyPeriodicSeq([1.0], [1.0], middle={0: 2.0}, k0=0)
+        dt_from_seq([1.0], [1.0], middle={0: 2.0}, k0=0)
     with pytest.raises(ValueError, match="left\\[0\\] must equal right\\[0\\]"):
-        EventuallyPeriodicSeq([0.0], [1.0], k0=0)
+        dt_from_seq([0.0], [1.0], k0=0)
 
 
 def test_seq_values_layout():
-    seq = EventuallyPeriodicSeq([5.0, 6.0], [1.0, 2.0], middle={0: 9.0}, k0=2)
+    seq = dt_from_seq([5.0, 6.0], [1.0, 2.0], middle={0: 9.0}, k0=2)
     # right tail: k=2 -> 1, k=3 -> 2, k=4 -> 1 ...
     # left tail read outward: k=-2 -> 5, k=-3 -> 6, k=-4 -> 5 ...
-    assert seq.value_at(2) == 1.0 and seq.value_at(3) == 2.0 and seq.value_at(4) == 1.0
-    assert seq.value_at(-2) == 5.0 and seq.value_at(-3) == 6.0 and seq.value_at(-4) == 5.0
-    assert seq.value_at(0) == 9.0 and seq.value_at(1) == 0.0 and seq.value_at(-1) == 0.0
+    assert seq.entry(2, 2) == 1.0 and seq.entry(3, 3) == 2.0 and seq.entry(4, 4) == 1.0
+    assert seq.entry(-2, -2) == 5.0 and seq.entry(-3, -3) == 6.0 and seq.entry(-4, -4) == 5.0
+    assert seq.entry(0, 0) == 9.0 and seq.entry(1, 1) == 0.0 and seq.entry(-1, -1) == 0.0
     np.testing.assert_array_equal(
-        seq.values(-3, 3), np.array([6, 5, 0, 9, 0, 1, 2], dtype=complex)
+        finite_section(seq, range(-3, 4)), np.diag(np.array([6, 5, 0, 9, 0, 1, 2], dtype=complex))
     )
+    # the tails re-indexed so that row l reads coeffs[l % tau]
+    assert seq.tau == 2 and seq.band == 0 and seq.coeffs[:, 0].tolist() == [1.0, 2.0]
+    assert seq.left[0] == 2 and seq.left[1][:, 0].tolist() == [5.0, 6.0]
+    assert tail_masses(seq) == (30.5, 2.5)
 
 
 def test_rho_examples():
-    assert rho(ALL_ONES) == 1.0
-    assert rho(ZERO_SEQ) == 0.0
-    assert rho(HALF_SEQ) == 0.5
+    assert avg_trace(ALL_ONES) == 1.0
+    assert avg_trace(ZERO_SEQ) == 0.0
+    assert avg_trace(HALF_SEQ) == 0.5
+    assert tail_masses(HALF_SEQ) == (0.0, 0.5)
 
 
 def test_rho_window_oracle_period_two():
@@ -73,70 +85,52 @@ def test_rho_window_oracle_period_two():
 
 
 def test_rho_window_oracle_finite_support():
-    spike = EventuallyPeriodicSeq([0.0], [0.0], middle={0: 3.0}, k0=1)
-    assert rho(spike) == 0.0
+    spike = dt_from_seq([0.0], [0.0], middle={0: 3.0}, k0=1)
+    assert avg_trace(spike) == 0.0
     # the lone spike spreads over the window
     assert rho_window_max(spike, 1000) == pytest.approx(9.0 / 1000, abs=1e-12)
 
 
 def test_conv_norm_examples():
-    assert conv_norm(ALL_ONES) == 1.0
-    finite = EventuallyPeriodicSeq([0.0], [0.0], middle={0: 2.0, 1: 1j}, k0=2)
-    assert conv_norm(finite) == 2.0
-    assert conv_norm(ZERO_SEQ) == 0.0
+    assert dt_norm(ALL_ONES) == 1.0
+    finite = dt_from_seq([0.0], [0.0], middle={0: 2.0, 1: 1j}, k0=2)
+    assert dt_norm(finite) == 2.0
+    assert dt_norm(ZERO_SEQ) == 0.0
 
 
 def test_conv_mu_norm_sq():
     # the squared partition norm of a convolution is its window density
-    assert rho(ALL_ONES) == 1.0
-    assert rho(HALF_SEQ) == 0.5
-    finite = EventuallyPeriodicSeq([0.0], [0.0], middle={0: 2.0}, k0=1)
+    assert dt_mu_norm_sq(ALL_ONES) == (1.0, 1.0)
+    assert avg_trace(HALF_SEQ) == 0.5
+    finite = dt_from_seq([0.0], [0.0], middle={0: 2.0}, k0=1)
     # vanishing partition norm without compactness: the boundary case
-    assert rho(finite) == 0.0
-    assert conv_norm(finite) == 2.0
-    assert dt_norm(dt_from_conv(finite)) == 2.0  # diagonal model keeps the sup
+    assert avg_trace(finite) == 0.0 and dt_mu_norm_sq(finite).closed_form == 0.0
+    assert dt_norm(finite) == 2.0  # the diagonal model keeps the sup
 
 
-# --------------------------------------------------------------------------
-# diagonal models from sequences
-
-
-def test_dt_from_conv_all_ones_is_identity_model():
-    d = dt_from_conv(ALL_ONES)
-    np.testing.assert_array_equal(finite_section(d, range(-3, 4)), np.eye(7))
-    assert dt_norm(d) == 1.0
-    assert avg_trace(d) == 1.0
-
-
-def test_dt_from_conv_constant():
+def test_seq_reads_into_two_tails_and_a_middle_perturbation():
+    # equal tails keep one pattern: all ones is the identity
+    assert ALL_ONES.tails == ((1, ALL_ONES.coeffs),) and ALL_ONES.perturbation == ()
+    np.testing.assert_array_equal(finite_section(ALL_ONES, range(-3, 4)), np.eye(7))
     c = 0.5 - 0.25j
-    d = dt_from_conv(EventuallyPeriodicSeq([c], [c]))
-    np.testing.assert_array_equal(finite_section(d, range(0, 3)), c * np.eye(3))
-
-
-def test_dt_from_conv_middle_exception_becomes_perturbation():
-    seq = EventuallyPeriodicSeq([1.0], [1.0], middle={0: 3.0}, k0=1)
-    op = dt_from_conv(seq)
-    assert op.tau == 1 and op.band == 0
+    np.testing.assert_array_equal(finite_section(dt_from_seq([c], [c]), range(0, 3)),
+                                  c * np.eye(3))
+    # a middle value that deviates from its tail becomes a perturbation entry
+    op = dt_from_seq([1.0], [1.0], middle={0: 3.0}, k0=1)
+    assert op.tau == 1 and op.band == 0 and len(op.tails) == 1
     assert op.perturbation == ((0, 0, 2.0 + 0.0j),)
-    np.testing.assert_array_equal(
-        finite_section(op, range(-1, 2)), np.diag([1.0, 3.0, 1.0]).astype(complex)
-    )
-
-
-def test_dt_from_conv_rejects_misaligned_tails():
-    with pytest.raises(ValueError, match="different lengths"):
-        dt_from_conv(HALF_SEQ)
-    shifted = EventuallyPeriodicSeq([0.0, 1.0], [1.0, 0.0], k0=1)  # lam_-1 = 0, lam_1 = 1
-    with pytest.raises(ValueError, match="disagree"):
-        dt_from_conv(shifted)
-    # the sequence itself still has its density and norm
-    assert rho(shifted) == 0.5 and conv_norm(shifted) == 1.0
+    np.testing.assert_array_equal(finite_section(op, range(-1, 2)),
+                                  np.diag([1.0, 3.0, 1.0]).astype(complex))
+    # tails of different periods, or misaligned, are two tails
+    shifted = dt_from_seq([0.0, 1.0], [1.0, 0.0], k0=1)  # lam_-1 = 0, lam_1 = 1
+    for seq in (HALF_SEQ, shifted):
+        assert len(seq.tails) == 2
+        assert avg_trace(seq) == 0.5 and dt_norm(seq) == 1.0
+        assert dt_mu_norm_sq(seq) == (0.5, 0.5)
 
 
 def test_diagonal_model_w_and_density():
-    seq = EventuallyPeriodicSeq([1.0], [1.0], middle={0: 3.0}, k0=1)
-    d = dt_from_conv(seq)
+    d = dt_from_seq([1.0], [1.0], middle={0: 3.0}, k0=1)
     assert w_l(d, 0, 0.3) == 3.0  # only the j = l term survives
     assert w_l(d, 5, 1.1) == 1.0
     assert rho_la(d, 0.7) == 1.0
@@ -323,10 +317,10 @@ def test_dt_mu_norm_two_cos():
 
 
 def test_dt_mu_norm_matches_conv_for_periodic_diagonal():
-    op = dt_from_conv(ODD_SEQ)
-    assert op.tau == 2 and op.band == 0 and op.perturbation == ()
+    op = ODD_SEQ
+    assert op.tau == 2 and op.band == 0 and op.perturbation == () and len(op.tails) == 1
     res = dt_mu_norm_sq(op)
-    assert res.quadrature == pytest.approx(rho(ODD_SEQ), abs=1e-12)
+    assert res.quadrature == pytest.approx(0.5, abs=1e-12)
     assert res.closed_form == pytest.approx(0.5, abs=1e-15)
 
 
@@ -359,6 +353,105 @@ def test_dt_mu_norm_random_agreement():
         op = PeriodicBandOperator(tau, band, coeffs)
         res = dt_mu_norm_sq(op)
         assert res.quadrature == pytest.approx(res.closed_form, abs=1e-10)
+
+
+# --------------------------------------------------------------------------
+# two tails: the crossing integral and the seam
+
+
+def test_two_tail_cos_sin_integral_is_exact():
+    # max(4 cos^2 a, 4 sin^2 a) = 2 + 2|cos 2a| averages to 2 + 4/pi, above the trace 2
+    assert len(COS_SIN.tails) == 2 and tail_masses(COS_SIN) == (2.0, 2.0)
+    assert avg_trace(COS_SIN) == 2.0
+    res = dt_mu_norm_sq(COS_SIN)
+    assert abs(res.closed_form - 4 * (0.5 + 1 / math.pi)) <= 1e-14
+    assert abs(res.quadrature - 4 * (0.5 + 1 / math.pi)) <= 1e-14
+    for a in (0.1, 1.0, 2.5):
+        assert rho_la(COS_SIN, a) == pytest.approx(max(4 * math.cos(a) ** 2, 4 * math.sin(a) ** 2),
+                                                   abs=1e-14)
+
+
+def test_two_tail_tangency():
+    # left: rows 1 + e^{ia} and 1 + e^{2ia}, density 2 + cos a + cos 2a; right: the constant 2.
+    # Their difference (2 cos a - 1)(cos a + 1) has a double root at pi and simple roots
+    # at +-pi/3, so the integral is 2 + (1/2pi) int_{-pi/3}^{pi/3} (cos a + cos 2a) da.
+    left = [[0.0, 0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0]]
+    op = PeriodicBandOperator(1, 2, [[0.0, 0.0, math.sqrt(2.0), 0.0, 0.0]], left=(2, left))
+    want = 2.0 + 3.0 * math.sqrt(3.0) / (4.0 * math.pi)
+    res = dt_mu_norm_sq(op)
+    assert abs(res.closed_form - want) <= 1e-14
+    assert abs(res.quadrature - want) <= 1e-14
+    assert avg_trace(op) == pytest.approx(2.0, abs=1e-15)
+
+
+def _grid_density(tail, n):
+    # (1/tau) sum_l |w_l|^2 on n uniform points by one FFT per row
+    tau, coeffs = tail
+    return sum(np.abs(np.fft.fft(row, n)) ** 2 for row in coeffs) / tau
+
+
+def test_band_64_two_tail_against_a_fine_grid():
+    rng = np.random.default_rng(64)
+    band, n = 64, 2**20
+    left, right = ((tau, _random_coeffs(rng, tau, band) / math.sqrt(2 * band + 1)) for tau in (2, 3))
+    op = PeriodicBandOperator(*right[:1], band, right[1], left=left)
+    res = dt_mu_norm_sq(op)
+    grid_mean = float(np.mean(np.maximum(_grid_density(left, n), _grid_density(right, n))))
+    # max(rho_L, rho_R) = rho_R + max(D, 0), D of degree 2*band with coefficients g_k.
+    # The grid mean is the periodic trapezoid rule, exact on rho_R; on max(D, 0) it errs
+    # by h^3 max|D''|/12 on a cell without a crossing, h^2 max|D'|/4 on each of the at
+    # most 4*band cells with one.  Summed and divided by 2pi:
+    g = np.abs(sum(np.correlate(r, r, "full") for r in left[1]) / 2
+               - sum(np.correlate(r, r, "full") for r in right[1]) / 3)
+    k = np.abs(np.arange(-2 * band, 2 * band + 1))
+    h = 2 * math.pi / n
+    bound = h * h * (float(k**2 @ g) / 12 + band * float(k @ g) / (2 * math.pi))
+    assert abs(grid_mean - res.closed_form) <= bound
+    assert abs(res.quadrature - res.closed_form) <= 1e-10
+    assert res.closed_form > avg_trace(op) + 1e-3
+
+
+def test_equal_tails_take_no_root_solve_and_no_seam_terms(monkeypatch):
+    from munorm import circle
+
+    def refuse(*args):
+        raise AssertionError("two-tail route taken")
+
+    for name in ("_density_coefficients", "_crossings"):
+        monkeypatch.setattr(circle, name, refuse)
+    rng = np.random.default_rng(5)
+    a = random_bandop(rng, max_tau=4, max_band=3, perturbed=True)
+    # a left pattern equal to the right one is no second tail
+    same = PeriodicBandOperator(a.tau, a.band, a.coeffs, a.perturbation,
+                                left=(a.tau, a.coeffs.copy()))
+    assert len(same.tails) == 1 and same.left[0] == a.tau
+    assert circle._compose_seam(same, same) == [] == circle._adjoint_seam(same)
+    for op in (same, dt_compose(same, same), dt_adjoint(same), dt_add(same, same)):
+        assert len(op.tails) == 1
+        dt_mu_norm_sq(op)
+
+
+def test_two_tail_kernels_match_dense_sections_across_the_seam():
+    rng = np.random.default_rng(16)
+    rows, inner = range(-30, 31), slice(12, 49)
+    for _ in range(30):
+        a, b = (random_two_tail(rng, max_tau=5, max_band=4, perturbed=True) for _ in range(2))
+        sa, sb = finite_section(a, rows), finite_section(b, rows)
+        np.testing.assert_allclose(finite_section(dt_compose(a, b), rows)[inner],
+                                   (sa @ sb)[inner], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(finite_section(dt_adjoint(a), rows), sa.conj().T,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(finite_section(dt_add(a, b), rows), sa + sb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(finite_section(dt_scale(0.5j, a), rows), 0.5j * sa,
+                                   rtol=0, atol=1e-12)
+        sups = {k: float(np.abs(np.diagonal(sa, -k)).max()) for k in range(-12, 13)}
+        got = a.majorant()
+        for k, v in sups.items():
+            assert got.get(k, 0.0) == pytest.approx(v, abs=1e-12)
+        for l in (-7, -1, 0, 1, 6):
+            angle = float(rng.uniform(0, 2 * np.pi))
+            want = sa[l + 30] @ np.exp(1j * (l - np.arange(-30, 31)) * angle)
+            assert abs(w_l(a, l, angle) - want) <= 1e-12
 
 
 def test_avg_trace_examples():
@@ -430,12 +523,18 @@ def test_finite_section_matches_entry_loop():
                 (lo, hi, 1.5j), (hi, lo, -2.0), (lo - 1, lo, 0.5), (hi, hi + 1, 3.0)))
             for sub in (op, far, edge):
                 assert finite_section(sub, rows).tobytes() == _entry_section(sub, rows).tobytes()
-    # a convolution with aligned tails and a middle, as a band-0 operator
-    seq = EventuallyPeriodicSeq([1.0, 3j, 0.5], [1.0, 0.5, 3j], middle={-2: 7.0, 1: 0.25j}, k0=3)
-    d = dt_from_conv(seq)
+    # two-tail operators, the seam inside some windows and outside others
+    for _ in range(20):
+        op = random_two_tail(rng, max_tau=6, max_band=5, perturbed=True)
+        for rows in windows:
+            assert finite_section(op, rows).tobytes() == _entry_section(op, rows).tobytes()
+    # a convolution with unequal tails and a middle, as a band-0 operator
+    parts = [1.0, 3j, 0.5], [1.0, 0.5, 3j, 2.0], {-2: 7.0, 1: 0.25j}, 3
+    d = dt_from_seq(*parts)
     for rows in windows:
         assert finite_section(d, rows).tobytes() == _entry_section(d, rows).tobytes()
-        np.testing.assert_array_equal(finite_section(d, rows), np.diag([seq.value_at(r) for r in rows]))
+        np.testing.assert_array_equal(finite_section(d, rows),
+                                      np.diag([_seq_value(*parts, r) for r in rows]))
 
 
 def test_periodic_run_reads_rows_modulo_the_period():
@@ -514,10 +613,10 @@ def test_compose_at_the_caps_needs_memory_of_its_output_only():
 
 
 def test_diagonal_model_sections_and_window_trace():
-    d = dt_from_conv(ODD_SEQ)
+    d = ODD_SEQ
     sec = finite_section(d, range(1, 5))
     np.testing.assert_array_equal(sec, np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
-    assert avg_trace(d) == 0.5 == rho(ODD_SEQ)
+    assert avg_trace(d) == 0.5 == rho_window_max(d, 2)
     assert avg_trace_window(d, 1, 10**4) == pytest.approx(0.5, abs=1e-4)
 
 
@@ -526,24 +625,32 @@ def test_diagonal_model_sections_and_window_trace():
 
 
 def _random_signed_seq(rng):
-    from munorm.verify_circle import random_seq
+    from munorm.verify import _random_complex
 
-    seq = random_seq(rng, max_period=int(rng.integers(1, 12)), max_k0=int(rng.integers(0, 8)))
-    left, right = seq.left.copy(), seq.right.copy()
+    k0 = int(rng.integers(0, 8))
+    left, right = (_random_complex(rng, int(rng.integers(1, 12))) for _ in range(2))
     left[rng.random(left.size) < 0.3] = complex(-0.0, -0.0)
     right[rng.random(right.size) < 0.3] = complex(0.0, -0.0)
-    if seq.k0 == 0:
+    if k0 == 0:
         left[0] = right[0]
-    return EventuallyPeriodicSeq(left, right, seq.middle, seq.k0)
+    middle = {k: complex(_random_complex(rng, 1)[0]) for k in range(1 - k0, k0)
+              if rng.random() < 0.5}
+    return dt_from_seq(left, right, middle, k0)
 
 
 def test_window_oracle_matches_gathered_squares():
+    # reference: row masses gathered entry by entry, perturbation changes added per row
     rng = np.random.default_rng(40)
-    for _ in range(320):
-        seq = _random_signed_seq(rng)
-        window = int(rng.choice([1, 3, 50, 10**4]))
-        got = rho_window_max(seq, window)
-        sq = np.abs(seq.values(-(seq.k0 + 2 * window), seq.k0 + 2 * window)) ** 2
+    for i in range(320):
+        op = _random_signed_seq(rng) if i % 2 else random_two_tail(rng, perturbed=True)
+        window = int(rng.choice([1, 3, 50, 10**3]))
+        got = rho_window_max(op, window)
+        reach = max((abs(r) + 1 for r, _, _ in op.perturbation), default=0) + 2 * window
+        rows = range(-reach, reach + 1)
+        sq = np.sum(np.abs([[op.base_entry(r, c) for c in range(r - op.band, r + op.band + 1)]
+                            for r in rows]) ** 2, axis=1)
+        for r, c, _ in op.perturbation:
+            sq[r + reach] += abs(op.entry(r, c)) ** 2 - abs(op.base_entry(r, c)) ** 2
         csum = np.concatenate(([0.0], np.cumsum(sq)))
         want = float(np.max((csum[window:] - csum[:-window]) / window))
         assert got == want and math.copysign(1, got) == math.copysign(1, want)
@@ -639,13 +746,13 @@ def test_phase_tables_serve_narrower_bands_exactly():
 
     def direct(op, grid):
         d = np.arange(-op.band, op.band + 1)
-        return op.coeffs @ np.exp(-1j * np.outer(d, grid))
+        return np.mean(np.abs(op.coeffs @ np.exp(-1j * np.outer(d, grid))) ** 2, axis=0)
 
     rng = np.random.default_rng(43)
     grid = 2.0 * np.pi * np.arange(1025) / 1024
     ops = [random_bandop(rng, max_tau=6, max_band=6) for _ in range(60)]
     for op in ops:  # widest bands come and go; narrower ones read slices
-        assert op.periodic_symbols(grid).tobytes() == direct(op, grid).tobytes()
+        assert rho_la(op, grid).tobytes() == direct(op, grid).tobytes()
     wide = PeriodicBandOperator(2, 128, _random_coeffs(rng, 2, 128))
     assert dt_mu_norm_sq(wide).quadrature == pytest.approx(avg_trace(wide), rel=1e-12)
     # the band-128 table (257 x 1024 entries) is not kept past its call
@@ -665,16 +772,17 @@ def _random_coeffs(rng, tau, band):
 # the section-route suite against the faults it is there to catch
 
 
-def _failing_section_route_checks():
+def _failing_checks(suite):
     from munorm.verify import run_suite
 
-    return {c.name for c in run_suite("section-route", 20, 0) if not c.passed}
+    return {c.name for c in run_suite(suite, 20, 0) if not c.passed}
 
 
 def test_section_route_kills_the_perturbation_mutants(monkeypatch):
     from munorm import circle
 
-    assert _failing_section_route_checks() == set()
+    suites = ("section-route", "two-tail-integral", "two-tail-section", "rho-oracle")
+    assert all(_failing_checks(suite) == set() for suite in suites)
 
     def majorant_reversed(self):  # reads diagonal k from offset k: the diagonals reversed
         sup = np.abs(self.coeffs).max(axis=0)
@@ -695,14 +803,31 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
     def transposed(a, b):
         return [(c, r, v) for r, c, v in product_perturbation(a, b)]
 
+    def rho_la_min(op, a):  # the tails combined by min
+        phases = circle._phases(op.band, np.asarray(a, dtype=float).ravel())
+        density = np.min([np.mean(np.abs(c @ phases) ** 2, axis=0) for _, c in op.tails], axis=0)
+        return float(density[0]) if np.ndim(a) == 0 else density
+
+    crossings = circle._crossings
+    integral = {"closed-form-matches-gauss-legendre",
+                "closed-form-within-derived-bound-of-grid-mean",
+                "cos-sin-tails-exceed-average-trace-by-4-over-pi"}
     mutants = [
-        (PeriodicBandOperator, "majorant", majorant_reversed,
-         "majorant-is-the-diagonal-sup-of-a-section"),
-        (circle, "w_l", w_l_flipped_phase, "row-symbol-sums-its-section-row"),
-        (circle, "_product_perturbation", transposed,
-         "perturbed-product-matches-section-product"),
+        (PeriodicBandOperator, "majorant", majorant_reversed, "section-route",
+         {"majorant-is-the-diagonal-sup-of-a-section"}),
+        (circle, "w_l", w_l_flipped_phase, "section-route", {"row-symbol-sums-its-section-row"}),
+        (circle, "_product_perturbation", transposed, "section-route",
+         {"perturbed-product-matches-section-product"}),
+        (circle, "rho_la", rho_la_min, "two-tail-integral", integral),
+        (circle, "avg_trace", lambda op: min(circle.tail_masses(op)), "rho-oracle",
+         {"window-oracle-within-1e-2-at-1e4", "window-oracle-within-derived-bound"}),
+        (circle, "_crossings", lambda g: crossings(g)[1:], "two-tail-integral", integral),
+        (circle, "_compose_seam", lambda a, b: [], "two-tail-section",
+         {"two-tail-product-matches-section-product"}),
+        (circle, "_adjoint_seam", lambda a: [], "two-tail-section",
+         {"two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
     ]
-    for target, name, mutant, killed_by in mutants:
+    for target, name, mutant, suite, killed_by in mutants:
         with monkeypatch.context() as m:
             m.setattr(target, name, mutant)
-            assert _failing_section_route_checks() == {killed_by}, name
+            assert _failing_checks(suite) == killed_by, name

@@ -97,6 +97,21 @@ def test_term_cap_reports_required_count():
         ks_entropy_at(Endomorphism(sp, list(range(10))), chi, 7)
 
 
+def test_term_cap_refuses_exactly_the_counts_past_it():
+    # the count K^(N+1) is bounded through bit lengths first; the refusal must not move
+    _check_horizon = entropy._check_horizon
+    for k, n, cap in itertools.product(range(1, 9), range(12), [1, 2, 7, 8, 9, 64, 65, 4096]):
+        if k ** (n + 1) <= cap:
+            _check_horizon(k, n, cap)
+        else:
+            with pytest.raises(CapExceeded, match=f"needs {k ** (n + 1)} multiindex terms"):
+                _check_horizon(k, n, cap)
+    with pytest.raises(CapExceeded, match=r"needs 3\^100 multiindex terms"):
+        _check_horizon(3, 99, 10**6)
+    with pytest.raises(ValueError, match="term cap must be at least 1, got 0"):
+        _check_horizon(2, 1, 0)
+
+
 def test_rate_report_permutation():
     u = koopman(Endomorphism(U3, [1, 2, 0]))
     rep = quantum_entropy_rate(u, finest_partition(U3), 4)

@@ -14,10 +14,10 @@ import pytest
 import munorm
 from munorm import (
     Endomorphism,
-    EventuallyPeriodicSeq,
     FiniteMeasureSpace,
     Partition,
     PeriodicBandOperator,
+    dt_from_seq,
 )
 from munorm import io as mio
 from munorm.cli import _BUILDERS, _COMMANDS, _FLAGS, build_parser, main
@@ -25,50 +25,29 @@ from munorm.entropy import log_unit
 
 
 # --------------------------------------------------------------------------
-# serialization round trips
-
-
-def test_space_round_trip():
-    sp = FiniteMeasureSpace([0.2, 0.3, 0.5])
-    assert mio.space_from_obj(mio.space_to_obj(sp)) == sp
-
-
-def test_partition_round_trip_one_based():
-    p = Partition(4, [[0, 1], [2, 3]])
-    obj = mio.partition_to_obj(p)
-    assert obj == {"blocks": [[1, 2], [3, 4]]}
-    assert mio.partition_from_obj(obj, 4) == p
-
-
-def test_matrix_round_trip_and_optional_im():
-    m = np.array([[1 + 2j, 0], [0, -1j]])
-    back = mio.matrix_from_obj(mio.matrix_to_obj(m))
-    np.testing.assert_array_equal(back, m)
-    real_only = mio.matrix_from_obj({"re": [[1, 0], [0, 1]]})
-    np.testing.assert_array_equal(real_only, np.eye(2))
-
-
-def test_endomorphism_round_trip_one_based():
-    sp = FiniteMeasureSpace([0.25] * 4)
-    endo = Endomorphism(sp, [1, 2, 3, 0])
-    obj = mio.endomorphism_to_obj(endo)
-    assert obj == {"map": [2, 3, 4, 1]}
-    assert mio.endomorphism_from_obj(obj, sp) == endo
-
-
-def test_seq_round_trip():
-    seq = EventuallyPeriodicSeq([1.0, 2j], [3.0], middle={0: 1 - 1j}, k0=1)
-    back = mio.seq_from_obj(mio.seq_to_obj(seq))
-    np.testing.assert_array_equal(back.left, seq.left)
-    np.testing.assert_array_equal(back.right, seq.right)
-    assert back.middle == seq.middle and back.k0 == seq.k0
+# readers and the band writer
 
 
 def test_bandop_round_trip():
     op = PeriodicBandOperator(2, 1, [[1, 2j, 0], [0, 1, -1]], [(3, 4, 0.5j)])
-    back = mio.bandop_from_obj(mio.bandop_to_obj(op))
+    obj = mio.bandop_to_obj(op)
+    assert "left" not in obj  # one tail writes the band form unchanged
+    back = mio.bandop_from_obj(obj)
     np.testing.assert_array_equal(back.coeffs, op.coeffs)
-    assert back.perturbation == op.perturbation
+    assert back.perturbation == op.perturbation and len(back.tails) == 1
+    two = PeriodicBandOperator(2, 1, op.coeffs, op.perturbation, left=(1, [[0.5, 0, 1j]]))
+    obj = mio.bandop_to_obj(two)
+    assert obj["left"] == {"tau": 1, "coeffs": [[[0.5, 0.0], [0.0, 0.0], [0.0, 1.0]]]}
+    back = mio.bandop_from_obj(json.loads(json.dumps(obj)))
+    assert back.left[0] == 1 and back.left[1].tobytes() == two.left[1].tobytes()
+    np.testing.assert_array_equal(finite_section_of(back), finite_section_of(two))
+    # a left pattern equal to the right one keeps one tail
+    assert "left" not in mio.bandop_to_obj(mio.bandop_from_obj({**obj, "left": {
+        "tau": 2, "coeffs": obj["coeffs"]}}))
+
+
+def finite_section_of(op):
+    return munorm.finite_section(op, range(-6, 7))
 
 
 def test_bandop_array_path_matches_per_entry_path():
@@ -87,7 +66,7 @@ def test_bandop_array_path_matches_per_entry_path():
     mixed_reals = [[x if j % 2 else [x, 0.0] for j, x in enumerate(row)] for row in reals]
     readers = [
         lambda t: mio.bandop_from_obj({"tau": 3, "band": 2, "coeffs": t}).coeffs,
-        lambda t: mio.seq_from_obj({"left": [0.0], "right": sum(t, []), "k0": 1}).right,
+        lambda t: mio.seq_from_obj({"left": sum(t, [])[:1], "right": sum(t, [])}).coeffs[:, 0],
     ]
     for read in readers:
         assert read(pairs).tobytes() == read(mixed).tobytes() == coeffs.tobytes()
@@ -142,7 +121,8 @@ def test_builders_take_number_subclasses_entry_by_entry():
         op = mio.bandop_from_obj({"tau": 1, "band": len(coeffs[0]) // 2, "coeffs": coeffs})
         assert op.coeffs[0, 0] == (0.5 + 0.5j if isinstance(coeffs[0][0], list) else 0.5)
     seq = mio.seq_from_obj({"left": [half, [half, half]], "right": [half], "k0": 1})
-    assert seq.left.tolist() == [0.5, 0.5 + 0.5j] and seq.right.tolist() == [0.5]
+    # row l < 0 reads left[(-1 - l) % 2]: rows -2, -1 read 0.5 + 0.5j, 0.5
+    assert seq.left[1][:, 0].tolist() == [0.5 + 0.5j, 0.5] and seq.coeffs.tolist() == [[0.5]]
     for bad in (True, np.bool_(True)):
         with pytest.raises(ValueError, match="table of numbers"):
             mio.distribution_from_obj({"weights": [bad, 0.5]})
@@ -161,13 +141,12 @@ def _integer_sites():
     sp = FiniteMeasureSpace([0.5, 0.5])
     swap = Endomorphism(sp, [1, 0])
     action = munorm.CyclicAction(swap, 2)
-    seq = EventuallyPeriodicSeq([1.0], [2.0], {1: 3.0}, 2)
+    seq = dt_from_seq([1.0], [2.0], {1: 3.0}, 2)
     op = PeriodicBandOperator(1, 1, np.ones((1, 3)), [(1, 2, 0.5)])
     u, chi = munorm.koopman(swap), munorm.finest_partition(sp)
     return {
-        "seq k0": (lambda k: EventuallyPeriodicSeq([1.0], [2.0], None, k), 1),
-        "seq middle key": (lambda k: EventuallyPeriodicSeq([1.0], [2.0], {k: 3.0}, 2), 1),
-        "value_at": (seq.value_at, 1),
+        "seq k0": (lambda k: dt_from_seq([1.0], [2.0], None, k), 1),
+        "seq middle key": (lambda k: dt_from_seq([1.0], [2.0], {k: 3.0}, 2), 1),
         "rho_window_max window": (lambda k: munorm.rho_window_max(seq, k), 1),
         "tau": (lambda k: PeriodicBandOperator(k, 0, np.ones((1, 1))), 1),
         "band": (lambda k: PeriodicBandOperator(1, k, np.ones((1, 3))), 1),
@@ -221,17 +200,14 @@ def _library_refusals():
     u4 = FiniteMeasureSpace([0.25] * 4)
     shift = Endomorphism(u4, [1, 2, 3, 0])
     u = munorm.koopman(swap)
-    seq = EventuallyPeriodicSeq([1.0], [1.0])
     op = PeriodicBandOperator(1, 0, [[1.0]])
     nan = float("nan")
     return {
-        "seq period values": (lambda: EventuallyPeriodicSeq([nan], [1.0]),
+        "seq period values": (lambda: dt_from_seq([nan], [1.0]),
                               ValueError, "period values must be finite"),
-        "seq middle values": (lambda: EventuallyPeriodicSeq([1.0], [1.0], {1: nan}, 2),
+        "seq middle values": (lambda: dt_from_seq([1.0], [1.0], {1: nan}, 2),
                               ValueError, "middle values must be finite"),
-        "seq values range": (lambda: seq.values(3, 2),
-                             ValueError, "empty index range"),
-        "rho window": (lambda: munorm.rho_window_max(seq, 0),
+        "rho window": (lambda: munorm.rho_window_max(op, 0),
                        ValueError, "window length must be positive"),
         "band tau": (lambda: PeriodicBandOperator(0, 0, np.ones((0, 1))),
                      ValueError, "period tau must be >= 1"),
@@ -877,12 +853,24 @@ def test_cli_refuses_a_key_repeated_in_an_object(files, capsys, argv, text, fiel
     (["dt-norm", "--op", "BAD"],
      {"tau": 1, "band": 0, "coeffs": [[1.0]], "perturbation": [[0, 0]]},
      "band operator: each perturbation item must be [row, col, value]"),
+    (["verify", "--suite", "triangle", "--trials", "1", "--seed", "-1"], {},
+     "seed must be nonnegative, got -1"),
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": [[1.0]],
+                                  "left": {"tau": 1.0, "coeffs": [[2.0]]}},
+     "band operator.left: 'tau' must be an integer"),
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 0, "coeffs": [[1.0]],
+                                  "left": {"tau": 2, "coeffs": [[2.0]]}},
+     "band operator: left coeffs shape (1, 1) does not match tau=2, band=0 (expected (2, 1))"),
+    (["ks-entropy", "--space", "U2", "--endo", "SWAP", "--partition", "CHI", "--N", "2",
+      "--cap", "-5"], {}, "term cap must be at least 1, got -5"),
 ])
 def test_every_cli_refusal_can_fire(files, capsys, argv, bad, field):
     tmp, write = files
     paths = {"BAD": write("bad.json", bad),
              "U2": write("u2.json", {"weights": [0.5, 0.5]}),
-             "I2": write("i2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})}
+             "I2": write("i2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]}),
+             "SWAP": write("swap.json", {"map": [2, 1]}),
+             "CHI": write("chi.json", {"blocks": [[1], [2]]})}
     code = main([paths.get(a, a) for a in argv])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
@@ -911,6 +899,34 @@ def test_cli_exit_codes(files, capsys):
                  "--N", "4", "--cap", "8"])
     assert code == 3
     assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["entropy", "ks-entropy"])
+def test_cli_cap_exceeded_past_the_int_string_limit(files, capsys, command):
+    # 2^15001 has more digits than Python converts to a string by default
+    tmp, write = files
+    space = write("u2.json", {"weights": [0.5, 0.5]})
+    part = write("chi.json", {"blocks": [[1], [2]]})
+    given = (["--op", write("u.json", {"re": [[0.0, 1.0], [1.0, 0.0]]})] if command == "entropy"
+             else ["--endo", write("f.json", {"map": [2, 1]})])
+    code = main([command, "--space", space, *given, "--partition", part, "--N", "15000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: enumeration needs 2^15001 multiindex terms "
+                   "(2 blocks, horizon 15000); cap is 1000000\n")
+
+
+def test_cli_dt_mu_norm_of_two_tails(files, capsys):
+    # rows l < 0 multiply by 2 cos x, rows l >= 0 by 2 sin x
+    tmp, write = files
+    op = write("two.json", {"tau": 1, "band": 1, "coeffs": [[[0, -1], 0, [0, 1]]],
+                            "left": {"tau": 1, "coeffs": [[1, 0, 1]]}})
+    code, rep = run_cli(capsys, ["dt-mu-norm", "--op", op])
+    assert code == 0 and rep["diagnostics"]["checks"][0]["passed"]
+    for route in ("closed_form", "quadrature"):
+        assert abs(rep["results"][route] - 4 * (0.5 + 1 / math.pi)) <= 1e-14
+    code, rep = run_cli(capsys, ["avg-trace", "--op", op])
+    assert rep["results"]["avg_trace"] == 2.0
 
 
 def test_cli_reports_are_deterministic(files, capsys, tmp_path):
