@@ -108,19 +108,31 @@ def test_conv_mu_norm_sq():
     assert dt_norm(finite) == 2.0  # the diagonal model keeps the sup
 
 
-def test_seq_reads_into_two_tails_and_a_middle_perturbation():
+def test_dt_from_conv_all_ones_is_identity_model():
     # equal tails keep one pattern: all ones is the identity
     assert ALL_ONES.tails == ((1, ALL_ONES.coeffs),) and ALL_ONES.perturbation == ()
     np.testing.assert_array_equal(finite_section(ALL_ONES, range(-3, 4)), np.eye(7))
+    assert dt_norm(ALL_ONES) == 1.0
+    assert avg_trace(ALL_ONES) == 1.0
+
+
+def test_dt_from_conv_constant():
     c = 0.5 - 0.25j
-    np.testing.assert_array_equal(finite_section(dt_from_seq([c], [c]), range(0, 3)),
-                                  c * np.eye(3))
+    d = dt_from_seq([c], [c])
+    np.testing.assert_array_equal(finite_section(d, range(0, 3)), c * np.eye(3))
+
+
+def test_dt_from_conv_middle_exception_becomes_perturbation():
     # a middle value that deviates from its tail becomes a perturbation entry
     op = dt_from_seq([1.0], [1.0], middle={0: 3.0}, k0=1)
     assert op.tau == 1 and op.band == 0 and len(op.tails) == 1
     assert op.perturbation == ((0, 0, 2.0 + 0.0j),)
-    np.testing.assert_array_equal(finite_section(op, range(-1, 2)),
-                                  np.diag([1.0, 3.0, 1.0]).astype(complex))
+    np.testing.assert_array_equal(
+        finite_section(op, range(-1, 2)), np.diag([1.0, 3.0, 1.0]).astype(complex)
+    )
+
+
+def test_seq_reads_unequal_tails_as_two_tails():
     # tails of different periods, or misaligned, are two tails
     shifted = dt_from_seq([0.0, 1.0], [1.0, 0.0], k0=1)  # lam_-1 = 0, lam_1 = 1
     for seq in (HALF_SEQ, shifted):
