@@ -342,13 +342,24 @@ def ks_path_measure_table(endo: Endomorphism, chi: Partition, n: int,
     return _table(_itinerary_levels(endo, chi, n, term_cap), n)
 
 
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a nonzero imaginary part is refused, not dropped."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a):
+        if np.any(a.imag):
+            raise ValueError(f"{what} must be real")
+        a = a.real
+    return np.asarray(a, dtype=float)
+
+
 def markov_entropy_rate(p, nu) -> float:
     """Entropy rate ``-sum_{j,k} nu_j P_jk log P_jk`` of a Markov chain.
 
-    ``p`` must be row-stochastic within 1e-10 and ``nu`` a probability
-    vector; ``nu`` is used as given (typically a stationary distribution).
+    ``p`` must be real and row-stochastic within 1e-10 and ``nu`` a real
+    probability vector; ``nu`` is used as given (typically a stationary
+    distribution).
     """
-    pm = np.asarray(p, dtype=float)
+    pm = _real(p, "transition matrix")
     if not np.isfinite(pm).all():
         raise ValueError("p: numbers must be finite")
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
@@ -358,7 +369,7 @@ def markov_entropy_rate(p, nu) -> float:
     row_dev = np.max(np.abs(pm.sum(axis=1) - 1.0))
     if row_dev > 1e-10:
         raise ValueError(f"rows must sum to 1 within 1e-10; worst deviation {row_dev:.3e}")
-    nv = np.asarray(nu, dtype=float)
+    nv = _real(nu, "nu")
     if not np.isfinite(nv).all():
         raise ValueError("nu: numbers must be finite")
     if nv.shape != (pm.shape[0],):

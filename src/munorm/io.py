@@ -9,7 +9,7 @@ omitted.  Every number must be finite.  All angles are radians.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
@@ -111,27 +111,27 @@ def _finite(values: np.ndarray, where: str) -> np.ndarray:
     return values
 
 
-def _entry_types(table: Any) -> set[type]:
-    """Types of the entries of a nested JSON array, unpacking lists level by level.
+def _flatten(table: Any) -> tuple[list, list[int], set[type]]:
+    """The entries of a nested JSON array, its shape and the entries' types.
 
-    A table whose entries at some level are partly lists and partly not
-    (a ragged table, or bare reals mixed with pairs) reports ``list``
-    among its types.  JSON booleans report ``bool``, not ``int``.
+    Lists are unpacked level by level while the entries of a level are lists
+    of one length, so a ragged table, or bare reals mixed with pairs, reports
+    ``list`` among its types.  JSON booleans report ``bool``, not ``int``.
     """
-    if not isinstance(table, list):
-        return {type(table)}
-    types = set(map(type, table))
-    while types == {list}:
-        table = list(chain.from_iterable(table))
-        types = set(map(type, table))
-    return types
+    entries, shape, types = [table], [], {type(table)}
+    while types == {list} and len(lengths := set(map(len, entries))) == 1:
+        shape.append(lengths.pop())
+        entries = list(chain.from_iterable(entries))
+        types = set(map(type, entries))
+    return entries, shape, types
 
 
 def _number_table(table: Any, where: str) -> np.ndarray:
-    """A nested JSON array of finite numbers as a float array."""
-    if not _numeric(_entry_types(table)):
+    """A nested JSON array of finite numbers, with rows of one length, as a float array."""
+    entries, shape, types = _flatten(table)
+    if not _numeric(types):
         raise ValueError(f"{where}: expected a table of numbers")
-    return _finite(np.asarray(table, dtype=float), where)
+    return _finite(np.array(entries, dtype=float).reshape(shape), where)
 
 
 def _complex_in(value: Any, where: str) -> complex:
@@ -147,24 +147,23 @@ def _complex_list(values: Any, depth: int, where: str) -> np.ndarray:
     """A ``depth``-dimensional table of finite complex numbers, each a bare
     real or an ``[re, im]`` pair, as an array (float if all are bare reals).
 
-    Bare reals alone or pairs alone convert in one pass; a mix, or a table
-    numpy cannot shape, is read entry by entry, so an error names its entry.
-    A value that is not a list, or rows of unequal length, name the table.
+    Among pairs, a bare real ``x`` reads as ``[x, 0.0]``.  A bad entry is
+    named; a value that is not a list, or rows of unequal length, name the table.
     """
-    table = None
-    if isinstance(values, list) and _numeric(_entry_types(values)):
-        with suppress(ValueError):  # ragged
-            table = np.asarray(values, dtype=float)
-    if table is not None and table.ndim == depth + 1 and table.shape[-1] == 2:
-        table = table.view(complex)[..., 0]
-    if table is None or table.ndim != depth:
-        rows = [values] if depth == 1 else values
-        if not all(isinstance(row, list) for row in rows) or len(set(map(len, rows))) > 1:
-            shape = "a list" if depth == 1 else "rows of one length"
-            raise ValueError(f"{where}: expected {shape} of numbers or [re, im] pairs")
-        table = np.array([[_complex_in(v, where) for v in row] for row in rows], dtype=complex)
-        table = table[0] if depth == 1 else table
-    return _finite(table, where)
+    entries, shape, types = _flatten(values)
+    if len(shape) < depth and entries:
+        kind = "a list" if depth == 1 else "rows of one length"
+        raise ValueError(f"{where}: expected {kind} of numbers or [re, im] pairs")
+    if len(shape) == depth and not _numeric(types):  # tuple pairs, or pairs among bare reals
+        pairs = [v if isinstance(v, (list, tuple)) else (v, 0.0) for v in entries]
+        if set(map(len, pairs)) == {2}:
+            entries = list(chain.from_iterable(pairs))
+            shape, types = [*shape, 2], set(map(type, entries))
+    if shape[depth:] not in ([], [2]) or not _numeric(types):
+        for value in values if depth == 1 else chain.from_iterable(values):
+            _complex_in(value, where)  # raises at the first bad entry
+    table = np.array(entries, dtype=float).reshape(shape)
+    return _finite(table.view(complex)[..., 0] if len(shape) > depth else table, where)
 
 
 def _built(where: str, make, *args):

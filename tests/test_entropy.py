@@ -397,6 +397,19 @@ def test_markov_rate_refuses_non_finite_entries():
             markov_entropy_rate(p, v)
 
 
+def test_markov_rate_refuses_nonzero_imaginary_parts():
+    # an imaginary part is refused, not cast away with a ComplexWarning
+    rows = [[0.5 + 0.5j, 0.5], [0.5, 0.5]]
+    for p in (rows, np.array(rows)):
+        with pytest.raises(ValueError, match="^transition matrix must be real$"):
+            markov_entropy_rate(p, [0.5, 0.5])
+    with pytest.raises(ValueError, match="^nu must be real$"):
+        markov_entropy_rate(np.full((2, 2), 0.5), np.array([0.5 + 1e-300j, 0.5]))
+    # zero imaginary parts read as the real table
+    real = markov_entropy_rate(np.full((2, 2), 0.5), [0.5, 0.5])
+    assert markov_entropy_rate(np.full((2, 2), 0.5 + 0j), [0.5 + 0j, 0.5]) == real == math.log(2)
+
+
 def test_weighted_permutation_entropy_is_weight_entropy():
     sp = FiniteMeasureSpace([0.5, 0.25, 0.25])
     endo = Endomorphism(sp, [0, 2, 1])  # swaps the two equal-weight atoms

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -72,6 +73,62 @@ def test_bandop_array_path_matches_per_entry_path():
         assert read(pairs).tobytes() == read(mixed).tobytes() == coeffs.tobytes()
         tables = [read(t).tobytes() for t in (reals, real_pairs, mixed_reals)]
         assert tables[0] == tables[1] == tables[2] == coeffs.real.astype(complex).tobytes()
+
+
+def test_large_mixed_table_reads_as_its_pairs():
+    # a 128 x 257 table (band 128, the caps) of bare reals, pairs and signed
+    # zeros reads to the bytes of its all-pairs form in one pass
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal((128, 257)) + 1j * rng.standard_normal((128, 257))
+    real = rng.random(coeffs.shape) < 0.5
+    coeffs[real] = coeffs[real].real
+    zero = rng.random(coeffs.shape) < 0.1
+    signed = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j])
+    coeffs[zero] = signed[rng.integers(0, 4, zero.sum())]
+    pairs = [[[z.real, z.imag] for z in row] for row in coeffs.tolist()]
+    mixed = [[z.real if math.copysign(1.0, z.imag) > 0 and z.imag == 0 else [z.real, z.imag]
+              for z in row] for row in coeffs.tolist()]
+    assert 0.4 < sum(isinstance(z, float) for row in mixed for z in row) / coeffs.size < 0.6
+    band = [mio.bandop_from_obj({"tau": 128, "band": 128, "coeffs": t}).coeffs.tobytes()
+            for t in (pairs, mixed)]
+    assert band[0] == band[1] == coeffs.tobytes()
+    # a sequence's period is capped at 128 entries: read the table by columns
+    for j in range(0, 257, 16):
+        col = [[row[j] for row in t] for t in (pairs, mixed)]
+        seq = [mio.seq_from_obj({"left": c[:1], "right": c}).coeffs.tobytes() for c in col]
+        assert seq[0] == seq[1] == coeffs[:, j].tobytes()
+
+
+def test_library_reads_tuple_pairs():
+    # pairs given as Python tuples read as list pairs do, alone or mixed
+    coeffs = [[(1.0, 2.0), 3.0, (0.0, -0.0)], [(-0.0, 1.0), [4.0, 5.0], (6, 7)]]
+    want = np.array([[1 + 2j, 3, complex(0.0, -0.0)], [complex(-0.0, 1.0), 4 + 5j, 6 + 7j]])
+    op = mio.bandop_from_obj({"tau": 2, "band": 1, "coeffs": coeffs})
+    assert op.coeffs.tobytes() == want.tobytes()
+    only = mio.bandop_from_obj({"tau": 1, "band": 0, "coeffs": [[(0.5, -0.5)]]})
+    assert only.coeffs.tolist() == [[0.5 - 0.5j]]
+    seq = mio.seq_from_obj({"left": [(1.0, 2.0)], "right": [(1.0, 2.0), 0.5]})
+    assert seq.coeffs[:, 0].tolist() == [1 + 2j, 0.5] and seq.left[1][:, 0].tolist() == [1 + 2j]
+
+
+def test_large_table_names_its_first_bad_entry():
+    # the type check covers the whole table; the first bad entry is named by its repr
+    rows = np.ones((128, 257)).tolist()
+    pair_rows = [[[x, 0.0] for x in row] for row in rows]
+    for table, bad in ((rows, True), (rows, "1.0"), (pair_rows, [1.0, None]),
+                       (pair_rows, [1.0, 2.0, 3.0]), (pair_rows, 0.5j)):
+        table = [row[:] for row in table]
+        table[-1][-1] = bad
+        with pytest.raises(ValueError, match="^band operator.coeffs: expected a number or an "
+                           f"\\[re, im\\] pair, got {re.escape(repr(bad))}$"):
+            mio.bandop_from_obj({"tau": 128, "band": 128, "coeffs": table})
+    table = [row[:] for row in pair_rows]
+    table[-1][-2:] = [(1.0,), {}]
+    with pytest.raises(ValueError, match=r"got \(1\.0,\)$"):
+        mio.bandop_from_obj({"tau": 128, "band": 128, "coeffs": table})
+    right = [[0.5, 0.5]] * 127 + ["x"]
+    with pytest.raises(ValueError, match="^seq.right: .* got 'x'$"):
+        mio.seq_from_obj({"left": [1.0], "right": right})
 
 
 def test_tables_reject_booleans_and_strings():
@@ -796,6 +853,10 @@ def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
      "seq.middle: key '+1'"),
     (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"-0": 3.0}, "k0": 2},
      "seq.middle: key '-0'"),
+    # ragged real tables name their field, not numpy's "inhomogeneous shape"
+    (["mu-norm", "--space", "U2", "--op", "BAD"], {"re": [[1.0], [1.0, 2.0]]}, "operator: 're'"),
+    (["markov-rate", "--p", "I2", "--dist", "BAD"], {"weights": [[0.5], [0.25, 0.25]]},
+     "distribution: 'weights'"),
 ])
 def test_cli_names_the_field_of_malformed_structure(files, capsys, argv, bad, field):
     # a table of the wrong shape is refused as a bad number is: exit 2 and
