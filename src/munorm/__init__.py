@@ -15,25 +15,26 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: The layer modules and the names each exports.  Both load on first
-#: access (PEP 562), so a process pays only for the layers it touches:
-#: ``import munorm.cli`` loads none of them.
+#: The layer modules and the names each exports: the one list of exported
+#: names, which each layer module reads for its ``__all__``.  Both load on
+#: first access (PEP 562), so a process pays only for the layers it
+#: touches: ``import munorm.cli`` loads none of them.
 _LAYERS = {
-    "spaces": ("FiniteMeasureSpace", "Partition", "finest_partition", "is_subpartition",
-               "join", "trivial_partition"),
-    "operators": ("Endomorphism", "OperatorMatrix", "add", "adjoint", "compose",
-                  "identity", "inner", "koopman", "multiplication", "operator_norm",
-                  "projector", "scale", "unitarity_defect", "vector_norm"),
-    "norm": ("CyclicAction", "cyclic_projector", "m_chi", "mu_dim", "mu_norm",
-             "mu_norm_sq", "weighted_gram_schmidt"),
-    "entropy": ("EntropyReport", "ks_entropy_at", "ks_entropy_rate",
-                "ks_path_measure_table", "markov_entropy_rate", "path_mass_table",
-                "path_mass_total", "path_operator", "quantum_entropy_at",
-                "quantum_entropy_closed", "quantum_entropy_rate"),
-    "circle": ("DtMuNorm", "PeriodicBandOperator", "avg_trace", "avg_trace_window",
-               "dt_add", "dt_adjoint", "dt_compose", "dt_from_multiplier", "dt_from_seq",
-               "dt_mu_norm_sq", "dt_norm", "dt_scale", "finite_section", "rho_la",
-               "rho_window_max", "tail_masses", "w_l"),
+    "spaces": ("FiniteMeasureSpace", "Partition", "join", "finest_partition",
+               "trivial_partition", "is_subpartition"),
+    "operators": ("OperatorMatrix", "Endomorphism", "projector", "multiplication", "koopman",
+                  "identity", "operator_norm", "add", "scale", "compose", "adjoint", "inner",
+                  "vector_norm", "unitarity_defect"),
+    "norm": ("m_chi", "mu_norm_sq", "mu_norm", "mu_dim", "weighted_gram_schmidt",
+             "CyclicAction", "cyclic_projector"),
+    "entropy": ("EntropyReport", "path_operator", "path_mass_table", "path_mass_total",
+                "quantum_entropy_at", "quantum_entropy_rate", "quantum_entropy_closed",
+                "ks_entropy_at", "ks_entropy_rate", "ks_path_measure_table",
+                "markov_entropy_rate"),
+    "circle": ("PeriodicBandOperator", "DtMuNorm", "rho_window_max", "dt_from_seq",
+               "dt_from_multiplier", "dt_norm", "dt_add", "dt_scale", "dt_compose",
+               "dt_adjoint", "w_l", "rho_la", "dt_mu_norm_sq", "tail_masses", "avg_trace",
+               "avg_trace_window", "finite_section"),
     "errors": ("CapExceeded", "DEFAULT_TERM_CAP"),
 }
 _EXPORTS = {name: module for module, names in _LAYERS.items() for name in names}

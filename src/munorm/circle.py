@@ -22,27 +22,10 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from . import _LAYERS
 from .errors import CapExceeded
 
-__all__ = [
-    "PeriodicBandOperator",
-    "DtMuNorm",
-    "rho_window_max",
-    "dt_from_seq",
-    "dt_from_multiplier",
-    "dt_norm",
-    "dt_add",
-    "dt_scale",
-    "dt_compose",
-    "dt_adjoint",
-    "w_l",
-    "rho_la",
-    "dt_mu_norm_sq",
-    "tail_masses",
-    "avg_trace",
-    "avg_trace_window",
-    "finite_section",
-]
+__all__ = list(_LAYERS["circle"])
 
 #: Caps on the period and band radius of every operator, so that composed
 #: operators cannot grow without bound.
@@ -151,7 +134,7 @@ class PeriodicBandOperator:
                 f"perturbed={len(self._perturbation)})")
 
     def _tail(self, row: int) -> tuple[int, np.ndarray]:
-        return self._left if row < 0 and self._left is not None else (self._tau, self._coeffs)
+        return self.left if row < 0 else (self._tau, self._coeffs)
 
     def base_entry(self, row: int, col: int) -> complex:
         """Entry of the unperturbed two-tail part."""
@@ -329,19 +312,23 @@ def dt_adjoint(a: PeriodicBandOperator) -> PeriodicBandOperator:
     return _tailwise(adjoint, a.band, pert + _adjoint_seam(a), a)
 
 
+def _seam_gaps(op: PeriodicBandOperator, width: int):
+    """Each pair ``(l, m)`` with ``-width <= l < width``, ``|m - l| <= width``
+    and ``m`` across row 0 from ``l``, as ``(l, m, gap)``: row ``m`` of its
+    own pattern minus row ``m`` read in the tail of row ``l``."""
+    if op._left is None:
+        return
+    for l in range(-width, width):
+        for m in range(l - width, 0) if l >= 0 else range(0, l + width + 1):
+            (t1, c1), (t2, c2) = op._tail(m), op._tail(l)
+            yield l, m, c1[m % t1] - c2[m % t2]
+
+
 def _adjoint_seam(a: PeriodicBandOperator) -> list[tuple[int, int, complex]]:
     """Terms that move the adjoint's rows ``-band <= l < band`` from the
     tail of row ``l`` to the tail of the row ``m`` each entry is read from."""
-    if a._left is None:
-        return []
-    terms = []
-    for l in range(-a.band, a.band):
-        for m in range(l - a.band, l + a.band + 1):
-            (t1, c1), (t2, c2) = a._tail(m), a._tail(l)
-            v = c1[m % t1, l - m + a.band] - c2[m % t2, l - m + a.band]
-            if (m < 0) != (l < 0) and v != 0:
-                terms.append((l, m, np.conj(v)))
-    return terms
+    return [(l, m, np.conj(v)) for l, m, gap in _seam_gaps(a, a.band)
+            if (v := gap[l - m + a.band]) != 0]
 
 
 def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
@@ -390,19 +377,9 @@ def _compose_seam(a: PeriodicBandOperator, b: PeriodicBandOperator
     """Terms that correct the product's rows ``-a.band <= l < a.band``:
     the tail-by-tail product reads each row ``m`` of ``b`` from the tail of
     row ``l``, which is the wrong one when ``m`` lies across row 0."""
-    if b._left is None:
-        return []
-    terms = []
-    offsets = range(-b.band, b.band + 1)
-    for l in range(-a.band, a.band):
-        for m in range(l - a.band, l + a.band + 1):
-            x = a.base_entry(l, m)
-            if (m < 0) == (l < 0) or x == 0:
-                continue
-            (t1, c1), (t2, c2) = b._tail(m), b._tail(l)
-            diff = c1[m % t1] - c2[m % t2]
-            terms += [(l, m + d, x * v) for d, v in zip(offsets, diff.tolist()) if v != 0]
-    return terms
+    return [(l, m + d, x * v) for l, m, gap in _seam_gaps(b, a.band)
+            if (x := a.base_entry(l, m)) != 0
+            for d, v in zip(range(-b.band, b.band + 1), gap.tolist()) if v != 0]
 
 
 def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:

@@ -76,7 +76,7 @@ def _m_chi(args, inputs):
 def _mu_dim(args, inputs):
     from .norm import mu_dim
 
-    value = mu_dim(inputs["space"], list(inputs["basis"]), orthonormalize=args.orthonormalize)
+    value = mu_dim(inputs["space"], inputs["basis"], orthonormalize=args.orthonormalize)
     check = _check("within-unit-interval", max(-value, value - 1.0), 1e-10)
     return {"mu_dim": value}, {"checks": [check]}
 

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import _LAYERS
 from .errors import DEFAULT_TERM_CAP, CapExceeded
 
 # Only the dense oracle and the closed form call into operators, and they
@@ -28,20 +29,7 @@ if TYPE_CHECKING:
     from .operators import Endomorphism, OperatorMatrix
     from .spaces import FiniteMeasureSpace, Partition
 
-__all__ = [
-    "DEFAULT_TERM_CAP",
-    "EntropyReport",
-    "path_operator",
-    "path_mass_table",
-    "path_mass_total",
-    "quantum_entropy_at",
-    "quantum_entropy_rate",
-    "quantum_entropy_closed",
-    "ks_entropy_at",
-    "ks_entropy_rate",
-    "ks_path_measure_table",
-    "markov_entropy_rate",
-]
+__all__ = ["DEFAULT_TERM_CAP", *_LAYERS["entropy"]]
 
 UNITARITY_TOL = 1e-8
 

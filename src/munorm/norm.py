@@ -21,18 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _LAYERS
 from .operators import Endomorphism, OperatorMatrix
 from .spaces import FiniteMeasureSpace, Partition
 
-__all__ = [
-    "m_chi",
-    "mu_norm_sq",
-    "mu_norm",
-    "mu_dim",
-    "weighted_gram_schmidt",
-    "CyclicAction",
-    "cyclic_projector",
-]
+__all__ = list(_LAYERS["norm"])
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -88,6 +81,22 @@ def mu_norm(w: OperatorMatrix) -> float:
     return float(np.sqrt(mu_norm_sq(w)))
 
 
+def _basis_rows(space: FiniteMeasureSpace, vectors: Sequence[Sequence[complex]]) -> np.ndarray:
+    """The vectors as the rows of a complex array: each of the space's
+    length, all finite, at least one."""
+    rows = []
+    for v in vectors:
+        rows.append(np.asarray(v, dtype=complex))
+        if rows[-1].shape != (space.size,):
+            raise ValueError("basis vector length does not match the space")
+    if not rows:
+        raise ValueError("spanning set contains no independent vector")
+    rows = np.array(rows)
+    if not np.isfinite(rows).all():
+        raise ValueError("vectors: numbers must be finite")
+    return rows
+
+
 def weighted_gram_schmidt(space: FiniteMeasureSpace,
                           vectors: Sequence[Sequence[complex]]) -> np.ndarray:
     """Orthonormalize a spanning set in the weighted inner product.
@@ -97,15 +106,7 @@ def weighted_gram_schmidt(space: FiniteMeasureSpace,
     Returns a matrix whose columns are orthonormal.
     """
     mu = space.weights
-    rows = []
-    for v in vectors:
-        u = np.asarray(v, dtype=complex)
-        if u.shape != (space.size,):
-            raise ValueError("basis vector length does not match the space")
-        rows.append(u)
-    rows = np.array(rows).reshape(len(rows), space.size)
-    if not np.isfinite(rows).all():
-        raise ValueError("vectors: numbers must be finite")
+    rows = _basis_rows(space, vectors)
     original = np.sqrt(np.sum(mu * np.abs(rows) ** 2, axis=1))
     rows = rows[original != 0.0]
     original = original[original != 0.0]
@@ -139,11 +140,7 @@ def mu_dim(space: FiniteMeasureSpace, vectors: Sequence[Sequence[complex]],
     if orthonormalize:
         v = weighted_gram_schmidt(space, vectors)
     else:
-        v = np.stack([np.asarray(x, dtype=complex) for x in vectors], axis=1)
-        if v.shape[0] != space.size:
-            raise ValueError("basis vector length does not match the space")
-        if not np.isfinite(v).all():
-            raise ValueError("vectors: numbers must be finite")
+        v = np.ascontiguousarray(_basis_rows(space, vectors).T)
         gram = (v.conj().T * space.weights[None, :]) @ v
         defect = np.max(np.abs(gram - np.eye(v.shape[1])))
         if defect > ORTHONORMALITY_TOL:

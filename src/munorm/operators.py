@@ -13,24 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _LAYERS
 from .spaces import FiniteMeasureSpace
 
-__all__ = [
-    "OperatorMatrix",
-    "Endomorphism",
-    "projector",
-    "multiplication",
-    "koopman",
-    "identity",
-    "operator_norm",
-    "add",
-    "scale",
-    "compose",
-    "adjoint",
-    "inner",
-    "vector_norm",
-    "unitarity_defect",
-]
+__all__ = list(_LAYERS["operators"])
 
 
 class OperatorMatrix:

@@ -14,14 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "FiniteMeasureSpace",
-    "Partition",
-    "join",
-    "finest_partition",
-    "trivial_partition",
-    "is_subpartition",
-]
+from . import _LAYERS
+
+__all__ = list(_LAYERS["spaces"])
 
 #: Maximum allowed deviation of the weight sum from 1 on input.
 #: Renormalization is never performed silently.

@@ -838,6 +838,9 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
          {"two-tail-product-matches-section-product"}),
         (circle, "_adjoint_seam", lambda a: [], "two-tail-section",
          {"two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
+        (circle, "_seam_gaps", lambda op, width: iter(()), "two-tail-section",
+         {"two-tail-product-matches-section-product",
+          "two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
     ]
     for target, name, mutant, suite, killed_by in mutants:
         with monkeypatch.context() as m:

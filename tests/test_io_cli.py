@@ -23,6 +23,7 @@ from munorm import (
 from munorm import io as mio
 from munorm.cli import _BUILDERS, _COMMANDS, _FLAGS, build_parser, main
 from munorm.entropy import log_unit
+from munorm.verify import SUITES, run_suite
 
 
 # --------------------------------------------------------------------------
@@ -694,6 +695,25 @@ def test_cli_verify_suite(files, capsys):
     assert rep["results"]["all_passed"]
 
 
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_every_registered_suite_passes(suite):
+    checks = run_suite(suite, 3, 0)
+    assert checks and all(c.passed and c.trials >= 1 for c in checks), \
+        [c.to_dict() for c in checks]
+
+
+def test_cli_verify_fails_with_exit_1_and_names_the_worst_trial(capsys, monkeypatch):
+    from munorm import circle
+
+    monkeypatch.setattr(circle, "_compose_seam", lambda a, b: [])
+    code, rep = run_cli(capsys, ["verify", "--suite", "two-tail-section",
+                                 "--trials", "20", "--seed", "0"])
+    assert code == 1 and rep["results"]["all_passed"] is False
+    failed = [p for p in rep["results"]["properties"] if not p["passed"]]
+    assert [p["name"] for p in failed] == ["two-tail-product-matches-section-product"]
+    assert isinstance(failed[0]["worst"]["trial"], int)
+
+
 def test_cli_verify_unknown_suite(files, capsys):
     code = main(["verify", "--suite", "nope", "--trials", "1", "--seed", "0"])
     assert code == 2
@@ -857,6 +877,11 @@ def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
     (["mu-norm", "--space", "U2", "--op", "BAD"], {"re": [[1.0], [1.0, 2.0]]}, "operator: 're'"),
     (["markov-rate", "--p", "I2", "--dist", "BAD"], {"weights": [[0.5], [0.25, 0.25]]},
      "distribution: 'weights'"),
+    # middle keys that are no integer at all
+    (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"x": 3.0}, "k0": 2},
+     "seq.middle: key 'x' is not an integer in canonical form"),
+    (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"1.5": 3.0}, "k0": 2},
+     "seq.middle: key '1.5' is not an integer in canonical form"),
 ])
 def test_cli_names_the_field_of_malformed_structure(files, capsys, argv, bad, field):
     # a table of the wrong shape is refused as a bad number is: exit 2 and

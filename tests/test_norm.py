@@ -165,6 +165,16 @@ def test_weighted_gram_schmidt_refusals():
         weighted_gram_schmidt(W3, [])
 
 
+@pytest.mark.parametrize("orthonormalize", [False, True])
+def test_mu_dim_refuses_as_weighted_gram_schmidt(orthonormalize):
+    # one basis reader: ragged and empty bases get the library's messages
+    # on both paths, not numpy's "same shape" or "at least one array"
+    with pytest.raises(ValueError, match="^basis vector length does not match the space$"):
+        mu_dim(W3, [[1.0, 0.0, 0.0], [1.0, 0.0]], orthonormalize=orthonormalize)
+    with pytest.raises(ValueError, match="^spanning set contains no independent vector$"):
+        mu_dim(W3, [], orthonormalize=orthonormalize)
+
+
 def test_non_finite_vectors_are_refused_before_any_arithmetic():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
