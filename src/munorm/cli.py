@@ -37,6 +37,19 @@ def _check(name: str, value: float, tolerance: float) -> dict:
             "passed": bool(value <= tolerance)}
 
 
+def _property(check) -> dict:
+    """Record of a ``verify.PropertyCheck``; it names the worst instance only on a failure."""
+    record = {"name": check.name, "trials": check.trials, "tolerance": check.tolerance,
+              "max_violation": check.max_violation, "passed": check.passed}
+    if check.worst is not None and not check.passed:
+        record["worst"] = check.worst
+    return record
+
+
+#: ``--log-base`` -> factor that takes a value in nats to that base, and the unit's name.
+_UNITS = {"e": (1.0, "nats"), "2": (1.0 / math.log(2.0), "bits")}
+
+
 #: File flag -> builder of its input from the ``io`` module, the parsed JSON
 #: and the inputs built before it, in the order the command lists its flags.
 #: ``--op`` is a finite operator beside ``--space`` and a band operator alone.
@@ -89,15 +102,21 @@ def _entropy(args, inputs):
         report = ks_entropy_rate(inputs["endo"], chi, args.N, term_cap=args.cap)
     else:
         report = quantum_entropy_rate(inputs["op"], chi, args.N, term_cap=args.cap)
-    diagnostics = {"term_cap": args.cap,
-                   "paths_at_longest_horizon": len(chi.blocks) ** (args.N + 1)}
-    return report.to_dict(args.log_base), diagnostics
+    conv, unit = _UNITS[args.log_base]
+    closed = report.closed_form
+    results = {"lengths": list(report.lengths), "unit": unit,
+               "values": [v * conv for v in report.values],
+               "rates": [r * conv for r in report.rates],
+               "differences": [d * conv for d in report.differences],
+               "closed_form": None if closed is None else closed * conv}
+    return results, {"term_cap": args.cap,
+                     "paths_at_longest_horizon": len(chi.blocks) ** (args.N + 1)}
 
 
 def _markov_rate(args, inputs):
-    from .entropy import log_unit, markov_entropy_rate
+    from .entropy import markov_entropy_rate
 
-    conv, unit = log_unit(args.log_base)
+    conv, unit = _UNITS[args.log_base]
     rate = markov_entropy_rate(inputs["p"], inputs["dist"]) * conv
     return {"entropy_rate": rate, "unit": unit}, {}
 
@@ -149,7 +168,7 @@ def _verify(args, inputs):
     from . import verify
 
     checks = verify.run_suite(args.suite, args.trials, args.seed)
-    results = {"suite": args.suite, "properties": [c.to_dict() for c in checks],
+    results = {"suite": args.suite, "properties": [_property(c) for c in checks],
                "all_passed": all(c.passed for c in checks)}
     return results, {"trials": args.trials, "seed": args.seed}
 

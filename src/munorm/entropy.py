@@ -13,10 +13,8 @@ Natural logarithm throughout; ``0 log 0 = 0`` by explicit branch.
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,16 +200,8 @@ def quantum_entropy_at(u: OperatorMatrix, chi: Partition, n: int,
     return _entropies(_operator_levels(u, chi, n, term_cap), n)[n]
 
 
-def log_unit(log_base: str) -> tuple[float, str]:
-    """Factor that takes a value in nats to ``log_base`` ("e" or "2"), and the unit's name."""
-    if log_base not in ("e", "2"):
-        raise ValueError(f"log base must be 'e' or '2', got {log_base!r}")
-    return (1.0, "nats") if log_base == "e" else (1.0 / math.log(2.0), "bits")
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Per-horizon entropy values and the derived rate estimates.
+class EntropyReport(NamedTuple):
+    """Per-horizon entropy values in nats and the derived rate estimates.
 
     ``lengths[i]`` is the path length (number of digits) of ``values[i]``;
     ``rates`` divides by the path length; ``differences`` are the
@@ -225,17 +215,6 @@ class EntropyReport:
     rates: tuple[float, ...]
     differences: tuple[float, ...]
     closed_form: float | None
-
-    def to_dict(self, log_base: str = "e") -> dict:
-        conv, unit = log_unit(log_base)
-        return {
-            "lengths": list(self.lengths),
-            "values": [v * conv for v in self.values],
-            "rates": [r * conv for r in self.rates],
-            "differences": [d * conv for d in self.differences],
-            "closed_form": None if self.closed_form is None else self.closed_form * conv,
-            "unit": unit,
-        }
 
 
 def _rate_report(levels, n_max: int, closed: float | None) -> EntropyReport:

@@ -77,10 +77,10 @@ def load_json(path: str | Path) -> Any:
     inputs = _inputs.get()
     if inputs is not None:
         inputs[str(path)] = data
-    text = data.decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None

@@ -178,8 +178,9 @@ def koopman(endo: Endomorphism) -> OperatorMatrix:
     """Composition operator ``f -> f o F`` on the space of a measure-preserving map F.
 
     The matrix has a single 1 per row: entry (j, F(j)).  It preserves the
-    weighted inner product; since F is necessarily bijective here, it is
-    unitary.
+    weighted inner product within the map's preservation tolerance, and it
+    is unitary exactly when F is a permutation; ``Endomorphism`` also
+    accepts maps that are not injective, whose operator is not unitary.
     """
     space = endo.space
     u = np.zeros((space.size, space.size))

@@ -46,18 +46,6 @@ class PropertyCheck:
     def passed(self) -> bool:
         return self.max_violation <= self.tolerance
 
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-        }
-        if self.worst is not None and not self.passed:
-            out["worst"] = self.worst
-        return out
-
 
 def _random_complex(rng, n, amp: float = 2.0) -> np.ndarray:
     mod = rng.uniform(0.0, amp, n)

@@ -14,10 +14,11 @@ from .verify import PropertyCheck, _random_complex
 # Random instance generators
 
 
-def random_seq(rng, max_period: int = 8, max_k0: int = 4) -> circ.PeriodicBandOperator:
-    pl = int(rng.integers(1, max_period + 1))
-    pr = int(rng.integers(1, max_period + 1))
-    k0 = int(rng.integers(0, max_k0 + 1))
+def random_seq(rng) -> circ.PeriodicBandOperator:
+    """Two tails of periods 1..8 with a middle of radius k0 in 0..4."""
+    pl = int(rng.integers(1, 9))
+    pr = int(rng.integers(1, 9))
+    k0 = int(rng.integers(0, 5))
     left = _random_complex(rng, pl)
     right = _random_complex(rng, pr)
     middle = {}

@@ -298,7 +298,6 @@ def test_ks_rate_report():
     assert rep.values == tuple(ks_entropy_at(cycle, chi, n) for n in range(4))
     assert rep.differences == tuple(rep.values[i + 1] - rep.values[i] for i in range(3))
     assert rep.rates == tuple(v / length for v, length in zip(rep.values, rep.lengths))
-    assert rep.to_dict()["closed_form"] is None
     for n_max in (1, -1):
         with pytest.raises(ValueError, match="at least 2"):
             ks_entropy_rate(cycle, chi, n_max)

@@ -22,7 +22,6 @@ from munorm import (
 )
 from munorm import io as mio
 from munorm.cli import _BUILDERS, _COMMANDS, _FLAGS, build_parser, main
-from munorm.entropy import log_unit
 from munorm.verify import SUITES, run_suite
 
 
@@ -311,9 +310,6 @@ def _library_refusals():
                                ValueError, "vector length does not match the space"),
         "vector_norm nested": (lambda: munorm.vector_norm(u4, [[1, 2, 3, 4]]),
                                ValueError, "vector length does not match the space"),
-        "log_unit base": (lambda: log_unit("E"), ValueError, "log base must be 'e' or '2'"),
-        "report log base": (lambda: munorm.ks_entropy_rate(swap, munorm.finest_partition(sp), 2)
-                            .to_dict("10"), ValueError, "log base must be 'e' or '2'"),
         "weights shape": (lambda: FiniteMeasureSpace([]),
                           ValueError, "weights must be a nonempty one-dimensional sequence"),
         "weights finite": (lambda: FiniteMeasureSpace([nan, 0.5]),
@@ -346,11 +342,11 @@ def test_load_json_decodes_as_text_mode(tmp_path):
             (want.value.lineno, want.value.colno, want.value.pos)
         assert got.value.msg == f"{path}: {want.value.msg}"
     path.write_bytes(b'{"a": "\xff"}')
-    with pytest.raises(UnicodeDecodeError) as got:
+    with pytest.raises(ValueError) as got:
         mio.load_json(path)
     with pytest.raises(UnicodeDecodeError) as want:
         path.read_text(encoding="utf-8")
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{path}: {want.value}"
 
 
 # --------------------------------------------------------------------------
@@ -417,6 +413,37 @@ def test_cli_entropy_reports(files, capsys):
                                   "--partition", part, "--N", "3", "--log-base", "2"])
     assert rep2["results"]["closed_form"] == pytest.approx(1.0, abs=1e-12)
     assert rep2["results"]["unit"] == "bits"
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--space", "U2", "--op", "H", "--partition", "CHI2", "--N", "3"],
+    ["ks-entropy", "--space", "U3", "--endo", "CYCLE", "--partition", "CHI3", "--N", "3"],
+    ["markov-rate", "--p", "P", "--dist", "PI"],
+])
+def test_cli_log_base_2_scales_every_value_exactly(files, capsys, argv):
+    tmp, write = files
+    h = 1 / math.sqrt(2)
+    paths = {"U2": write("u2.json", {"weights": [0.5, 0.5]}),
+             "H": write("h.json", {"re": [[h, h], [h, -h]]}),
+             "CHI2": write("chi2.json", {"blocks": [[1], [2]]}),
+             "U3": write("u3.json", {"weights": [1 / 3, 1 / 3, 1 / 3]}),
+             "CYCLE": write("cycle.json", {"map": [2, 3, 1]}),
+             "CHI3": write("chi3.json", {"blocks": [[1, 2], [3]]}),
+             "P": write("p.json", {"re": [[0.9, 0.1], [0.3, 0.7]]}),
+             "PI": write("pi.json", {"weights": [0.75, 0.25]})}
+    argv = [paths.get(a, a) for a in argv]
+    reports = [run_cli(capsys, [*argv, "--log-base", base]) for base in ("e", "2")]
+    assert [code for code, _ in reports] == [0, 0]
+    nats, bits = (rep["results"] for _, rep in reports)
+    assert (nats.pop("unit"), bits.pop("unit")) == ("nats", "bits")
+    assert nats.pop("lengths", None) == bits.pop("lengths", None)
+    conv = 1.0 / math.log(2.0)
+    assert bits.keys() == nats.keys()
+    for key, v in nats.items():
+        if isinstance(v, list):
+            assert bits[key] == [x * conv for x in v], key
+        else:
+            assert bits[key] == (None if v is None else v * conv), key
 
 
 def test_cli_ks_entropy_and_markov(files, capsys):
@@ -699,7 +726,7 @@ def test_cli_verify_suite(files, capsys):
 def test_every_registered_suite_passes(suite):
     checks = run_suite(suite, 3, 0)
     assert checks and all(c.passed and c.trials >= 1 for c in checks), \
-        [c.to_dict() for c in checks]
+        checks
 
 
 def test_cli_verify_fails_with_exit_1_and_names_the_worst_trial(capsys, monkeypatch):
@@ -913,6 +940,20 @@ def test_cli_refuses_a_key_repeated_in_an_object(files, capsys, argv, text, fiel
     bad.write_text(text, encoding="utf-8")
     paths = {"BAD": str(bad), "I2": write("i2.json", {"re": [[1.0, 0.0], [0.0, 1.0]]})}
     code = main([paths.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {bad}: {field}\n"
+
+
+@pytest.mark.parametrize("raw, field", [
+    (b'{"weights": [0.5, 0.5]', "Expecting ',' delimiter: line 1 column 23 (char 22)"),
+    (b'{"weights": [0.5, 0.5]}\xff',
+     "'utf-8' codec can't decode byte 0xff in position 23: invalid start byte"),
+])
+def test_cli_refusal_of_an_unreadable_file_names_it(tmp_path, capsys, raw, field):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    code = main(["markov-rate", "--p", str(bad), "--dist", str(bad)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == f"invalid input: {bad}: {field}\n"

@@ -50,6 +50,14 @@ def test_koopman_identity_and_cycle():
     assert unitarity_defect(u) <= 1e-14
 
 
+def test_koopman_is_unitary_exactly_for_a_permutation():
+    perm = Endomorphism(FiniteMeasureSpace([0.5, 0.25, 0.25]), [0, 2, 1])
+    assert unitarity_defect(koopman(perm)) <= 1e-12
+    # atom 2 has no preimage but weighs less than the preservation tolerance
+    merge = Endomorphism(FiniteMeasureSpace([0.5, 0.5 - 1e-13, 1e-13]), [0, 1, 1])
+    assert unitarity_defect(koopman(merge)) == 1.0
+
+
 def test_koopman_rejects_non_measure_preserving():
     sp = FiniteMeasureSpace([0.25, 0.25, 0.5])
     # F(0)=F(1)=2 forces preimage mass 0.5 at atom 0 or 1 regardless of F(2)
