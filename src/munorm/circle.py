@@ -419,7 +419,8 @@ def _crossings(g: np.ndarray) -> np.ndarray:
 
     Every root yields an angle, on the unit circle (a crossing) or not (it
     only splits an arc)."""
-    return np.unique(np.mod(-np.angle(np.roots(g[::-1])), 2.0 * np.pi))
+    angles = np.sort(np.mod(-np.angle(np.roots(g[::-1])), 2.0 * np.pi))
+    return angles[np.diff(angles, prepend=-1.0) != 0.0]  # np.unique would import numpy.ma
 
 
 def _arc_integrals(r: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:

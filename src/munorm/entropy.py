@@ -50,13 +50,20 @@ def _check_inputs(space: FiniteMeasureSpace, chi: Partition) -> None:
         raise ValueError(f"partition over {chi.size} atoms does not match a space with {space.size}")
 
 
+def _labels(chi: Partition) -> np.ndarray:
+    label = np.empty(chi.size, dtype=np.intp)
+    for b, block in enumerate(chi.blocks):
+        label[list(block)] = b
+    return label
+
+
 def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> OperatorMatrix:
     """Alternating projector/operator product selected by a multiindex.
 
     ``digits = (j_0..j_N)`` yields ``pi_{X_{j_N}} U ... U pi_{X_{j_0}}``
     with N copies of U; a single digit gives the bare block projector.
     """
-    from .operators import OperatorMatrix, projector
+    from .operators import OperatorMatrix
 
     _check_inputs(u.space, chi)
     digits = [operator.index(d) for d in digits]
@@ -65,10 +72,10 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
     for d in digits:
         if d < 0 or d >= len(chi.blocks):
             raise ValueError(f"digit {d} out of range for a partition with {len(chi.blocks)} blocks")
-    projs = [projector(u.space, b).entries for b in chi.blocks]
-    acc = projs[digits[0]]
-    for d in digits[1:]:
-        acc = projs[d] @ (u.entries @ acc)
+    label = _labels(chi)
+    acc = np.diag(label == digits[0]).astype(complex)
+    for d in digits[1:]:  # pi_X as a 0/1 row mask
+        acc = (label == d)[:, None] * (u.entries @ acc)
     return OperatorMatrix(u.space, acc)
 
 
@@ -217,7 +224,7 @@ class EntropyReport(NamedTuple):
     closed_form: float | None
 
 
-def _rate_report(levels, n_max: int, closed: float | None) -> EntropyReport:
+def _rate_report(levels, n_max: int) -> EntropyReport:
     """Values for horizons 0..n_max of a walk's ``levels`` with rates and differences."""
     if operator.index(n_max) < 2:
         raise ValueError("n_max must be at least 2")
@@ -225,7 +232,7 @@ def _rate_report(levels, n_max: int, closed: float | None) -> EntropyReport:
     lengths = tuple(range(1, n_max + 2))
     rates = tuple(v / length for v, length in zip(values, lengths))
     diffs = tuple(values[i + 1] - values[i] for i in range(n_max))
-    return EntropyReport(lengths, tuple(values), rates, diffs, closed)
+    return EntropyReport(lengths, tuple(values), rates, diffs, None)
 
 
 def quantum_entropy_rate(u: OperatorMatrix, chi: Partition, n_max: int,
@@ -235,11 +242,11 @@ def quantum_entropy_rate(u: OperatorMatrix, chi: Partition, n_max: int,
     No extrapolation is performed: the successive differences are the
     rate estimate, and convergence is left for the caller to judge.
     """
-    try:
-        closed = quantum_entropy_closed(u)
+    report = _rate_report(_operator_levels(u, chi, n_max, term_cap), n_max)
+    try:  # after the walk, whose checks refuse bad input before this O(J^3) work
+        return report._replace(closed_form=quantum_entropy_closed(u))
     except ValueError:
-        closed = None
-    return _rate_report(_operator_levels(u, chi, n_max, term_cap), n_max, closed)
+        return report
 
 
 def quantum_entropy_closed(u: OperatorMatrix) -> float:
@@ -274,9 +281,7 @@ def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: 
     _check_inputs(space, chi)
     num_blocks = len(chi.blocks)
     _check_horizon(num_blocks, n_max, term_cap)
-    label = np.empty(chi.size, dtype=np.intp)
-    for b, block in enumerate(chi.blocks):
-        label[list(block)] = b
+    label = _labels(chi)
     cell = np.zeros(chi.size, dtype=np.intp)
     digits = np.zeros((1, 0), dtype=np.intp)
     orbit = np.arange(chi.size)
@@ -300,7 +305,7 @@ def ks_entropy_at(endo: Endomorphism, chi: Partition, n: int,
 def ks_entropy_rate(endo: Endomorphism, chi: Partition, n_max: int,
                     term_cap: int = DEFAULT_TERM_CAP) -> EntropyReport:
     """``quantum_entropy_rate`` for the itinerary sets of F; no closed form."""
-    return _rate_report(_itinerary_levels(endo, chi, n_max, term_cap), n_max, None)
+    return _rate_report(_itinerary_levels(endo, chi, n_max, term_cap), n_max)
 
 
 def ks_path_measure_table(endo: Endomorphism, chi: Partition, n: int,

@@ -22,48 +22,27 @@ from typing import Sequence
 import numpy as np
 
 from . import _LAYERS
-from .operators import Endomorphism, OperatorMatrix
+from .operators import Endomorphism, OperatorMatrix, _block_norms
 from .spaces import FiniteMeasureSpace, Partition
 
 __all__ = list(_LAYERS["norm"])
 
 ORTHONORMALITY_TOL = 1e-10
 
-#: Complex entries of one stack of column submatrices in ``m_chi`` (256 KB),
-#: so that the stacks of a fine partition do not copy all of W at once.
-M_CHI_STACK_ENTRIES = 2**14
-
 
 def m_chi(w: OperatorMatrix, chi: Partition) -> float:
     """Weighted sum of squared block-restricted operator norms.
 
-    ``W pi_Y`` keeps only the columns indexed by the block Y, so each
-    term is the squared norm of the weighted ``J x |Y|`` column submatrix:
-    its largest singular value, as ``operator_norm`` takes it.  Blocks of
-    one size share a stacked SVD call; the terms are summed in block order.
+    The norms ``||W pi_Y||`` come from the kernel of ``operator_norm``;
+    the terms are summed in block order.
     """
     if chi.size != w.space.size:
         raise ValueError(
             f"partition over {chi.size} atoms does not match a space with {w.space.size}"
         )
-    blocks = chi.blocks
-    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-    mass = np.empty(len(blocks))
-    sigma = np.empty(len(blocks))
-    mu = w.space.weights
-    s = np.sqrt(mu)
-    for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, ~15 ms cold
-        which = np.flatnonzero(sizes == k)
-        per_stack = max(1, M_CHI_STACK_ENTRIES // (chi.size * k))
-        for lo in range(0, len(which), per_stack):
-            part = which[lo:lo + per_stack]
-            cols = np.array([blocks[i] for i in part])
-            stack = s[:, None, None] * w.entries[:, cols] / s[cols]
-            sigma[part] = np.linalg.svd(stack.transpose(1, 0, 2), compute_uv=False).max(axis=1)
-            mass[part] = mu[cols].sum(axis=1)
     total = 0.0
-    for m, g in zip(mass.tolist(), sigma.tolist()):
-        total += m * g ** 2
+    for block, g in zip(chi.blocks, _block_norms(w.entries, w.space.weights, chi.blocks).tolist()):
+        total += w.space.measure(block) * g ** 2
     return total
 
 

@@ -192,10 +192,26 @@ def identity(space: FiniteMeasureSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.size))
 
 
-def _weighted_norm(w: OperatorMatrix, cols=slice(None)) -> float:
-    """Weighted norm of W restricted to the columns ``cols`` (``W pi_cols``)."""
-    s = np.sqrt(w.space.weights)
-    return float(np.linalg.norm(s[:, None] * w.entries[:, cols] / s[cols], 2))
+#: Complex entries of one stack in ``_block_norms`` (256 KB), so that the
+#: stacks of a fine partition do not copy all of W at once.
+M_CHI_STACK_ENTRIES = 2**14
+
+
+def _block_norms(entries: np.ndarray, weights: np.ndarray, blocks) -> np.ndarray:
+    """Weighted norm ``||W pi_Y||`` of each column block Y: the largest singular
+    value of ``D^(1/2) W[:, Y] D_Y^(-1/2)``; blocks of one size share an SVD call."""
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    sigma = np.empty(len(blocks))
+    s = np.sqrt(weights)
+    for k in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, ~15 ms cold
+        which = np.flatnonzero(sizes == k)
+        per_stack = max(1, M_CHI_STACK_ENTRIES // (len(s) * k))
+        for lo in range(0, len(which), per_stack):
+            part = which[lo:lo + per_stack]
+            cols = np.array([blocks[i] for i in part])
+            stack = s[:, None, None] * entries[:, cols] / s[cols]
+            sigma[part] = np.linalg.svd(stack.transpose(1, 0, 2), compute_uv=False).max(axis=1)
+    return sigma
 
 
 def operator_norm(w: OperatorMatrix) -> float:
@@ -205,7 +221,7 @@ def operator_norm(w: OperatorMatrix) -> float:
     ``D = diag(mu)``, which reduces the weighted problem to the standard
     spectral norm.
     """
-    return _weighted_norm(w)
+    return float(_block_norms(w.entries, w.space.weights, [np.arange(w.space.size)])[0])
 
 
 def add(w1: OperatorMatrix, w2: OperatorMatrix) -> OperatorMatrix:

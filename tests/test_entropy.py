@@ -134,6 +134,20 @@ def test_rate_report_requires_n_max_two():
         quantum_entropy_rate(HADAMARD, finest_partition(U2), 1)
 
 
+def test_rate_refuses_before_the_closed_form(monkeypatch):
+    # the closed form's unitarity check costs two dense J x J products
+    def closed(u):
+        raise AssertionError("closed form computed before the input checks")
+
+    monkeypatch.setattr(entropy, "quantum_entropy_closed", closed)
+    with pytest.raises(CapExceeded):
+        quantum_entropy_rate(HADAMARD, finest_partition(U2), 40, term_cap=1000)
+    with pytest.raises(ValueError, match="at least 2"):
+        quantum_entropy_rate(HADAMARD, finest_partition(U2), 1)
+    with pytest.raises(ValueError, match="does not match"):
+        quantum_entropy_rate(HADAMARD, finest_partition(U3), 2)
+
+
 def test_closed_entropy_values():
     perm = koopman(Endomorphism(U3, [2, 0, 1]))
     assert quantum_entropy_closed(perm) == 0.0

@@ -649,13 +649,14 @@ FINITE = {"spaces", "operators", "norm", "entropy", "verify_finite"}
 
 
 def loaded_after(code, cwd=None):
-    """The munorm submodules, and ``hashlib`` if loaded, of a fresh interpreter after ``code``."""
+    """The munorm submodules, and ``hashlib`` and ``numpy.ma`` if loaded, of a fresh
+    interpreter after ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(munorm.__file__)))
     probe = code + ("\nimport sys; print(' '.join(m for m in sys.modules"
-                    " if m.startswith('munorm.') or m == 'hashlib'))")
+                    " if m.startswith('munorm.') or m in ('hashlib', 'numpy.ma')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    return {m.split(".", 1)[-1] for m in out.stdout.split()}
+    return {m.removeprefix("munorm.") for m in out.stdout.split()}
 
 
 def loaded_by_cli(argv, cwd):
@@ -687,6 +688,20 @@ def test_finite_commands_leave_circle_unloaded(files):
         loaded = loaded_by_cli(argv + ["--out", "r.json"], tmp)
         assert "norm" in loaded or "entropy" in loaded
         assert "circle" not in loaded, argv
+
+
+def test_norm_commands_leave_numpy_ma_unloaded(files):
+    if "numpy.ma" in loaded_after("import numpy"):
+        pytest.skip("import numpy alone loads numpy.ma")
+    tmp, write = files
+    band = write("cos-sin.json", {"tau": 1, "band": 1, "coeffs": [[[0, -1], 0, [0, 1]]],
+                                  "left": {"tau": 1, "coeffs": [[1, 0, 1]]}})
+    space = write("w3.json", {"weights": [0.2, 0.3, 0.5]})
+    op = write("op.json", {"re": [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [4.0, 0.0, 1.0]]})
+    part = write("chi.json", {"blocks": [[1], [2, 3]]})
+    for argv in (["dt-mu-norm", "--op", band], ["mu-norm", "--space", space, "--op", op],
+                 ["m-chi", "--space", space, "--op", op, "--partition", part]):
+        assert "numpy.ma" not in loaded_by_cli(argv + ["--out", "r.json"], tmp), argv
 
 
 def test_markov_rate_loads_io_and_entropy_only(files):

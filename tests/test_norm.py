@@ -17,6 +17,7 @@ from munorm import (
     mu_dim,
     mu_norm,
     mu_norm_sq,
+    operator_norm,
     projector,
     trivial_partition,
     weighted_gram_schmidt,
@@ -36,8 +37,7 @@ from munorm.verify_finite import (
     weighted_additivity,
 )
 
-from munorm import norm
-from munorm.operators import _weighted_norm
+from munorm import operators
 
 W3 = FiniteMeasureSpace([0.2, 0.3, 0.5])
 U2 = FiniteMeasureSpace([0.5, 0.5])
@@ -87,18 +87,35 @@ def test_closed_form_verified_against_finest_partition():
 
 
 def _m_chi_by_block(w, chi):
-    # one spectral norm per block, summed in block order
-    total = 0.0
+    # one numpy spectral norm per block, summed in block order
+    s, total = np.sqrt(w.space.weights), 0.0
     for block in chi.blocks:
-        total += w.space.measure(block) * _weighted_norm(w, list(block)) ** 2
+        y = list(block)
+        sub = s[:, None] * w.entries[:, y] / s[y]
+        total += w.space.measure(block) * float(np.linalg.norm(sub, 2)) ** 2
     return total
+
+
+@pytest.mark.parametrize("stack_entries", [None, 1, 40])
+def test_operator_norm_is_numpy_spectral_norm(monkeypatch, stack_entries):
+    # the draws of test_m_chi_matches_per_block_norms, against numpy itself
+    if stack_entries is not None:
+        monkeypatch.setattr(operators, "M_CHI_STACK_ENTRIES", stack_entries)
+    rng = np.random.default_rng(41)
+    for trial in range(320 if stack_entries is None else 60):
+        j = int(rng.integers(1, 40))
+        raw = rng.uniform(0.05, 1.0, j)
+        sp = FiniteMeasureSpace(raw / raw.sum() if trial % 4 else np.full(j, 1.0 / j))
+        w = OperatorMatrix(sp, rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j)))
+        s = np.sqrt(sp.weights)
+        assert operator_norm(w) == float(np.linalg.norm(s[:, None] * w.entries / s, 2))
 
 
 @pytest.mark.parametrize("stack_entries", [None, 1, 40])
 def test_m_chi_matches_per_block_norms(monkeypatch, stack_entries):
     # stacks of one block, of a few blocks, and of every block of a size
     if stack_entries is not None:
-        monkeypatch.setattr(norm, "M_CHI_STACK_ENTRIES", stack_entries)
+        monkeypatch.setattr(operators, "M_CHI_STACK_ENTRIES", stack_entries)
     rng = np.random.default_rng(41)
     for trial in range(320 if stack_entries is None else 60):
         j = int(rng.integers(1, 40))
