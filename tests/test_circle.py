@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from munorm import (
     CapExceeded,
@@ -751,6 +753,50 @@ def test_chained_sums_and_products_match_a_reference_accumulator():
                     == np.array(list(want.values()), dtype=complex).tobytes())
             op = got
     assert min(checked.values()) >= 50, checked
+
+
+@st.composite
+def _algebra_chains(draw):
+    """A seed for the operand draws, whether the first operand has two tails, and
+    at least three steps ``(operation, fresh operand has two tails, it goes first)``."""
+    step = st.tuples(st.sampled_from(["add", "compose", "adjoint"]), st.booleans(),
+                     st.booleans())
+    return (draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
+            draw(st.lists(step, min_size=3, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_algebra_chains())
+def test_chained_algebra_matches_dense_sections(chain):
+    # each step against the same operation on dense sections of its operands,
+    # which are the results of the steps before it
+    from munorm.verify_circle import _covering_window
+
+    seed, two_tail, steps = chain
+    rng = np.random.default_rng(seed)
+
+    def operand(two_tail):
+        if two_tail:
+            return random_two_tail(rng, 4, 2, perturbed=True)
+        return random_bandop(rng, 4, 2, perturbed=bool(rng.random() < 0.7))
+
+    x = operand(two_tail)
+    for kind, two_tail, first in steps:
+        y = operand(two_tail)
+        rows = _covering_window(x, y)
+        sx, sy = finite_section(x, rows), finite_section(y, rows)
+        inner = slice(None)
+        if kind == "add":
+            got, want = dt_add(y, x) if first else dt_add(x, y), sx + sy
+        elif kind == "adjoint":
+            got, want = dt_adjoint(x), sx.conj().T
+        else:
+            a, b, sa, sb = (y, x, sy, sx) if first else (x, y, sx, sy)
+            got, want = dt_compose(a, b), sa @ sb
+            inner = slice(a.band, len(rows) - a.band)  # rows that see every term
+        err = float(np.abs(finite_section(got, rows) - want)[inner].max())
+        assert err <= 1e-12 * max(1.0, float(np.abs(want).max())), (kind, err)
+        x = got
 
 
 def test_phase_tables_serve_narrower_bands_exactly():
