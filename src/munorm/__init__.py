@@ -32,7 +32,7 @@ _LAYERS = {
                 "ks_entropy_at", "ks_entropy_rate", "ks_path_measure_table",
                 "markov_entropy_rate"),
     "circle": ("PeriodicBandOperator", "DtMuNorm", "rho_window_max", "dt_from_seq",
-               "dt_from_multiplier", "dt_norm", "dt_add", "dt_scale", "dt_compose",
+               "dt_from_multiplier", "dt_norm", "dt_add", "dt_compose",
                "dt_adjoint", "w_l", "rho_la", "dt_mu_norm_sq", "tail_masses", "avg_trace",
                "avg_trace_window", "finite_section"),
     "errors": ("CapExceeded", "DEFAULT_TERM_CAP"),

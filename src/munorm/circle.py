@@ -14,7 +14,6 @@ not toward the limsup-based density and average trace.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from functools import reduce
@@ -31,6 +30,8 @@ __all__ = list(_LAYERS["circle"])
 #: operators cannot grow without bound.
 MAX_TAU = MAX_BAND = 128
 
+#: Cap on the cells of a perturbation window, rows times offsets (16 MB).
+MAX_WINDOW = 2**20
 
 #: The phase table last kept, as ``(grid bytes, band, table)``; see ``_phases``.
 _PHASES: tuple = (None, -1, None)
@@ -42,6 +43,66 @@ def _periodic_run(period: np.ndarray, start: int, count: int) -> np.ndarray:
     s = start % p
     reps = (s + count - 1) // p + 1
     return np.tile(period, (reps,) + (1,) * (period.ndim - 1))[s:s + count]
+
+
+# A perturbation window is ``(r0, d0, cells)``: ``cells[i, j]`` is the entry at
+# row ``r0 + i`` and offset ``d0 + j``, so at column ``r0 + i + d0 + j``.
+_EMPTY = (0, 0, np.zeros((0, 0), dtype=complex))
+_NO_CELLS = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex),)
+
+
+def _zeros(rows: int, offsets: int) -> np.ndarray:
+    """Zero cells, refused past ``MAX_WINDOW`` before they are allocated."""
+    if rows * offsets > MAX_WINDOW:
+        raise CapExceeded(f"perturbation window of {rows} rows x {offsets} offsets "
+                          f"exceeds the cap {MAX_WINDOW} cells")
+    return np.zeros((rows, offsets), dtype=complex)
+
+
+def _window(r: np.ndarray, d: np.ndarray, v: np.ndarray, box: tuple | None = None) -> tuple:
+    """The window of values ``v`` at rows ``r`` and offsets ``d``, each cell summed to
+    0.0 in order, on the cells' bounding box or on ``box = (r0, d0, rows, offsets)``,
+    which drops the cells outside it."""
+    if box is None:
+        if not r.size:
+            return _EMPTY
+        r0, d0 = int(r.min()), int(d.min())
+        box = (r0, d0, int(r.max()) - r0 + 1, int(d.max()) - d0 + 1)
+    else:
+        inside = (box[0] <= r) & (r < box[0] + box[2]) & (box[1] <= d) & (d < box[1] + box[3])
+        r, d, v = r[inside], d[inside], v[inside]
+    cells = _zeros(*box[2:])
+    np.add.at(cells, (r - box[0], d - box[1]), v)
+    return box[0], box[1], cells
+
+
+def _cells(*windows: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, offsets and values of the nonzero cells of ``windows``, window after
+    window, each by position."""
+    parts = [(i + r0, j + d0, cells[i, j]) for r0, d0, cells in windows if cells.size
+             for i, j in [np.nonzero(cells)]]
+    if len(parts) < 2:
+        return parts[0] if parts else _NO_CELLS
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A product by offset: ``out[i, j + k]`` sums ``x[i, j] y[i + j, k]`` to 0.0 in
+    ascending ``j``, one array product per ``j``, so beyond its output a product
+    needs the memory of its operands only."""
+    n, m = x.shape
+    out = _zeros(n, m + y.shape[1] - 1)
+    for j in range(m):
+        out[:, j:j + y.shape[1]] += x[:, j, None] * y[j:j + n]
+    return out
+
+
+def _window_product(x: tuple, *ys: tuple) -> tuple:
+    """The window of ``x`` times the sum of the windows ``ys``."""
+    (rx, dx, cx), dy = x, min(y[1] for y in ys)
+    rows = _window(*_cells(*ys), box=(rx + dx, dy, sum(cx.shape) - 1,
+                                      max(d + c.shape[1] for _, d, c in ys) - dy))
+    return rx, dx + dy, _product(cx, rows[2])  # row i of x reads row i + j of rows
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +133,13 @@ class PeriodicBandOperator:
     and offsets ``|d| <= band``; rows ``l < 0`` read ``left = (tau_L,
     coeffs_L)`` the same way, so the seam is row 0.  A ``left`` equal to
     the right pattern, or none, keeps one ``tau``-periodic pattern.  The
-    perturbation is a finite list of additive corrections ``(row, col,
-    delta)`` at absolute positions.  Periods and bands are capped at
-    ``MAX_TAU`` and ``MAX_BAND``.
+    perturbation is given as additive corrections ``(row, col, delta)`` at
+    absolute positions and kept as one dense window by row and offset.
+    Periods and bands are capped at ``MAX_TAU`` and ``MAX_BAND``, the window
+    at ``MAX_WINDOW`` cells.
     """
 
-    __slots__ = ("_tau", "_band", "_coeffs", "_left", "_perturbation")
+    __slots__ = ("_tau", "_band", "_coeffs", "_left", "_window")
 
     def __init__(self, tau: int, band: int, coeffs,
                  perturbation: Iterable[tuple[int, int, complex]] | None = None,
@@ -94,13 +156,15 @@ class PeriodicBandOperator:
             if left[0] == self._tau and np.array_equal(left[1], self._coeffs):
                 left = None
         self._left = left
-        pert: dict[tuple[int, int], complex] = {}
-        for row, col, delta in perturbation or ():  # summed per position from 0.0
-            key = (operator.index(row), operator.index(col))
-            pert[key] = pert.get(key, 0.0 + 0.0j) + complex(delta)
-        if not all(map(cmath.isfinite, pert.values())):
-            raise ValueError("perturbation values must be finite")
-        self._perturbation = {k: v for k, v in pert.items() if v != 0}
+        self._window, items = _EMPTY, tuple(perturbation or ())
+        if items:
+            rows, cols, deltas = zip(*items, strict=True)
+            rows = tuple(map(operator.index, rows))
+            d = np.fromiter(map(operator.sub, map(operator.index, cols), rows), np.int64, len(rows))
+            self._window = _window(np.fromiter(rows, np.int64, len(rows)), d,
+                                   np.array(deltas, dtype=complex))
+            if not np.isfinite(self._window[2]).all():
+                raise ValueError("perturbation values must be finite")
 
     @property
     def tau(self) -> int:
@@ -126,12 +190,14 @@ class PeriodicBandOperator:
 
     @property
     def perturbation(self) -> tuple[tuple[int, int, complex], ...]:
-        return tuple((r, c, v) for (r, c), v in sorted(self._perturbation.items()))
+        """The nonzero cells of the window as ``(row, col, delta)``, sorted by position."""
+        r, d, v = _cells(self._window)
+        return tuple(zip(r.tolist(), (r + d).tolist(), v.tolist()))
 
     def __repr__(self) -> str:
         left = "" if self._left is None else f"tau_left={self._left[0]}, "
         return (f"PeriodicBandOperator(tau={self._tau}, {left}band={self._band}, "
-                f"perturbed={len(self._perturbation)})")
+                f"perturbed={np.count_nonzero(self._window[2])})")
 
     def _tail(self, row: int) -> tuple[int, np.ndarray]:
         return self.left if row < 0 else (self._tau, self._coeffs)
@@ -147,7 +213,10 @@ class PeriodicBandOperator:
 
     def entry(self, row: int, col: int) -> complex:
         row, col = operator.index(row), operator.index(col)
-        return self.base_entry(row, col) + self._perturbation.get((row, col), 0.0)
+        r0, d0, cells = self._window
+        i, j = row - r0, col - row - d0
+        inside = 0 <= i < cells.shape[0] and 0 <= j < cells.shape[1]
+        return self.base_entry(row, col) + (complex(cells[i, j]) if inside else 0.0)
 
     def majorant(self) -> dict[int, float]:
         """Diagonal sup sequence ``c_k = sup_j |W_{k+j,j}|``, perturbations included.
@@ -157,10 +226,13 @@ class PeriodicBandOperator:
         """
         sup = reduce(np.maximum, (np.abs(c).max(axis=0) for _, c in self.tails))[::-1]
         c = dict(zip(range(-self._band, self._band + 1), sup.tolist()))  # k = -band..band
-        for (r, col), _ in self._perturbation.items():
-            k = r - col
-            c[k] = max(c.get(k, 0.0), abs(self.entry(r, col)))
-        return {k: v for k, v in c.items() if v > 0.0}
+        r0, d0, cells = self._window
+        if cells.size:  # the entries on the window, by offset d = d0.. on diagonal k = -d
+            base = _lift(_tail_run(self, r0, len(cells)), d0, cells.shape[1])
+            full = np.abs(base + cells).max(axis=0)
+            for k, v in zip(range(-d0, -d0 - len(full), -1), full.tolist()):
+                c[k] = max(c.get(k, 0.0), v)
+        return {k: v for k, v in sorted(c.items()) if v > 0.0}
 
 
 def _tail_run(op: PeriodicBandOperator, lo: int, count: int, f=None) -> np.ndarray:
@@ -173,6 +245,17 @@ def _tail_run(op: PeriodicBandOperator, lo: int, count: int, f=None) -> np.ndarr
     if lo + count <= 0:
         return _periodic_run(left, lo, count)
     return np.concatenate((_periodic_run(left, lo, -lo), _periodic_run(right, 0, lo + count)))
+
+
+def _base(op: PeriodicBandOperator, lo: int, count: int) -> tuple:
+    """Rows ``lo..lo+count-1`` of the unperturbed part as a window."""
+    return lo, -op.band, _tail_run(op, lo, count)
+
+
+def _lift(rows: np.ndarray, d0: int, offsets: int) -> np.ndarray:
+    """``rows`` of offsets ``-band..band`` read at offsets ``d0..d0+offsets-1``, 0 off the band."""
+    band, d = (rows.shape[1] - 1) // 2, np.arange(d0, d0 + offsets)
+    return np.where(np.abs(d) <= band, rows[:, np.clip(d + band, 0, 2 * band)], 0.0)
 
 
 def _phases(band: int, angles: np.ndarray) -> np.ndarray:
@@ -204,7 +287,8 @@ def dt_from_seq(left, right, middle: Mapping[int, complex] | None = None,
     k) % len(left)]`` for ``k <= -k0`` (read outward), else ``middle[k]``
     or 0; with ``k0 = 0`` both tails cover k = 0 and must agree there.  The
     periods become the tails, re-indexed so that row ``l`` reads
-    ``coeffs[l % tau]``, and the middle becomes perturbation entries.
+    ``coeffs[l % tau]``, and the middle, ``2*k0 - 1`` cells on one
+    diagonal, becomes the perturbation.
     """
     lv, rv = np.array(left, dtype=complex), np.array(right, dtype=complex)
     if lv.ndim != 1 or lv.size == 0 or rv.ndim != 1 or rv.size == 0:
@@ -214,20 +298,21 @@ def dt_from_seq(left, right, middle: Mapping[int, complex] | None = None,
     k0 = operator.index(k0)
     if k0 < 0:
         raise ValueError("cutoff index k0 must be nonnegative")
-    mid: dict[int, complex] = {}
-    for key, val in (middle or {}).items():
-        k = operator.index(key)
-        if not (-k0 < k < k0):
-            raise ValueError(f"middle index {k} is not strictly inside (-{k0}, {k0})")
-        mid[k] = complex(val)
-        if not cmath.isfinite(mid[k]):
-            raise ValueError("middle values must be finite")
+    middle = dict(middle or {})
+    keys = np.fromiter(map(operator.index, middle), np.int64, len(middle))
+    outside = keys[(keys <= -k0) | (keys >= k0)]
+    if outside.size:
+        raise ValueError(f"middle index {outside[0]} is not strictly inside (-{k0}, {k0})")
+    mid = _zeros(max(2 * k0 - 1, 0), 1)[:, 0]
+    mid[keys + k0 - 1] = np.array(list(middle.values()), dtype=complex)
+    if not np.isfinite(mid).all():
+        raise ValueError("middle values must be finite")
     if k0 == 0 and lv[0] != rv[0]:
         raise ValueError("with k0 = 0 both tails cover index 0, so left[0] must equal right[0]")
-    p, q = lv.size, rv.size
+    p, q, ks = lv.size, rv.size, np.arange(1 - k0, k0)
     tails = lv[(-k0 - np.arange(p)) % p, None], rv[(np.arange(q) - k0) % q, None]
-    pert = [(k, k, mid.get(k, 0.0) - complex(tails[k >= 0][k % len(tails[k >= 0]), 0]))
-            for k in range(1 - k0, k0)]
+    pert = mid - np.where(ks >= 0, tails[1][ks % q, 0], tails[0][ks % p, 0])
+    pert = zip(ks.tolist(), ks.tolist(), pert.tolist())
     return PeriodicBandOperator(q, 0, tails[1], pert, left=(p, tails[0]))
 
 
@@ -263,82 +348,70 @@ def dt_norm(op: PeriodicBandOperator) -> float:
     return float(sum(op.majorant().values()))
 
 
-def _lift_coeffs(tail: tuple[int, np.ndarray], tau: int, band: int) -> np.ndarray:
-    out = np.zeros((tau, 2 * band + 1), dtype=complex)
-    lo = band - (tail[1].shape[1] - 1) // 2
-    out[:, lo:out.shape[1] - lo] = _periodic_run(tail[1], 0, tau)
-    return out
-
-
-def _tailwise(f, band: int, pert: list, *ops: PeriodicBandOperator) -> PeriodicBandOperator:
-    """The operator with perturbation terms ``pert`` whose right tail is ``f`` of the
+def _tailwise(f, band: int, window: tuple, *ops: PeriodicBandOperator) -> PeriodicBandOperator:
+    """The operator with perturbation ``window`` whose right tail is ``f`` of the
     operands' right tails and whose left one, if any operand has two, ``f`` of theirs."""
     tau, coeffs = f(*[(op._tau, op._coeffs) for op in ops])
     left = None if ops[0]._left is None and ops[-1]._left is None else f(*[op.left for op in ops])
-    return PeriodicBandOperator(tau, band, coeffs, pert, left)
+    out = PeriodicBandOperator(tau, band, coeffs, left=left)
+    out._window = window
+    return out
 
 
 def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
-    """Sum, tail by tail; each period lifts to the lcm, the band to the max."""
+    """Sum, tail by tail; each period lifts to the lcm, the band to the max.  The
+    perturbation window sums the two windows cell by cell."""
     band = max(a.band, b.band)
 
     def add(ta, tb):
         tau = math.lcm(ta[0], tb[0])
         if tau > MAX_TAU:  # before the lift allocates the lcm period
             raise CapExceeded(f"sum period {tau} exceeds the cap {MAX_TAU}")
-        return tau, _lift_coeffs(ta, tau, band) + _lift_coeffs(tb, tau, band)
-    pert = [(r, c, v) for op in (a, b) for (r, c), v in op._perturbation.items()]
-    return _tailwise(add, band, pert, a, b)
+        return tau, sum(_lift(_periodic_run(c, 0, tau), -band, 2 * band + 1) for _, c in (ta, tb))
+    return _tailwise(add, band, _window(*_cells(a._window, b._window)), a, b)
 
 
-def dt_scale(lam: complex, a: PeriodicBandOperator) -> PeriodicBandOperator:
-    lam = complex(lam)
-    return _tailwise(lambda t: (t[0], lam * t[1]), a.band,
-                     [(r, c, lam * v) for r, c, v in a.perturbation], a)
+def _seam(op: PeriodicBandOperator, width: int) -> tuple:
+    """Rows ``-width..width-1`` of ``op`` minus the same rows read in the other tail:
+    what a tail-by-tail kernel misses where it reads a row across row 0."""
+    other = np.concatenate((_periodic_run(op.coeffs, -width, width),
+                            _periodic_run(op.left[1], 0, width)))
+    return -width, -op.band, _tail_run(op, -width, 2 * width) - other
+
+
+def _straddling(w: tuple) -> tuple:
+    """Window ``w`` with the cells whose row and column lie on one side of row 0 zeroed."""
+    r0, d0, cells = w
+    rows = np.arange(r0, r0 + cells.shape[0])[:, None]
+    cols = rows + np.arange(d0, d0 + cells.shape[1])
+    return r0, d0, np.where((rows < 0) != (cols < 0), cells, 0.0)
 
 
 def dt_adjoint(a: PeriodicBandOperator) -> PeriodicBandOperator:
     """Conjugate transpose; the circle measure is uniform so no weights enter.
 
     Entry ``(l, l + d)`` is ``conj(W_{l+d, l})``, read in each tail at
-    ``coeffs[(l + d) % tau, band - d]`` by one gather; ``_adjoint_seam``
-    adds the entries whose row ``l + d`` lies across row 0.
+    ``coeffs[(l + d) % tau, band - d]`` by one gather.  The perturbation
+    window moves each cell ``(m, e)`` of ``a``'s to ``(m + e, -e)``, and so
+    does ``a``'s ``_seam`` at the cells whose column lies across row 0.
     """
     d = np.arange(-a.band, a.band + 1)
 
     def adjoint(t):
         return t[0], np.conj(t[1][(np.arange(t[0])[:, None] + d) % t[0], a.band - d])
-    pert = [(c, r, np.conj(v)) for r, c, v in a.perturbation]
-    return _tailwise(adjoint, a.band, pert + _adjoint_seam(a), a)
-
-
-def _seam_gaps(op: PeriodicBandOperator, width: int):
-    """Each pair ``(l, m)`` with ``-width <= l < width``, ``|m - l| <= width``
-    and ``m`` across row 0 from ``l``, as ``(l, m, gap)``: row ``m`` of its
-    own pattern minus row ``m`` read in the tail of row ``l``."""
-    if op._left is None:
-        return
-    for l in range(-width, width):
-        for m in range(l - width, 0) if l >= 0 else range(0, l + width + 1):
-            (t1, c1), (t2, c2) = op._tail(m), op._tail(l)
-            yield l, m, c1[m % t1] - c2[m % t2]
-
-
-def _adjoint_seam(a: PeriodicBandOperator) -> list[tuple[int, int, complex]]:
-    """Terms that move the adjoint's rows ``-band <= l < band`` from the
-    tail of row ``l`` to the tail of the row ``m`` each entry is read from."""
-    return [(l, m, np.conj(v)) for l, m, gap in _seam_gaps(a, a.band)
-            if (v := gap[l - m + a.band]) != 0]
+    seam = () if a._left is None else (_straddling(_seam(a, a.band)),)
+    r, e, v = _cells(a._window, *seam)
+    return _tailwise(adjoint, a.band, _window(r + e, -e, np.conj(v)), a)
 
 
 def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
     """Product ``a b`` (b acts first), tail by tail; band radii add, periods take the lcm.
 
     The coefficient ``(r, d)`` sums ``a_{r, r+d1} b_{r+d1, r+d}`` over the
-    offsets ``d1`` of ``a``.  Each ``d1`` adds one array product to a slice
-    of the output, so every coefficient adds its terms to 0.0 in ascending
-    ``d1``, and beyond its output a product needs O(tau * band) memory.
-    ``_compose_seam`` corrects the rows that read ``b`` across row 0.
+    offsets ``d1`` of ``a`` by ``_product``, to 0.0 in ascending ``d1``.  So
+    does the perturbation window: ``a``'s window times ``b``'s rows, ``a``'s
+    rows times ``b``'s window and, if ``b`` has two tails, ``a``'s rows
+    within ``a.band`` of row 0 times the half of ``b``'s ``_seam`` across it.
     """
     band = a.band + b.band
     if band > MAX_BAND:
@@ -348,38 +421,20 @@ def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBand
         tau = math.lcm(ta[0], tb[0])
         if tau > MAX_TAU:  # before any array of the lcm period is made
             raise CapExceeded(f"product period {tau} exceeds the cap {MAX_TAU}")
-        rows_a = _periodic_run(ta[1], 0, tau)
-        rows_b = _periodic_run(tb[1], -a.band, tau + 2 * a.band)  # row r + d1 at r + d1 + a.band
-        coeffs = np.zeros((tau, 2 * band + 1), dtype=complex)
-        for i in range(2 * a.band + 1):  # d1 = i - a.band; output column d1 + d2 + band
-            coeffs[:, i:i + 2 * b.band + 1] += rows_a[:, i, None] * rows_b[i:i + tau]
-        return tau, coeffs
-    return _tailwise(product, band, _product_perturbation(a, b) + _compose_seam(a, b), a, b)
-
-
-def _product_perturbation(a: PeriodicBandOperator, b: PeriodicBandOperator
-                          ) -> list[tuple[int, int, complex]]:
-    """Perturbation terms of ``a b``: the nonzero terms of ``a b_pert``,
-    ``a_pert b`` and ``a_pert b_pert``, in that order; the constructor
-    sums them per position."""
-    ap, bp = a._perturbation, b._perturbation
-    terms = [(r, j, a.base_entry(r, m) * d2) for (m, j), d2 in bp.items()
-             for r in range(m - a.band, m + a.band + 1)]
-    terms += [(l, j, d1 * b.base_entry(m, j)) for (l, m), d1 in ap.items()
-              for j in range(m - b.band, m + b.band + 1)]
-    terms += [(l, j, d1 * d2) for (l, m), d1 in ap.items()
-              for (m2, j), d2 in bp.items() if m2 == m]
-    return [t for t in terms if t[2] != 0]
-
-
-def _compose_seam(a: PeriodicBandOperator, b: PeriodicBandOperator
-                  ) -> list[tuple[int, int, complex]]:
-    """Terms that correct the product's rows ``-a.band <= l < a.band``:
-    the tail-by-tail product reads each row ``m`` of ``b`` from the tail of
-    row ``l``, which is the wrong one when ``m`` lies across row 0."""
-    return [(l, m + d, x * v) for l, m, gap in _seam_gaps(b, a.band)
-            if (x := a.base_entry(l, m)) != 0
-            for d, v in zip(range(-b.band, b.band + 1), gap.tolist()) if v != 0]
+        # row r of a reads row r + d1 of b at row r + d1 + a.band of the run
+        return tau, _product(_periodic_run(ta[1], 0, tau),
+                             _periodic_run(tb[1], -a.band, tau + 2 * a.band))
+    (ra, da, ca), (rb, _, cb) = a._window, b._window
+    terms = []
+    if ca.size:  # the rows of b that a's window reads, perturbation included
+        terms.append(_window_product(a._window, _base(b, ra + da, sum(ca.shape) - 1), b._window))
+    if cb.size:
+        terms.append(_window_product(_base(a, rb - a.band, len(cb) + 2 * a.band), b._window))
+    if b._left is not None:
+        r0, d0, gap = _seam(b, a.band)
+        terms += [_window_product(_base(a, 0, a.band), (r0, d0, gap[:a.band])),
+                  _window_product(_base(a, -a.band, a.band), (0, d0, gap[a.band:]))]
+    return _tailwise(product, band, _window(*_cells(*terms)), a, b)
 
 
 def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
@@ -388,9 +443,9 @@ def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
     l, a = operator.index(l), float(a)
     tau, coeffs = op._tail(l)
     w = complex(coeffs[l % tau] @ np.exp(-1j * np.arange(-op.band, op.band + 1) * a))
-    for (r, c), delta in op._perturbation.items():
-        if r == l:
-            w += delta * np.exp(1j * (l - c) * a)
+    r0, d0, cells = op._window
+    if r0 <= l < r0 + len(cells):  # zero cells add exact zeros
+        w += complex(np.sum(cells[l - r0] * np.exp(1j * -np.arange(d0, d0 + cells.shape[1]) * a)))
     return w
 
 
@@ -481,20 +536,22 @@ def avg_trace(op: PeriodicBandOperator) -> float:
     return max(tail_masses(op))
 
 
-def _row_masses(op: PeriodicBandOperator, lo: int, hi: int):
-    """Tail row masses ``sum_j |W_{l,j}|^2`` of rows ``lo..hi``, and perturbed ``(row, change)``."""
+def _row_masses(op: PeriodicBandOperator, lo: int, hi: int) -> np.ndarray:
+    """Row masses ``sum_j |W_{l,j}|^2`` of rows ``lo..hi``: each tail's masses, to
+    which each perturbed cell adds its change, in the order of ``perturbation``."""
     if hi < lo:
         raise ValueError("empty row window")
     masses = _tail_run(op, lo, hi - lo + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
-    changes = [(r, abs(op.entry(r, c)) ** 2 - abs(op.base_entry(r, c)) ** 2)
-               for r, c in op._perturbation if lo <= r <= hi]
-    return masses, changes
+    (r0, d0, cells), (r, d, v) = op._window, _cells(op._window)
+    base = _lift(_tail_run(op, r0, len(cells)), d0, cells.shape[1])[r - r0, d - d0]
+    inside = (lo <= r) & (r <= hi)
+    np.add.at(masses, r[inside] - lo, (np.abs(base + v) ** 2 - np.abs(base) ** 2)[inside])
+    return masses
 
 
 def avg_trace_window(op: PeriodicBandOperator, lo: int, hi: int) -> float:
     """Finite-window row-mass average (perturbations included); an oracle."""
-    masses, changes = _row_masses(op, lo, hi)
-    return sum((change for _, change in changes), float(np.sum(masses))) / (hi - lo + 1)
+    return float(np.sum(_row_masses(op, lo, hi))) / (hi - lo + 1)
 
 
 def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
@@ -507,10 +564,9 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     window = operator.index(window)
     if window < 1:
         raise ValueError("window length must be positive")
-    reach = max((abs(r) + 1 for r, _ in op._perturbation), default=0) + 2 * window
-    sq, changes = _row_masses(op, -reach, reach)
-    for r, change in changes:
-        sq[r + reach] += change
+    rows = _cells(op._window)[0]
+    reach = (int(np.abs(rows).max()) + 1 if rows.size else 0) + 2 * window
+    sq = _row_masses(op, -reach, reach)
     csum = np.concatenate(([0.0], np.cumsum(sq)))
     # rounding is monotone, so the largest window sum gives the largest average
     return float(np.max(csum[window:] - csum[:-window]) / window)
@@ -522,7 +578,8 @@ def finite_section(op: PeriodicBandOperator, rows: range) -> np.ndarray:
     ``rows`` is a nonempty ``range`` of step 1, a contiguous window.  The
     window's coefficient rows are read once, and each of the at most
     ``2*band + 1`` diagonals is filled by one strided slice, so beyond
-    the dense output the band costs O(n * band).
+    the dense output the band costs O(n * band); the nonzero cells of the
+    perturbation window inside the section are added by one scatter.
     """
     if not (isinstance(rows, range) and rows.step == 1 and len(rows) > 0):
         raise ValueError("section rows must be a nonempty range of step 1")
@@ -535,7 +592,7 @@ def finite_section(op: PeriodicBandOperator, rows: range) -> np.ndarray:
         first, last = max(0, -d), min(n, n - d) - 1  # the rows that reach diagonal d
         flat[first * (n + 1) + d:last * (n + 1) + d + 1:n + 1] = \
             coeffs[first * width + band + d:last * width + band + d + 1:width]
-    for (r, c), delta in op._perturbation.items():
-        if lo <= r < lo + n and lo <= c < lo + n:
-            out[r - lo, c - lo] += delta
+    r, d, v = _cells(op._window)
+    inside = (lo <= r) & (r < lo + n) & (lo <= r + d) & (r + d < lo + n)
+    out[r[inside] - lo, (r + d)[inside] - lo] += v[inside]
     return out

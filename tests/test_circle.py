@@ -17,7 +17,6 @@ from munorm import (
     dt_from_seq,
     dt_mu_norm_sq,
     dt_norm,
-    dt_scale,
     finite_section,
     rho_la,
     rho_window_max,
@@ -224,13 +223,6 @@ def test_dt_add_lifts_period_and_band():
     assert s.entry(4, 5) == 1.0
 
 
-def test_dt_scale_scales_perturbation_too():
-    op = PeriodicBandOperator(1, 0, [[1.0]], [(2, 2, 1.0)])
-    doubled = dt_scale(2.0, op)
-    assert doubled.entry(2, 2) == 4.0
-    assert doubled.entry(0, 0) == 2.0
-
-
 def test_compose_band_and_period_growth():
     a = PeriodicBandOperator(2, 1, np.ones((2, 3)))
     b = PeriodicBandOperator(3, 2, np.ones((3, 5)))
@@ -265,6 +257,26 @@ def test_caps_raise():
     wide = PeriodicBandOperator(1, 100, np.ones((1, 201)))
     with pytest.raises(CapExceeded, match="band"):
         dt_compose(wide, wide)
+
+
+def test_perturbation_windows_past_the_cell_cap_are_refused():
+    from munorm.circle import MAX_WINDOW
+
+    with pytest.raises(CapExceeded, match=f"exceeds the cap {MAX_WINDOW} cells"):
+        PeriodicBandOperator(1, 0, [[1.0]], [(0, 0, 1.0), (10**7, 10**7, 1.0)])
+    with pytest.raises(CapExceeded, match="perturbation window"):
+        dt_from_seq([1.0], [1.0], {0: 2.0}, 10**6)  # a middle of 2*10^6 - 1 cells
+    # each operand fits; the sum, the product or the adjoint does not
+    near, far = (PeriodicBandOperator(1, 1, [[1.0, 1.0, 1.0]], [(r, r, 1.0)])
+                 for r in (0, 10**7))
+    with pytest.raises(CapExceeded, match="perturbation window"):
+        dt_add(near, far)
+    column = PeriodicBandOperator(1, 0, [[1.0]], [(0, 0, 1.0), (6 * 10**5, 6 * 10**5, 1.0)])
+    with pytest.raises(CapExceeded, match="perturbation window"):
+        dt_compose(column, near)
+    row = PeriodicBandOperator(1, 0, [[1.0]], [(0, 0, 1.0), (0, 5 * 10**5, 1.0)])
+    with pytest.raises(CapExceeded, match="perturbation window"):
+        dt_adjoint(row)
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +443,7 @@ def test_equal_tails_take_no_root_solve_and_no_seam_terms(monkeypatch):
     def refuse(*args):
         raise AssertionError("two-tail route taken")
 
-    for name in ("_density_coefficients", "_crossings"):
+    for name in ("_density_coefficients", "_crossings", "_seam"):
         monkeypatch.setattr(circle, name, refuse)
     rng = np.random.default_rng(5)
     a = random_bandop(rng, max_tau=4, max_band=3, perturbed=True)
@@ -439,7 +451,6 @@ def test_equal_tails_take_no_root_solve_and_no_seam_terms(monkeypatch):
     same = PeriodicBandOperator(a.tau, a.band, a.coeffs, a.perturbation,
                                 left=(a.tau, a.coeffs.copy()))
     assert len(same.tails) == 1 and same.left[0] == a.tau
-    assert circle._compose_seam(same, same) == [] == circle._adjoint_seam(same)
     for op in (same, dt_compose(same, same), dt_adjoint(same), dt_add(same, same)):
         assert len(op.tails) == 1
         dt_mu_norm_sq(op)
@@ -456,8 +467,6 @@ def test_two_tail_kernels_match_dense_sections_across_the_seam():
         np.testing.assert_allclose(finite_section(dt_adjoint(a), rows), sa.conj().T,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(finite_section(dt_add(a, b), rows), sa + sb, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(finite_section(dt_scale(0.5j, a), rows), 0.5j * sa,
-                                   rtol=0, atol=1e-12)
         sups = {k: float(np.abs(np.diagonal(sa, -k)).max()) for k in range(-12, 13)}
         got = a.majorant()
         for k, v in sups.items():
@@ -663,96 +672,63 @@ def test_window_oracle_matches_gathered_squares():
         rows = range(-reach, reach + 1)
         sq = np.sum(np.abs([[op.base_entry(r, c) for c in range(r - op.band, r + op.band + 1)]
                             for r in rows]) ** 2, axis=1)
-        for r, c, _ in op.perturbation:
-            sq[r + reach] += abs(op.entry(r, c)) ** 2 - abs(op.base_entry(r, c)) ** 2
+        for r, c, _ in op.perturbation:  # numpy's modulus: Python's abs can differ in the last bit
+            full, base = np.abs([op.entry(r, c), op.base_entry(r, c)]) ** 2
+            sq[r + reach] += full - base
         csum = np.concatenate(([0.0], np.cumsum(sq)))
         want = float(np.max((csum[window:] - csum[:-window]) / window))
         assert got == want and math.copysign(1, got) == math.copysign(1, want)
 
 
-def _looped_product_perturbation(a, b):
-    # one base_entry call per term, summed per position in loop order
-    pert = {}
-
-    def bump(key, v):
-        if v != 0:
-            pert[key] = pert.get(key, 0.0 + 0.0j) + v
-
-    for (m, j), d2 in b._perturbation.items():
-        for r in range(m - a.band, m + a.band + 1):
-            bump((r, j), a.base_entry(r, m) * d2)
-    for (l, m), d1 in a._perturbation.items():
-        for j in range(m - b.band, m + b.band + 1):
-            bump((l, j), d1 * b.base_entry(m, j))
-    for (l, m), d1 in a._perturbation.items():
-        for (m2, j), d2 in b._perturbation.items():
-            if m2 == m:
-                bump((l, j), d1 * d2)
-    return [(r, c, v) for (r, c), v in pert.items()]
+def test_perturbation_window_sums_cells_and_drops_zeros():
+    # entries at one position are summed; a zero delta, signed zeros and a
+    # cancelled sum leave no entry
+    op = PeriodicBandOperator(1, 0, [[1.0]], [
+        (0, 0, 1.0), (3, 3, complex(-0.0, -0.0)), (2, 5, 0.5), (0, 0, -1.0), (2, 5, 0.25j),
+        (-4, 1, 0.0), (7, 7, complex(0.0, -0.0))])
+    assert op.perturbation == ((2, 5, 0.5 + 0.25j),)
+    assert op.entry(2, 5) == 0.5 + 0.25j and op.entry(0, 0) == 1.0
+    assert repr(op).endswith("perturbed=1)")
+    assert PeriodicBandOperator(1, 0, [[1.0]], [(0, 0, 1.0), (0, 0, -1.0)]).perturbation == ()
 
 
-def test_compose_perturbation_matches_per_term_loop():
+def test_perturbation_windows_match_dense_sections():
+    from munorm.verify_circle import _covering_window
+
     rng = np.random.default_rng(41)
-    for _ in range(320):
-        a = random_bandop(rng, max_tau=5, max_band=int(rng.choice([0, 2, 5, 16])), perturbed=True)
-        b = random_bandop(rng, max_tau=5, max_band=int(rng.choice([0, 2, 5, 16])), perturbed=True)
-        coeffs = a.coeffs.copy()
-        coeffs[rng.random(coeffs.shape) < 0.3] = complex(-0.0, -0.0)
-        # signed zeros, a zero delta, and entries whose middle indices meet
-        extra_a = [(1, 2, complex(-0.0, 0.5)), (4, 2, complex(rng.standard_normal(), -0.0))]
-        extra_b = [(2, int(rng.integers(-3, 4)), complex(0.25, -0.0)), (2, 9, -0.5j)]
-        a = PeriodicBandOperator(a.tau, a.band, coeffs, list(a.perturbation) + extra_a)
-        b = PeriodicBandOperator(b.tau, b.band, b.coeffs, list(b.perturbation) + extra_b)
-        want = PeriodicBandOperator(1, 0, [[0.0]], _looped_product_perturbation(a, b))
-        got = dt_compose(a, b)
-        # the order of the entries matters too: later sums run over it
-        assert list(got._perturbation) == list(want._perturbation)
-        assert (np.array(list(got._perturbation.values())).tobytes()
-                == np.array(list(want._perturbation.values())).tobytes())
-
-
-def _summed_perturbation(a, b):
-    # per position a's delta plus b's, positions in the order they first appear
-    keys = dict.fromkeys([*a._perturbation, *b._perturbation])
-    sums = {k: a._perturbation.get(k, 0.0) + b._perturbation.get(k, 0.0) for k in keys}
-    return {k: v for k, v in sums.items() if v != 0}
-
-
-def test_chained_sums_and_products_match_a_reference_accumulator():
-    rng = np.random.default_rng(44)
     signed_zeros = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 0.0]
-    checked = {"sum": 0, "product": 0, "cancelled": 0}
-    for _ in range(150):
-        op = random_bandop(rng, max_tau=3, max_band=2, perturbed=True)
-        for _ in range(4):
-            other = random_bandop(rng, max_tau=3, max_band=2, perturbed=True)
-            coeffs = other.coeffs.copy()
-            coeffs[rng.random(coeffs.shape) < 0.3] = signed_zeros[int(rng.integers(4))]
-            extra = [(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
-                      signed_zeros[int(rng.integers(4))])]  # a zero delta
-            # entries that cancel some of op's in a sum
-            extra += [(r, c, -v) for r, c, v in op.perturbation if rng.random() < 0.5]
-            other = PeriodicBandOperator(other.tau, other.band, coeffs,
-                                         list(other.perturbation) + extra)
-            a, b = (op, other) if rng.random() < 0.5 else (other, op)
-            try:
-                if rng.random() < 0.5:
-                    got, want = dt_add(a, b), _summed_perturbation(a, b)
-                    checked["sum"] += 1
-                    checked["cancelled"] += len(set(a._perturbation) & set(b._perturbation)
-                                                - set(want))
-                else:
-                    got = dt_compose(a, b)
-                    want = {(r, c): v for r, c, v in _looped_product_perturbation(a, b)
-                            if v != 0}
-                    checked["product"] += 1
-            except CapExceeded:
-                break
-            assert list(got._perturbation) == list(want)
-            assert (np.array(list(got._perturbation.values()), dtype=complex).tobytes()
-                    == np.array(list(want.values()), dtype=complex).tobytes())
-            op = got
-    assert min(checked.values()) >= 50, checked
+    cancelled = 0
+    for i in range(160):
+        a, b = (random_two_tail(rng, 4, int(rng.choice([0, 2, 5])), perturbed=True) if i % 2
+                else random_bandop(rng, 4, int(rng.choice([0, 2, 5])), perturbed=True)
+                for _ in range(2))
+        coeffs = a.coeffs.copy()
+        coeffs[rng.random(coeffs.shape) < 0.3] = signed_zeros[int(rng.integers(4))]
+        # signed zeros, a zero delta, and entries whose middle indices meet
+        extra_a = [(1, 2, complex(-0.0, 0.5)), (4, 2, complex(rng.standard_normal(), -0.0)),
+                   (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
+                    signed_zeros[int(rng.integers(4))])]
+        extra_b = [(2, int(rng.integers(-3, 4)), complex(0.25, -0.0)), (2, 9, -0.5j)]
+        # entries that cancel some of a's in a sum
+        extra_b += [(r, c, -v) for r, c, v in a.perturbation if rng.random() < 0.5]
+        a, b = (PeriodicBandOperator(op.tau, op.band, c, list(op.perturbation) + extra,
+                                     op.left if len(op.tails) > 1 else None)
+                for op, c, extra in ((a, coeffs, extra_a), (b, b.coeffs, extra_b)))
+        rows = _covering_window(a, b)
+        sa, sb = finite_section(a, rows), finite_section(b, rows)
+        inner = slice(a.band, len(rows) - a.band)  # rows that see every term of a product
+        total = dt_add(a, b)
+        for got, want, keep in ((total, sa + sb, slice(None)), (dt_compose(a, b), sa @ sb, inner),
+                                (dt_adjoint(a), sa.conj().T, slice(None))):
+            assert np.abs(finite_section(got, rows) - want)[keep].max() <= 1e-12
+            positions = [(r, c) for r, c, _ in got.perturbation]
+            assert positions == sorted(set(positions))
+            assert all(v != 0 for _, _, v in got.perturbation)
+        da, db = ({(r, c): v for r, c, v in op.perturbation} for op in (a, b))
+        gone = {k for k in da.keys() & db.keys() if da[k] + db[k] == 0}
+        assert not gone & {(r, c) for r, c, _ in total.perturbation}
+        cancelled += len(gone)
+    assert cancelled >= 50, cancelled
 
 
 @st.composite
@@ -856,10 +832,7 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
                 w += delta * np.exp(-1j * (l - c) * a)
         return w
 
-    product_perturbation = circle._product_perturbation
-
-    def transposed(a, b):
-        return [(c, r, v) for r, c, v in product_perturbation(a, b)]
+    window_product, seam = circle._window_product, circle._seam
 
     def rho_la_min(op, a):  # the tails combined by min
         phases = circle._phases(op.band, np.asarray(a, dtype=float).ravel())
@@ -874,17 +847,20 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
         (PeriodicBandOperator, "majorant", majorant_reversed, "section-route",
          {"majorant-is-the-diagonal-sup-of-a-section"}),
         (circle, "w_l", w_l_flipped_phase, "section-route", {"row-symbol-sums-its-section-row"}),
-        (circle, "_product_perturbation", transposed, "section-route",
+        # a_pert b reads b's rows without b's perturbation
+        (circle, "_window_product", lambda x, *ys: window_product(x, *ys[:1]), "section-route",
          {"perturbed-product-matches-section-product"}),
         (circle, "rho_la", rho_la_min, "two-tail-integral", integral),
         (circle, "avg_trace", lambda op: min(circle.tail_masses(op)), "rho-oracle",
          {"window-oracle-within-1e-2-at-1e4", "window-oracle-within-derived-bound"}),
         (circle, "_crossings", lambda g: crossings(g)[1:], "two-tail-integral", integral),
-        (circle, "_compose_seam", lambda a, b: [], "two-tail-section",
+        # a product's seam reads b's rows within b's band of row 0, not a's
+        (circle, "_seam", lambda op, width: seam(op, op.band), "two-tail-section",
          {"two-tail-product-matches-section-product"}),
-        (circle, "_adjoint_seam", lambda a: [], "two-tail-section",
+        # the adjoint moves every cell of the seam, not only those across row 0
+        (circle, "_straddling", lambda w: w, "two-tail-section",
          {"two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
-        (circle, "_seam_gaps", lambda op, width: iter(()), "two-tail-section",
+        (circle, "_seam", lambda op, width: circle._EMPTY, "two-tail-section",
          {"two-tail-product-matches-section-product",
           "two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
     ]

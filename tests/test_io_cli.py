@@ -747,7 +747,8 @@ def test_every_registered_suite_passes(suite):
 def test_cli_verify_fails_with_exit_1_and_names_the_worst_trial(capsys, monkeypatch):
     from munorm import circle
 
-    monkeypatch.setattr(circle, "_compose_seam", lambda a, b: [])
+    seam = circle._seam  # a product's seam reads b's rows within b's band of row 0, not a's
+    monkeypatch.setattr(circle, "_seam", lambda op, width: seam(op, op.band))
     code, rep = run_cli(capsys, ["verify", "--suite", "two-tail-section",
                                  "--trials", "20", "--seed", "0"])
     assert code == 1 and rep["results"]["all_passed"] is False
@@ -1041,6 +1042,16 @@ def test_cli_exit_codes(files, capsys):
                  "--N", "4", "--cap", "8"])
     assert code == 3
     assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_perturbation_window_past_the_cell_cap(files, capsys):
+    tmp, write = files
+    op = write("far.json", {"tau": 1, "band": 0, "coeffs": [[1.0]],
+                            "perturbation": [[0, 0, 1.0], [10**7, 10**7, 1.0]]})
+    code = main(["dt-norm", "--op", op])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: perturbation window of 10000001 rows x 1 offsets")
 
 
 @pytest.mark.parametrize("command", ["entropy", "ks-entropy"])
