@@ -731,6 +731,98 @@ def test_perturbation_windows_match_dense_sections():
     assert cancelled >= 50, cancelled
 
 
+def _looped_product_perturbation(a, b):
+    # one base_entry call per term, summed per position in loop order
+    pert = {}
+
+    def bump(key, v):
+        if v != 0:
+            pert[key] = pert.get(key, 0.0 + 0.0j) + v
+
+    for m, j, d2 in b.perturbation:
+        for r in range(m - a.band, m + a.band + 1):
+            bump((r, j), a.base_entry(r, m) * d2)
+    for l, m, d1 in a.perturbation:
+        for j in range(m - b.band, m + b.band + 1):
+            bump((l, j), d1 * b.base_entry(m, j))
+    for l, m, d1 in a.perturbation:
+        for m2, j, d2 in b.perturbation:
+            if m2 == m:
+                bump((l, j), d1 * d2)
+    return pert
+
+
+def _assert_product_perturbation(got, a, b):
+    # positions ascending and nonzero; values as the per-term loop sums them,
+    # up to the rounding of a different summation order
+    want = _looped_product_perturbation(a, b)
+    have = {(r, c): v for r, c, v in got.perturbation}
+    assert list(have) == sorted(have) and all(v != 0 for v in have.values())
+    scale = max([1.0, *(abs(v) for v in want.values())])
+    for key in have.keys() | want.keys():
+        assert abs(have.get(key, 0.0) - want.get(key, 0.0)) <= 1e-12 * scale, key
+
+
+def test_compose_perturbation_matches_per_term_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(320):
+        a = random_bandop(rng, max_tau=5, max_band=int(rng.choice([0, 2, 5, 16])), perturbed=True)
+        b = random_bandop(rng, max_tau=5, max_band=int(rng.choice([0, 2, 5, 16])), perturbed=True)
+        coeffs = a.coeffs.copy()
+        coeffs[rng.random(coeffs.shape) < 0.3] = complex(-0.0, -0.0)
+        # signed zeros, a zero delta, and entries whose middle indices meet
+        extra_a = [(1, 2, complex(-0.0, 0.5)), (4, 2, complex(rng.standard_normal(), -0.0))]
+        extra_b = [(2, int(rng.integers(-3, 4)), complex(0.25, -0.0)), (2, 9, -0.5j)]
+        a = PeriodicBandOperator(a.tau, a.band, coeffs, list(a.perturbation) + extra_a)
+        b = PeriodicBandOperator(b.tau, b.band, b.coeffs, list(b.perturbation) + extra_b)
+        _assert_product_perturbation(dt_compose(a, b), a, b)
+
+
+def _summed_perturbation(a, b):
+    # per position a's delta plus b's, positions ascending, cancelled sums dropped
+    da, db = ({(r, c): v for r, c, v in op.perturbation} for op in (a, b))
+    sums = {k: da.get(k, 0.0) + db.get(k, 0.0) for k in sorted(da.keys() | db.keys())}
+    return {k: v for k, v in sums.items() if v != 0}
+
+
+def test_chained_sums_and_products_match_a_reference_accumulator():
+    rng = np.random.default_rng(44)
+    signed_zeros = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 0.0]
+    checked = {"sum": 0, "product": 0, "cancelled": 0}
+    for _ in range(150):
+        op = random_bandop(rng, max_tau=3, max_band=2, perturbed=True)
+        for _ in range(4):
+            other = random_bandop(rng, max_tau=3, max_band=2, perturbed=True)
+            coeffs = other.coeffs.copy()
+            coeffs[rng.random(coeffs.shape) < 0.3] = signed_zeros[int(rng.integers(4))]
+            extra = [(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
+                      signed_zeros[int(rng.integers(4))])]  # a zero delta
+            # entries that cancel some of op's in a sum
+            extra += [(r, c, -v) for r, c, v in op.perturbation if rng.random() < 0.5]
+            other = PeriodicBandOperator(other.tau, other.band, coeffs,
+                                         list(other.perturbation) + extra)
+            a, b = (op, other) if rng.random() < 0.5 else (other, op)
+            try:
+                if rng.random() < 0.5:
+                    got, want = dt_add(a, b), _summed_perturbation(a, b)
+                    # one addition per position: the sum is exact
+                    assert [(r, c) for r, c, _ in got.perturbation] == list(want)
+                    assert (np.array([v for _, _, v in got.perturbation], dtype=complex).tobytes()
+                            == np.array(list(want.values()), dtype=complex).tobytes())
+                    checked["sum"] += 1
+                    checked["cancelled"] += len({(r, c) for r, c, _ in a.perturbation}
+                                                & {(r, c) for r, c, _ in b.perturbation}
+                                                - set(want))
+                else:
+                    got = dt_compose(a, b)
+                    _assert_product_perturbation(got, a, b)
+                    checked["product"] += 1
+            except CapExceeded:
+                break
+            op = got
+    assert min(checked.values()) >= 50, checked
+
+
 @st.composite
 def _algebra_chains(draw):
     """A seed for the operand draws, whether the first operand has two tails, and
