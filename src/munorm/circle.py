@@ -46,63 +46,95 @@ def _periodic_run(period: np.ndarray, start: int, count: int) -> np.ndarray:
 
 
 # A perturbation window is ``(r0, d0, cells)``: ``cells[i, j]`` is the entry at
-# row ``r0 + i`` and offset ``d0 + j``, so at column ``r0 + i + d0 + j``.
+# row ``r0 + i`` and offset ``d0 + j``, so at column ``r0 + i + d0 + j``.  An
+# operator's window is the bounding box of its nonzero cells.
 _EMPTY = (0, 0, np.zeros((0, 0), dtype=complex))
-_NO_CELLS = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex),)
 
 
-def _zeros(rows: int, offsets: int) -> np.ndarray:
-    """Zero cells, refused past ``MAX_WINDOW`` before they are allocated."""
-    if rows * offsets > MAX_WINDOW:
-        raise CapExceeded(f"perturbation window of {rows} rows x {offsets} offsets "
+def _place(box: tuple, *windows: tuple, base: PeriodicBandOperator | None = None) -> tuple:
+    """The window on ``box = (r0, d0, rows, offsets)`` whose cells sum from 0.0
+    ``base``'s unperturbed entries, if given, and then each of ``windows``, all cut
+    to the box.  A box past ``MAX_WINDOW`` cells is refused before it is allocated."""
+    r0, d0, n, m = box
+    if n * m > MAX_WINDOW:
+        raise CapExceeded(f"perturbation window of {n} rows x {m} offsets "
                           f"exceeds the cap {MAX_WINDOW} cells")
-    return np.zeros((rows, offsets), dtype=complex)
+    if base is not None:  # the band's offsets in the box, read from each row's tail
+        b, lo = base.band, max(d0, -base.band)
+        hi = max(lo, min(d0 + m, b + 1))
+        windows = ((r0, lo, _tail_run(base, r0, n, lambda c: c[:, lo + b:hi + b])),) + windows
+    out = np.zeros((n, m), dtype=complex)
+    for r, d, c in windows:
+        i, j = max(r, r0), max(d, d0)
+        k, l = min(r + c.shape[0], r0 + n), min(d + c.shape[1], d0 + m)
+        if i < k and j < l:
+            out[i - r0:k - r0, j - d0:l - d0] += c[i - r:k - r, j - d:l - d]
+    return r0, d0, out
 
 
-def _window(r: np.ndarray, d: np.ndarray, v: np.ndarray, box: tuple | None = None) -> tuple:
-    """The window of values ``v`` at rows ``r`` and offsets ``d``, each cell summed to
-    0.0 in order, on the cells' bounding box or on ``box = (r0, d0, rows, offsets)``,
-    which drops the cells outside it."""
-    if box is None:
-        if not r.size:
-            return _EMPTY
-        r0, d0 = int(r.min()), int(d.min())
-        box = (r0, d0, int(r.max()) - r0 + 1, int(d.max()) - d0 + 1)
-    else:
-        inside = (box[0] <= r) & (r < box[0] + box[2]) & (box[1] <= d) & (d < box[1] + box[3])
-        r, d, v = r[inside], d[inside], v[inside]
-    cells = _zeros(*box[2:])
-    np.add.at(cells, (r - box[0], d - box[1]), v)
-    return box[0], box[1], cells
+def _trim(w: tuple) -> tuple:
+    """Window ``w`` cut to the bounding box of its nonzero cells."""
+    r0, d0, cells = w
+    (rows,), (offsets,) = np.nonzero(cells.any(axis=1)), np.nonzero(cells.any(axis=0))
+    if not rows.size:
+        return _EMPTY
+    return (r0 + int(rows[0]), d0 + int(offsets[0]),
+            cells[rows[0]:rows[-1] + 1, offsets[0]:offsets[-1] + 1])
 
 
-def _cells(*windows: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, offsets and values of the nonzero cells of ``windows``, window after
-    window, each by position."""
-    parts = [(i + r0, j + d0, cells[i, j]) for r0, d0, cells in windows if cells.size
-             for i, j in [np.nonzero(cells)]]
-    if len(parts) < 2:
-        return parts[0] if parts else _NO_CELLS
-    return tuple(map(np.concatenate, zip(*parts)))
+def _cells(w: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, offsets and values of the nonzero cells of window ``w``, by position."""
+    r0, d0, cells = w
+    i, j = np.nonzero(cells)
+    return i + r0, j + d0, cells[i, j]
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A product by offset: ``out[i, j + k]`` sums ``x[i, j] y[i + j, k]`` to 0.0 in
-    ascending ``j``, one array product per ``j``, so beyond its output a product
-    needs the memory of its operands only."""
-    n, m = x.shape
-    out = _zeros(n, m + y.shape[1] - 1)
+def _transpose(w: tuple, op: PeriodicBandOperator) -> tuple:
+    """The conjugate transpose of window ``w``, cell ``(m, e)`` moved to ``(m + e, -e)``,
+    on a box whose cells that no cell of ``w`` reaches hold ``op``'s unperturbed entries."""
+    r0, d0, cells = w
+    if not cells.size:
+        return w
+    (n, m), (i, j) = cells.shape, np.indices(cells.shape)
+    _, _, out = _place((r0 + d0, 1 - d0 - m, n + m - 1, m), base=op)
+    out[i + j, m - 1 - j] = np.conj(cells)
+    return r0 + d0, 1 - d0 - m, out
+
+
+def _rows(op: PeriodicBandOperator, *spans: tuple[int, int]) -> tuple:
+    """The window of ``op``'s entries, perturbation included, on the rows from the
+    first to the last of the nonempty ``spans`` ``(lo, hi)`` and the offsets of its
+    band and perturbation window."""
+    spans = [s for s in spans if s[0] < s[1]]
+    if not spans:
+        return _EMPTY
+    (lo, _), hi = min(spans), max(s[1] for s in spans)
+    _, d0, cells = op._window
+    e0 = min(d0, -op.band)
+    box = (lo, e0, hi - lo, max(d0 + cells.shape[1], op.band + 1) - e0)
+    return _place(box, op._window, base=op)
+
+
+def _window_product(x: tuple, y: tuple) -> tuple:
+    """Window ``x`` times the rows it reads, window ``y`` from its first row on:
+    ``out[i, j + k]`` sums ``x[i, j] y[i + j, k]`` to 0.0 in ascending ``j``, one
+    array product per ``j``, so beyond its output it needs its operands' memory only."""
+    (rx, dx, cx), (_, e0, cy) = x, y
+    if not cx.size:
+        return x
+    n, m = cx.shape
+    _, _, out = _place((0, 0, n, m + cy.shape[1] - 1))
     for j in range(m):
-        out[:, j:j + y.shape[1]] += x[:, j, None] * y[j:j + n]
-    return out
+        out[:, j:j + cy.shape[1]] += cx[:, j, None] * cy[j:j + n]
+    return rx, dx + e0, out
 
 
-def _window_product(x: tuple, *ys: tuple) -> tuple:
-    """The window of ``x`` times the sum of the windows ``ys``."""
-    (rx, dx, cx), dy = x, min(y[1] for y in ys)
-    rows = _window(*_cells(*ys), box=(rx + dx, dy, sum(cx.shape) - 1,
-                                      max(d + c.shape[1] for _, d, c in ys) - dy))
-    return rx, dx + dy, _product(cx, rows[2])  # row i of x reads row i + j of rows
+def _excess(op: PeriodicBandOperator, w: tuple) -> PeriodicBandOperator:
+    """``op`` with the perturbation that makes its entries on window ``w`` those of ``w``."""
+    r0, d0, cells = w
+    if cells.size:
+        op._window = _trim((r0, d0, cells - _place((r0, d0) + cells.shape, base=op)[2]))
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +189,19 @@ class PeriodicBandOperator:
                 left = None
         self._left = left
         self._window, items = _EMPTY, tuple(perturbation or ())
-        if items:
+        if items:  # zero deltas add nothing, so they do not widen the window
             rows, cols, deltas = zip(*items, strict=True)
             rows = tuple(map(operator.index, rows))
             d = np.fromiter(map(operator.sub, map(operator.index, cols), rows), np.int64, len(rows))
-            self._window = _window(np.fromiter(rows, np.int64, len(rows)), d,
-                                   np.array(deltas, dtype=complex))
-            if not np.isfinite(self._window[2]).all():
-                raise ValueError("perturbation values must be finite")
+            r, v = np.fromiter(rows, np.int64, len(rows)), np.array(deltas, dtype=complex)
+            r, d, v = r[v != 0], d[v != 0], v[v != 0]
+            if r.size:
+                r0, d0 = int(r.min()), int(d.min())
+                _, _, cells = _place((r0, d0, int(r.max()) - r0 + 1, int(d.max()) - d0 + 1))
+                np.add.at(cells, (r - r0, d - d0), v)  # summed per cell from 0.0 in list order
+                if not np.isfinite(cells).all():
+                    raise ValueError("perturbation values must be finite")
+                self._window = _trim((r0, d0, cells))
 
     @property
     def tau(self) -> int:
@@ -199,17 +236,13 @@ class PeriodicBandOperator:
         return (f"PeriodicBandOperator(tau={self._tau}, {left}band={self._band}, "
                 f"perturbed={np.count_nonzero(self._window[2])})")
 
-    def _tail(self, row: int) -> tuple[int, np.ndarray]:
-        return self.left if row < 0 else (self._tau, self._coeffs)
-
     def base_entry(self, row: int, col: int) -> complex:
         """Entry of the unperturbed two-tail part."""
         row, col = operator.index(row), operator.index(col)
-        tau, coeffs = self._tail(row)
-        d = col - row
-        if abs(d) > self._band:
+        tau, coeffs = self.left if row < 0 else (self._tau, self._coeffs)
+        if abs(col - row) > self._band:
             return 0.0 + 0.0j
-        return complex(coeffs[row % tau, d + self._band])
+        return complex(coeffs[row % tau, col - row + self._band])
 
     def entry(self, row: int, col: int) -> complex:
         row, col = operator.index(row), operator.index(col)
@@ -228,8 +261,7 @@ class PeriodicBandOperator:
         c = dict(zip(range(-self._band, self._band + 1), sup.tolist()))  # k = -band..band
         r0, d0, cells = self._window
         if cells.size:  # the entries on the window, by offset d = d0.. on diagonal k = -d
-            base = _lift(_tail_run(self, r0, len(cells)), d0, cells.shape[1])
-            full = np.abs(base + cells).max(axis=0)
+            full = np.abs(_place((r0, d0) + cells.shape, self._window, base=self)[2]).max(axis=0)
             for k, v in zip(range(-d0, -d0 - len(full), -1), full.tolist()):
                 c[k] = max(c.get(k, 0.0), v)
         return {k: v for k, v in sorted(c.items()) if v > 0.0}
@@ -245,17 +277,6 @@ def _tail_run(op: PeriodicBandOperator, lo: int, count: int, f=None) -> np.ndarr
     if lo + count <= 0:
         return _periodic_run(left, lo, count)
     return np.concatenate((_periodic_run(left, lo, -lo), _periodic_run(right, 0, lo + count)))
-
-
-def _base(op: PeriodicBandOperator, lo: int, count: int) -> tuple:
-    """Rows ``lo..lo+count-1`` of the unperturbed part as a window."""
-    return lo, -op.band, _tail_run(op, lo, count)
-
-
-def _lift(rows: np.ndarray, d0: int, offsets: int) -> np.ndarray:
-    """``rows`` of offsets ``-band..band`` read at offsets ``d0..d0+offsets-1``, 0 off the band."""
-    band, d = (rows.shape[1] - 1) // 2, np.arange(d0, d0 + offsets)
-    return np.where(np.abs(d) <= band, rows[:, np.clip(d + band, 0, 2 * band)], 0.0)
 
 
 def _phases(band: int, angles: np.ndarray) -> np.ndarray:
@@ -303,17 +324,16 @@ def dt_from_seq(left, right, middle: Mapping[int, complex] | None = None,
     outside = keys[(keys <= -k0) | (keys >= k0)]
     if outside.size:
         raise ValueError(f"middle index {outside[0]} is not strictly inside (-{k0}, {k0})")
-    mid = _zeros(max(2 * k0 - 1, 0), 1)[:, 0]
+    mid = _place((0, 0, max(2 * k0 - 1, 0), 1))[2][:, 0]
     mid[keys + k0 - 1] = np.array(list(middle.values()), dtype=complex)
     if not np.isfinite(mid).all():
         raise ValueError("middle values must be finite")
     if k0 == 0 and lv[0] != rv[0]:
         raise ValueError("with k0 = 0 both tails cover index 0, so left[0] must equal right[0]")
-    p, q, ks = lv.size, rv.size, np.arange(1 - k0, k0)
+    p, q = lv.size, rv.size
     tails = lv[(-k0 - np.arange(p)) % p, None], rv[(np.arange(q) - k0) % q, None]
-    pert = mid - np.where(ks >= 0, tails[1][ks % q, 0], tails[0][ks % p, 0])
-    pert = zip(ks.tolist(), ks.tolist(), pert.tolist())
-    return PeriodicBandOperator(q, 0, tails[1], pert, left=(p, tails[0]))
+    return _excess(PeriodicBandOperator(q, 0, tails[1], left=(p, tails[0])),
+                   (1 - k0, 0, mid[:, None]))
 
 
 def dt_from_multiplier(coeffs: Mapping[int, complex]) -> PeriodicBandOperator:
@@ -367,51 +387,47 @@ def dt_add(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOper
         tau = math.lcm(ta[0], tb[0])
         if tau > MAX_TAU:  # before the lift allocates the lcm period
             raise CapExceeded(f"sum period {tau} exceeds the cap {MAX_TAU}")
-        return tau, sum(_lift(_periodic_run(c, 0, tau), -band, 2 * band + 1) for _, c in (ta, tb))
-    return _tailwise(add, band, _window(*_cells(a._window, b._window)), a, b)
+        runs = [(0, -(c.shape[1] // 2), _periodic_run(c, 0, tau)) for _, c in (ta, tb)]
+        return tau, _place((0, -band, tau, 2 * band + 1), *runs)[2]
+    ws = [w for w in (a._window, b._window) if w[2].size]  # summed on their union box
+    r0, d0 = (min((w[k] for w in ws), default=0) for k in (0, 1))
+    r1, d1 = (max((w[k] + w[2].shape[k] for w in ws), default=0) for k in (0, 1))
+    window = _trim(_place((r0, d0, r1 - r0, d1 - d0), *ws))
+    return _tailwise(add, band, window, a, b)
 
 
-def _seam(op: PeriodicBandOperator, width: int) -> tuple:
-    """Rows ``-width..width-1`` of ``op`` minus the same rows read in the other tail:
-    what a tail-by-tail kernel misses where it reads a row across row 0."""
-    other = np.concatenate((_periodic_run(op.coeffs, -width, width),
-                            _periodic_run(op.left[1], 0, width)))
-    return -width, -op.band, _tail_run(op, -width, 2 * width) - other
-
-
-def _straddling(w: tuple) -> tuple:
-    """Window ``w`` with the cells whose row and column lie on one side of row 0 zeroed."""
-    r0, d0, cells = w
-    rows = np.arange(r0, r0 + cells.shape[0])[:, None]
-    cols = rows + np.arange(d0, d0 + cells.shape[1])
-    return r0, d0, np.where((rows < 0) != (cols < 0), cells, 0.0)
+def _seam(op: PeriodicBandOperator, width: int) -> tuple[int, int]:
+    """Rows ``-width..width-1`` if ``op`` has two tails, else none: the rows whose
+    entries a tail-by-tail kernel reads from the wrong tail, ``width`` rows from row 0."""
+    return (-width, width) if op._left is not None else (0, 0)
 
 
 def dt_adjoint(a: PeriodicBandOperator) -> PeriodicBandOperator:
     """Conjugate transpose; the circle measure is uniform so no weights enter.
 
     Entry ``(l, l + d)`` is ``conj(W_{l+d, l})``, read in each tail at
-    ``coeffs[(l + d) % tau, band - d]`` by one gather.  The perturbation
-    window moves each cell ``(m, e)`` of ``a``'s to ``(m + e, -e)``, and so
-    does ``a``'s ``_seam`` at the cells whose column lies across row 0.
+    ``coeffs[(l + d) % tau, band - d]`` by one gather.  The perturbation is
+    what the transpose of ``a``'s rows, perturbation included and each read
+    from its own tail, adds to those tails on ``a``'s window and ``_seam``.
     """
     d = np.arange(-a.band, a.band + 1)
 
     def adjoint(t):
         return t[0], np.conj(t[1][(np.arange(t[0])[:, None] + d) % t[0], a.band - d])
-    seam = () if a._left is None else (_straddling(_seam(a, a.band)),)
-    r, e, v = _cells(a._window, *seam)
-    return _tailwise(adjoint, a.band, _window(r + e, -e, np.conj(v)), a)
+    r0, _, cells = a._window
+    out = _tailwise(adjoint, a.band, _EMPTY, a)
+    return _excess(out, _transpose(_rows(a, (r0, r0 + len(cells)), _seam(a, a.band)), out))
 
 
 def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBandOperator:
     """Product ``a b`` (b acts first), tail by tail; band radii add, periods take the lcm.
 
     The coefficient ``(r, d)`` sums ``a_{r, r+d1} b_{r+d1, r+d}`` over the
-    offsets ``d1`` of ``a`` by ``_product``, to 0.0 in ascending ``d1``.  So
-    does the perturbation window: ``a``'s window times ``b``'s rows, ``a``'s
-    rows times ``b``'s window and, if ``b`` has two tails, ``a``'s rows
-    within ``a.band`` of row 0 times the half of ``b``'s ``_seam`` across it.
+    offsets ``d1`` of ``a`` by ``_window_product``, to 0.0 in ascending
+    ``d1``.  The perturbation is what the same product of the true rows,
+    perturbation included and each read from its own tail, adds to the tails'
+    product on one block of rows: ``a``'s window, the rows that read ``b``'s
+    window and ``b``'s ``_seam``.
     """
     band = a.band + b.band
     if band > MAX_BAND:
@@ -421,27 +437,20 @@ def dt_compose(a: PeriodicBandOperator, b: PeriodicBandOperator) -> PeriodicBand
         tau = math.lcm(ta[0], tb[0])
         if tau > MAX_TAU:  # before any array of the lcm period is made
             raise CapExceeded(f"product period {tau} exceeds the cap {MAX_TAU}")
-        # row r of a reads row r + d1 of b at row r + d1 + a.band of the run
-        return tau, _product(_periodic_run(ta[1], 0, tau),
-                             _periodic_run(tb[1], -a.band, tau + 2 * a.band))
-    (ra, da, ca), (rb, _, cb) = a._window, b._window
-    terms = []
-    if ca.size:  # the rows of b that a's window reads, perturbation included
-        terms.append(_window_product(a._window, _base(b, ra + da, sum(ca.shape) - 1), b._window))
-    if cb.size:
-        terms.append(_window_product(_base(a, rb - a.band, len(cb) + 2 * a.band), b._window))
-    if b._left is not None:
-        r0, d0, gap = _seam(b, a.band)
-        terms += [_window_product(_base(a, 0, a.band), (r0, d0, gap[:a.band])),
-                  _window_product(_base(a, -a.band, a.band), (0, d0, gap[a.band:]))]
-    return _tailwise(product, band, _window(*_cells(*terms)), a, b)
+        rows = (-a.band, -b.band, _periodic_run(tb[1], -a.band, tau + 2 * a.band))
+        return tau, _window_product((0, -a.band, _periodic_run(ta[1], 0, tau)), rows)[2]
+    (ra, _, ca), (rb, _, cb), k = a._window, b._window, a.band
+    near = (rb - k, rb + len(cb) + k) if cb.size else (0, 0)  # the rows that read b's window
+    x0, d0, rows = x = _rows(a, (ra, ra + len(ca)), near, _seam(b, k))
+    y = _rows(b, (x0 + d0, x0 + d0 + sum(rows.shape) - 1))  # the rows of b that x reads
+    return _excess(_tailwise(product, band, _EMPTY, a, b), _window_product(x, y))
 
 
 def w_l(op: PeriodicBandOperator, l: int, a: float) -> complex:
     """Row symbol ``w_l(a) = sum_j W_{l,j} e^{i(l-j)a}``, perturbations in row ``l``
     included; bounded by ``dt_norm``."""
     l, a = operator.index(l), float(a)
-    tau, coeffs = op._tail(l)
+    tau, coeffs = op.left if l < 0 else (op.tau, op.coeffs)
     w = complex(coeffs[l % tau] @ np.exp(-1j * np.arange(-op.band, op.band + 1) * a))
     r0, d0, cells = op._window
     if r0 <= l < r0 + len(cells):  # zero cells add exact zeros
@@ -537,15 +546,17 @@ def avg_trace(op: PeriodicBandOperator) -> float:
 
 
 def _row_masses(op: PeriodicBandOperator, lo: int, hi: int) -> np.ndarray:
-    """Row masses ``sum_j |W_{l,j}|^2`` of rows ``lo..hi``: each tail's masses, to
-    which each perturbed cell adds its change, in the order of ``perturbation``."""
+    """Row masses ``sum_j |W_{l,j}|^2`` of rows ``lo..hi``: each tail's masses plus,
+    in each row of the perturbation window, the change of its entries."""
     if hi < lo:
         raise ValueError("empty row window")
     masses = _tail_run(op, lo, hi - lo + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
-    (r0, d0, cells), (r, d, v) = op._window, _cells(op._window)
-    base = _lift(_tail_run(op, r0, len(cells)), d0, cells.shape[1])[r - r0, d - d0]
-    inside = (lo <= r) & (r <= hi)
-    np.add.at(masses, r[inside] - lo, (np.abs(base + v) ** 2 - np.abs(base) ** 2)[inside])
+    r0, d0, cells = op._window
+    base = _place((r0, d0) + cells.shape, base=op)[2]  # zero cells change nothing
+    change = np.sum(np.abs(base + cells) ** 2 - np.abs(base) ** 2, axis=1)
+    rows = np.arange(r0, r0 + len(cells))
+    inside = (lo <= rows) & (rows <= hi)
+    masses[rows[inside] - lo] += change[inside]
     return masses
 
 
@@ -564,8 +575,8 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     window = operator.index(window)
     if window < 1:
         raise ValueError("window length must be positive")
-    rows = _cells(op._window)[0]
-    reach = (int(np.abs(rows).max()) + 1 if rows.size else 0) + 2 * window
+    r0, _, cells = op._window
+    reach = (max(-r0, r0 + len(cells) - 1) + 1 if cells.size else 0) + 2 * window
     sq = _row_masses(op, -reach, reach)
     csum = np.concatenate(([0.0], np.cumsum(sq)))
     # rounding is monotone, so the largest window sum gives the largest average

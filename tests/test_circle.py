@@ -279,6 +279,26 @@ def test_perturbation_windows_past_the_cell_cap_are_refused():
         dt_adjoint(row)
 
 
+def test_band_rows_under_a_window_are_refused_before_they_are_allocated():
+    # a 10^6 + 1 row window fits, but a product or adjoint reads the band-128 rows
+    # beneath it, 257 offsets each: refused before about 4 GB is allocated
+    import tracemalloc
+
+    far = PeriodicBandOperator(1, 128, np.ones((1, 257)), [(0, 0, 1.0), (10**6, 10**6, 2.0)])
+    narrow = PeriodicBandOperator(1, 0, [[1.0]])
+    tracemalloc.start()
+    try:
+        for call in (lambda: dt_compose(far, narrow), lambda: dt_compose(narrow, far),
+                     lambda: dt_adjoint(far)):
+            with pytest.raises(CapExceeded, match="x 257 offsets exceeds the cap"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26, peak
+    assert far.majorant()[0] == 3.0 and avg_trace_window(far, 0, 0) == 257.0 + 3.0
+
+
 # --------------------------------------------------------------------------
 # symbols, density, quadrature, trace
 
@@ -443,16 +463,18 @@ def test_equal_tails_take_no_root_solve_and_no_seam_terms(monkeypatch):
     def refuse(*args):
         raise AssertionError("two-tail route taken")
 
-    for name in ("_density_coefficients", "_crossings", "_seam"):
+    for name in ("_density_coefficients", "_crossings"):
         monkeypatch.setattr(circle, name, refuse)
     rng = np.random.default_rng(5)
     a = random_bandop(rng, max_tau=4, max_band=3, perturbed=True)
-    # a left pattern equal to the right one is no second tail
+    # a left pattern equal to the right one is no second tail, so no seam rows
     same = PeriodicBandOperator(a.tau, a.band, a.coeffs, a.perturbation,
                                 left=(a.tau, a.coeffs.copy()))
     assert len(same.tails) == 1 and same.left[0] == a.tau
-    for op in (same, dt_compose(same, same), dt_adjoint(same), dt_add(same, same)):
-        assert len(op.tails) == 1
+    assert circle._seam(same, same.band) == (0, 0) != circle._seam(random_two_tail(rng, 2, 1), 1)
+    for op, plain in ((same, a), (dt_compose(same, same), dt_compose(a, a)),
+                      (dt_adjoint(same), dt_adjoint(a)), (dt_add(same, same), dt_add(a, a))):
+        assert len(op.tails) == 1 and op.perturbation == plain.perturbation
         dt_mu_norm_sq(op)
 
 
@@ -924,7 +946,7 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
                 w += delta * np.exp(-1j * (l - c) * a)
         return w
 
-    window_product, seam = circle._window_product, circle._seam
+    rows, seam, transpose = circle._rows, circle._seam, circle._transpose
 
     def rho_la_min(op, a):  # the tails combined by min
         phases = circle._phases(op.band, np.asarray(a, dtype=float).ravel())
@@ -939,9 +961,10 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
         (PeriodicBandOperator, "majorant", majorant_reversed, "section-route",
          {"majorant-is-the-diagonal-sup-of-a-section"}),
         (circle, "w_l", w_l_flipped_phase, "section-route", {"row-symbol-sums-its-section-row"}),
-        # a_pert b reads b's rows without b's perturbation
-        (circle, "_window_product", lambda x, *ys: window_product(x, *ys[:1]), "section-route",
-         {"perturbed-product-matches-section-product"}),
+        # a product reads the rows of its factors without their perturbations
+        (circle, "_rows",
+         lambda op, *spans: rows(circle._tailwise(lambda t: t, op.band, circle._EMPTY, op), *spans),
+         "section-route", {"perturbed-product-matches-section-product"}),
         (circle, "rho_la", rho_la_min, "two-tail-integral", integral),
         (circle, "avg_trace", lambda op: min(circle.tail_masses(op)), "rho-oracle",
          {"window-oracle-within-1e-2-at-1e4", "window-oracle-within-derived-bound"}),
@@ -949,10 +972,10 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
         # a product's seam reads b's rows within b's band of row 0, not a's
         (circle, "_seam", lambda op, width: seam(op, op.band), "two-tail-section",
          {"two-tail-product-matches-section-product"}),
-        # the adjoint moves every cell of the seam, not only those across row 0
-        (circle, "_straddling", lambda w: w, "two-tail-section",
-         {"two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
-        (circle, "_seam", lambda op, width: circle._EMPTY, "two-tail-section",
+        # the adjoint moves the entries without conjugating them
+        (circle, "_transpose", lambda w, op: transpose(w[:2] + (w[2].conj(),), op),
+         "two-tail-section", {"two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
+        (circle, "_seam", lambda op, width: (0, 0), "two-tail-section",
          {"two-tail-product-matches-section-product",
           "two-tail-adjoint-is-the-conjugate-transpose-of-a-section"}),
     ]

@@ -1054,6 +1054,27 @@ def test_cli_refuses_a_perturbation_window_past_the_cell_cap(files, capsys):
     assert err.startswith("cap exceeded: perturbation window of 10000001 rows x 1 offsets")
 
 
+def test_cli_band_128_reads_only_the_cells_of_a_far_perturbation_window(files, capsys):
+    # rows 0 and 10^6 make a window of 10^6 + 1 rows by one offset, under the cap;
+    # the band-128 rows beneath it (257 offsets each, about 4 GB) are never built
+    import tracemalloc
+
+    tmp, write = files
+    op = write("far128.json", {"tau": 1, "band": 128, "coeffs": [[1.0] * 257],
+                               "perturbation": [[0, 0, 1.0], [10**6, 10**6, 2.0]]})
+    tracemalloc.start()
+    try:
+        norm = run_cli(capsys, ["dt-norm", "--op", op])
+        trace = run_cli(capsys, ["avg-trace", "--op", op])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm[0] == 0 and norm[1]["results"]["dt_norm"] == 256.0 + 3.0
+    assert trace[0] == 0 and trace[1]["results"]["avg_trace"] == 257.0
+    assert trace[1]["diagnostics"]["window_average"] == pytest.approx(257.0 + 3.0 / 1024, rel=1e-15)
+    assert peak < 2**27, peak
+
+
 @pytest.mark.parametrize("command", ["entropy", "ks-entropy"])
 def test_cli_cap_exceeded_past_the_int_string_limit(files, capsys, command):
     # 2^15001 has more digits than Python converts to a string by default
