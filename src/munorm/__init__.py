@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 #: first access (PEP 562), so a process pays only for the layers it
 #: touches: ``import munorm.cli`` loads none of them.
 _LAYERS = {
-    "spaces": ("FiniteMeasureSpace", "Partition", "join", "finest_partition",
-               "trivial_partition", "is_subpartition"),
+    "spaces": ("FiniteMeasureSpace", "Partition", "join", "finest_partition"),
     "operators": ("OperatorMatrix", "Endomorphism", "projector", "multiplication", "koopman",
                   "identity", "operator_norm", "add", "scale", "compose", "adjoint", "inner",
                   "vector_norm", "unitarity_defect"),

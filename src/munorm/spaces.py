@@ -180,18 +180,3 @@ def finest_partition(space: FiniteMeasureSpace) -> Partition:
     """The partition into singletons."""
     return Partition(space.size, [(j,) for j in range(space.size)])
 
-
-def trivial_partition(space: FiniteMeasureSpace) -> Partition:
-    """The one-block partition."""
-    return Partition(space.size, [tuple(range(space.size))])
-
-
-def is_subpartition(fine: Partition, coarse: Partition) -> bool:
-    """Whether every block of ``fine`` lies inside some block of ``coarse``."""
-    if fine.size != coarse.size:
-        return False
-    owner = {}
-    for i, b in enumerate(coarse.blocks):
-        for j in b:
-            owner[j] = i
-    return all(len({owner[j] for j in b}) == 1 for b in fine.blocks)

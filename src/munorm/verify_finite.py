@@ -43,8 +43,9 @@ def random_subset(rng, j: int) -> list[int]:
     return list(np.nonzero(mask)[0])
 
 
-def random_partition(rng, j: int) -> Partition:
-    nblocks = int(rng.integers(1, j + 1))
+def random_partition(rng, j: int, coarse: bool = False) -> Partition:
+    """With ``coarse``, at most j - 1 labels, so some block has two or more atoms."""
+    nblocks = int(rng.integers(1, j + 1 - coarse))
     labels = rng.integers(0, nblocks, j)
     blocks = [list(np.nonzero(labels == b)[0]) for b in range(nblocks)]
     return Partition(j, [b for b in blocks if b])
@@ -102,43 +103,53 @@ def random_cyclic_setup(rng, q: int, orbits: int) -> CyclicAction:
 
 
 def projector_measure(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("projector-norm-equals-measure", 1e-12)
+    # pi_S pi_B is the projector onto S & B: norm 1 if S meets B, else 0
+    t = PropertyCheck("projector-m-chi-equals-measure-of-met-blocks", 1e-12)
     for i in range(trials):
         space = random_space(rng, 2, 12)
         subset = random_subset(rng, space.size)
-        v = abs(mu_norm_sq(projector(space, subset)) - space.measure(subset))
-        t.update(v, {"trial": i, "J": space.size, "subset_size": len(subset)})
+        chi = random_partition(rng, space.size, coarse=True)
+        expected = sum(space.measure(b) for b in chi if set(b) & set(subset))
+        t.update(abs(m_chi(projector(space, subset), chi) - expected),
+                 {"trial": i, "J": space.size, "subset_size": len(subset), "blocks": len(chi)})
     return [t]
 
 
 def finest_formula(rng, trials: int) -> list[PropertyCheck]:
-    uni = PropertyCheck("uniform-entrywise-mean", 1e-12)
     fin_u = PropertyCheck("uniform-matches-finest-partition", 1e-10)
     fin_w = PropertyCheck("weighted-matches-finest-partition", 1e-10)
+    # U pi_B is an isometry on the range of pi_B, so every block norm is 1
+    unitary = PropertyCheck("weighted-unitary-m-chi-and-norm-equal-one", 1e-12)
     for i in range(trials):
         j = int(rng.integers(2, 17))
         space = uniform_space(j)
         w = random_matrix(rng, space)
-        closed = mu_norm_sq(w)
-        literal = float(np.sum(np.abs(w.entries) ** 2)) / j
-        uni.update(abs(closed - literal), {"trial": i, "J": j})
-        fin_u.update(abs(closed - m_chi(w, finest_partition(space))), {"trial": i, "J": j})
+        fin_u.update(abs(mu_norm_sq(w) - m_chi(w, finest_partition(space))), {"trial": i, "J": j})
 
         wspace = random_space(rng)
         ww = random_matrix(rng, wspace)
         fin_w.update(abs(mu_norm_sq(ww) - m_chi(ww, finest_partition(wspace))),
                      {"trial": i, "J": wspace.size})
-    return [uni, fin_u, fin_w]
+    # drawn after the trials above, so their instances are unchanged
+    for i in range(trials):
+        space = random_space(rng)
+        u = random_weighted_unitary(rng, space)
+        chi = random_partition(rng, space.size, coarse=True)
+        unitary.update(max(abs(m_chi(u, chi) - 1.0), abs(mu_norm_sq(u) - 1.0)),
+                       {"trial": i, "J": space.size, "blocks": len(chi)})
+    return [fin_u, fin_w, unitary]
 
 
 def multiplication_law(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("multiplier-norm-equals-weighted-mass", 1e-12)
+    # M_g pi_B multiplies by g on B, so its norm is the largest |g| there
+    t = PropertyCheck("multiplier-m-chi-equals-block-max-mass", 1e-12)
     for i in range(trials):
         space = random_space(rng)
         g = _random_complex(rng, space.size)
-        expected = float(np.sum(space.weights * np.abs(g) ** 2))
-        t.update(abs(mu_norm_sq(multiplication(space, g)) - expected),
-                 {"trial": i, "J": space.size})
+        chi = random_partition(rng, space.size, coarse=True)
+        expected = sum(space.measure(b) * float(np.max(np.abs(g[list(b)]))) ** 2 for b in chi)
+        t.update(abs(m_chi(multiplication(space, g), chi) - expected),
+                 {"trial": i, "J": space.size, "blocks": len(chi)})
     return [t]
 
 

@@ -62,20 +62,21 @@ def test_criterion_01_projector_law():
     start = time.perf_counter()
     checks = projector_measure(rng, 200)
     elapsed = time.perf_counter() - start
-    _assert_checks(1, "projector law (200 trials)", checks, [1e-12])
+    _assert_checks(1, "projector m_chi is the measure of the met blocks (200 trials)",
+                   checks, [1e-12])
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget is 1s"
 
 
 def test_criterion_02_finite_formula():
     rng = np.random.default_rng(102)
-    uni, fin_u, _ = finest_formula(rng, 100)
-    _assert_checks(2, "uniform finite formula (100 matrices, J<=16)",
-                   [uni, fin_u], [1e-12, 1e-10])
+    fin_u, _, unitary = finest_formula(rng, 100)
+    _assert_checks(2, "uniform finite formula and unitary m_chi (100 matrices, J<=16)",
+                   [fin_u, unitary], [1e-10, 1e-12])
 
 
 def test_criterion_03_multiplication_law():
     rng = np.random.default_rng(103)
-    _assert_checks(3, "multiplication law (100 trials)",
+    _assert_checks(3, "multiplier m_chi is the block-max mass (100 trials)",
                    multiplication_law(rng, 100), [1e-12])
 
 

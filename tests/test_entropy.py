@@ -25,7 +25,6 @@ from munorm import (
     quantum_entropy_at,
     quantum_entropy_closed,
     quantum_entropy_rate,
-    trivial_partition,
 )
 from munorm import entropy, verify_finite
 from munorm.verify import run_suite
@@ -171,7 +170,7 @@ def test_ks_identity_finest_is_log_j():
 
 def test_ks_trivial_partition_vanishes():
     cycle = Endomorphism(U3, [1, 2, 0])
-    assert ks_entropy_at(cycle, trivial_partition(U3), 3) == 0.0
+    assert ks_entropy_at(cycle, Partition(3, [list(range(3))]), 3) == 0.0
 
 
 def test_ks_cycle_three_atoms():
@@ -323,7 +322,8 @@ def test_path_masses_total_one_for_unitaries_any_partition():
     rng = np.random.default_rng(42)
     sp = U4
     u = OperatorMatrix(sp, random_standard_unitary(rng, 4))
-    for chi in (finest_partition(sp), Partition(4, [[0, 1], [2, 3]]), trivial_partition(sp)):
+    for chi in (finest_partition(sp), Partition(4, [[0, 1], [2, 3]]),
+                Partition(4, [list(range(4))])):
         for n in (1, 2, 3):
             assert path_mass_total(u, chi, n) == pytest.approx(1.0, abs=1e-10)
 

@@ -22,7 +22,7 @@ from munorm import (
 )
 from munorm import io as mio
 from munorm.cli import _BUILDERS, _COMMANDS, _FLAGS, build_parser, main
-from munorm.verify import SUITES, run_suite
+from munorm.verify import SUITES, run_suite, suite_names
 
 
 # --------------------------------------------------------------------------
@@ -557,6 +557,13 @@ def test_readme_synopsis_matches_the_command_table():
     for _, command, *words in lines:
         shown = {w.strip("[]") for w in words if w.startswith(("--", "[--"))}
         assert shown <= set(_FLAGS) & set(_COMMANDS[command][2]), command
+
+
+def test_readme_suite_list_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("### Verify suites", 1)[1].split("Suites:", 1)[1]
+    listing = listing.split("Each member of a group", 1)[0]
+    assert sorted(re.findall(r"`([a-z0-9-]+)`", listing)) == suite_names()
 
 
 @pytest.mark.parametrize("argv, inputs, options, results, diagnostics", REPORT_KEYS,

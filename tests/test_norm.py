@@ -19,7 +19,6 @@ from munorm import (
     mu_norm_sq,
     operator_norm,
     projector,
-    trivial_partition,
     weighted_gram_schmidt,
 )
 from munorm.verify_finite import (
@@ -37,7 +36,8 @@ from munorm.verify_finite import (
     weighted_additivity,
 )
 
-from munorm import operators
+from munorm import norm, operators, verify_finite
+from munorm.verify import run_suite
 
 W3 = FiniteMeasureSpace([0.2, 0.3, 0.5])
 U2 = FiniteMeasureSpace([0.5, 0.5])
@@ -130,6 +130,36 @@ def test_m_chi_matches_per_block_norms(monkeypatch, stack_entries):
         assert m_chi(w, chi) == _m_chi_by_block(w, chi)
 
 
+def _m_chi_uniform_block_weights(w, chi):
+    g = operators._block_norms(w.entries, w.space.weights, chi.blocks)
+    return sum(len(b) / w.space.size * x ** 2 for b, x in zip(chi.blocks, g.tolist()))
+
+
+_BLOCK_NORMS = operators._block_norms
+
+#: Mutant -> (the name it replaces in every module that binds it, replacement).
+NORM_MUTANTS = {
+    "mu-norm-sq-without-mu": ("mu_norm_sq", lambda w: float(np.sum(np.abs(w.entries) ** 2))),
+    "m-chi-uniform-block-weights": ("m_chi", _m_chi_uniform_block_weights),
+    "block-norms-inverted-weights": (
+        "_block_norms", lambda entries, mu, blocks: _BLOCK_NORMS(entries, 1.0 / mu, blocks)),
+}
+
+
+def _definition_suites_pass() -> bool:
+    suites = ("projector-measure", "finest-formula", "multiplication")
+    return all(c.passed for s in suites for c in run_suite(s, 5, 0))
+
+
+@pytest.mark.parametrize("name, mutant", NORM_MUTANTS.values(), ids=list(NORM_MUTANTS))
+def test_definition_suites_kill_the_norm_mutants(monkeypatch, name, mutant):
+    assert _definition_suites_pass()
+    for module in (operators, norm, verify_finite):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, mutant)
+    assert not _definition_suites_pass()
+
+
 def _gram_schmidt_by_vector(space, vectors, drop_tol=1e-12):
     # modified Gram-Schmidt taking one vector at a time through every q so far
     mu, cols = space.weights, []
@@ -205,7 +235,7 @@ def test_non_finite_vectors_are_refused_before_any_arithmetic():
 
 
 def test_mu_norm_between_zero_and_operator_norm_for_projectors():
-    chi = trivial_partition(W3)
+    chi = Partition(3, [list(range(3))])
     p = projector(W3, [0, 1])
     assert mu_norm_sq(p) <= m_chi(p, chi) + 1e-12
 
