@@ -545,6 +545,13 @@ def avg_trace(op: PeriodicBandOperator) -> float:
     return max(tail_masses(op))
 
 
+def _period_mass(op: PeriodicBandOperator) -> float:
+    """The larger tail's entry mass over one period plus the perturbed entries'
+    mass: ``10 * _period_mass(op) / window`` bounds the gap of ``rho_window_max``."""
+    mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
+    return mass + sum(abs(op.entry(r, c)) ** 2 for r, c, _ in op.perturbation)
+
+
 def _row_masses(op: PeriodicBandOperator, lo: int, hi: int) -> np.ndarray:
     """Row masses ``sum_j |W_{l,j}|^2`` of rows ``lo..hi``: each tail's masses plus,
     in each row of the perturbation window, the change of its entries."""

@@ -74,7 +74,8 @@ def _mu_norm(args, inputs):
     value = mu_norm_sq(op)
     gap = abs(value - m_chi(op, finest_partition(inputs["space"])))
     results = {"mu_norm_sq": value, "mu_norm": math.sqrt(value)}
-    return results, {"checks": [_check("matches-finest-partition", gap, 1e-10)]}
+    return results, {"checks": [_check("matches-finest-partition", gap,
+                                       1e-10 * max(1.0, value))]}
 
 
 def _m_chi(args, inputs):
@@ -83,7 +84,8 @@ def _m_chi(args, inputs):
     value = m_chi(inputs["op"], inputs["partition"])
     lower = mu_norm_sq(inputs["op"])
     results = {"m_chi": value, "mu_norm_sq": lower}
-    return results, {"checks": [_check("dominates-mu-norm", lower - value, 1e-10)]}
+    return results, {"checks": [_check("dominates-mu-norm", lower - value,
+                                       1e-10 * max(1.0, value))]}
 
 
 def _mu_dim(args, inputs):
@@ -122,11 +124,12 @@ def _markov_rate(args, inputs):
 
 
 def _rho(args, inputs):
-    from .circle import avg_trace, rho_window_max, tail_masses
+    from .circle import _period_mass, avg_trace, rho_window_max, tail_masses
 
     op, window = inputs["seq"], 10**4
     value, (left, right) = avg_trace(op), tail_masses(op)
-    check = _check("window-oracle-agrees", abs(value - rho_window_max(op, window)), 1e-2)
+    check = _check("window-oracle-agrees", abs(value - rho_window_max(op, window)),
+                   10.0 * _period_mass(op) / window)
     return ({"rho": value, "left_mean": left, "right_mean": right},
             {"window_length": window, "checks": [check]})
 
@@ -152,7 +155,8 @@ def _dt_mu_norm(args, inputs):
     res = dt_mu_norm_sq(inputs["op"])
     results = {"quadrature": res.quadrature, "closed_form": res.closed_form}
     return results, {"checks": [_check("quadrature-matches-closed-form",
-                                       abs(res.quadrature - res.closed_form), 1e-10)]}
+                                       abs(res.quadrature - res.closed_form),
+                                       1e-10 * max(1.0, abs(res.quadrature)))]}
 
 
 def _avg_trace(args, inputs):
@@ -198,7 +202,7 @@ _FLAGS = {
 #: Command name -> (handler, help line, flags from ``_FLAGS``).  A handler
 #: takes the parsed arguments and the built inputs by file flag, and
 #: returns the report's results and diagnostics; each check it reports
-#: carries its own fixed tolerance.
+#: carries its own tolerance, which no option sets.
 _COMMANDS = {
     "mu-norm": (_mu_norm, "squared partition norm of an operator", ("--space", "--op")),
     "m-chi": (_m_chi, "partition functional at a given partition",

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .operators import Endomorphism, OperatorMatrix
     from .spaces import FiniteMeasureSpace, Partition
 
-__all__ = ["DEFAULT_TERM_CAP", *_LAYERS["entropy"]]
+__all__ = list(_LAYERS["entropy"])
 
 UNITARITY_TOL = 1e-8
 
@@ -187,18 +187,6 @@ def path_mass_table(u: OperatorMatrix, chi: Partition, n: int,
                     term_cap: int = DEFAULT_TERM_CAP) -> dict[tuple[int, ...], float]:
     """All path masses at horizon n, keyed by multiindex (pruned zeros omitted)."""
     return _table(_operator_levels(u, chi, n, term_cap), n)
-
-
-def path_mass_total(u: OperatorMatrix, chi: Partition, n: int,
-                    term_cap: int = DEFAULT_TERM_CAP) -> float:
-    """Sum of all path masses at horizon n.
-
-    For a unitary this equals 1 at every partition and every horizon:
-    summing a block digit over its atoms and then over blocks restores
-    the full orthonormality relation, so all cross terms cancel.  The
-    enumeration is exposed so the identity is checked, not assumed.
-    """
-    return float(sum(_table(_operator_levels(u, chi, n, term_cap), n).values()))
 
 
 def quantum_entropy_at(u: OperatorMatrix, chi: Partition, n: int,

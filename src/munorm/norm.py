@@ -56,10 +56,6 @@ def mu_norm_sq(w: OperatorMatrix) -> float:
     return float(np.sum(w.space.weights * row_mass))
 
 
-def mu_norm(w: OperatorMatrix) -> float:
-    return float(np.sqrt(mu_norm_sq(w)))
-
-
 def _basis_rows(space: FiniteMeasureSpace, vectors: Sequence[Sequence[complex]]) -> np.ndarray:
     """The vectors as the rows of a complex array: each of the space's
     length, all finite, at least one."""
@@ -144,26 +140,24 @@ class CyclicAction:
         order = operator.index(order)
         if order < 1:
             raise ValueError("group order must be >= 1")
-        size = generator.space.size
-        # one gather per step finds each atom's first return, good at step order;
-        # no orbit is longer than the space, so with order > size no atom is good
-        atoms, image = np.arange(size), generator.table
-        bad = np.zeros(size, dtype=bool)
-        for _ in range(min(order, size + 1) - 1):
-            bad |= image == atoms
-            image = generator.table[image]
-        bad |= image != atoms
-        if bad.any():  # refuse at the least bad atom, with the length of its orbit
-            start = int(np.argmax(bad))
-            j, length = generator(start), 1
+        # walk each orbit from its least atom, in index order; a walk that has
+        # not returned within the space's size never will
+        table, size = generator.table.tolist(), generator.space.size
+        seen = [False] * size
+        for start in range(size):
+            if seen[start]:
+                continue
+            j, length = table[start], 1
             while j != start and length <= size:
-                j, length = generator(j), length + 1
+                seen[j] = True
+                j, length = table[j], length + 1
             if j != start:
                 raise ValueError("generator table does not close into orbits")
-            raise ValueError(
-                f"action is not almost free: orbit of atom {start} has size "
-                f"{length}, expected {order}"
-            )
+            if length != order:
+                raise ValueError(
+                    f"action is not almost free: orbit of atom {start} has size "
+                    f"{length}, expected {order}"
+                )
         self._order = order
         self._generator = generator
 

@@ -47,22 +47,6 @@ class OperatorMatrix:
     def __repr__(self) -> str:
         return f"OperatorMatrix(J={self._space.size})"
 
-    # Small algebra sugar; the module-level functions are the contract.
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return add(self, other)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return add(self, scale(-1.0, other))
-
-    def __neg__(self) -> "OperatorMatrix":
-        return scale(-1.0, self)
-
-    def __rmul__(self, lam) -> "OperatorMatrix":
-        return scale(lam, self)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return compose(self, other)
-
     def apply(self, f: Sequence[complex]) -> np.ndarray:
         """Apply the operator to a coefficient vector."""
         v = np.asarray(f, dtype=complex)

@@ -63,9 +63,6 @@ class FiniteMeasureSpace:
         """Number of atoms J."""
         return int(self._weights.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMeasureSpace):
             return NotImplemented

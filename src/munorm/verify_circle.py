@@ -63,11 +63,6 @@ COS_SIN = circ.PeriodicBandOperator(1, 1, [[-1j, 0.0, 1j]], left=(1, [[1.0, 0.0,
 # Circle suites
 
 
-def _period_mass(op: circ.PeriodicBandOperator) -> float:
-    mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
-    return mass + sum(abs(op.entry(r, c)) ** 2 for r, c, _ in op.perturbation)
-
-
 def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
     window = 10**4
     bound = PropertyCheck("window-oracle-within-derived-bound", 1e-12)
@@ -75,7 +70,7 @@ def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
     for i in range(trials):
         op = random_seq(rng)
         diff = abs(circ.avg_trace(op) - circ.rho_window_max(op, window))
-        bound.update(diff - 10.0 * _period_mass(op) / window, {"trial": i})
+        bound.update(diff - 10.0 * circ._period_mass(op) / window, {"trial": i})
         fixed.update(diff, {"trial": i})
     return [bound, fixed]
 

@@ -226,14 +226,13 @@ def _integer_sites():
         "base_entry row": (lambda k: op.base_entry(k, 2), 1),
         "base_entry col": (lambda k: op.base_entry(1, k), 1),
         "path_mass_table horizon": (lambda k: munorm.path_mass_table(u, chi, k), 1),
-        "path_mass_total horizon": (lambda k: munorm.path_mass_total(u, chi, k), 1),
         "quantum_entropy_at horizon": (lambda k: munorm.quantum_entropy_at(u, chi, k), 1),
         "quantum_entropy_rate horizon": (lambda k: munorm.quantum_entropy_rate(u, chi, k), 2),
         "ks_entropy_at horizon": (lambda k: munorm.ks_entropy_at(swap, chi, k), 1),
         "ks_entropy_rate horizon": (lambda k: munorm.ks_entropy_rate(swap, chi, k), 2),
         "ks_path_measure_table horizon": (
             lambda k: munorm.ks_path_measure_table(swap, chi, k), 1),
-        "term_cap": (lambda k: munorm.path_mass_total(u, chi, 1, term_cap=k), 100),
+        "term_cap": (lambda k: munorm.path_mass_table(u, chi, 1, term_cap=k), 100),
         "rate term_cap": (lambda k: munorm.ks_entropy_rate(swap, chi, 2, term_cap=k), 100),
     }
 
@@ -731,7 +730,7 @@ def test_star_import_binds_every_exported_name():
     code = ("import munorm\nns = {}\nexec('from munorm import *', ns)\n"
             "assert [n for n in munorm.__all__ if n not in ns] == []\n"
             "assert ns['dt_norm'] is munorm.circle.dt_norm\n"
-            "assert ns['DEFAULT_TERM_CAP'] == munorm.entropy.DEFAULT_TERM_CAP == 10**6")
+            "assert ns['DEFAULT_TERM_CAP'] == munorm.errors.DEFAULT_TERM_CAP == 10**6")
     assert {"spaces", "operators", "norm", "entropy", "circle"} <= loaded_after(code)
 
 
@@ -1108,6 +1107,61 @@ def test_cli_dt_mu_norm_of_two_tails(files, capsys):
         assert abs(rep["results"][route] - 4 * (0.5 + 1 / math.pi)) <= 1e-14
     code, rep = run_cli(capsys, ["avg-trace", "--op", op])
     assert rep["results"]["avg_trace"] == 2.0
+
+
+def _large_value_cases(write):
+    # command -> (flags, module and name of the check's second route, a move
+    # of that route's value that the check must catch)
+    u64 = write("u64.json", {"weights": [1 / 64] * 64})
+    w64 = write("w64.json", {"re": (np.random.default_rng(0).standard_normal((64, 64))
+                                    * 1e4).tolist()})
+    rng = np.random.default_rng(1)
+    u16 = write("u16.json", {"weights": [1 / 16] * 16})
+    w16 = (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))) * 1e4
+    w16 = write("w16.json", {"re": w16.real.tolist(), "im": w16.imag.tolist()})
+    singletons = write("chi.json", {"blocks": [[k] for k in range(1, 17)]})
+    rng = np.random.default_rng(0)
+    band = (rng.standard_normal((8, 17)) + 1j * rng.standard_normal((8, 17))) * 1e4
+    band = write("band.json", mio.bandop_to_obj(PeriodicBandOperator(8, 8, band)))
+    seq = write("seq.json", {"left": [0], "right": [100, 0, 0], "k0": 1})
+
+    def relative(eps):
+        return lambda v: v * (1.0 + eps)
+
+    def closed_form(r):
+        return r._replace(closed_form=r.closed_form * (1.0 + 1e-8))
+
+    return {
+        "mu-norm": (["--space", u64, "--op", w64], "norm", "m_chi", relative(1e-8)),
+        "m-chi": (["--space", u16, "--op", w16, "--partition", singletons],
+                  "norm", "mu_norm_sq", relative(1e-8)),
+        "dt-mu-norm": (["--op", band], "circle", "dt_mu_norm_sq", closed_form),
+        # the window bound is 10 * 10^4 / 10^4 = 10, 3e-3 of rho = 10^4 / 3
+        "rho": (["--seq", seq], "circle", "rho_window_max", relative(1e-2)),
+    }
+
+
+@pytest.mark.parametrize("command", ["mu-norm", "m-chi", "dt-mu-norm", "rho"])
+def test_cli_checks_pass_on_large_values(files, capsys, command):
+    # entries near 1e4: the second routes differ by rounding (up to about
+    # 1e-6, and 0.67 for the window of rho), far above an absolute 1e-10
+    flags = _large_value_cases(files[1])[command][0]
+    code, rep = run_cli(capsys, [command, *flags])
+    assert code == 0
+    [check] = rep["diagnostics"]["checks"]
+    assert check["passed"], check
+
+
+@pytest.mark.parametrize("command", ["mu-norm", "m-chi", "dt-mu-norm", "rho"])
+def test_cli_checks_fail_when_the_second_route_moves(files, capsys, monkeypatch, command):
+    flags, module, name, move = _large_value_cases(files[1])[command]
+    layer = getattr(munorm, module)
+    route = getattr(layer, name)
+    monkeypatch.setattr(layer, name, lambda *args: move(route(*args)))
+    code, rep = run_cli(capsys, [command, *flags])
+    assert code == 0
+    [check] = rep["diagnostics"]["checks"]
+    assert not check["passed"], check
 
 
 def test_cli_reports_are_deterministic(files, capsys, tmp_path):

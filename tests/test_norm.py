@@ -15,7 +15,6 @@ from munorm import (
     identity,
     m_chi,
     mu_dim,
-    mu_norm,
     mu_norm_sq,
     operator_norm,
     projector,
@@ -71,7 +70,6 @@ def test_mu_norm_sq_all_ones_uniform():
 
 def test_mu_norm_sq_identity():
     assert mu_norm_sq(identity(W3)) == pytest.approx(1.0, abs=1e-15)
-    assert mu_norm(identity(W3)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_closed_form_verified_against_finest_partition():
