@@ -33,7 +33,7 @@ _LAYERS = {
     "circle": ("PeriodicBandOperator", "DtMuNorm", "rho_window_max", "dt_from_seq",
                "dt_from_multiplier", "dt_norm", "dt_add", "dt_compose",
                "dt_adjoint", "w_l", "rho_la", "dt_mu_norm_sq", "tail_masses", "avg_trace",
-               "avg_trace_window", "finite_section"),
+               "finite_section"),
     "errors": ("CapExceeded", "DEFAULT_TERM_CAP"),
 }
 _EXPORTS = {name: module for module, names in _LAYERS.items() for name in names}

@@ -545,49 +545,36 @@ def avg_trace(op: PeriodicBandOperator) -> float:
     return max(tail_masses(op))
 
 
-def _period_mass(op: PeriodicBandOperator) -> float:
-    """The larger tail's entry mass over one period plus the perturbed entries'
-    mass: ``10 * _period_mass(op) / window`` bounds the gap of ``rho_window_max``."""
-    mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
-    return mass + sum(abs(op.entry(r, c)) ** 2 for r, c, _ in op.perturbation)
-
-
-def _row_masses(op: PeriodicBandOperator, lo: int, hi: int) -> np.ndarray:
-    """Row masses ``sum_j |W_{l,j}|^2`` of rows ``lo..hi``: each tail's masses plus,
-    in each row of the perturbation window, the change of its entries."""
-    if hi < lo:
-        raise ValueError("empty row window")
-    masses = _tail_run(op, lo, hi - lo + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
-    r0, d0, cells = op._window
-    base = _place((r0, d0) + cells.shape, base=op)[2]  # zero cells change nothing
-    change = np.sum(np.abs(base + cells) ** 2 - np.abs(base) ** 2, axis=1)
-    rows = np.arange(r0, r0 + len(cells))
-    inside = (lo <= rows) & (rows <= hi)
-    masses[rows[inside] - lo] += change[inside]
-    return masses
-
-
-def avg_trace_window(op: PeriodicBandOperator, lo: int, hi: int) -> float:
-    """Finite-window row-mass average (perturbations included); an oracle."""
-    return float(np.sum(_row_masses(op, lo, hi))) / (hi - lo + 1)
-
-
 def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     """Brute-force oracle for ``avg_trace``: best average row mass over sliding windows.
 
     Scans the windows inside ``[-(s + 2*window), s + 2*window]``, ``s`` one
-    past the largest perturbed ``|row|`` (else 0), with the row masses of
-    ``avg_trace_window``.  Converges at rate O(period/window).
+    past the largest perturbed ``|row|`` (else 0), over the row masses
+    ``sum_j |W_{l,j}|^2``: each tail's masses plus, in each row of the
+    perturbation window, the change of its entries.  Converges at rate
+    O(period/window).
     """
     window = operator.index(window)
     if window < 1:
         raise ValueError("window length must be positive")
-    r0, _, cells = op._window
+    r0, d0, cells = op._window
     reach = (max(-r0, r0 + len(cells) - 1) + 1 if cells.size else 0) + 2 * window
-    sq = _row_masses(op, -reach, reach)
+    sq = _tail_run(op, -reach, 2 * reach + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
+    base = _place((r0, d0) + cells.shape, base=op)[2]  # zero cells change nothing
+    change = np.sum(np.abs(base + cells) ** 2 - np.abs(base) ** 2, axis=1)
+    sq[r0 + reach:r0 + reach + len(change)] += change  # row l sits at index l + reach
     csum = np.concatenate(([0.0], np.cumsum(sq)))
     # rounding is monotone, so the largest window sum gives the largest average
     return float(np.max(csum[window:] - csum[:-window]) / window)
+
+
+def _window_gap(op: PeriodicBandOperator, window: int) -> tuple[float, float]:
+    """``|avg_trace - rho_window_max|`` at ``window`` and its derived bound
+    ``10 m / window``, ``m`` the larger tail's entry mass over one period plus
+    the perturbed entries' mass."""
+    mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
+    mass += sum(abs(op.entry(r, c)) ** 2 for r, c, _ in op.perturbation)
+    return abs(avg_trace(op) - rho_window_max(op, window)), 10.0 * mass / window
 
 
 def finite_section(op: PeriodicBandOperator, rows: range) -> np.ndarray:

@@ -123,24 +123,27 @@ def _markov_rate(args, inputs):
     return {"entropy_rate": rate, "unit": unit}, {}
 
 
-def _rho(args, inputs):
-    from .circle import _period_mass, avg_trace, rho_window_max, tail_masses
+def _trace_and_check(op) -> tuple[float, tuple[float, float], dict]:
+    """Average trace, tail means and the diagnostics of the sliding-window check."""
+    from .circle import _window_gap, avg_trace, tail_masses
 
-    op, window = inputs["seq"], 10**4
-    value, (left, right) = avg_trace(op), tail_masses(op)
-    check = _check("window-oracle-agrees", abs(value - rho_window_max(op, window)),
-                   10.0 * _period_mass(op) / window)
-    return ({"rho": value, "left_mean": left, "right_mean": right},
-            {"window_length": window, "checks": [check]})
+    window = 10**4
+    gap, bound = _window_gap(op, window)
+    return avg_trace(op), tail_masses(op), {
+        "window_length": window, "checks": [_check("window-oracle-agrees", gap, bound)]}
+
+
+def _rho(args, inputs):
+    value, (left, right), diagnostics = _trace_and_check(inputs["seq"])
+    return {"rho": value, "left_mean": left, "right_mean": right}, diagnostics
 
 
 def _conv(args, inputs):
-    from .circle import avg_trace, dt_norm, tail_masses
+    from .circle import dt_norm
 
-    op = inputs["seq"]
-    value, (left, right) = avg_trace(op), tail_masses(op)
-    return {"conv_norm": dt_norm(op), "mu_norm_sq": value, "rho": value,
-            "left_mean": left, "right_mean": right}, {}
+    value, (left, right), diagnostics = _trace_and_check(inputs["seq"])
+    return {"conv_norm": dt_norm(inputs["seq"]), "mu_norm_sq": value, "rho": value,
+            "left_mean": left, "right_mean": right}, diagnostics
 
 
 def _dt_norm(args, inputs):
@@ -160,12 +163,8 @@ def _dt_mu_norm(args, inputs):
 
 
 def _avg_trace(args, inputs):
-    from .circle import avg_trace, avg_trace_window
-
-    value = avg_trace(inputs["op"])
-    window = 1024
-    finite = avg_trace_window(inputs["op"], 0, window - 1)
-    return {"avg_trace": value}, {"window_length": window, "window_average": finite}
+    value, _, diagnostics = _trace_and_check(inputs["op"])
+    return {"avg_trace": value}, diagnostics
 
 
 def _verify(args, inputs):

@@ -25,7 +25,7 @@ from .errors import DEFAULT_TERM_CAP, CapExceeded
 # import it when called, so markov-rate loads neither operators nor spaces.
 if TYPE_CHECKING:
     from .operators import Endomorphism, OperatorMatrix
-    from .spaces import FiniteMeasureSpace, Partition
+    from .spaces import Partition
 
 __all__ = list(_LAYERS["entropy"])
 
@@ -45,11 +45,6 @@ def _check_horizon(num_blocks: int, n: int, term_cap: int) -> None:
                           f"({num_blocks} blocks, horizon {n}); cap is {term_cap}")
 
 
-def _check_inputs(space: FiniteMeasureSpace, chi: Partition) -> None:
-    if chi.size != space.size:
-        raise ValueError(f"partition over {chi.size} atoms does not match a space with {space.size}")
-
-
 def _labels(chi: Partition) -> np.ndarray:
     label = np.empty(chi.size, dtype=np.intp)
     for b, block in enumerate(chi.blocks):
@@ -65,7 +60,7 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
     """
     from .operators import OperatorMatrix
 
-    _check_inputs(u.space, chi)
+    chi._check_space(u.space)
     digits = [operator.index(d) for d in digits]
     if not digits:
         raise ValueError("multiindex must have at least one digit")
@@ -99,7 +94,7 @@ def _operator_levels(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: in
     states are pruned: a mass can underflow to 0.0 while the state's
     completions do not vanish.
     """
-    _check_inputs(u.space, chi)
+    chi._check_space(u.space)
     num_blocks = len(chi.blocks)
     _check_horizon(num_blocks, n_max, term_cap)
     blocks = [np.array(b) for b in chi.blocks]
@@ -266,7 +261,7 @@ def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: 
     never get a label.
     """
     space = endo.space
-    _check_inputs(space, chi)
+    chi._check_space(space)
     num_blocks = len(chi.blocks)
     _check_horizon(num_blocks, n_max, term_cap)
     label = _labels(chi)

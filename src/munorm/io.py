@@ -9,6 +9,7 @@ omitted.  Every number must be finite.  All angles are radians.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
@@ -167,11 +168,13 @@ def _complex_list(values: Any, depth: int, where: str) -> np.ndarray:
 
 
 def _built(where: str, make, *args):
-    """``make(*args)``, its refusal prefixed with the input it was read from."""
+    """``make(*args)``, its refusal prefixed with the input it was read from and
+    each atom it names numbered from 1, as files number them."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        message = re.sub(r"\batom (-?\d+)", lambda m: f"atom {int(m[1]) + 1}", str(exc))
+        raise ValueError(f"{where}: {message}") from None
 
 
 def _complex_out(z: complex) -> list[float]:

@@ -36,10 +36,7 @@ def m_chi(w: OperatorMatrix, chi: Partition) -> float:
     The norms ``||W pi_Y||`` come from the kernel of ``operator_norm``;
     the terms are summed in block order.
     """
-    if chi.size != w.space.size:
-        raise ValueError(
-            f"partition over {chi.size} atoms does not match a space with {w.space.size}"
-        )
+    chi._check_space(w.space)
     total = 0.0
     for block, g in zip(chi.blocks, _block_norms(w.entries, w.space.weights, chi.blocks).tolist()):
         total += w.space.measure(block) * g ** 2

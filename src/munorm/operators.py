@@ -75,8 +75,11 @@ class Endomorphism:
         t = np.array([operator.index(x) for x in table], dtype=int)
         if t.shape != (space.size,):
             raise ValueError(f"map table length {t.size} does not match {space.size} atoms")
-        if t.size and (t.min() < 0 or t.max() >= space.size):
-            raise ValueError("map table contains an out-of-range atom index")
+        bad = np.nonzero((t < 0) | (t >= space.size))[0]
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"map table sends atom {j} to atom {t[j]}, "
+                             f"out of range for {space.size} atoms")
         preimage_mass = np.bincount(t, space.weights, space.size)
         dev = np.abs(preimage_mass - space.weights)
         if np.max(dev) > self.PRESERVATION_TOL:

@@ -115,7 +115,8 @@ class Partition:
             if not tb:
                 raise ValueError("empty block in partition")
             if tb[0] < 0 or tb[-1] >= size:
-                raise ValueError(f"block {tb} out of range for universe of size {size}")
+                j = tb[0] if tb[0] < 0 else tb[-1]
+                raise ValueError(f"atom {j} out of range for universe of size {size}")
             canon.append(tb)
         canon.sort(key=operator.itemgetter(0))
         atoms = list(chain.from_iterable(canon))
@@ -137,6 +138,12 @@ class Partition:
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return self._blocks
+
+    def _check_space(self, space: FiniteMeasureSpace) -> None:
+        """Refuse a space whose atoms are not the universe of this partition."""
+        if self._size != space.size:
+            raise ValueError(
+                f"partition over {self._size} atoms does not match a space with {space.size}")
 
     def __len__(self) -> int:
         return len(self._blocks)

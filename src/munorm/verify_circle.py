@@ -69,8 +69,8 @@ def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
     fixed = PropertyCheck("window-oracle-within-1e-2-at-1e4", 1e-2)
     for i in range(trials):
         op = random_seq(rng)
-        diff = abs(circ.avg_trace(op) - circ.rho_window_max(op, window))
-        bound.update(diff - 10.0 * circ._period_mass(op) / window, {"trial": i})
+        diff, derived = circ._window_gap(op, window)
+        bound.update(diff - derived, {"trial": i})
         fixed.update(diff, {"trial": i})
     return [bound, fixed]
 

@@ -9,7 +9,6 @@ from munorm import (
     CapExceeded,
     PeriodicBandOperator,
     avg_trace,
-    avg_trace_window,
     dt_add,
     dt_adjoint,
     dt_compose,
@@ -296,7 +295,8 @@ def test_band_rows_under_a_window_are_refused_before_they_are_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 2**26, peak
-    assert far.majorant()[0] == 3.0 and avg_trace_window(far, 0, 0) == 257.0 + 3.0
+    # row 10^6 holds the heaviest row: 257 ones, one of them raised to 3
+    assert far.majorant()[0] == 3.0 and rho_window_max(far, 1) == 256.0 + 9.0
 
 
 # --------------------------------------------------------------------------
@@ -505,12 +505,13 @@ def test_avg_trace_examples():
     assert avg_trace(dt_from_multiplier(g)) == pytest.approx(5.25, abs=1e-15)
 
 
-def test_avg_trace_window_converges_and_sees_perturbation():
+def test_rho_window_max_converges_and_sees_perturbation():
     op = PeriodicBandOperator(2, 1, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]], [(0, 1, 3.0)])
     limit = avg_trace(op)
-    # perturbed entry (0,1): base 2 -> 5, adds 21 to row 0's mass once
-    assert avg_trace_window(op, 0, 1) == pytest.approx(limit + 21.0 / 2, abs=1e-12)
-    assert avg_trace_window(op, 0, 9999) == pytest.approx(limit + 21.0 / 10000, abs=1e-12)
+    # perturbed entry (0,1): base 2 -> 5, adds 21 to row 0's mass once; every
+    # window of even length holds whole periods, so the best one holds row 0
+    assert rho_window_max(op, 2) == pytest.approx(limit + 21.0 / 2, abs=1e-12)
+    assert rho_window_max(op, 10000) == pytest.approx(limit + 21.0 / 10000, abs=1e-12)
 
 
 def test_dt_norm_includes_perturbation_sup():
@@ -662,7 +663,7 @@ def test_diagonal_model_sections_and_window_trace():
     sec = finite_section(d, range(1, 5))
     np.testing.assert_array_equal(sec, np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
     assert avg_trace(d) == 0.5 == rho_window_max(d, 2)
-    assert avg_trace_window(d, 1, 10**4) == pytest.approx(0.5, abs=1e-4)
+    assert rho_window_max(d, 10**4 - 1) == pytest.approx(0.5, abs=1e-4)
 
 
 # --------------------------------------------------------------------------

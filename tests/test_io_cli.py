@@ -278,9 +278,7 @@ def _library_refusals():
         "product period cap": (lambda: munorm.dt_compose(PeriodicBandOperator(
             127, 0, np.ones((127, 1))), PeriodicBandOperator(2, 0, np.ones((2, 1)))),
                                munorm.CapExceeded, "product period 254 exceeds the cap 128"),
-        "trace window": (lambda: munorm.avg_trace_window(op, 1, 0),
-                         ValueError, "empty row window"),
-        "entropy partition size": (  # the wording of norm.m_chi for the same mismatch
+        "entropy partition size": (  # the one check m_chi and the entropies share
             lambda: munorm.path_mass_table(u, Partition(3, [[0, 1, 2]]), 1),
             ValueError, "partition over 3 atoms does not match a space with 2"),
         "empty multiindex": (lambda: munorm.path_operator(u, munorm.finest_partition(sp), []),
@@ -296,7 +294,7 @@ def _library_refusals():
         "apply length": (lambda: u.apply([1.0, 2.0, 3.0]),
                          ValueError, "vector length does not match the space"),
         "map table range": (lambda: Endomorphism(sp, [2, 0]),
-                            ValueError, "out-of-range atom index"),
+                            ValueError, "map table sends atom 0 to atom 2, out of range"),
         "iterate count": (lambda: swap.iterate(-1),
                           ValueError, "iteration count must be nonnegative"),
         "map call negative": (lambda: shift(-1),
@@ -316,7 +314,7 @@ def _library_refusals():
         "partition universe": (lambda: Partition(0, []),
                                ValueError, "partition universe must be nonempty"),
         "partition block range": (lambda: Partition(2, [[0, 2]]),
-                                  ValueError, "block (0, 2) out of range for universe of size 2"),
+                                  ValueError, "atom 2 out of range for universe of size 2"),
     }
 
 
@@ -494,7 +492,8 @@ def test_cli_dt_commands(files, capsys):
 
     code, rep = run_cli(capsys, ["avg-trace", "--op", cos2])
     assert rep["results"]["avg_trace"] == pytest.approx(2.0, abs=1e-15)
-    assert rep["diagnostics"]["window_average"] == pytest.approx(2.0, abs=1e-2)
+    assert rep["diagnostics"]["window_length"] == 10**4
+    assert rep["diagnostics"]["checks"][0]["passed"]
 
 
 #: Each command on small inputs, with the keys of its report's ``inputs``,
@@ -519,12 +518,13 @@ REPORT_KEYS = [
     (["rho", "--seq", "SEQ"],
      {"seq"}, set(), {"rho", "left_mean", "right_mean"}, {"window_length", "checks"}),
     (["conv", "--seq", "SEQ"],
-     {"seq"}, set(), {"conv_norm", "mu_norm_sq", "rho", "left_mean", "right_mean"}, set()),
+     {"seq"}, set(), {"conv_norm", "mu_norm_sq", "rho", "left_mean", "right_mean"},
+     {"window_length", "checks"}),
     (["dt-norm", "--op", "BAND"], {"op"}, set(), {"dt_norm"}, set()),
     (["dt-mu-norm", "--op", "BAND"],
      {"op"}, set(), {"quadrature", "closed_form"}, {"checks"}),
     (["avg-trace", "--op", "BAND"],
-     {"op"}, set(), {"avg_trace"}, {"window_length", "window_average"}),
+     {"op"}, set(), {"avg_trace"}, {"window_length", "checks"}),
     (["verify", "--suite", "triangle", "--trials", "2"],
      set(), {"suite", "trials", "seed"}, {"suite", "properties", "all_passed"},
      {"trials", "seed"}),
@@ -908,7 +908,7 @@ def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
     (["m-chi", "--space", "U2", "--op", "I2", "--partition", "BAD"], {"blocks": [[1], [1]]},
      "partition: blocks"),
     (["mu-norm", "--space", "BAD", "--op", "I2"], {"weights": [0.5, -0.5, 1.0]},
-     "space: nonpositive weight -0.5 at atom 1"),
+     "space: nonpositive weight -0.5 at atom 2"),
     (["rho", "--seq", "BAD"], {"left": [1.0], "right": [2.0]},
      "seq: with k0 = 0 both tails cover index 0"),
     (["rho", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "k0": -1},
@@ -931,6 +931,19 @@ def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
      "seq.middle: key 'x' is not an integer in canonical form"),
     (["conv", "--seq", "BAD"], {"left": [1.0], "right": [1.0], "middle": {"1.5": 3.0}, "k0": 2},
      "seq.middle: key '1.5' is not an integer in canonical form"),
+    # a refusal numbers atoms as the file does, from 1; the library counts from 0
+    (["m-chi", "--space", "U2", "--op", "I2", "--partition", "BAD"], {"blocks": [[1, 2], [2]]},
+     "partition: blocks are not disjoint: atom 2 appears more than once"),
+    (["m-chi", "--space", "U2", "--op", "I2", "--partition", "BAD"], {"blocks": [[0, 1], [2]]},
+     "partition: atom 0 out of range for universe of size 2"),
+    (["m-chi", "--space", "U2", "--op", "I2", "--partition", "BAD"], {"blocks": [[1]]},
+     "partition: blocks do not cover the space: atom 2 is missing"),
+    (["ks-entropy", "--space", "U2", "--endo", "BAD", "--partition", "P2", "--N", "2"],
+     {"map": [2, 2]}, "endomorphism: map is not measure-preserving: atom 1 has weight 0.5"),
+    (["ks-entropy", "--space", "U2", "--endo", "BAD", "--partition", "P2", "--N", "2"],
+     {"map": [1, 3]}, "endomorphism: map table sends atom 2 to atom 3, out of range"),
+    (["mu-norm", "--space", "BAD", "--op", "I2"], {"weights": [0.5, 0, 0.5]},
+     "space: nonpositive weight 0.0 at atom 2;"),
 ])
 def test_cli_names_the_field_of_malformed_structure(files, capsys, argv, bad, field):
     # a table of the wrong shape is refused as a bad number is: exit 2 and
@@ -1077,7 +1090,7 @@ def test_cli_band_128_reads_only_the_cells_of_a_far_perturbation_window(files, c
         tracemalloc.stop()
     assert norm[0] == 0 and norm[1]["results"]["dt_norm"] == 256.0 + 3.0
     assert trace[0] == 0 and trace[1]["results"]["avg_trace"] == 257.0
-    assert trace[1]["diagnostics"]["window_average"] == pytest.approx(257.0 + 3.0 / 1024, rel=1e-15)
+    assert trace[1]["diagnostics"]["checks"][0]["passed"]
     assert peak < 2**27, peak
 
 
@@ -1138,10 +1151,16 @@ def _large_value_cases(write):
         "dt-mu-norm": (["--op", band], "circle", "dt_mu_norm_sq", closed_form),
         # the window bound is 10 * 10^4 / 10^4 = 10, 3e-3 of rho = 10^4 / 3
         "rho": (["--seq", seq], "circle", "rho_window_max", relative(1e-2)),
+        "conv": (["--seq", seq], "circle", "rho_window_max", relative(1e-2)),
+        # 10 * m / 10^4 for the mass m of 8 rows is 8e-3 of the average trace m / 8
+        "avg-trace": (["--op", band], "circle", "rho_window_max", relative(1e-2)),
     }
 
 
-@pytest.mark.parametrize("command", ["mu-norm", "m-chi", "dt-mu-norm", "rho"])
+LARGE_VALUE_COMMANDS = ["mu-norm", "m-chi", "dt-mu-norm", "rho", "conv", "avg-trace"]
+
+
+@pytest.mark.parametrize("command", LARGE_VALUE_COMMANDS)
 def test_cli_checks_pass_on_large_values(files, capsys, command):
     # entries near 1e4: the second routes differ by rounding (up to about
     # 1e-6, and 0.67 for the window of rho), far above an absolute 1e-10
@@ -1152,7 +1171,7 @@ def test_cli_checks_pass_on_large_values(files, capsys, command):
     assert check["passed"], check
 
 
-@pytest.mark.parametrize("command", ["mu-norm", "m-chi", "dt-mu-norm", "rho"])
+@pytest.mark.parametrize("command", LARGE_VALUE_COMMANDS)
 def test_cli_checks_fail_when_the_second_route_moves(files, capsys, monkeypatch, command):
     flags, module, name, move = _large_value_cases(files[1])[command]
     layer = getattr(munorm, module)
@@ -1162,6 +1181,46 @@ def test_cli_checks_fail_when_the_second_route_moves(files, capsys, monkeypatch,
     assert code == 0
     [check] = rep["diagnostics"]["checks"]
     assert not check["passed"], check
+
+
+#: Two tails, 9 per row on rows l < 0 and 1 on rows l >= 0: the average trace is 9,
+#: and rows l >= 0 alone average 1.  The sequence is the same operator with row 0 zero.
+HEAVY_LEFT = {"tau": 1, "band": 0, "coeffs": [[1.0]], "left": {"tau": 1, "coeffs": [[3.0]]}}
+HEAVY_LEFT_SEQ = {"left": [3.0], "right": [1.0], "k0": 1}
+
+
+def test_avg_trace_window_check_reads_the_left_tail(files, capsys):
+    code, rep = run_cli(capsys, ["avg-trace", "--op", files[1]("op.json", HEAVY_LEFT)])
+    assert code == 0 and rep["results"] == {"avg_trace": 9.0}
+    [check] = rep["diagnostics"]["checks"]
+    assert check["name"] == "window-oracle-agrees" and check["passed"], check
+
+
+def test_conv_reports_the_window_check_of_rho(files, capsys):
+    seq = files[1]("seq.json", HEAVY_LEFT_SEQ)
+    rho, conv = (run_cli(capsys, [command, "--seq", seq]) for command in ("rho", "conv"))
+    assert rho[0] == conv[0] == 0
+    assert conv[1]["diagnostics"] == rho[1]["diagnostics"]
+    assert conv[1]["results"]["rho"] == rho[1]["results"]["rho"] == 9.0
+    assert rho[1]["diagnostics"]["checks"][0]["passed"]
+
+
+def test_window_check_fails_when_the_oracle_skips_negative_rows(files, capsys, monkeypatch):
+    from munorm import circle
+
+    def rows_from_zero(op, window):
+        """The best window average over rows ``0..4*window - 1``, perturbations left out."""
+        masses = circle._tail_run(op, 0, 4 * window, lambda c: np.sum(np.abs(c) ** 2, axis=1))
+        csum = np.concatenate(([0.0], np.cumsum(masses)))
+        return float(np.max(csum[window:] - csum[:-window]) / window)
+
+    monkeypatch.setattr(circle, "rho_window_max", rows_from_zero)
+    write = files[1]
+    for argv in (["avg-trace", "--op", write("op.json", HEAVY_LEFT)],
+                 ["rho", "--seq", write("seq.json", HEAVY_LEFT_SEQ)]):
+        code, rep = run_cli(capsys, argv)
+        [check] = rep["diagnostics"]["checks"]
+        assert code == 0 and check["value"] == 8.0 and not check["passed"], (argv, check)
 
 
 def test_cli_reports_are_deterministic(files, capsys, tmp_path):
