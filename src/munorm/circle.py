@@ -552,13 +552,17 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     past the largest perturbed ``|row|`` (else 0), over the row masses
     ``sum_j |W_{l,j}|^2``: each tail's masses plus, in each row of the
     perturbation window, the change of its entries.  Converges at rate
-    O(period/window).
+    O(period/window).  A scan past ``2 * MAX_WINDOW`` rows, the float rows
+    of a window's cells, is refused before it is allocated.
     """
     window = operator.index(window)
     if window < 1:
         raise ValueError("window length must be positive")
     r0, d0, cells = op._window
     reach = (max(-r0, r0 + len(cells) - 1) + 1 if cells.size else 0) + 2 * window
+    if 2 * reach + 1 > 2 * MAX_WINDOW:
+        raise CapExceeded(f"window scan of {2 * reach + 1} rows exceeds the cap "
+                          f"{2 * MAX_WINDOW} rows")
     sq = _tail_run(op, -reach, 2 * reach + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
     base = _place((r0, d0) + cells.shape, base=op)[2]  # zero cells change nothing
     change = np.sum(np.abs(base + cells) ** 2 - np.abs(base) ** 2, axis=1)
@@ -571,9 +575,12 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
 def _window_gap(op: PeriodicBandOperator, window: int) -> tuple[float, float]:
     """``|avg_trace - rho_window_max|`` at ``window`` and its derived bound
     ``10 m / window``, ``m`` the larger tail's entry mass over one period plus
-    the perturbed entries' mass."""
+    the perturbed entries' mass, summed by position as ``op.perturbation`` lists them."""
     mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
-    mass += sum(abs(op.entry(r, c)) ** 2 for r, c, _ in op.perturbation)
+    r0, d0, cells = op._window
+    entries = _place((r0, d0) + cells.shape, op._window, base=op)[2][cells != 0]
+    # hypot and pow, as Python's abs(z) ** 2; numpy's abs and square round otherwise
+    mass += sum(np.float_power(np.hypot(entries.real, entries.imag), 2.0).tolist())
     return abs(avg_trace(op) - rho_window_max(op, window)), 10.0 * mass / window
 
 

@@ -87,6 +87,8 @@ def load_json(path: str | Path) -> Any:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _require(obj: Any, field: str, where: str) -> Any:

@@ -7,9 +7,12 @@ pinned tolerance.  The acceptance tests and the ``verify`` CLI command
 both run these.
 
 The suites live in ``verify_finite`` (finite spaces: spaces, operators,
-norm, entropy) and ``verify_circle`` (the circle layer); ``run_suite``
-imports only the module of the suites it runs, so a circle suite does
-not load the finite layers, nor a finite suite the circle layer.
+norm, entropy) and ``verify_circle`` (the circle layer).  The registry
+is one table from each module to the names of its suites, and a suite
+is the module's function of its name with ``-`` written as ``_``;
+``run_suite`` imports only the module of the suites it runs, so a
+circle suite does not load the finite layers, nor a finite suite the
+circle layer.
 """
 
 from __future__ import annotations
@@ -57,41 +60,22 @@ def _random_complex(rng, n, amp: float = 2.0) -> np.ndarray:
 # Registry
 
 
-#: Suite name -> (module, function) of every single suite, in the order
-#: ``all`` runs them.
-SUITES: dict[str, tuple[str, str]] = {
-    "projector-measure": ("verify_finite", "projector_measure"),
-    "finest-formula": ("verify_finite", "finest_formula"),
-    "multiplication": ("verify_finite", "multiplication_law"),
-    "partition-monotone": ("verify_finite", "partition_monotone"),
-    "triangle": ("verify_finite", "triangle"),
-    "homogeneity": ("verify_finite", "homogeneity"),
-    "left-unitary": ("verify_finite", "left_unitary"),
-    "right-koopman": ("verify_finite", "right_koopman"),
-    "right-unitary-uniform": ("verify_finite", "right_unitary_uniform"),
-    "right-additivity": ("verify_finite", "right_additivity"),
-    "left-subadditivity": ("verify_finite", "left_subadditivity"),
-    "weighted-additivity": ("verify_finite", "weighted_additivity"),
-    "lipschitz": ("verify_finite", "lipschitz"),
-    "submultiplicative": ("verify_finite", "submultiplicative"),
-    "operator-identities": ("verify_finite", "operator_identities"),
-    "projector-product": ("verify_finite", "projector_product"),
-    "koopman-bridge": ("verify_finite", "koopman_bridge"),
-    "entropy-normalization": ("verify_finite", "entropy_normalization"),
-    "closed-entropy": ("verify_finite", "closed_entropy"),
-    "finest-markov-route": ("verify_finite", "finest_markov_route"),
-    "cyclic-dimension": ("verify_finite", "cyclic_dimension"),
-    "rho-oracle": ("verify_circle", "rho_oracle"),
-    "dt-integral": ("verify_circle", "dt_integral"),
-    "two-tail-integral": ("verify_circle", "two_tail_integral"),
-    "two-tail-section": ("verify_circle", "two_tail_section"),
-    "trace-invariance": ("verify_circle", "trace_invariance"),
-    "norm-chain": ("verify_circle", "norm_chain"),
-    "dt-star-algebra": ("verify_circle", "dt_star_algebra"),
-    "w-symbol-bound": ("verify_circle", "w_symbol_bound"),
-    "rho-la-continuity": ("verify_circle", "rho_la_continuity"),
-    "section-route": ("verify_circle", "section_route"),
+#: Module -> the single suites it holds, in the order ``all`` runs them.  A
+#: suite is the module's function of its name with ``-`` written as ``_``.
+_MODULES = {
+    "verify_finite": (
+        "projector-measure", "finest-formula", "multiplication", "partition-monotone",
+        "triangle", "homogeneity", "left-unitary", "right-koopman", "right-unitary-uniform",
+        "right-additivity", "left-subadditivity", "weighted-additivity", "lipschitz",
+        "submultiplicative", "operator-identities", "projector-product", "koopman-bridge",
+        "entropy-normalization", "closed-entropy", "finest-markov-route", "cyclic-dimension"),
+    "verify_circle": (
+        "rho-oracle", "dt-integral", "two-tail-integral", "two-tail-section",
+        "trace-invariance", "norm-chain", "dt-star-algebra", "w-symbol-bound",
+        "rho-la-continuity", "section-route"),
 }
+#: Suite name -> module of every single suite, in the order ``all`` runs them.
+SUITES: dict[str, str] = {name: module for module, names in _MODULES.items() for name in names}
 
 #: Suites that run several single suites in turn, each from its own generator.
 GROUPS: dict[str, tuple[str, ...]] = {
@@ -123,7 +107,7 @@ def run_suite(name: str, trials: int, seed: int) -> list[PropertyCheck]:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     out: list[PropertyCheck] = []
     for member in GROUPS.get(name, (name,)):
-        module, function = SUITES[member]
-        suite = getattr(importlib.import_module(f".{module}", __package__), function)
+        module = importlib.import_module(f".{SUITES[member]}", __package__)
+        suite = getattr(module, member.replace("-", "_"))
         out.extend(suite(np.random.default_rng(seed), trials))
     return out

@@ -17,7 +17,7 @@ from .operators import (
     add,
     compose,
     koopman,
-    multiplication,
+    multiplication as multiplier,
     operator_norm,
     projector,
     scale,
@@ -142,7 +142,7 @@ def finest_formula(rng, trials: int) -> list[PropertyCheck]:
     return [fin_u, fin_w, unitary]
 
 
-def multiplication_law(rng, trials: int) -> list[PropertyCheck]:
+def multiplication(rng, trials: int) -> list[PropertyCheck]:
     # M_g pi_B multiplies by g on B, so its norm is the largest |g| there
     t = PropertyCheck("multiplier-m-chi-equals-block-max-mass", 1e-12)
     for i in range(trials):
@@ -150,57 +150,52 @@ def multiplication_law(rng, trials: int) -> list[PropertyCheck]:
         g = _random_complex(rng, space.size)
         chi = random_partition(rng, space.size, coarse=True)
         expected = sum(space.measure(b) * float(np.max(np.abs(g[list(b)]))) ** 2 for b in chi)
-        t.update(abs(m_chi(multiplication(space, g), chi) - expected),
+        t.update(abs(m_chi(multiplier(space, g), chi) - expected),
                  {"trial": i, "J": space.size, "blocks": len(chi)})
     return [t]
 
 
-def partition_monotone(rng, trials: int) -> list[PropertyCheck]:
-    mono = PropertyCheck("refinement-never-increases-m-chi", 1e-9)
-    lower = PropertyCheck("mu-norm-below-every-m-chi", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w = random_matrix(rng, space)
-        chi = random_partition(rng, space.size)
-        kappa = random_partition(rng, space.size)
-        coarse = m_chi(w, chi)
-        fine = m_chi(w, join(chi, kappa))
-        mono.update(fine - coarse, {"trial": i, "J": space.size})
-        lower.update(mu_norm_sq(w) - coarse, {"trial": i, "J": space.size})
-    return [mono, lower]
+def _laws(*names: str):
+    """The suite of ``law(rng, space, w)``, which returns one violation per name: each
+    trial draws a random space and matrix ``w`` and checks every name to 1e-9."""
+    def suite_of(law):
+        def suite(rng, trials: int) -> list[PropertyCheck]:
+            checks = [PropertyCheck(name, 1e-9) for name in names]
+            for i in range(trials):
+                space = random_space(rng)
+                w = random_matrix(rng, space)
+                for check, violation in zip(checks, law(rng, space, w), strict=True):
+                    check.update(violation, {"trial": i, "J": space.size})
+            return checks
+        return suite
+    return suite_of
 
 
-def triangle(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("triangle-inequality", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w1 = random_matrix(rng, space)
-        w2 = random_matrix(rng, space)
-        lhs = math.sqrt(mu_norm_sq(add(w1, w2)))
-        rhs = math.sqrt(mu_norm_sq(w1)) + math.sqrt(mu_norm_sq(w2))
-        t.update(lhs - rhs, {"trial": i, "J": space.size})
-    return [t]
+@_laws("refinement-never-increases-m-chi", "mu-norm-below-every-m-chi")
+def partition_monotone(rng, space, w):
+    chi = random_partition(rng, space.size)
+    kappa = random_partition(rng, space.size)
+    coarse = m_chi(w, chi)
+    return m_chi(w, join(chi, kappa)) - coarse, mu_norm_sq(w) - coarse
 
 
-def homogeneity(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("absolute-homogeneity", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w = random_matrix(rng, space)
-        lam = complex(_random_complex(rng, 1)[0])
-        t.update(abs(mu_norm_sq(scale(lam, w)) - abs(lam) ** 2 * mu_norm_sq(w)),
-                 {"trial": i, "J": space.size})
-    return [t]
+@_laws("triangle-inequality")
+def triangle(rng, space, w1):
+    w2 = random_matrix(rng, space)
+    lhs = math.sqrt(mu_norm_sq(add(w1, w2)))
+    return (lhs - (math.sqrt(mu_norm_sq(w1)) + math.sqrt(mu_norm_sq(w2))),)
 
 
-def left_unitary(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("left-unitary-invariance", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w = random_matrix(rng, space)
-        u = random_weighted_unitary(rng, space)
-        t.update(abs(mu_norm_sq(compose(u, w)) - mu_norm_sq(w)), {"trial": i, "J": space.size})
-    return [t]
+@_laws("absolute-homogeneity")
+def homogeneity(rng, space, w):
+    lam = complex(_random_complex(rng, 1)[0])
+    return (abs(mu_norm_sq(scale(lam, w)) - abs(lam) ** 2 * mu_norm_sq(w)),)
+
+
+@_laws("left-unitary-invariance")
+def left_unitary(rng, space, w):
+    u = random_weighted_unitary(rng, space)
+    return (abs(mu_norm_sq(compose(u, w)) - mu_norm_sq(w)),)
 
 
 def right_koopman(rng, trials: int) -> list[PropertyCheck]:
@@ -224,26 +219,17 @@ def right_unitary_uniform(rng, trials: int) -> list[PropertyCheck]:
     return [t]
 
 
-def right_additivity(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("right-additivity-over-partitions", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w = random_matrix(rng, space)
-        chi = random_partition(rng, space.size)
-        parts = sum(mu_norm_sq(compose(w, projector(space, b))) for b in chi.blocks)
-        t.update(abs(parts - mu_norm_sq(w)), {"trial": i, "J": space.size})
-    return [t]
+@_laws("right-additivity-over-partitions")
+def right_additivity(rng, space, w):
+    chi = random_partition(rng, space.size)
+    parts = sum(mu_norm_sq(compose(w, projector(space, b))) for b in chi.blocks)
+    return (abs(parts - mu_norm_sq(w)),)
 
 
-def left_subadditivity(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("left-subadditivity-over-partitions", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w = random_matrix(rng, space)
-        chi = random_partition(rng, space.size)
-        parts = sum(mu_norm_sq(compose(projector(space, b), w)) for b in chi.blocks)
-        t.update(mu_norm_sq(w) - parts, {"trial": i, "J": space.size})
-    return [t]
+@_laws("left-subadditivity-over-partitions")
+def left_subadditivity(rng, space, w):
+    chi = random_partition(rng, space.size)
+    return (mu_norm_sq(w) - sum(mu_norm_sq(compose(projector(space, b), w)) for b in chi.blocks),)
 
 
 def weighted_additivity(rng, trials: int) -> list[PropertyCheck]:
@@ -256,35 +242,26 @@ def weighted_additivity(rng, trials: int) -> list[PropertyCheck]:
         frac = rng.random((k, space.size))
         frac /= frac.sum(axis=0, keepdims=True)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (k, space.size)))
-        total = mu_norm_sq(compose(w, multiplication(space, g)))
+        total = mu_norm_sq(compose(w, multiplier(space, g)))
         parts = sum(
-            mu_norm_sq(compose(w, multiplication(space, g * np.sqrt(frac[s]) * phases[s])))
+            mu_norm_sq(compose(w, multiplier(space, g * np.sqrt(frac[s]) * phases[s])))
             for s in range(k)
         )
         t.update(abs(parts - total), {"trial": i, "J": space.size, "k": k})
     return [t]
 
 
-def lipschitz(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("operator-norm-lipschitz-bound", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w1 = random_matrix(rng, space)
-        w2 = random_matrix(rng, space)
-        lhs = abs(math.sqrt(mu_norm_sq(w2)) - math.sqrt(mu_norm_sq(w1)))
-        t.update(lhs - operator_norm(add(w2, scale(-1.0, w1))), {"trial": i, "J": space.size})
-    return [t]
+@_laws("operator-norm-lipschitz-bound")
+def lipschitz(rng, space, w1):
+    w2 = random_matrix(rng, space)
+    lhs = abs(math.sqrt(mu_norm_sq(w2)) - math.sqrt(mu_norm_sq(w1)))
+    return (lhs - operator_norm(add(w2, scale(-1.0, w1))),)
 
 
-def submultiplicative(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("left-operator-norm-domination", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w1 = random_matrix(rng, space)
-        w2 = random_matrix(rng, space)
-        lhs = mu_norm_sq(compose(w1, w2))
-        t.update(lhs - operator_norm(w1) ** 2 * mu_norm_sq(w2), {"trial": i, "J": space.size})
-    return [t]
+@_laws("left-operator-norm-domination")
+def submultiplicative(rng, space, w1):
+    w2 = random_matrix(rng, space)
+    return (mu_norm_sq(compose(w1, w2)) - operator_norm(w1) ** 2 * mu_norm_sq(w2),)
 
 
 def operator_identities(rng, trials: int) -> list[PropertyCheck]:

@@ -35,7 +35,7 @@ from munorm.verify_finite import (
     left_subadditivity,
     left_unitary,
     lipschitz,
-    multiplication_law,
+    multiplication,
     projector_measure,
     right_additivity,
     right_koopman,
@@ -77,7 +77,7 @@ def test_criterion_02_finite_formula():
 def test_criterion_03_multiplication_law():
     rng = np.random.default_rng(103)
     _assert_checks(3, "multiplier m_chi is the block-max mass (100 trials)",
-                   multiplication_law(rng, 100), [1e-12])
+                   multiplication(rng, 100), [1e-12])
 
 
 def test_criterion_04_invariance_battery():

@@ -514,6 +514,29 @@ def test_rho_window_max_converges_and_sees_perturbation():
     assert rho_window_max(op, 10000) == pytest.approx(limit + 21.0 / 10000, abs=1e-12)
 
 
+def test_rho_window_max_refuses_a_scan_past_the_cap_before_allocating():
+    # the scan spans rows -reach..reach, reach one past the far row plus 2 * window
+    import tracemalloc
+
+    from munorm.circle import MAX_WINDOW
+
+    def at(row):
+        return PeriodicBandOperator(1, 0, [[1.0]], [(row, row, 1.0)])
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"^window scan of 2000040003 rows exceeds the cap "
+                                              f"{2 * MAX_WINDOW} rows$"):
+            rho_window_max(at(10**9), 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    with pytest.raises(CapExceeded, match="window scan"):
+        rho_window_max(at(MAX_WINDOW - 3), 1)
+    assert rho_window_max(at(MAX_WINDOW - 4), 1) == 4.0  # 2 * MAX_WINDOW - 1 rows
+
+
 def test_dt_norm_includes_perturbation_sup():
     base = PeriodicBandOperator(1, 0, [[1.0]])
     assert dt_norm(base) == 1.0

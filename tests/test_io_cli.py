@@ -750,6 +750,19 @@ def test_every_registered_suite_passes(suite):
         checks
 
 
+def test_every_suite_function_is_registered_under_its_name():
+    # a suite is a function of (rng, trials); one the registry does not name never runs
+    import inspect
+
+    from munorm import verify_circle, verify_finite
+
+    for module in (verify_finite, verify_circle):
+        functions = {name for name, f in vars(module).items() if inspect.isfunction(f)
+                     and list(inspect.signature(f).parameters) == ["rng", "trials"]}
+        short = module.__name__.rsplit(".", 1)[1]
+        assert functions == {s.replace("-", "_") for s, m in SUITES.items() if m == short}
+
+
 def test_cli_verify_fails_with_exit_1_and_names_the_worst_trial(capsys, monkeypatch):
     from munorm import circle
 
@@ -851,7 +864,7 @@ SWEEP_INPUTS = {
     "seq": ('{"left": [X], "right": [1.0]}', "1.0"),
 }
 SWEEP_FLAGS = {"--N": ["2"], "--orthonormalize": []}
-SWEEP_BAD = ["NaN", "Infinity", "-Infinity", "1e999", "true", '"1"']
+SWEEP_BAD = ["NaN", "Infinity", "-Infinity", "1e999", "true", '"1"', "[" * 10**5 + "]" * 10**5]
 SWEEP = [(name, flag) for name, (_, _, flags) in _COMMANDS.items()
          for flag in flags if flag[2:] in _BUILDERS]
 
@@ -1071,6 +1084,18 @@ def test_cli_refuses_a_perturbation_window_past_the_cell_cap(files, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err.startswith("cap exceeded: perturbation window of 10000001 rows x 1 offsets")
+
+
+def test_cli_avg_trace_refuses_a_window_scan_past_the_cap(files, capsys):
+    # dt-norm reads the one-cell window; avg-trace's check would scan 2 * 10^9 rows
+    tmp, write = files
+    op = write("far.json", {"tau": 1, "band": 0, "coeffs": [[1.0]],
+                            "perturbation": [[10**9, 10**9, 1.0]]})
+    assert run_cli(capsys, ["dt-norm", "--op", op])[0] == 0
+    code = main(["avg-trace", "--op", op])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: window scan of 2000040003 rows") and err.count("\n") == 1
 
 
 def test_cli_band_128_reads_only_the_cells_of_a_far_perturbation_window(files, capsys):
