@@ -167,6 +167,7 @@ def _laws(*names: str):
                 for check, violation in zip(checks, law(rng, space, w), strict=True):
                     check.update(violation, {"trial": i, "J": space.size})
             return checks
+        suite.__name__ = suite.__qualname__ = law.__name__
         return suite
     return suite_of
 
