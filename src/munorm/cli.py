@@ -12,6 +12,7 @@ loads and compiles only those; see "CLI start-up" in the README.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -248,8 +249,27 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command; returns the exit code.
+
+    With no ``argv`` this is the process's entry point (the ``munorm``
+    script, ``python -m munorm.cli``): it reads ``sys.argv`` and calls
+    ``gc.freeze()`` before the command and again on the way out, even
+    through ``SystemExit``.  So the collections during the command skip
+    the objects of numpy's import, and those of interpreter shutdown
+    skip every object then alive; frozen objects are never collected,
+    so a program that calls ``main()`` and carries on keeps them.  A
+    caller that passes ``argv`` freezes nothing.
+    """
+    if argv is not None:
+        return _run(argv)
+    gc.freeze()
+    try:
+        return _run(sys.argv[1:])
+    finally:
+        gc.freeze()
+
+
+def _run(argv: list[str]) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     handler, _, flags = _COMMANDS[args.command]
     paths = {f[2:]: str(getattr(args, f[2:])) for f in flags if f[2:] in _BUILDERS}

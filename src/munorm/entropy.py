@@ -81,18 +81,21 @@ def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> O
 FRONTIER_ENTRIES = 2**18
 
 
-def _operator_levels(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: int):
-    """Path masses of U for horizons 0..n_max as ``(digits, masses)`` blocks.
+def _operator_levels(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: int,
+                     rows: bool = False):
+    """Path masses of U for horizons 0..n_max as ``(depth, masses, link)`` blocks.
 
     The state of a multiindex is the ``|X_last| x |X_first|`` sub-block of
     its path operator, the only place where that operator is nonzero.  A
-    frontier is the digit rows of some states of one level and a list of
-    parts ``(b, F)``: the states with last block b sit side by side in
-    the columns of F, each taking ``|X_first|`` of them, in the order of
-    the digit rows.  One product ``U[:, X_b] @ F``, its rows grouped
-    block by block, steps a part to every next block.  Only exactly zero
-    states are pruned: a mass can underflow to 0.0 while the state's
-    completions do not vanish.
+    frontier is the depth of some states of one level, their widths
+    ``|X_first|``, their ``link`` (see ``_rows``) and a list of parts
+    ``(b, F)``: the states with last block b sit side by side in the
+    columns of F, each taking its width of them, in state order.  One
+    product ``U[:, X_b] @ F``, its rows grouped block by block, steps a
+    part to every next block.  Only exactly zero states are pruned: a
+    mass can underflow to 0.0 while the state's completions do not
+    vanish.  Links are kept only with ``rows``; without it a level costs
+    nothing per digit of depth.
     """
     chi._check_space(u.space)
     num_blocks = len(chi.blocks)
@@ -106,18 +109,17 @@ def _operator_levels(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: in
     grouped = u.entries[order]
     cols = [grouped[:, b] for b in blocks]
     weights = u.space.weights[order]
-    digits = np.arange(num_blocks)[:, None]
-    yield digits, np.add.reduceat(weights, starts[:-1])
+    link = (None, np.arange(num_blocks)) if rows else None
+    yield 1, np.add.reduceat(weights, starts[:-1]), link
     eye = np.eye(sizes.max(), dtype=complex)
     chunk = max(1, FRONTIER_ENTRIES // (chi.size * sizes.max()))
-    stack = [(digits, [(b, eye[:size, :size]) for b, size in enumerate(sizes)])]
+    stack = [(1, link, sizes, [(b, eye[:size, :size]) for b, size in enumerate(sizes)])]
     while stack:
-        digits, parts = stack.pop()
-        if digits.shape[1] > n_max:
+        depth, link, widths, parts = stack.pop()
+        if depth > n_max:
             continue
-        widths = sizes[digits[:, 0]]
-        if len(digits) > chunk:
-            stack.extend(reversed(_split(digits, parts, widths, chunk)))
+        if len(widths) > chunk:
+            stack.extend(reversed(_split(depth, link, widths, parts, chunk)))
             continue
         ends = np.cumsum(widths)
         offsets = ends - widths
@@ -141,47 +143,69 @@ def _operator_levels(u: OperatorMatrix, chi: Partition, n_max: int, term_cap: in
             elif keep[c].any():
                 parts.append((c, g[lo:hi, np.repeat(keep[c], widths)]))
         step, state = np.nonzero(keep)
-        digits = np.column_stack((digits[state], step))
-        yield digits, masses[keep]
+        depth += 1
+        link = (link, state * num_blocks + step) if rows else None
+        yield depth, masses[keep], link
         if parts:
-            stack.append((digits, parts))
+            stack.append((depth, link, widths[state], parts))
 
 
-def _split(digits: np.ndarray, parts, widths: np.ndarray, chunk: int) -> list:
+def _split(depth: int, link, widths: np.ndarray, parts, chunk: int) -> list:
     """A frontier cut, in order, into frontiers of at most ``chunk`` states."""
     ends = np.cumsum(widths)
-    pieces = [(digits[lo:lo + chunk], []) for lo in range(0, len(digits), chunk)]
+    pieces = []
+    for lo in range(0, len(widths), chunk):
+        cut = None if link is None else (link[0], link[1][lo:lo + chunk])
+        pieces.append((depth, cut, widths[lo:lo + chunk], []))
     first = col = 0  # first state and first column of the part
     for b, f in parts:
         stop = int(np.searchsorted(ends, col + f.shape[1])) + 1
         for p in range(first // chunk, (stop - 1) // chunk + 1):
             lo, hi = max(first, p * chunk), min(stop, (p + 1) * chunk)
-            pieces[p][1].append((b, f[:, ends[lo] - widths[lo] - col:ends[hi - 1] - col]))
+            pieces[p][3].append((b, f[:, ends[lo] - widths[lo] - col:ends[hi - 1] - col]))
         first, col = stop, col + f.shape[1]
     return pieces
 
 
+def _rows(link, depth: int, num_blocks: int) -> np.ndarray:
+    """Digit rows of the states of one level from its link ``(parent link, codes)``.
+
+    A state's code is ``parent * K + last digit``, where parent is its
+    index in the level before (the first level's parent is the one empty
+    row).  So the rows of a level cost one gather per digit, paid only
+    for the level that is read.
+    """
+    rows = np.empty((len(link[1]), depth), dtype=np.intp)
+    index = slice(None)
+    for d in range(depth - 1, -1, -1):
+        link, codes = link
+        codes = codes[index]
+        rows[:, d] = codes % num_blocks
+        index = codes // num_blocks
+    return rows
+
+
 def _entropies(levels, n_max: int) -> list[float]:
-    """``-sum v log v`` per horizon 0..n_max over a walk's ``(digits, masses)`` blocks."""
+    """``-sum v log v`` per horizon 0..n_max over a walk's ``(depth, masses, link)`` blocks."""
     acc = [0.0] * (operator.index(n_max) + 1)
-    for digits, masses in levels:
+    for depth, masses, _ in levels:
         v = masses[masses > 0.0]
-        acc[digits.shape[1] - 1] -= float(v @ np.log(v))
+        acc[depth - 1] -= float(v @ np.log(v))
     return acc
 
 
-def _table(levels, n: int) -> dict[tuple[int, ...], float]:
+def _table(levels, n: int, num_blocks: int) -> dict[tuple[int, ...], float]:
     table = {}
-    for digits, masses in levels:
-        if digits.shape[1] == n + 1:
-            table.update(zip(map(tuple, digits.tolist()), masses.tolist()))
+    for depth, masses, link in levels:
+        if depth == n + 1:
+            table.update(zip(map(tuple, _rows(link, depth, num_blocks).tolist()), masses.tolist()))
     return table
 
 
 def path_mass_table(u: OperatorMatrix, chi: Partition, n: int,
                     term_cap: int = DEFAULT_TERM_CAP) -> dict[tuple[int, ...], float]:
     """All path masses at horizon n, keyed by multiindex (pruned zeros omitted)."""
-    return _table(_operator_levels(u, chi, n, term_cap), n)
+    return _table(_operator_levels(u, chi, n, term_cap, rows=True), n, len(chi.blocks))
 
 
 def quantum_entropy_at(u: OperatorMatrix, chi: Partition, n: int,
@@ -250,15 +274,16 @@ def quantum_entropy_closed(u: OperatorMatrix) -> float:
     return float(-np.sum(p[nz] * np.log(p[nz])) / u.space.size)
 
 
-def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: int):
-    """Itinerary-set measures of F for horizons 0..n_max as ``(digits, masses)`` blocks.
+def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: int,
+                      rows: bool = False):
+    """Itinerary-set measures of F for horizons 0..n_max as ``(depth, masses, link)`` blocks.
 
     The itinerary sets of one horizon partition the space, so a level is
     one cell label per atom, refined by the block of ``F^n(x)``.  The
     refined codes ``cell*K + label`` are below ``ncells*K``, so a
     presence table of that length numbers the cells in ascending code
     order, which is lexicographic order of their digits; empty sets
-    never get a label.
+    never get a label.  Links (see ``_rows``) are kept only with ``rows``.
     """
     space = endo.space
     chi._check_space(space)
@@ -266,16 +291,18 @@ def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: 
     _check_horizon(num_blocks, n_max, term_cap)
     label = _labels(chi)
     cell = np.zeros(chi.size, dtype=np.intp)
-    digits = np.zeros((1, 0), dtype=np.intp)
+    ncells, link = 1, None
     orbit = np.arange(chi.size)
-    for _ in range(n_max + 1):
+    for depth in range(1, n_max + 2):
         refined = cell * num_blocks + label[orbit]
-        present = np.zeros(len(digits) * num_blocks, dtype=bool)
+        present = np.zeros(ncells * num_blocks, dtype=bool)
         present[refined] = True
         codes = np.flatnonzero(present)
         cell = (np.cumsum(present) - 1)[refined]
-        digits = np.column_stack((digits[codes // num_blocks], codes % num_blocks))
-        yield digits, np.bincount(cell, space.weights, len(codes))
+        ncells = len(codes)
+        if rows:
+            link = (link, codes)
+        yield depth, np.bincount(cell, space.weights, ncells), link
         orbit = endo.table[orbit]
 
 
@@ -294,7 +321,7 @@ def ks_entropy_rate(endo: Endomorphism, chi: Partition, n_max: int,
 def ks_path_measure_table(endo: Endomorphism, chi: Partition, n: int,
                           term_cap: int = DEFAULT_TERM_CAP) -> dict[tuple[int, ...], float]:
     """Itinerary-set measures keyed by multiindex (empty sets omitted)."""
-    return _table(_itinerary_levels(endo, chi, n, term_cap), n)
+    return _table(_itinerary_levels(endo, chi, n, term_cap, rows=True), n, len(chi.blocks))
 
 
 def _real(values, what: str) -> np.ndarray:

@@ -260,6 +260,43 @@ def test_split_frontiers_match_dense_oracle(monkeypatch):
             assert rep.values[n] == pytest.approx(whole[n], rel=1e-12)
 
 
+class _CountingNumpy:
+    """numpy, except that its plain functions add the entries they return to ``entries``."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):  # called once per name: the result is kept on the instance
+        attr = f = getattr(np, name)
+        if callable(f) and not isinstance(f, (type, np.ufunc)):
+            def attr(*args, **kwargs):
+                out = f(*args, **kwargs)
+                self.entries += sum(map(np.size, out if isinstance(out, tuple) else (out,)))
+                return out
+
+        setattr(self, name, attr)
+        return attr
+
+
+def test_one_block_walks_stay_linear_in_the_horizon(monkeypatch):
+    # one block: K^(N+1) = 1 term, so the cap admits any horizon; a walk
+    # that copied every digit row at each level made N^2 / 2 entries, about
+    # 10^4 per level here, where a linear walk makes a few per level
+    sp = uniform_space(2)
+    chi = Partition(2, [[0, 1]])
+    swap = Endomorphism(sp, [1, 0])
+    n = 20_000
+    numpy = _CountingNumpy()
+    monkeypatch.setattr(entropy, "np", numpy)
+    for report in (quantum_entropy_rate(koopman(swap), chi, n), ks_entropy_rate(swap, chi, n)):
+        assert report.lengths == tuple(range(1, n + 2))
+        assert report.values == (0.0,) * (n + 1)
+    # a table builds the digit rows of its own horizon only
+    assert path_mass_table(koopman(swap), chi, n) == {(0,) * (n + 1): 1.0}
+    assert ks_path_measure_table(swap, chi, n) == {(0,) * (n + 1): 1.0}
+    assert numpy.entries < 4 * 100 * (n + 1), numpy.entries
+
+
 def test_underflowed_mass_is_still_expanded():
     sp = FiniteMeasureSpace([0.5, 0.5])
     u = OperatorMatrix(sp, np.array([[0.0, 1e150], [1e-170, 0.0]]))

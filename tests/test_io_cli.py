@@ -1,4 +1,5 @@
 import enum
+import gc
 import hashlib
 import json
 import math
@@ -649,6 +650,7 @@ def test_cli_digests_the_bytes_it_parsed(files, capsys, monkeypatch):
 # --------------------------------------------------------------------------
 # import footprint: each check runs in a fresh interpreter and reads sys.modules
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(munorm.__file__)))
 LAYERS = {"spaces", "operators", "norm", "entropy", "circle",
           "verify", "verify_finite", "verify_circle"}
 FINITE = {"spaces", "operators", "norm", "entropy", "verify_finite"}
@@ -657,11 +659,10 @@ FINITE = {"spaces", "operators", "norm", "entropy", "verify_finite"}
 def loaded_after(code, cwd=None):
     """The munorm submodules, and ``hashlib`` and ``numpy.ma`` if loaded, of a fresh
     interpreter after ``code``."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(munorm.__file__)))
     probe = code + ("\nimport sys; print(' '.join(m for m in sys.modules"
                     " if m.startswith('munorm.') or m in ('hashlib', 'numpy.ma')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True, timeout=60)
     return {m.removeprefix("munorm.") for m in out.stdout.split()}
 
 
@@ -732,6 +733,64 @@ def test_star_import_binds_every_exported_name():
             "assert ns['dt_norm'] is munorm.circle.dt_norm\n"
             "assert ns['DEFAULT_TERM_CAP'] == munorm.errors.DEFAULT_TERM_CAP == 10**6")
     assert {"spaces", "operators", "norm", "entropy", "circle"} <= loaded_after(code)
+
+
+# --------------------------------------------------------------------------
+# the process entry: main() with no arguments, as the installed script runs it
+
+CLI_ENTRY = "import sys; from munorm.cli import main; sys.exit(main())"
+
+
+def run_entry(argv, cwd, entry=CLI_ENTRY):
+    return subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+
+
+#: Input files of the entry cases, by name; the cases run in their directory.
+ENTRY_FILES = {
+    "u2.json": '{"weights": [0.5, 0.5]}',
+    "swap.json": '{"re": [[0.0, 1.0], [1.0, 0.0]]}',
+    "chi.json": '{"blocks": [[1], [2]]}',
+    "band.json": '{"tau": 1, "band": 1, "coeffs": [[1.0, 0.0, 1.0]]}',
+    "bad.json": '{"re": [[0.5, 0.5], [0.5 0.5]]}',
+}
+#: Case -> (argv, exit code).
+ENTRY_CASES = {
+    "finite": (["mu-norm", "--space", "u2.json", "--op", "swap.json"], 0),
+    "circle": (["dt-norm", "--op", "band.json"], 0),
+    "verify": (["verify", "--suite", "norm-chain", "--trials", "5", "--seed", "3"], 0),
+    "malformed JSON": (["markov-rate", "--p", "bad.json", "--dist", "u2.json"], 2),
+    "over the cap": (["entropy", "--space", "u2.json", "--op", "swap.json",
+                      "--partition", "chi.json", "--N", "15000"], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_CASES))
+def test_process_entry_answers_as_main_argv(tmp_path, capsys, monkeypatch, case):
+    for name, text in ENTRY_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv, want = ENTRY_CASES[case]
+    frozen = gc.get_freeze_count()
+    code = main(argv)
+    assert gc.get_freeze_count() == frozen  # a caller that passes argv keeps its heap
+    got = capsys.readouterr()
+    proc = run_entry(argv, tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, got.out, got.err)
+    assert code == want
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "norm-chain", "--trials", "5"],
+                                  ["--help"]])
+def test_process_entry_freezes_the_heap(tmp_path, argv):
+    # the exit handler runs after main() has returned, or raised SystemExit on --help
+    entry = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+             + CLI_ENTRY)
+    proc = run_entry(argv, tmp_path, entry)
+    assert proc.returncode == 0 and proc.stdout
+    frozen = re.fullmatch(r"frozen (\d+)\n", proc.stderr)
+    assert frozen and int(frozen.group(1)) > 0, proc.stderr
 
 
 def test_cli_verify_suite(files, capsys):
