@@ -15,10 +15,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: The layer modules and the names each exports: the one list of exported
-#: names, which each layer module reads for its ``__all__``.  Both load on
-#: first access (PEP 562), so a process pays only for the layers it
-#: touches: ``import munorm.cli`` loads none of them.
+#: The layer modules and the names each exports, which each layer module
+#: reads for its ``__all__``.  Both load on first access (PEP 562), so a
+#: process pays only for the layers it touches: ``import munorm.cli``
+#: loads none of them.
 _LAYERS = {
     "spaces": ("FiniteMeasureSpace", "Partition", "join", "finest_partition"),
     "operators": ("OperatorMatrix", "Endomorphism", "projector", "multiplication", "koopman",
@@ -34,11 +34,23 @@ _LAYERS = {
                "dt_from_multiplier", "dt_norm", "dt_add", "dt_compose",
                "dt_adjoint", "w_l", "rho_la", "dt_mu_norm_sq", "tail_masses", "avg_trace",
                "finite_section"),
-    "errors": ("CapExceeded", "DEFAULT_TERM_CAP"),
 }
 _EXPORTS = {name: module for module, names in _LAYERS.items() for name in names}
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "CapExceeded", "DEFAULT_TERM_CAP"])
+
+# The values the layers share live here, where reading them loads neither
+# numpy nor a layer.  Default cap on the terms a path-entropy enumeration
+# may visit; largest deviation from 1 of the sum of an input probability
+# vector (a space's weights, a Markov chain's distribution), which is
+# never renormalized.
+DEFAULT_TERM_CAP = 10**6
+WEIGHT_SUM_TOL = 1e-9
+
+
+class CapExceeded(RuntimeError):
+    """A resource cap (enumeration terms, band, period, window) was exceeded;
+    raised instead of truncating, its message states the need and the cap."""
 
 
 def __getattr__(name: str):

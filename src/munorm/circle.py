@@ -21,8 +21,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import _LAYERS
-from .errors import CapExceeded
+from . import _LAYERS, CapExceeded
 
 __all__ = list(_LAYERS["circle"])
 
@@ -32,6 +31,10 @@ MAX_TAU = MAX_BAND = 128
 
 #: Cap on the cells of a perturbation window, rows times offsets (16 MB).
 MAX_WINDOW = 2**20
+
+#: Window length of ``_window_gap``'s oracle check, which the CLI's
+#: ``window-oracle-agrees`` and the ``rho-oracle`` suite run.
+ORACLE_WINDOW = 10**4
 
 #: The phase table last kept, as ``(grid bytes, band, table)``; see ``_phases``.
 _PHASES: tuple = (None, -1, None)
@@ -572,16 +575,16 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     return float(np.max(csum[window:] - csum[:-window]) / window)
 
 
-def _window_gap(op: PeriodicBandOperator, window: int) -> tuple[float, float]:
-    """``|avg_trace - rho_window_max|`` at ``window`` and its derived bound
-    ``10 m / window``, ``m`` the larger tail's entry mass over one period plus
+def _window_gap(op: PeriodicBandOperator) -> tuple[float, float]:
+    """``|avg_trace - rho_window_max|`` at ``ORACLE_WINDOW`` and its derived bound
+    ``10 m / ORACLE_WINDOW``, ``m`` the larger tail's entry mass over one period plus
     the perturbed entries' mass, summed by position as ``op.perturbation`` lists them."""
     mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
     r0, d0, cells = op._window
     entries = _place((r0, d0) + cells.shape, op._window, base=op)[2][cells != 0]
     # hypot and pow, as Python's abs(z) ** 2; numpy's abs and square round otherwise
     mass += sum(np.float_power(np.hypot(entries.real, entries.imag), 2.0).tolist())
-    return abs(avg_trace(op) - rho_window_max(op, window)), 10.0 * mass / window
+    return abs(avg_trace(op) - rho_window_max(op, ORACLE_WINDOW)), 10.0 * mass / ORACLE_WINDOW
 
 
 def finite_section(op: PeriodicBandOperator, rows: range) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Command-line front-end: load JSON inputs, dispatch, emit JSON reports.
 
 Exit codes: 0 success, 1 a verify suite found violations, 2 invalid
-input (bad JSON, bad fields, failed preconditions) or a report that
-cannot be written, 3 a resource cap was exceeded.  Reports are
-byte-identical across runs for the same inputs, options, and seed.
+input (bad JSON, bad fields, failed preconditions), a result that
+overflows a double, or a report that cannot be written, 3 a resource
+cap was exceeded.  Reports are byte-identical across runs for the same
+inputs, options, and seed.
 
 Each command imports the layers it runs when it runs, so a process
 loads and compiles only those; see "CLI start-up" in the README.
@@ -20,9 +21,9 @@ from pathlib import Path
 
 # Loaded with the CLI, not by its first command: perfbench reads numpy's
 # import time from that of this module.
-import numpy as np  # noqa: F401
+import numpy as np
 
-from .errors import DEFAULT_TERM_CAP, CapExceeded
+from . import DEFAULT_TERM_CAP, CapExceeded
 
 SCHEMA = "mu-norm-lab/1"
 
@@ -126,12 +127,11 @@ def _markov_rate(args, inputs):
 
 def _trace_and_check(op) -> tuple[float, tuple[float, float], dict]:
     """Average trace, tail means and the diagnostics of the sliding-window check."""
-    from .circle import _window_gap, avg_trace, tail_masses
+    from .circle import ORACLE_WINDOW, _window_gap, avg_trace, tail_masses
 
-    window = 10**4
-    gap, bound = _window_gap(op, window)
+    gap, bound = _window_gap(op)
     return avg_trace(op), tail_masses(op), {
-        "window_length": window, "checks": [_check("window-oracle-agrees", gap, bound)]}
+        "window_length": ORACLE_WINDOW, "checks": [_check("window-oracle-agrees", gap, bound)]}
 
 
 def _rho(args, inputs):
@@ -281,23 +281,25 @@ def _run(argv: list[str]) -> int:
             with mio.recording_inputs() as raw:
                 for name, path in paths.items():
                     inputs[name] = _BUILDERS[name](mio, mio.load_json(path), inputs)
-        results, diagnostics = handler(args, inputs)
+        # a result that overflows a double is refused, and so is inf or NaN in the report
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            results, diagnostics = handler(args, inputs)
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "inputs": {name: _digest(path, raw[path]) for name, path in paths.items()},
+            "options": {k: v for k, v in vars(args).items()
+                        if k not in ("command", "out", *paths) and v is not None},
+            "results": results,
+            "diagnostics": diagnostics,
+        }
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "inputs": {name: _digest(path, raw[path]) for name, path in paths.items()},
-        "options": {k: v for k, v in vars(args).items()
-                    if k not in ("command", "out", *paths) and v is not None},
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     try:
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")

@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _LAYERS
-from .errors import DEFAULT_TERM_CAP, CapExceeded
+from . import _LAYERS, DEFAULT_TERM_CAP, WEIGHT_SUM_TOL, CapExceeded
 
 # Only the dense oracle and the closed form call into operators, and they
 # import it when called, so markov-rate loads neither operators nor spaces.
@@ -338,8 +337,8 @@ def markov_entropy_rate(p, nu) -> float:
     """Entropy rate ``-sum_{j,k} nu_j P_jk log P_jk`` of a Markov chain.
 
     ``p`` must be real and row-stochastic within 1e-10 and ``nu`` a real
-    probability vector; ``nu`` is used as given (typically a stationary
-    distribution).
+    probability vector summing to 1 within ``WEIGHT_SUM_TOL``; ``nu`` is
+    used as given (typically a stationary distribution).
     """
     pm = _real(p, "transition matrix")
     if not np.isfinite(pm).all():
@@ -356,7 +355,7 @@ def markov_entropy_rate(p, nu) -> float:
         raise ValueError("nu: numbers must be finite")
     if nv.shape != (pm.shape[0],):
         raise ValueError("distribution length does not match the matrix")
-    if np.any(nv < -1e-12) or abs(float(nv.sum()) - 1.0) > 1e-9:
+    if np.any(nv < -1e-12) or abs(float(nv.sum()) - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError("nu must be a probability distribution")
     pm = np.clip(pm, 0.0, None)
     nz = pm > 0.0

@@ -18,6 +18,8 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
+from . import WEIGHT_SUM_TOL
+
 # The builders import their layer when called, so reading a band operator
 # does not load the finite layers, nor reading a space the circle layer.
 if TYPE_CHECKING:
@@ -199,7 +201,7 @@ def distribution_from_obj(obj: Any) -> np.ndarray:
     v = _number_table(_require(obj, "weights", "distribution"), "distribution: 'weights'")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("distribution: 'weights' must be a nonempty list")
-    if np.any(v < 0) or abs(float(v.sum()) - 1.0) > 1e-9:
+    if np.any(v < 0) or abs(float(v.sum()) - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError("distribution: entries must be nonnegative and sum to 1")
     return v
 

@@ -34,13 +34,14 @@ def m_chi(w: OperatorMatrix, chi: Partition) -> float:
     """Weighted sum of squared block-restricted operator norms.
 
     The norms ``||W pi_Y||`` come from the kernel of ``operator_norm``;
-    the terms are summed in block order.
+    the terms are formed in float64 and summed in block order.
     """
     chi._check_space(w.space)
+    mu = w.space.weights
     total = 0.0
-    for block, g in zip(chi.blocks, _block_norms(w.entries, w.space.weights, chi.blocks).tolist()):
-        total += w.space.measure(block) * g ** 2
-    return total
+    for block, g in zip(chi.blocks, _block_norms(w.entries, mu, chi.blocks)):
+        total += mu[list(block)].sum() * g ** 2  # the blocks are in range, sorted, unique
+    return float(total)
 
 
 def mu_norm_sq(w: OperatorMatrix) -> float:

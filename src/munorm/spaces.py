@@ -14,13 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _LAYERS
+from . import _LAYERS, WEIGHT_SUM_TOL
 
 __all__ = list(_LAYERS["spaces"])
-
-#: Maximum allowed deviation of the weight sum from 1 on input.
-#: Renormalization is never performed silently.
-WEIGHT_SUM_TOL = 1e-9
 
 
 class FiniteMeasureSpace:

@@ -64,12 +64,11 @@ COS_SIN = circ.PeriodicBandOperator(1, 1, [[-1j, 0.0, 1j]], left=(1, [[1.0, 0.0,
 
 
 def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
-    window = 10**4
     bound = PropertyCheck("window-oracle-within-derived-bound", 1e-12)
     fixed = PropertyCheck("window-oracle-within-1e-2-at-1e4", 1e-2)
     for i in range(trials):
         op = random_seq(rng)
-        diff, derived = circ._window_gap(op, window)
+        diff, derived = circ._window_gap(op)
         bound.update(diff - derived, {"trial": i})
         fixed.update(diff, {"trial": i})
     return [bound, fixed]

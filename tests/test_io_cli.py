@@ -731,7 +731,7 @@ def test_star_import_binds_every_exported_name():
     code = ("import munorm\nns = {}\nexec('from munorm import *', ns)\n"
             "assert [n for n in munorm.__all__ if n not in ns] == []\n"
             "assert ns['dt_norm'] is munorm.circle.dt_norm\n"
-            "assert ns['DEFAULT_TERM_CAP'] == munorm.errors.DEFAULT_TERM_CAP == 10**6")
+            "assert ns['DEFAULT_TERM_CAP'] == munorm.DEFAULT_TERM_CAP == 10**6")
     assert {"spaces", "operators", "norm", "entropy", "circle"} <= loaded_after(code)
 
 
@@ -932,34 +932,102 @@ def _sweep_key(flag, flags):
     return "band op" if flag == "--op" and "--space" not in flags else flag[2:]
 
 
+def _sweep_run(tmp_path, capsys, command, target, bad=None, inputs=SWEEP_INPUTS):
+    """Run ``command`` on the sweep's inputs, ``bad`` in place of ``X`` in the
+    ``target`` file: exit code, stdout, stderr and the warnings raised."""
+    flags = _COMMANDS[command][2]
+    argv = [command]
+    for flag in flags:
+        if flag[2:] in _BUILDERS:
+            template, good = inputs[_sweep_key(flag, flags)]
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(template.replace("X", bad if bad and flag == target else good))
+            argv += [flag, str(path)]
+        elif flag in SWEEP_FLAGS:
+            argv += [flag, *SWEEP_FLAGS[flag]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, [str(w.message) for w in caught]
+
+
+def _assert_refused(code, out, err, caught, bad):
+    assert (code, out, caught) == (2, "", []), (bad, code, out, caught)
+    assert err.startswith("invalid input: ") and err.count("\n") == 1, (bad, err)
+    assert "Traceback" not in err and "RuntimeWarning" not in err, (bad, err)
+
+
 @pytest.mark.parametrize("command, target", SWEEP, ids=[f"{c}{f}" for c, f in SWEEP])
 def test_cli_refuses_every_non_number_alike(tmp_path, capsys, command, target):
     # one number of one input file becomes a non-finite or non-number literal;
     # every command refuses it with exit 2 and one line, and no warning
-    flags = _COMMANDS[command][2]
-
-    def run(bad=None):
-        argv = [command]
-        for flag in flags:
-            if flag[2:] in _BUILDERS:
-                template, good = SWEEP_INPUTS[_sweep_key(flag, flags)]
-                path = tmp_path / f"{flag[2:]}.json"
-                path.write_text(template.replace("X", bad if bad and flag == target else good))
-                argv += [flag, str(path)]
-            elif flag in SWEEP_FLAGS:
-                argv += [flag, *SWEEP_FLAGS[flag]]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        out, err = capsys.readouterr()
-        return code, out, err, [str(w.message) for w in caught]
-
-    assert run(None)[0] == 0
+    assert _sweep_run(tmp_path, capsys, command, target)[0] == 0
     for bad in SWEEP_BAD:
-        code, out, err, caught = run(bad)
-        assert (code, out, caught) == (2, "", []), (bad, code, out, caught)
-        assert err.startswith("invalid input: ") and err.count("\n") == 1, (bad, err)
-        assert "Traceback" not in err and "RuntimeWarning" not in err, (bad, err)
+        _assert_refused(*_sweep_run(tmp_path, capsys, command, target, bad), bad)
+
+
+#: The sweep's inputs with the sequence's huge number off index 0, which both
+#: tails cover, so that it reaches the command instead of failing that match.
+HUGE_INPUTS = {**SWEEP_INPUTS, "seq": ('{"left": [1.0], "right": [1.0, X]}', "1.0")}
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+@pytest.mark.parametrize("huge", ["1e200", "1e308"])
+@pytest.mark.parametrize("command, target", SWEEP, ids=[f"{c}{f}" for c, f in SWEEP])
+def test_cli_refuses_every_overflowing_result_alike(tmp_path, capsys, command, target, huge):
+    # one number of one input file becomes a huge finite one; a command either
+    # reports finite numbers or refuses with exit 2 and one line, and never warns
+    code, out, err, caught = _sweep_run(tmp_path, capsys, command, target, huge, HUGE_INPUTS)
+    if code == 0:
+        assert (err, caught) == ("", []), (err, caught)
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        _assert_refused(code, out, err, caught, huge)
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["avg-trace", "--op", "BAD"], {"tau": 1, "band": 1, "coeffs": [[1e200, 1e200, 1e200]]}),
+    (["dt-mu-norm", "--op", "BAD"], {"tau": 1, "band": 1, "coeffs": [[1e200, 1e200, 1e200]]}),
+    (["rho", "--seq", "BAD"], {"left": [1e200], "right": [1e200]}),
+    (["conv", "--seq", "BAD"], {"left": [1e200], "right": [1e200]}),
+    (["entropy", "--space", "U2", "--op", "BAD", "--partition", "CHI", "--N", "2"],
+     {"re": [[0, 1e200], [1, 0]]}),
+    # each sup is finite and only their Python sum overflows, so no numpy call warns
+    (["dt-norm", "--op", "BAD"], {"tau": 1, "band": 1, "coeffs": [[1e308, 1e308, 1e308]]}),
+    (["mu-norm", "--space", "U2", "--op", "BAD"], {"re": [[1e200, 0], [0, 1]]}),
+    (["m-chi", "--space", "U2", "--op", "BAD", "--partition", "CHI"], {"re": [[1e200, 0], [0, 1]]}),
+])
+def test_cli_refuses_a_result_that_overflows_a_double(files, capsys, argv, bad):
+    tmp, write = files
+    paths = {"BAD": write("bad.json", bad), "U2": write("u2.json", {"weights": [0.5, 0.5]}),
+             "CHI": write("chi.json", {"blocks": [[1], [2]]})}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([paths.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    _assert_refused(code, out, err, [str(w.message) for w in caught], bad)
+    assert "Numerical result out of range" not in err  # a Python float's overflow
+
+
+def test_cli_orthonormalize_does_not_call_a_huge_vector_dependent(files, capsys):
+    # its squared norm overflowed to inf, and inf <= 1e-12 * inf dropped it
+    tmp, write = files
+    argv = ["mu-dim", "--space", write("u2.json", {"weights": [0.5, 0.5]}),
+            "--basis", write("b.json", {"re": [[1e200, 0.0]]}), "--orthonormalize"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: overflow") and "independent" not in err, err
+
+
+def test_cli_dt_norm_reports_a_huge_coefficient(files, capsys):
+    tmp, write = files
+    code, rep = run_cli(capsys, ["dt-norm", "--op", write(
+        "big.json", {"tau": 1, "band": 0, "coeffs": [[1e200]]})])
+    assert (code, rep["results"]["dt_norm"]) == (0, 1e200)
 
 
 @pytest.mark.parametrize("argv, bad, field", [

@@ -85,7 +85,8 @@ def test_closed_form_verified_against_finest_partition():
 
 
 def _m_chi_by_block(w, chi):
-    # one numpy spectral norm per block, summed in block order
+    # one numpy spectral norm per block, its term formed in Python floats from
+    # the block's measure, summed in block order
     s, total = np.sqrt(w.space.weights), 0.0
     for block in chi.blocks:
         y = list(block)
@@ -126,6 +127,8 @@ def test_m_chi_matches_per_block_norms(monkeypatch, stack_entries):
             labels = rng.integers(0, int(rng.integers(1, j + 1)), j)
             chi = Partition(j, [np.flatnonzero(labels == b) for b in np.unique(labels)])
         assert m_chi(w, chi) == _m_chi_by_block(w, chi)
+        trivial = Partition(j, [range(j)])
+        assert m_chi(w, trivial) == _m_chi_by_block(w, trivial)
 
 
 def _m_chi_uniform_block_weights(w, chi):

@@ -31,6 +31,23 @@ def test_make_space_rejects_bad_sum_and_reports_deviation():
     assert sp.weights[1] == 0.5 + 5e-10
 
 
+@pytest.mark.parametrize("excess, accepted", [(0.9e-9, True), (1.1e-9, False)])
+def test_one_weight_sum_tolerance_for_every_probability_vector(excess, accepted):
+    # a space's weights, a distribution file and a chain's nu read munorm.WEIGHT_SUM_TOL
+    from munorm import WEIGHT_SUM_TOL, io, markov_entropy_rate
+
+    assert WEIGHT_SUM_TOL == 1e-9
+    weights = [0.5, 0.5 + excess]
+    for read in (lambda: FiniteMeasureSpace(weights),
+                 lambda: io.distribution_from_obj({"weights": weights}),
+                 lambda: markov_entropy_rate(np.eye(2), weights)):
+        if accepted:
+            read()
+        else:
+            with pytest.raises(ValueError, match="sum to 1|probability distribution"):
+                read()
+
+
 def test_measure_of():
     u4 = FiniteMeasureSpace([0.25] * 4)
     assert u4.measure([0, 1]) == pytest.approx(0.5, abs=1e-15)
