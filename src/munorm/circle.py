@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -35,6 +36,10 @@ MAX_WINDOW = 2**20
 #: Window length of ``_window_gap``'s oracle check, which the CLI's
 #: ``window-oracle-agrees`` and the ``rho-oracle`` suite run.
 ORACLE_WINDOW = 10**4
+
+#: Window sums per block of ``rho_window_max``'s scan, and cells per block of
+#: the perturbation window it reads (whole rows, at least one).
+_SCAN_BLOCK = 8192
 
 #: The phase table last kept, as ``(grid bytes, band, table)``; see ``_phases``.
 _PHASES: tuple = (None, -1, None)
@@ -555,8 +560,11 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     past the largest perturbed ``|row|`` (else 0), over the row masses
     ``sum_j |W_{l,j}|^2``: each tail's masses plus, in each row of the
     perturbation window, the change of its entries.  Converges at rate
-    O(period/window).  A scan past ``2 * MAX_WINDOW`` rows, the float rows
-    of a window's cells, is refused before it is allocated.
+    O(period/window).  The scan holds one float per row and its cumulative
+    sums in place; it reads the perturbation window, and the window sums,
+    in blocks of ``_SCAN_BLOCK`` cells and rows.  A scan past
+    ``2 * MAX_WINDOW`` rows, the float rows of a window's cells, is refused
+    before it is allocated.
     """
     window = operator.index(window)
     if window < 1:
@@ -566,13 +574,37 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     if 2 * reach + 1 > 2 * MAX_WINDOW:
         raise CapExceeded(f"window scan of {2 * reach + 1} rows exceeds the cap "
                           f"{2 * MAX_WINDOW} rows")
-    sq = _tail_run(op, -reach, 2 * reach + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
-    base = _place((r0, d0) + cells.shape, base=op)[2]  # zero cells change nothing
-    change = np.sum(np.abs(base + cells) ** 2 - np.abs(base) ** 2, axis=1)
-    sq[r0 + reach:r0 + reach + len(change)] += change  # row l sits at index l + reach
-    csum = np.concatenate(([0.0], np.cumsum(sq)))
-    # rounding is monotone, so the largest window sum gives the largest average
-    return float(np.max(csum[window:] - csum[:-window]) / window)
+    sq = np.empty(2 * reach + 1)  # row l sits at index l + reach
+    spans = ((sq[:reach], -reach), (sq[reach:], 0)) if op._left is not None else ((sq, -reach),)
+    for (tau, c), (part, first) in zip(op.tails, spans):  # each tail's masses: one period,
+        n = min(tau, len(part))  # then copies of the rows written, doubling
+        part[:n] = _periodic_run(np.sum(np.abs(c) ** 2, axis=1), first, n)
+        while n < len(part):
+            m = min(n, len(part) - n)
+            part[n:n + m] = part[:m]
+            n += m
+    for i, base, part in _window_blocks(op):  # zero cells change nothing
+        sq[r0 + reach + i:r0 + reach + i + len(part)] += np.sum(
+            np.abs(base + part) ** 2 - np.abs(base) ** 2, axis=1)
+    np.cumsum(sq, out=sq)
+    # rounding is monotone, so the largest window sum gives the largest average;
+    # the first window's sum is sq[window - 1], each later one a difference
+    best, starts = sq[window - 1], len(sq) - window
+    for i in range(0, starts, _SCAN_BLOCK):
+        hi = min(i + _SCAN_BLOCK, starts)
+        best = np.maximum(best, (sq[i + window:hi + window] - sq[i:hi]).max())
+    return float(best / window)
+
+
+def _window_blocks(op: PeriodicBandOperator):
+    """``op``'s perturbation window in blocks of rows from its first, about
+    ``_SCAN_BLOCK`` cells each: ``(i, base, part)`` with ``part`` its rows ``i..``
+    and ``base`` the unperturbed entries on them, as ``_place`` sums them."""
+    r0, d0, cells = op._window
+    step = max(1, _SCAN_BLOCK // max(1, cells.shape[1]))
+    for i in range(0, len(cells), step):
+        part = cells[i:i + step]
+        yield i, _place((r0 + i, d0) + part.shape, base=op)[2], part
 
 
 def _window_gap(op: PeriodicBandOperator) -> tuple[float, float]:
@@ -580,10 +612,10 @@ def _window_gap(op: PeriodicBandOperator) -> tuple[float, float]:
     ``10 m / ORACLE_WINDOW``, ``m`` the larger tail's entry mass over one period plus
     the perturbed entries' mass, summed by position as ``op.perturbation`` lists them."""
     mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
-    r0, d0, cells = op._window
-    entries = _place((r0, d0) + cells.shape, op._window, base=op)[2][cells != 0]
+    entries = ((base + part)[part != 0] for _, base, part in _window_blocks(op))
     # hypot and pow, as Python's abs(z) ** 2; numpy's abs and square round otherwise
-    mass += sum(np.float_power(np.hypot(entries.real, entries.imag), 2.0).tolist())
+    mass += sum(chain.from_iterable(np.float_power(np.hypot(e.real, e.imag), 2.0).tolist()
+                                    for e in entries))
     return abs(avg_trace(op) - rho_window_max(op, ORACLE_WINDOW)), 10.0 * mass / ORACLE_WINDOW
 
 

@@ -278,7 +278,8 @@ def _run(argv: list[str]) -> int:
         if paths:  # a command that reads no file need not load io
             from . import io as mio
 
-            with mio.recording_inputs() as raw:
+            # a sum that overflows while an input is checked reads inf, and the check refuses it
+            with mio.recording_inputs() as raw, np.errstate(over="ignore"):
                 for name, path in paths.items():
                     inputs[name] = _BUILDERS[name](mio, mio.load_json(path), inputs)
         # a result that overflows a double is refused, and so is inf or NaN in the report

@@ -75,26 +75,28 @@ def weighted_gram_schmidt(space: FiniteMeasureSpace,
     """Orthonormalize a spanning set in the weighted inner product.
 
     Modified Gram-Schmidt; vectors whose residual drops to 1e-12 times
-    their original size or below are discarded as dependent.
+    their original size or below are discarded as dependent; a norm or a
+    projection that overflows a double raises ``FloatingPointError``.
     Returns a matrix whose columns are orthonormal.
     """
     mu = space.weights
     rows = _basis_rows(space, vectors)
-    original = np.sqrt(np.sum(mu * np.abs(rows) ** 2, axis=1))
-    rows = rows[original != 0.0]
-    original = original[original != 0.0]
-    # right-looking: once row k is q_k, its component leaves every later
-    # row at once, so each row meets q_0, q_1, ... in the order the
-    # one-vector-at-a-time loop applies them, with the same arithmetic
-    cols = []
-    for k, u in enumerate(rows):
-        residual = np.sqrt(max(np.sum(mu * np.abs(u) ** 2).real, 0.0))
-        if residual <= 1e-12 * original[k]:
-            continue
-        q = u / residual
-        cols.append(q)
-        rest = rows[k + 1:]
-        rest -= np.sum(mu * rest * q.conj(), axis=1)[:, None] * q
+    with np.errstate(over="raise"):  # an inf norm would call its vector dependent
+        original = np.sqrt(np.sum(mu * np.abs(rows) ** 2, axis=1))
+        rows = rows[original != 0.0]
+        original = original[original != 0.0]
+        # right-looking: once row k is q_k, its component leaves every later
+        # row at once, so each row meets q_0, q_1, ... in the order the
+        # one-vector-at-a-time loop applies them, with the same arithmetic
+        cols = []
+        for k, u in enumerate(rows):
+            residual = np.sqrt(max(np.sum(mu * np.abs(u) ** 2).real, 0.0))
+            if residual <= 1e-12 * original[k]:
+                continue
+            q = u / residual
+            cols.append(q)
+            rest = rows[k + 1:]
+            rest -= np.sum(mu * rest * q.conj(), axis=1)[:, None] * q
     if not cols:
         raise ValueError("spanning set contains no independent vector")
     return np.stack(cols, axis=1)

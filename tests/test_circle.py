@@ -22,6 +22,8 @@ from munorm import (
     tail_masses,
     w_l,
 )
+from munorm import circle
+from munorm.circle import _SCAN_BLOCK, ORACLE_WINDOW
 from munorm.verify_circle import COS_SIN, random_bandop, random_two_tail
 
 ALL_ONES = dt_from_seq([1.0], [1.0])
@@ -458,8 +460,6 @@ def test_band_64_two_tail_against_a_fine_grid():
 
 
 def test_equal_tails_take_no_root_solve_and_no_seam_terms(monkeypatch):
-    from munorm import circle
-
     def refuse(*args):
         raise AssertionError("two-tail route taken")
 
@@ -707,23 +707,125 @@ def _random_signed_seq(rng):
     return dt_from_seq(left, right, middle, k0)
 
 
+def _gathered_window_max(op, window):
+    # row masses gathered entry by entry from each row's pattern, perturbation
+    # changes added per entry, and one cumulative sum of the whole scan
+    reach = max((abs(r) + 1 for r, _, _ in op.perturbation), default=0) + 2 * window
+    rows = np.arange(-reach, reach + 1)
+    (tau_left, left), (tau, right) = op.left, (op.tau, op.coeffs)
+    sq = np.sum(np.abs(np.where((rows < 0)[:, None], left[rows % tau_left],
+                                right[rows % tau])) ** 2, axis=1)
+    for r, c, _ in op.perturbation:  # numpy's modulus: Python's abs can differ in the last bit
+        full, base = np.abs([op.entry(r, c), op.base_entry(r, c)]) ** 2
+        sq[r + reach] += full - base
+    csum = np.concatenate(([0.0], np.cumsum(sq)))
+    return float(np.max((csum[window:] - csum[:-window]) / window))
+
+
+def _assert_same_float(got, want):
+    assert got == want and math.copysign(1, got) == math.copysign(1, want), (got, want)
+
+
 def test_window_oracle_matches_gathered_squares():
-    # reference: row masses gathered entry by entry, perturbation changes added per row
     rng = np.random.default_rng(40)
     for i in range(320):
         op = _random_signed_seq(rng) if i % 2 else random_two_tail(rng, perturbed=True)
         window = int(rng.choice([1, 3, 50, 10**3]))
-        got = rho_window_max(op, window)
-        reach = max((abs(r) + 1 for r, _, _ in op.perturbation), default=0) + 2 * window
-        rows = range(-reach, reach + 1)
-        sq = np.sum(np.abs([[op.base_entry(r, c) for c in range(r - op.band, r + op.band + 1)]
-                            for r in rows]) ** 2, axis=1)
-        for r, c, _ in op.perturbation:  # numpy's modulus: Python's abs can differ in the last bit
-            full, base = np.abs([op.entry(r, c), op.base_entry(r, c)]) ** 2
-            sq[r + reach] += full - base
-        csum = np.concatenate(([0.0], np.cumsum(sq)))
-        want = float(np.max((csum[window:] - csum[:-window]) / window))
-        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+        _assert_same_float(rho_window_max(op, window), _gathered_window_max(op, window))
+
+
+def _far_perturbed(rng, op, far):
+    # op with cells in distinct rows out to +-far, so each perturbed row holds one cell
+    rows = rng.choice(2 * far + 1, int(rng.integers(1, 5)), replace=False) - far
+    cells = [(int(r), int(r) + int(rng.integers(-op.band - 2, op.band + 3)),
+              complex(*rng.standard_normal(2))) for r in rows]
+    return PeriodicBandOperator(op.tau, op.band, op.coeffs, cells,
+                                op.left if len(op.tails) > 1 else None)
+
+
+def test_window_oracle_matches_gathered_squares_across_scan_blocks():
+    # scans inside one block, across one block edge and across many: windows at the
+    # block length and perturbed rows out to 3 * 10^4, with one tail and with two
+    rng = np.random.default_rng(43)
+    windows = [1, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, ORACLE_WINDOW]
+    for i in range(24):
+        op = random_two_tail(rng) if i % 2 else random_bandop(rng, 4, 3)
+        op = _far_perturbed(rng, op, [12, 5000, 3 * 10**4][i % 3])
+        for window in windows:
+            _assert_same_float(rho_window_max(op, window), _gathered_window_max(op, window))
+
+
+def _whole_window_gap(op):
+    # _window_gap as one expression per step on the whole scan and the whole window
+    r0, d0, cells = op._window
+    reach = (max(-r0, r0 + len(cells) - 1) + 1 if cells.size else 0) + 2 * ORACLE_WINDOW
+    sq = circle._tail_run(op, -reach, 2 * reach + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
+    base = circle._place((r0, d0) + cells.shape, base=op)[2]
+    change = np.sum(np.abs(base + cells) ** 2 - np.abs(base) ** 2, axis=1)
+    sq[r0 + reach:r0 + reach + len(change)] += change
+    csum = np.concatenate(([0.0], np.cumsum(sq)))
+    scan = float(np.max(csum[ORACLE_WINDOW:] - csum[:-ORACLE_WINDOW]) / ORACLE_WINDOW)
+    mass = max(float(np.sum(np.abs(c) ** 2)) for _, c in op.tails)
+    entries = circle._place((r0, d0) + cells.shape, op._window, base=op)[2][cells != 0]
+    mass += sum(np.float_power(np.hypot(entries.real, entries.imag), 2.0).tolist())
+    return abs(avg_trace(op) - scan), 10.0 * mass / ORACLE_WINDOW
+
+
+def test_window_gap_matches_whole_window_expressions():
+    # rows of many cells, read in blocks of rows, and far rows that split the scan
+    rng = np.random.default_rng(44)
+    for i in range(30):
+        op = random_two_tail(rng, 4, 8) if i % 2 else random_bandop(rng, 4, 8)
+        op = _far_perturbed(rng, op, [12, 3000, 3 * 10**4][i % 3] if op.band < 3 else 12)
+        top = int(rng.integers(-20, 20))
+        dense = [(top + j // 15, top + j // 15 + j % 15 - 7, complex(*rng.standard_normal(2)))
+                 for j in range(15 * int(rng.integers(1, 900))) if rng.random() < 0.7]
+        op = PeriodicBandOperator(op.tau, op.band, op.coeffs, list(op.perturbation) + dense,
+                                  op.left if len(op.tails) > 1 else None)
+        got, want = circle._window_gap(op), _whole_window_gap(op)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (i, got, want)
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: A band-128 operator perturbed at rows 0 and 10^6, and the float per row of
+#: its scan at ``ORACLE_WINDOW``: 15.6 MiB.
+FAR_BAND = PeriodicBandOperator(64, 128, np.ones((64, 257)), [(0, 0, 1.0), (10**6, 10**6, 2.0)])
+FAR_BAND_SCAN = 8 * (2 * (10**6 + 1 + 2 * ORACLE_WINDOW) + 1)
+
+
+def test_window_scan_peaks_at_its_buffer_of_row_masses():
+    # the window's 10^6 + 1 rows and the window sums are read in blocks
+    peak = _traced_peak(lambda: rho_window_max(FAR_BAND, ORACLE_WINDOW))
+    assert peak < 1.1 * FAR_BAND_SCAN, (peak, FAR_BAND_SCAN)
+    near_cap = PeriodicBandOperator(1, 0, [[1.0]], [(1047998, 1047998, 1.0)])
+    peak = _traced_peak(lambda: rho_window_max(near_cap, 1))  # 2,096,003 rows, 16.0 MiB
+    assert peak < 17 * 2**20, peak
+
+
+def test_window_gap_peaks_at_the_scan_buffer():
+    # the bound reads the perturbed entries one block of rows at a time
+    peak = _traced_peak(lambda: circle._window_gap(FAR_BAND))
+    assert peak < FAR_BAND_SCAN + 4 * 2**20, (peak, FAR_BAND_SCAN)
+
+
+def test_window_oracle_reads_every_window_start_at_the_block_edges():
+    # one heavy row beside each of the first block edges, the scan stretched by a
+    # light row far below: only the one-row window on it holds its mass 3^2
+    far = 3 * 10**4
+    origin = far + 1 + 2  # the scan index of row 0 at window 1
+    for k in [m * _SCAN_BLOCK + e for m in (1, 2, 3) for e in (-1, 0, 1)]:
+        op = PeriodicBandOperator(1, 0, [[1.0]], [(-far, -far, 0.5), (k - origin, k - origin, 2.0)])
+        assert rho_window_max(op, 1) == 9.0, k
 
 
 def test_perturbation_window_sums_cells_and_drops_zeros():
@@ -914,8 +1016,6 @@ def test_chained_algebra_matches_dense_sections(chain):
 
 
 def test_phase_tables_serve_narrower_bands_exactly():
-    from munorm import circle
-
     def direct(op, grid):
         d = np.arange(-op.band, op.band + 1)
         return np.mean(np.abs(op.coeffs @ np.exp(-1j * np.outer(d, grid))) ** 2, axis=0)
@@ -951,8 +1051,6 @@ def _failing_checks(suite):
 
 
 def test_section_route_kills_the_perturbation_mutants(monkeypatch):
-    from munorm import circle
-
     suites = ("section-route", "two-tail-integral", "two-tail-section", "rho-oracle")
     assert all(_failing_checks(suite) == set() for suite in suites)
 

@@ -989,11 +989,34 @@ def test_cli_refuses_every_overflowing_result_alike(tmp_path, capsys, command, t
         _assert_refused(code, out, err, caught, huge)
 
 
+#: The sweep's inputs with both weights of a space or a distribution in place of ``X``.
+PAIR_INPUTS = {**SWEEP_INPUTS, "space": ('{"weights": [X, X]}', "0.5"),
+               "dist": ('{"weights": [X, X]}', "0.5")}
+WEIGHT_SUM_REFUSALS = {
+    "--space": "invalid input: space: weights must sum to 1 within 1e-09; deviation is inf\n",
+    "--dist": "invalid input: distribution: entries must be nonnegative and sum to 1\n",
+}
+WEIGHT_SUM_SWEEP = [(c, f) for c, f in SWEEP if f in WEIGHT_SUM_REFUSALS]
+
+
+@pytest.mark.parametrize("command, target", WEIGHT_SUM_SWEEP,
+                         ids=[f"{c}{f}" for c, f in WEIGHT_SUM_SWEEP])
+def test_cli_refuses_weights_whose_sum_overflows_in_one_line(tmp_path, capsys, command, target):
+    # 1e308 + 1e308 overflows while the input is checked: the check reads inf and
+    # refuses it in its own words, with no numpy warning before it
+    assert _sweep_run(tmp_path, capsys, command, target, None, PAIR_INPUTS)[0] == 0
+    code, out, err, caught = _sweep_run(tmp_path, capsys, command, target, "1e308", PAIR_INPUTS)
+    _assert_refused(code, out, err, caught, "1e308")
+    assert err == WEIGHT_SUM_REFUSALS[target]
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["avg-trace", "--op", "BAD"], {"tau": 1, "band": 1, "coeffs": [[1e200, 1e200, 1e200]]}),
     (["dt-mu-norm", "--op", "BAD"], {"tau": 1, "band": 1, "coeffs": [[1e200, 1e200, 1e200]]}),
     (["rho", "--seq", "BAD"], {"left": [1e200], "right": [1e200]}),
     (["conv", "--seq", "BAD"], {"left": [1e200], "right": [1e200]}),
+    # the middle's change from the tail, 1e308 - (-1e308), overflows while it is built
+    (["rho", "--seq", "BAD"], {"left": [1.0], "right": [-1e308], "k0": 1, "middle": {"0": 1e308}}),
     (["entropy", "--space", "U2", "--op", "BAD", "--partition", "CHI", "--N", "2"],
      {"re": [[0, 1e200], [1, 0]]}),
     # each sup is finite and only their Python sum overflows, so no numpy call warns

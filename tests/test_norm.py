@@ -204,6 +204,15 @@ def test_weighted_gram_schmidt_drops_relative_to_each_vector():
     assert weighted_gram_schmidt(W3, [1e-8 * x, 1e4 * x + 1e-6 * y]).shape == (3, 2)
 
 
+def test_weighted_gram_schmidt_refuses_a_norm_that_overflows():
+    # the squared norm of 1e200 overflows to inf, and inf <= 1e-12 * inf would call
+    # the vector dependent: the overflow is the reason given, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            weighted_gram_schmidt(FiniteMeasureSpace([0.5, 0.5]), [[1e200, 0.0]])
+
+
 def test_weighted_gram_schmidt_refusals():
     with pytest.raises(ValueError, match="length does not match"):
         weighted_gram_schmidt(W3, [[1.0, 0.0, 0.0], [1.0, 0.0]])
