@@ -507,9 +507,10 @@ def _arc_integrals(r: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 def dt_mu_norm_sq(op: PeriodicBandOperator) -> DtMuNorm:
     """Squared partition norm: circle average of the window density ``rho_la``.
 
-    Equal tails: the quadrature is the mean over ``max(16, 8*band)``
-    uniform points, exact for the density, a trigonometric polynomial of
-    degree ``2*band``; the closed form is the Parseval sum ``avg_trace``.
+    Equal tails: the quadrature is the mean over ``2*band + 1`` uniform
+    points, the fewest that average the density, a trigonometric
+    polynomial of degree ``2*band``, exactly; the closed form is the
+    Parseval sum ``avg_trace``.
     Unequal tails: the densities cross at the unit-circle roots of one
     polynomial of degree ``4*band``.  On each arc between the crossings,
     the closed form integrates exactly the density that wins at the arc's
@@ -520,7 +521,7 @@ def dt_mu_norm_sq(op: PeriodicBandOperator) -> DtMuNorm:
     do not contribute.
     """
     if op._left is None:
-        n = max(16, 8 * op.band)
+        n = 2 * op.band + 1
         grid = 2.0 * np.pi * np.arange(n) / n
         return DtMuNorm(float(np.mean(rho_la(op, grid))), avg_trace(op))
     r_left, r_right = map(_density_coefficients, op.tails)

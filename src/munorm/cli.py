@@ -7,17 +7,22 @@ cap was exceeded.  Reports are byte-identical across runs for the same
 inputs, options, and seed.
 
 Each command imports the layers it runs when it runs, so a process
-loads and compiles only those; see "CLI start-up" in the README.
+loads and compiles only those.  A plain command line (a known command,
+its own flags spelled in full, each once, with a value that does not
+start with ``-``) is read from the command table; argparse is imported
+only to answer help requests and every other command line, so it stays
+the one source of usage and error text.  See "CLI start-up" in the
+README.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # Loaded with the CLI, not by its first command: perfbench reads numpy's
 # import time from that of this module.
@@ -177,7 +182,7 @@ def _verify(args, inputs):
     return results, {"trials": args.trials, "seed": args.seed}
 
 
-#: Keyword arguments of each flag a command may take.
+#: Keyword arguments of each flag a command may take; every command takes ``--out``.
 _FLAGS = {
     "--space": dict(required=True, help="space JSON file"),
     "--op": dict(required=True, help="operator JSON file"),
@@ -191,12 +196,13 @@ _FLAGS = {
     "--cap": dict(type=int, default=DEFAULT_TERM_CAP, help="enumeration term cap"),
     "--log-base": dict(dest="log_base", choices=("e", "2"), default="e",
                        help="report entropies in nats (e) or bits (2)"),
-    "--orthonormalize": dict(action="store_true",
+    "--orthonormalize": dict(action="store_true", default=False,
                              help="orthonormalize the given spanning set first"),
     "--suite": dict(required=True,
                     help="suite name; see README or pass an unknown name to list them"),
     "--trials": dict(type=int, default=100),
     "--seed": dict(type=int, default=0),
+    "--out": dict(default=None, help="write the JSON report here"),
 }
 
 #: Command name -> (handler, help line, flags from ``_FLAGS``).  A handler
@@ -224,14 +230,19 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None):
     """The argument parser; given a command name, with only that command's subparser.
 
-    A call dispatches one command, so building only its subparser halves
-    the cost of the parser.  The usage line names every command either
-    way, and without a known command all are built, so help and error
-    output do not depend on the filter.
+    It answers help requests and the command lines that ``_read_plain``
+    does not take, and imports argparse (with ``gettext`` and, for its
+    first message, ``locale``) when called, so a plain command line
+    loads none of them.  A call dispatches one command, so building only
+    its subparser halves the cost of the parser.  The usage line names
+    every command either way, and without a known command all are built,
+    so help and error output do not depend on the filter.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="munorm",
         description="Partition-norm calculator for operators on finite spaces and the circle.",
@@ -242,9 +253,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in [command] if only else _COMMANDS:
         _, help_, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
-        for flag in flags:
+        for flag in (*flags, "--out"):
             p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument("--out", default=None, help="write the JSON report here")
     return parser
 
 
@@ -269,8 +279,43 @@ def main(argv=None) -> int:
         gc.freeze()
 
 
+def _read_plain(argv: list[str]):
+    """The parsed arguments of a plain command line, as ``build_parser`` gives them; else None.
+
+    Plain: a known command, then flags of that command or ``--out``, each
+    spelled in full and given once, each value present, not starting
+    with ``-``, of the flag's type and among its choices, and every
+    required flag given.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = {f: _FLAGS[f] for f in (*_COMMANDS[argv[0]][2], "--out")}
+    given, words = {}, iter(argv[1:])
+    for flag in words:
+        kw = flags.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    if any(kw.get("required") and f not in given for f, kw in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        kw.get("dest", f[2:]): given.get(f, kw.get("default")) for f, kw in flags.items()})
+
+
 def _run(argv: list[str]) -> int:
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_plain(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     handler, _, flags = _COMMANDS[args.command]
     paths = {f[2:]: str(getattr(args, f[2:])) for f in flags if f[2:] in _BUILDERS}
     raw, inputs = {}, {}

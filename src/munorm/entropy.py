@@ -185,12 +185,16 @@ def _rows(link, depth: int, num_blocks: int) -> np.ndarray:
 
 
 def _entropies(levels, n_max: int) -> list[float]:
-    """``-sum v log v`` per horizon 0..n_max over a walk's ``(depth, masses, link)`` blocks."""
-    acc = [0.0] * (operator.index(n_max) + 1)
+    """``-sum v log v`` per horizon 0..n_max over a walk's ``(depth, masses, link)`` blocks.
+
+    The list is made after the walk, whose first step checks the horizon
+    and the cap, so a refused horizon allocates nothing per horizon.
+    """
+    acc = {}
     for depth, masses, _ in levels:
         v = masses[masses > 0.0]
-        acc[depth - 1] -= float(v @ np.log(v))
-    return acc
+        acc[depth] = acc.get(depth, 0.0) - float(v @ np.log(v))
+    return [acc.get(depth, 0.0) for depth in range(1, n_max + 2)]
 
 
 def _table(levels, n: int, num_blocks: int) -> dict[tuple[int, ...], float]:

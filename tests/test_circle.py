@@ -373,14 +373,15 @@ def test_dt_mu_norm_matches_conv_for_periodic_diagonal():
 
 
 def test_quad_floor_is_exact_at_the_boundary():
-    # a uniform grid of 2*band + 1 points already averages the density exactly;
-    # the fixed grid of dt_mu_norm_sq, max(16, 8*band) points, is never smaller
+    # a uniform grid of 2*band + 1 points, the grid of dt_mu_norm_sq on one tail,
+    # averages the density exactly
     rng = np.random.default_rng(31)
     for _ in range(40):
         op = random_bandop(rng, max_tau=8, max_band=8, perturbed=bool(rng.random() < 0.5))
         floor = 2 * op.band + 1
         grid_mean = float(np.mean(rho_la(op, 2.0 * np.pi * np.arange(floor) / floor)))
         assert grid_mean == pytest.approx(avg_trace(op), abs=1e-12)
+        assert dt_mu_norm_sq(op).quadrature == grid_mean
 
 
 def test_quad_floor_is_tight():

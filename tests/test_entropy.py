@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,26 @@ def test_term_cap_refuses_exactly_the_counts_past_it():
         _check_horizon(3, 99, 10**6)
     with pytest.raises(ValueError, match="term cap must be at least 1, got 0"):
         _check_horizon(2, 1, 0)
+
+
+SWAP2 = Endomorphism(U2, [1, 0])
+HORIZON_WALKS = [(quantum_entropy_rate, koopman(SWAP2)), (quantum_entropy_at, koopman(SWAP2)),
+                 (path_mass_table, koopman(SWAP2)), (ks_entropy_rate, SWAP2),
+                 (ks_entropy_at, SWAP2), (ks_path_measure_table, SWAP2)]
+
+
+@pytest.mark.parametrize("walk, subject", HORIZON_WALKS,
+                         ids=[walk.__name__ for walk, _ in HORIZON_WALKS])
+def test_far_horizon_is_refused_before_any_per_horizon_allocation(walk, subject):
+    # a list of 10^7 + 1 horizons alone takes 76 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"needs 2\^10000001 multiindex terms"):
+            walk(subject, finest_partition(U2), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_rate_report_permutation():

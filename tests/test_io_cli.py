@@ -1,5 +1,6 @@
 import enum
 import gc
+import itertools
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from munorm import (
     dt_from_seq,
 )
 from munorm import io as mio
-from munorm.cli import _BUILDERS, _COMMANDS, _FLAGS, build_parser, main
+from munorm.cli import _BUILDERS, _COMMANDS, _FLAGS, _read_plain, build_parser, main
 from munorm.verify import SUITES, run_suite, suite_names
 
 
@@ -614,6 +615,10 @@ PARSER_ARGV = [
     ["dt-mu-norm", "--op", "b", "--quad", "-"], ["rho", "--seq"], ["dt-norm", "--op", "a", "--out"],
     ["avg-trace", "--op", "a", "-h"], ["verify", "--suite"], ["verify", "--suite", "x", "--trials", "1.5"],
     ["verify", "--suite", "x", "--seed=abc"], ["verify", "--suite", "a", "mu-norm"],
+    ["mu-dim", "--space", "s", "--basis", "b", "--orthonormalize", "yes"],
+    ["dt-norm", "--op", "--out", "r"], ["verify", "--suite", "-x"],
+    ["entropy", "--space", "s", "--op", "u", "--partition", "c", "--N", "2", "--log-base", "-1"],
+    ["verify", "--suite", "x", "--trials", "_10"], ["verify", "--suite", "x", "--seed", "0x10"],
 ]
 
 
@@ -626,6 +631,64 @@ def test_dispatched_parser_answers_as_the_full_parser(argv, capsys):
         main(argv)
     assert dispatched.value.code == full.value.code
     assert capsys.readouterr() == want
+
+
+#: Spellings of an int that argparse's ``type=int`` takes.
+INT_SPELLINGS = ("7", "+7", "1_0")
+
+
+def plain_lines(command):
+    """Each plain command line of ``command``: every order of its required flags with every
+    choice of its optional ones and ``--out``; the ints take the INT_SPELLINGS in turn."""
+    flags = (*_COMMANDS[command][2], "--out")
+    required = [f for f in flags if _FLAGS[f].get("required")]
+    optional = [f for f in flags if f not in required]
+    ints = itertools.cycle(INT_SPELLINGS)
+    for k in range(len(optional) + 1):
+        for chosen in itertools.combinations(optional, k):
+            for order in itertools.permutations(required + list(chosen)):
+                argv = [command]
+                for flag in order:
+                    kw = _FLAGS[flag]
+                    argv.append(flag)
+                    if "type" in kw:
+                        argv.append(next(ints))
+                    elif "choices" in kw:
+                        argv.append(kw["choices"][len(argv) % len(kw["choices"])])
+                    elif kw.get("action") != "store_true":
+                        argv.append(f"{flag[2:]}.json")
+                yield argv
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_plain_command_lines_read_as_the_full_parser_parses_them(command):
+    parser = build_parser()
+    lines = list(plain_lines(command))
+    for argv in lines:
+        plain = _read_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(parser.parse_args(argv)), argv
+    if any("type" in _FLAGS[f] for f in _COMMANDS[command][2]):
+        assert set(INT_SPELLINGS) <= {word for argv in lines for word in argv}
+
+
+#: Command lines that argparse accepts but the reader hands to it: repeated
+#: flags, and values that start with ``-``.  Those that argparse refuses are
+#: in PARSER_ARGV.
+HANDED_OFF = [
+    ["dt-norm", "--op", "a", "--op", "b"], ["dt-norm", "--op", "a", "--out", "r", "--out", "s"],
+    ["mu-dim", "--space", "s", "--basis", "b", "--orthonormalize", "--orthonormalize"],
+    ["dt-norm", "--op", "-"], ["dt-norm", "--op", "a", "--out", "-"],
+    ["verify", "--suite", "x", "--seed", "-1"], ["verify", "--suite", "x", "--trials", "-0"],
+    ["verify", "--suite", "x", "--seed", "-1", "--seed", "2"],
+    ["entropy", "--space", "s", "--op", "u", "--partition", "c", "--N", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", HANDED_OFF)
+def test_dispatched_parser_reads_what_the_reader_hands_over(argv):
+    assert _read_plain(argv) is None
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_cli_digests_the_bytes_it_parsed(files, capsys, monkeypatch):
@@ -791,6 +854,22 @@ def test_process_entry_freezes_the_heap(tmp_path, argv):
     assert proc.returncode == 0 and proc.stdout
     frozen = re.fullmatch(r"frozen (\d+)\n", proc.stderr)
     assert frozen and int(frozen.group(1)) > 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["dt-norm", "--op", "band.json"], ""),
+    (["verify", "--suite", "norm-chain", "--trials", "2"], ""),
+    (["dt-norm", "--op", "band.json", "--op", "band.json"], "argparse gettext locale"),
+    (["dt-norm", "--help"], "argparse gettext locale"),
+], ids=["dt-norm", "verify", "repeated flag", "help"])
+def test_process_entry_loads_argparse_only_for_what_it_hands_over(tmp_path, argv, loaded):
+    (tmp_path / "band.json").write_text(ENTRY_FILES["band.json"], encoding="utf-8")
+    entry = ("import atexit, sys\n"
+             "atexit.register(lambda: print(*[m for m in ('argparse', 'gettext', 'locale')"
+             " if m in sys.modules], file=sys.stderr))\n" + CLI_ENTRY)
+    proc = run_entry(argv, tmp_path, entry)
+    assert (proc.returncode, proc.stderr) == (0, loaded + "\n")
+    assert proc.stdout
 
 
 def test_cli_verify_suite(files, capsys):
@@ -1271,17 +1350,19 @@ def test_cli_band_128_reads_only_the_cells_of_a_far_perturbation_window(files, c
 
 @pytest.mark.parametrize("command", ["entropy", "ks-entropy"])
 def test_cli_cap_exceeded_past_the_int_string_limit(files, capsys, command):
-    # 2^15001 has more digits than Python converts to a string by default
+    # 2^15001 has more digits than Python converts to a string by default; a list of
+    # 10^12 + 1 horizons would not fit in memory, nor one of 10^20 + 1 in an index
     tmp, write = files
     space = write("u2.json", {"weights": [0.5, 0.5]})
     part = write("chi.json", {"blocks": [[1], [2]]})
     given = (["--op", write("u.json", {"re": [[0.0, 1.0], [1.0, 0.0]]})] if command == "entropy"
              else ["--endo", write("f.json", {"map": [2, 1]})])
-    code = main([command, "--space", space, *given, "--partition", part, "--N", "15000"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (3, "")
-    assert err == ("cap exceeded: enumeration needs 2^15001 multiindex terms "
-                   "(2 blocks, horizon 15000); cap is 1000000\n")
+    for horizon in (15000, 10**12, 10**20):
+        code = main([command, "--space", space, *given, "--partition", part, "--N", str(horizon)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, ""), horizon
+        assert err == (f"cap exceeded: enumeration needs 2^{horizon + 1} multiindex terms "
+                       f"(2 blocks, horizon {horizon}); cap is 1000000\n")
 
 
 def test_cli_dt_mu_norm_of_two_tails(files, capsys):
