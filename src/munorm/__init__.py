@@ -26,7 +26,7 @@ _LAYERS = {
                   "vector_norm", "unitarity_defect"),
     "norm": ("m_chi", "mu_norm_sq", "mu_dim", "weighted_gram_schmidt",
              "CyclicAction", "cyclic_projector"),
-    "entropy": ("EntropyReport", "path_operator", "path_mass_table",
+    "entropy": ("EntropyReport", "path_mass_table",
                 "quantum_entropy_at", "quantum_entropy_rate", "quantum_entropy_closed",
                 "ks_entropy_at", "ks_entropy_rate", "ks_path_measure_table",
                 "markov_entropy_rate"),

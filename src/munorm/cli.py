@@ -230,16 +230,13 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None):
-    """The argument parser; given a command name, with only that command's subparser.
+def build_parser():
+    """The argument parser of every command.
 
     It answers help requests and the command lines that ``_read_plain``
     does not take, and imports argparse (with ``gettext`` and, for its
     first message, ``locale``) when called, so a plain command line
-    loads none of them.  A call dispatches one command, so building only
-    its subparser halves the cost of the parser.  The usage line names
-    every command either way, and without a known command all are built,
-    so help and error output do not depend on the filter.
+    loads none of them.
     """
     import argparse
 
@@ -247,11 +244,8 @@ def build_parser(command: str | None = None):
         prog="munorm",
         description="Partition-norm calculator for operators on finite spaces and the circle.",
     )
-    only = command in _COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
-    for name in [command] if only else _COMMANDS:
-        _, help_, flags = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flag in (*flags, "--out"):
             p.add_argument(flag, **_FLAGS[flag])
@@ -315,7 +309,7 @@ def _read_plain(argv: list[str]):
 
 
 def _run(argv: list[str]) -> int:
-    args = _read_plain(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     handler, _, flags = _COMMANDS[args.command]
     paths = {f[2:]: str(getattr(args, f[2:])) for f in flags if f[2:] in _BUILDERS}
     raw, inputs = {}, {}

@@ -14,14 +14,14 @@ Natural logarithm throughout; ``0 log 0 = 0`` by explicit branch.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import _LAYERS, DEFAULT_TERM_CAP, WEIGHT_SUM_TOL, CapExceeded
 
-# Only the dense oracle and the closed form call into operators, and they
-# import it when called, so markov-rate loads neither operators nor spaces.
+# Only the closed form calls into operators, and it imports it when
+# called, so markov-rate loads neither operators nor spaces.
 if TYPE_CHECKING:
     from .operators import Endomorphism, OperatorMatrix
     from .spaces import Partition
@@ -49,28 +49,6 @@ def _labels(chi: Partition) -> np.ndarray:
     for b, block in enumerate(chi.blocks):
         label[list(block)] = b
     return label
-
-
-def path_operator(u: OperatorMatrix, chi: Partition, digits: Sequence[int]) -> OperatorMatrix:
-    """Alternating projector/operator product selected by a multiindex.
-
-    ``digits = (j_0..j_N)`` yields ``pi_{X_{j_N}} U ... U pi_{X_{j_0}}``
-    with N copies of U; a single digit gives the bare block projector.
-    """
-    from .operators import OperatorMatrix
-
-    chi._check_space(u.space)
-    digits = [operator.index(d) for d in digits]
-    if not digits:
-        raise ValueError("multiindex must have at least one digit")
-    for d in digits:
-        if d < 0 or d >= len(chi.blocks):
-            raise ValueError(f"digit {d} out of range for a partition with {len(chi.blocks)} blocks")
-    label = _labels(chi)
-    acc = np.diag(label == digits[0]).astype(complex)
-    for d in digits[1:]:  # pi_X as a 0/1 row mask
-        acc = (label == d)[:, None] * (u.entries @ acc)
-    return OperatorMatrix(u.space, acc)
 
 
 #: Complex entries one batched operator step may produce (4 MB).  A

@@ -13,6 +13,16 @@ is the module's function of its name with ``-`` written as ``_``;
 ``run_suite`` imports only the module of the suites it runs, so a
 circle suite does not load the finite layers, nor a finite suite the
 circle layer.
+
+Most suites are a law under ``@_per_trial((name, tolerance), ...)``: each
+call of ``law(rng)`` draws one instance and returns its record, then one
+violation per check.  Eleven suites keep their own loop: ``dt-integral``,
+``two-tail-integral`` and ``closed-entropy`` check fixed instances;
+``finest-formula`` and ``closed-entropy`` draw a second batch after the
+trials; ``norm-chain`` and ``finest-formula`` give each check its own
+record; ``entropy-normalization``, ``trace-invariance``, ``w-symbol-bound``,
+``section-route`` and ``two-tail-section`` update a check several times
+per trial; and ``cyclic-dimension`` runs rounds, not trials.
 """
 
 from __future__ import annotations
@@ -48,6 +58,22 @@ class PropertyCheck:
     @property
     def passed(self) -> bool:
         return self.max_violation <= self.tolerance
+
+
+def _per_trial(*checks: tuple[str, float]):
+    """The suite of ``law(rng)``, which draws one instance and returns its record, then one
+    violation per check; trial ``i`` updates each check with ``{"trial": i, **record}``."""
+    def suite_of(law):
+        def suite(rng, trials: int) -> list[PropertyCheck]:
+            out = [PropertyCheck(name, tolerance) for name, tolerance in checks]
+            for i in range(trials):
+                record, *violations = law(rng)
+                for check, violation in zip(out, violations, strict=True):
+                    check.update(violation, {"trial": i, **record})
+            return out
+        suite.__name__ = suite.__qualname__ = law.__name__
+        return suite
+    return suite_of
 
 
 def _random_complex(rng, n, amp: float = 2.0) -> np.ndarray:

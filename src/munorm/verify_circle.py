@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import circle as circ
-from .verify import PropertyCheck, _random_complex
+from .verify import PropertyCheck, _per_trial, _random_complex
 
 # ---------------------------------------------------------------------------
 # Random instance generators
@@ -63,15 +63,11 @@ COS_SIN = circ.PeriodicBandOperator(1, 1, [[-1j, 0.0, 1j]], left=(1, [[1.0, 0.0,
 # Circle suites
 
 
-def rho_oracle(rng, trials: int) -> list[PropertyCheck]:
-    bound = PropertyCheck("window-oracle-within-derived-bound", 1e-12)
-    fixed = PropertyCheck("window-oracle-within-1e-2-at-1e4", 1e-2)
-    for i in range(trials):
-        op = random_seq(rng)
-        diff, derived = circ._window_gap(op)
-        bound.update(diff - derived, {"trial": i})
-        fixed.update(diff, {"trial": i})
-    return [bound, fixed]
+@_per_trial(("window-oracle-within-derived-bound", 1e-12),
+            ("window-oracle-within-1e-2-at-1e4", 1e-2))
+def rho_oracle(rng):
+    diff, derived = circ._window_gap(random_seq(rng))
+    return {}, diff - derived, diff
 
 
 def dt_integral(rng, trials: int) -> list[PropertyCheck]:
@@ -167,20 +163,16 @@ def norm_chain(rng, trials: int) -> list[PropertyCheck]:
     return [section, submult]
 
 
-def dt_star_algebra(rng, trials: int) -> list[PropertyCheck]:
-    adj_norm = PropertyCheck("adjoint-preserves-dt-norm", 1e-12)
-    involution = PropertyCheck("adjoint-is-an-involution", 1e-12)
-    tri = PropertyCheck("dt-norm-triangle", 1e-12)
-    for i in range(trials):
-        a = random_bandop(rng, max_tau=5, max_band=5, perturbed=bool(rng.random() < 0.3))
-        b = random_bandop(rng, max_tau=5, max_band=5)
-        adj, norm_a = circ.dt_adjoint(a), circ.dt_norm(a)
-        adj_norm.update(abs(circ.dt_norm(adj) - norm_a), {"trial": i})
-        sec_a = circ.finite_section(a, range(-10, 11))
-        sec_aa = circ.finite_section(circ.dt_adjoint(adj), range(-10, 11))
-        involution.update(float(np.max(np.abs(sec_a - sec_aa))), {"trial": i})
-        tri.update(circ.dt_norm(circ.dt_add(a, b)) - (norm_a + circ.dt_norm(b)), {"trial": i})
-    return [adj_norm, involution, tri]
+@_per_trial(("adjoint-preserves-dt-norm", 1e-12), ("adjoint-is-an-involution", 1e-12),
+            ("dt-norm-triangle", 1e-12))
+def dt_star_algebra(rng):
+    a = random_bandop(rng, max_tau=5, max_band=5, perturbed=bool(rng.random() < 0.3))
+    b = random_bandop(rng, max_tau=5, max_band=5)
+    adj, norm_a = circ.dt_adjoint(a), circ.dt_norm(a)
+    sec_a = circ.finite_section(a, range(-10, 11))
+    sec_aa = circ.finite_section(circ.dt_adjoint(adj), range(-10, 11))
+    return ({}, abs(circ.dt_norm(adj) - norm_a), float(np.max(np.abs(sec_a - sec_aa))),
+            circ.dt_norm(circ.dt_add(a, b)) - (norm_a + circ.dt_norm(b)))
 
 
 def w_symbol_bound(rng, trials: int) -> list[PropertyCheck]:
@@ -195,17 +187,16 @@ def w_symbol_bound(rng, trials: int) -> list[PropertyCheck]:
     return [t]
 
 
-def rho_la_continuity(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("symbol-density-grid-continuity", 1e-12)
-    grid = 2.0 * np.pi * np.arange(1025) / 1024
-    for i in range(trials):
-        op = random_bandop(rng, max_tau=6, max_band=6)
-        density = circ.rho_la(op, grid)
-        max_step = float(np.max(np.abs(np.diff(density))))
-        lip = circ.dt_norm(op) ** 2 * (op.band * op.tau * 4)
-        t.update(max_step - lip * (2.0 * np.pi / 1024),
-                 {"trial": i, "tau": op.tau, "band": op.band})
-    return [t]
+#: rho-la-continuity's grid: 1025 points from 0 to 2 pi in steps of 2 pi / 1024.
+_CONTINUITY_GRID = 2.0 * np.pi * np.arange(1025) / 1024
+
+
+@_per_trial(("symbol-density-grid-continuity", 1e-12))
+def rho_la_continuity(rng):
+    op = random_bandop(rng, max_tau=6, max_band=6)
+    max_step = float(np.max(np.abs(np.diff(circ.rho_la(op, _CONTINUITY_GRID)))))
+    lip = circ.dt_norm(op) ** 2 * (op.band * op.tau * 4)
+    return {"tau": op.tau, "band": op.band}, max_step - lip * (2.0 * np.pi / 1024)
 
 
 def _covering_window(*ops: circ.PeriodicBandOperator) -> range:

@@ -1,6 +1,7 @@
 """Property suites on finite spaces: measure, operator core, norm, entropy.
 
-Registered in ``verify.SUITES``; run them through ``verify.run_suite``.
+Most are laws under ``verify._per_trial``; all are registered in
+``verify.SUITES`` and run through ``verify.run_suite``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .operators import (
     vector_norm,
 )
 from .spaces import FiniteMeasureSpace, Partition, finest_partition, join
-from .verify import PropertyCheck, _random_complex
+from .verify import PropertyCheck, _per_trial, _random_complex
 
 # ---------------------------------------------------------------------------
 # Random instance generators
@@ -57,6 +58,11 @@ def random_matrix(rng, space: FiniteMeasureSpace) -> OperatorMatrix:
     j = space.size
     entries = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
     return OperatorMatrix(space, entries / math.sqrt(2.0))
+
+
+def _space_and_matrix(rng) -> tuple[FiniteMeasureSpace, OperatorMatrix]:
+    space = random_space(rng)
+    return space, random_matrix(rng, space)
 
 
 def random_standard_unitary(rng, j: int) -> np.ndarray:
@@ -104,17 +110,15 @@ def random_cyclic_setup(rng, q: int, orbits: int) -> CyclicAction:
 # Measure/operator-core and norm suites
 
 
-def projector_measure(rng, trials: int) -> list[PropertyCheck]:
+@_per_trial(("projector-m-chi-equals-measure-of-met-blocks", 1e-12))
+def projector_measure(rng):
     # pi_S pi_B is the projector onto S & B: norm 1 if S meets B, else 0
-    t = PropertyCheck("projector-m-chi-equals-measure-of-met-blocks", 1e-12)
-    for i in range(trials):
-        space = random_space(rng, 2, 12)
-        subset = random_subset(rng, space.size)
-        chi = random_partition(rng, space.size, coarse=True)
-        expected = sum(space.measure(b) for b in chi if set(b) & set(subset))
-        t.update(abs(m_chi(projector(space, subset), chi) - expected),
-                 {"trial": i, "J": space.size, "subset_size": len(subset), "blocks": len(chi)})
-    return [t]
+    space = random_space(rng, 2, 12)
+    subset = random_subset(rng, space.size)
+    chi = random_partition(rng, space.size, coarse=True)
+    expected = sum(space.measure(b) for b in chi if set(b) & set(subset))
+    return ({"J": space.size, "subset_size": len(subset), "blocks": len(chi)},
+            abs(m_chi(projector(space, subset), chi) - expected))
 
 
 def finest_formula(rng, trials: int) -> list[PropertyCheck]:
@@ -142,208 +146,168 @@ def finest_formula(rng, trials: int) -> list[PropertyCheck]:
     return [fin_u, fin_w, unitary]
 
 
-def multiplication(rng, trials: int) -> list[PropertyCheck]:
+@_per_trial(("multiplier-m-chi-equals-block-max-mass", 1e-12))
+def multiplication(rng):
     # M_g pi_B multiplies by g on B, so its norm is the largest |g| there
-    t = PropertyCheck("multiplier-m-chi-equals-block-max-mass", 1e-12)
-    for i in range(trials):
-        space = random_space(rng)
-        g = _random_complex(rng, space.size)
-        chi = random_partition(rng, space.size, coarse=True)
-        expected = sum(space.measure(b) * float(np.max(np.abs(g[list(b)]))) ** 2 for b in chi)
-        t.update(abs(m_chi(multiplier(space, g), chi) - expected),
-                 {"trial": i, "J": space.size, "blocks": len(chi)})
-    return [t]
+    space = random_space(rng)
+    g = _random_complex(rng, space.size)
+    chi = random_partition(rng, space.size, coarse=True)
+    expected = sum(space.measure(b) * float(np.max(np.abs(g[list(b)]))) ** 2 for b in chi)
+    return {"J": space.size, "blocks": len(chi)}, abs(m_chi(multiplier(space, g), chi) - expected)
 
 
-def _laws(*names: str):
-    """The suite of ``law(rng, space, w)``, which returns one violation per name: each
-    trial draws a random space and matrix ``w`` and checks every name to 1e-9."""
-    def suite_of(law):
-        def suite(rng, trials: int) -> list[PropertyCheck]:
-            checks = [PropertyCheck(name, 1e-9) for name in names]
-            for i in range(trials):
-                space = random_space(rng)
-                w = random_matrix(rng, space)
-                for check, violation in zip(checks, law(rng, space, w), strict=True):
-                    check.update(violation, {"trial": i, "J": space.size})
-            return checks
-        suite.__name__ = suite.__qualname__ = law.__name__
-        return suite
-    return suite_of
-
-
-@_laws("refinement-never-increases-m-chi", "mu-norm-below-every-m-chi")
-def partition_monotone(rng, space, w):
+@_per_trial(("refinement-never-increases-m-chi", 1e-9), ("mu-norm-below-every-m-chi", 1e-9))
+def partition_monotone(rng):
+    space, w = _space_and_matrix(rng)
     chi = random_partition(rng, space.size)
     kappa = random_partition(rng, space.size)
     coarse = m_chi(w, chi)
-    return m_chi(w, join(chi, kappa)) - coarse, mu_norm_sq(w) - coarse
+    return {"J": space.size}, m_chi(w, join(chi, kappa)) - coarse, mu_norm_sq(w) - coarse
 
 
-@_laws("triangle-inequality")
-def triangle(rng, space, w1):
+@_per_trial(("triangle-inequality", 1e-9))
+def triangle(rng):
+    space, w1 = _space_and_matrix(rng)
     w2 = random_matrix(rng, space)
     lhs = math.sqrt(mu_norm_sq(add(w1, w2)))
-    return (lhs - (math.sqrt(mu_norm_sq(w1)) + math.sqrt(mu_norm_sq(w2))),)
+    return {"J": space.size}, lhs - (math.sqrt(mu_norm_sq(w1)) + math.sqrt(mu_norm_sq(w2)))
 
 
-@_laws("absolute-homogeneity")
-def homogeneity(rng, space, w):
+@_per_trial(("absolute-homogeneity", 1e-9))
+def homogeneity(rng):
+    space, w = _space_and_matrix(rng)
     lam = complex(_random_complex(rng, 1)[0])
-    return (abs(mu_norm_sq(scale(lam, w)) - abs(lam) ** 2 * mu_norm_sq(w)),)
+    return {"J": space.size}, abs(mu_norm_sq(scale(lam, w)) - abs(lam) ** 2 * mu_norm_sq(w))
 
 
-@_laws("left-unitary-invariance")
-def left_unitary(rng, space, w):
+@_per_trial(("left-unitary-invariance", 1e-9))
+def left_unitary(rng):
+    space, w = _space_and_matrix(rng)
     u = random_weighted_unitary(rng, space)
-    return (abs(mu_norm_sq(compose(u, w)) - mu_norm_sq(w)),)
+    return {"J": space.size}, abs(mu_norm_sq(compose(u, w)) - mu_norm_sq(w))
 
 
-def right_koopman(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("right-composition-invariance", 1e-9)
-    for i in range(trials):
-        space, endo = random_space_with_automorphism(rng)
-        w = random_matrix(rng, space)
-        u = koopman(endo)
-        t.update(abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w)), {"trial": i, "J": space.size})
-    return [t]
+@_per_trial(("right-composition-invariance", 1e-9))
+def right_koopman(rng):
+    space, endo = random_space_with_automorphism(rng)
+    w = random_matrix(rng, space)
+    return {"J": space.size}, abs(mu_norm_sq(compose(w, koopman(endo))) - mu_norm_sq(w))
 
 
-def right_unitary_uniform(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("right-unitary-invariance-uniform", 1e-9)
-    for i in range(trials):
-        j = int(rng.integers(2, 9))
-        space = uniform_space(j)
-        w = random_matrix(rng, space)
-        u = OperatorMatrix(space, random_standard_unitary(rng, j))
-        t.update(abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w)), {"trial": i, "J": j})
-    return [t]
+@_per_trial(("right-unitary-invariance-uniform", 1e-9))
+def right_unitary_uniform(rng):
+    j = int(rng.integers(2, 9))
+    space = uniform_space(j)
+    w = random_matrix(rng, space)
+    u = OperatorMatrix(space, random_standard_unitary(rng, j))
+    return {"J": j}, abs(mu_norm_sq(compose(w, u)) - mu_norm_sq(w))
 
 
-@_laws("right-additivity-over-partitions")
-def right_additivity(rng, space, w):
+@_per_trial(("right-additivity-over-partitions", 1e-9))
+def right_additivity(rng):
+    space, w = _space_and_matrix(rng)
     chi = random_partition(rng, space.size)
     parts = sum(mu_norm_sq(compose(w, projector(space, b))) for b in chi.blocks)
-    return (abs(parts - mu_norm_sq(w)),)
+    return {"J": space.size}, abs(parts - mu_norm_sq(w))
 
 
-@_laws("left-subadditivity-over-partitions")
-def left_subadditivity(rng, space, w):
+@_per_trial(("left-subadditivity-over-partitions", 1e-9))
+def left_subadditivity(rng):
+    space, w = _space_and_matrix(rng)
     chi = random_partition(rng, space.size)
-    return (mu_norm_sq(w) - sum(mu_norm_sq(compose(projector(space, b), w)) for b in chi.blocks),)
+    parts = sum(mu_norm_sq(compose(projector(space, b), w)) for b in chi.blocks)
+    return {"J": space.size}, mu_norm_sq(w) - parts
 
 
-def weighted_additivity(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("pointwise-split-additivity", 1e-9)
-    for i in range(trials):
-        space = random_space(rng)
-        w = random_matrix(rng, space)
-        g = _random_complex(rng, space.size)
-        k = int(rng.integers(2, 5))
-        frac = rng.random((k, space.size))
-        frac /= frac.sum(axis=0, keepdims=True)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (k, space.size)))
-        total = mu_norm_sq(compose(w, multiplier(space, g)))
-        parts = sum(
-            mu_norm_sq(compose(w, multiplier(space, g * np.sqrt(frac[s]) * phases[s])))
-            for s in range(k)
-        )
-        t.update(abs(parts - total), {"trial": i, "J": space.size, "k": k})
-    return [t]
+@_per_trial(("pointwise-split-additivity", 1e-9))
+def weighted_additivity(rng):
+    space, w = _space_and_matrix(rng)
+    g = _random_complex(rng, space.size)
+    k = int(rng.integers(2, 5))
+    frac = rng.random((k, space.size))
+    frac /= frac.sum(axis=0, keepdims=True)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (k, space.size)))
+    total = mu_norm_sq(compose(w, multiplier(space, g)))
+    parts = sum(mu_norm_sq(compose(w, multiplier(space, g * np.sqrt(f) * phase)))
+                for f, phase in zip(frac, phases))
+    return {"J": space.size, "k": k}, abs(parts - total)
 
 
-@_laws("operator-norm-lipschitz-bound")
-def lipschitz(rng, space, w1):
+@_per_trial(("operator-norm-lipschitz-bound", 1e-9))
+def lipschitz(rng):
+    space, w1 = _space_and_matrix(rng)
     w2 = random_matrix(rng, space)
     lhs = abs(math.sqrt(mu_norm_sq(w2)) - math.sqrt(mu_norm_sq(w1)))
-    return (lhs - operator_norm(add(w2, scale(-1.0, w1))),)
+    return {"J": space.size}, lhs - operator_norm(add(w2, scale(-1.0, w1)))
 
 
-@_laws("left-operator-norm-domination")
-def submultiplicative(rng, space, w1):
+@_per_trial(("left-operator-norm-domination", 1e-9))
+def submultiplicative(rng):
+    space, w1 = _space_and_matrix(rng)
     w2 = random_matrix(rng, space)
-    return (mu_norm_sq(compose(w1, w2)) - operator_norm(w1) ** 2 * mu_norm_sq(w2),)
+    return {"J": space.size}, mu_norm_sq(compose(w1, w2)) - operator_norm(w1) ** 2 * mu_norm_sq(w2)
 
 
-def operator_identities(rng, trials: int) -> list[PropertyCheck]:
-    iso = PropertyCheck("composition-operator-isometry", 1e-10)
-    prod = PropertyCheck("composition-respects-products", 1e-12)
-    commute = PropertyCheck("projector-pullback-identity", 1e-12)
-    masked = PropertyCheck("column-mask-contracts-norm", 1e-10)
-    left_inv = PropertyCheck("unitary-left-norm-invariance", 1e-10)
-    for i in range(trials):
-        space, endo = random_space_with_automorphism(rng)
-        u = koopman(endo)
-        f = _random_complex(rng, space.size)
-        g = _random_complex(rng, space.size)
-        iso.update(abs(vector_norm(space, u.apply(f)) - vector_norm(space, f)),
-                   {"trial": i, "J": space.size})
-        prod.update(float(np.max(np.abs(u.apply(f * g) - u.apply(f) * u.apply(g)))),
-                    {"trial": i, "J": space.size})
-        xi = random_subset(rng, space.size)
-        lhs = compose(u, projector(space, xi)).entries
-        rhs = compose(projector(space, endo.preimage(xi)), u).entries
-        commute.update(float(np.max(np.abs(lhs - rhs))), {"trial": i, "J": space.size})
-
-        w = random_matrix(rng, space)
-        y = random_subset(rng, space.size)
-        masked.update(operator_norm(compose(w, projector(space, y))) - operator_norm(w),
-                      {"trial": i, "J": space.size})
-        uu = random_weighted_unitary(rng, space)
-        a, b = operator_norm(compose(uu, w)), operator_norm(w)
-        left_inv.update(abs(a - b) / max(b, 1e-30), {"trial": i, "J": space.size})
-    return [iso, prod, commute, masked, left_inv]
+@_per_trial(("composition-operator-isometry", 1e-10), ("composition-respects-products", 1e-12),
+            ("projector-pullback-identity", 1e-12), ("column-mask-contracts-norm", 1e-10),
+            ("unitary-left-norm-invariance", 1e-10))
+def operator_identities(rng):
+    space, endo = random_space_with_automorphism(rng)
+    u = koopman(endo)
+    f = _random_complex(rng, space.size)
+    g = _random_complex(rng, space.size)
+    xi = random_subset(rng, space.size)
+    lhs = compose(u, projector(space, xi)).entries
+    rhs = compose(projector(space, endo.preimage(xi)), u).entries
+    w = random_matrix(rng, space)
+    y = random_subset(rng, space.size)
+    uu = random_weighted_unitary(rng, space)
+    a, b = operator_norm(compose(uu, w)), operator_norm(w)
+    return ({"J": space.size}, abs(vector_norm(space, u.apply(f)) - vector_norm(space, f)),
+            float(np.max(np.abs(u.apply(f * g) - u.apply(f) * u.apply(g)))),
+            float(np.max(np.abs(lhs - rhs))),
+            operator_norm(compose(w, projector(space, y))) - b, abs(a - b) / max(b, 1e-30))
 
 
-def projector_product(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("projector-chain-norm-equals-intersection-measure", 1e-9)
-    for i in range(trials):
-        space, endo = random_space_with_automorphism(rng)
-        u = koopman(endo)
-        k = int(rng.integers(1, 4))
-        sets = [random_subset(rng, space.size) for _ in range(k + 1)]
-        acc = projector(space, sets[0]).entries  # order: sets[0] acts first
-        for y in sets[1:]:
-            acc = projector(space, y).entries @ (u.entries @ acc)
-        got = mu_norm_sq(OperatorMatrix(space, acc))
-        mask = np.zeros(space.size, dtype=bool)
-        mask[space.validate_subset(sets[k])] = True
-        inter = mask.copy()
-        for step in range(1, k + 1):
-            m = np.zeros(space.size, dtype=bool)
-            m[space.validate_subset(sets[k - step])] = True
-            inter &= m[endo.iterate(step).table]
-        expected = float(space.weights[inter].sum())
-        t.update(abs(got - expected), {"trial": i, "J": space.size, "k": k})
-    return [t]
+@_per_trial(("projector-chain-norm-equals-intersection-measure", 1e-9))
+def projector_product(rng):
+    space, endo = random_space_with_automorphism(rng)
+    u = koopman(endo)
+    k = int(rng.integers(1, 4))
+    sets = [random_subset(rng, space.size) for _ in range(k + 1)]
+    acc = projector(space, sets[0]).entries  # order: sets[0] acts first
+    for y in sets[1:]:
+        acc = projector(space, y).entries @ (u.entries @ acc)
+    got = mu_norm_sq(OperatorMatrix(space, acc))
+    inter = np.zeros(space.size, dtype=bool)
+    inter[space.validate_subset(sets[k])] = True
+    for step in range(1, k + 1):
+        m = np.zeros(space.size, dtype=bool)
+        m[space.validate_subset(sets[k - step])] = True
+        inter &= m[endo.iterate(step).table]
+    return {"J": space.size, "k": k}, abs(got - float(space.weights[inter].sum()))
 
 
 # ---------------------------------------------------------------------------
 # Entropy suites
 
 
-def koopman_bridge(rng, trials: int) -> list[PropertyCheck]:
-    term = PropertyCheck("path-mass-matches-itinerary-measure", 1e-12)
-    total = PropertyCheck("operator-entropy-matches-measure-entropy", 1e-12)
-    for i in range(trials):
-        j = int(rng.integers(2, 7))
-        space = uniform_space(j)
-        endo = Endomorphism(space, rng.permutation(j))
-        u = koopman(endo)
-        chi = random_partition(rng, j)
-        n = int(rng.integers(1, 4))
-        q_table = ent.path_mass_table(u, chi, n)
-        k_table = ent.ks_path_measure_table(endo, chi, n)
-        keys = set(q_table) | {tuple(reversed(key)) for key in k_table}
-        worst = 0.0
-        for key in keys:
-            # reading the itinerary backwards swaps the roles of map and preimage
-            worst = max(worst, abs(q_table.get(key, 0.0)
-                                   - k_table.get(tuple(reversed(key)), 0.0)))
-        term.update(worst, {"trial": i, "J": j, "n": n})
-        total.update(abs(ent.quantum_entropy_at(u, chi, n) - ent.ks_entropy_at(endo, chi, n)),
-                     {"trial": i, "J": j, "n": n})
-    return [term, total]
+@_per_trial(("path-mass-matches-itinerary-measure", 1e-12),
+            ("operator-entropy-matches-measure-entropy", 1e-12))
+def koopman_bridge(rng):
+    j = int(rng.integers(2, 7))
+    endo = Endomorphism(uniform_space(j), rng.permutation(j))
+    u = koopman(endo)
+    chi = random_partition(rng, j)
+    n = int(rng.integers(1, 4))
+    q_table = ent.path_mass_table(u, chi, n)
+    k_table = ent.ks_path_measure_table(endo, chi, n)
+    keys = set(q_table) | {tuple(reversed(key)) for key in k_table}
+    # reading the itinerary backwards swaps the roles of map and preimage
+    worst = max(abs(q_table.get(key, 0.0) - k_table.get(tuple(reversed(key)), 0.0))
+                for key in keys)
+    return ({"J": j, "n": n}, worst,
+            abs(ent.quantum_entropy_at(u, chi, n) - ent.ks_entropy_at(endo, chi, n)))
 
 
 def entropy_normalization(rng, trials: int) -> list[PropertyCheck]:
@@ -426,27 +390,21 @@ def _markov_path_entropy(u: OperatorMatrix, n: int) -> float:
     return value
 
 
-def finest_markov_route(rng, trials: int) -> list[PropertyCheck]:
+@_per_trial(("finest-entropy-matches-markov-chain-uniform", 1e-10),
+            ("finest-entropy-matches-markov-chain-weighted", 1e-10))
+def finest_markov_route(rng):
     """Finest-partition path entropy against its Markov chain, O(n J^2) per value.
 
     Path masses at the finest partition are those of the chain started at
     mu with transition ``_finest_transition``.  Sizes reach 8^5 terms
     (J = 8, n = 4), past what the dense oracle enumerates.
     """
-    uniform = PropertyCheck("finest-entropy-matches-markov-chain-uniform", 1e-10)
-    weighted = PropertyCheck("finest-entropy-matches-markov-chain-weighted", 1e-10)
-    for i in range(trials):
-        j = int(rng.integers(2, 9))
-        n = int(rng.integers(2, 5))
-        space = uniform_space(j)
-        u = OperatorMatrix(space, random_standard_unitary(rng, j))
-        uniform.update(abs(ent.quantum_entropy_at(u, finest_partition(space), n)
-                           - _markov_path_entropy(u, n)), {"trial": i, "J": j, "n": n})
-        wspace = random_space(rng, j, j)
-        wu = random_weighted_unitary(rng, wspace)
-        weighted.update(abs(ent.quantum_entropy_at(wu, finest_partition(wspace), n)
-                            - _markov_path_entropy(wu, n)), {"trial": i, "J": j, "n": n})
-    return [uniform, weighted]
+    j = int(rng.integers(2, 9))
+    n = int(rng.integers(2, 5))
+    u = OperatorMatrix(uniform_space(j), random_standard_unitary(rng, j))
+    wu = random_weighted_unitary(rng, random_space(rng, j, j))
+    return ({"J": j, "n": n}, *(abs(ent.quantum_entropy_at(x, finest_partition(x.space), n)
+                                    - _markov_path_entropy(x, n)) for x in (u, wu)))
 
 
 def cyclic_dimension(rng, trials: int) -> list[PropertyCheck]:

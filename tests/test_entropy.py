@@ -20,7 +20,6 @@ from munorm import (
     markov_entropy_rate,
     mu_norm_sq,
     path_mass_table,
-    path_operator,
     projector,
     quantum_entropy_at,
     quantum_entropy_closed,
@@ -35,6 +34,17 @@ U3 = uniform_space(3)
 U4 = uniform_space(4)
 
 HADAMARD = OperatorMatrix(U2, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
+
+
+def path_operator(u, chi, digits):
+    """The dense oracle of a path: ``pi_{X_{j_N}} U ... U pi_{X_{j_0}}`` for ``digits =
+    (j_0..j_N)`` by matrix products, the block projector for one digit."""
+    if not all(0 <= d < len(chi.blocks) for d in digits):
+        raise ValueError(f"digits {list(digits)} out of range for {len(chi.blocks)} blocks")
+    acc = projector(u.space, chi.blocks[digits[0]]).entries
+    for d in digits[1:]:
+        acc = projector(u.space, chi.blocks[d]).entries @ (u.entries @ acc)
+    return OperatorMatrix(u.space, acc)
 
 
 def test_path_operator_single_digit_is_projector():

@@ -21,11 +21,16 @@ from munorm import (
     weighted_gram_schmidt,
 )
 from munorm.verify_finite import (
+    finest_markov_route,
     homogeneity,
+    koopman_bridge,
     left_subadditivity,
     left_unitary,
     lipschitz,
+    multiplication,
+    operator_identities,
     partition_monotone,
+    projector_measure,
     projector_product,
     right_additivity,
     right_koopman,
@@ -319,11 +324,35 @@ def test_cyclic_action_rejects_wrong_orbit_size():
     partition_monotone, triangle, homogeneity, left_unitary, right_koopman,
     right_unitary_uniform, right_additivity, left_subadditivity,
     weighted_additivity, lipschitz, submultiplicative, projector_product,
+    projector_measure, multiplication, operator_identities, koopman_bridge, finest_markov_route,
 ])
 def test_invariance_properties(suite):
     rng = np.random.default_rng(99)
     for check in suite(rng, 40):
         assert check.passed, f"{check.name}: {check.max_violation} > {check.tolerance}"
+
+
+def test_a_law_fails_under_a_mutant_and_records_its_trial(monkeypatch):
+    from munorm import scale
+
+    compose = verify_finite.compose
+    monkeypatch.setattr(verify_finite, "compose", lambda a, b: scale(1.01, compose(a, b)))
+    [check] = right_unitary_uniform(np.random.default_rng(5), 6)
+    assert check.trials == 6 and not check.passed
+    assert set(check.worst) == {"trial", "J"}
+    assert type(check.worst["trial"]) is int and 0 <= check.worst["trial"] < 6
+
+
+def test_a_law_that_returns_too_few_violations_raises():
+    from munorm.verify import _per_trial
+
+    @_per_trial(("first", 1.0), ("second", 1.0))
+    def short(rng):
+        return {"x": rng.random()}, 0.0
+
+    assert short.__name__ == short.__qualname__ == "short"
+    with pytest.raises(ValueError, match="shorter"):
+        short(np.random.default_rng(0), 3)
 
 
 def test_group_reports_what_its_members_report_alone():
