@@ -45,12 +45,25 @@ _SCAN_BLOCK = 8192
 _PHASES: tuple = (None, -1, None)
 
 
-def _periodic_run(period: np.ndarray, start: int, count: int) -> np.ndarray:
-    """``period[(start + i) % p]`` for ``i = 0..count-1``, along the first axis."""
+def _periodic_run(period: np.ndarray, start: int, count: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """``period[(start + i) % p]`` for ``i = 0..count-1``, along the first axis, in
+    ``out`` if given: one period written, the wrap only if the run reaches it, and
+    then copies of the rows written, doubling."""
     p = len(period)
     s = start % p
-    reps = (s + count - 1) // p + 1
-    return np.tile(period, (reps,) + (1,) * (period.ndim - 1))[s:s + count]
+    if out is None:
+        out = np.empty((count,) + period.shape[1:], dtype=period.dtype)
+    n = min(p - s, count)
+    out[:n] = period[s:s + n]
+    if n < count:
+        out[n:min(p, count)] = period[:min(s, count - n)]
+    n = min(p, count)
+    while n < count:
+        m = min(n, count - n)
+        out[n:n + m] = out[:m]
+        n += m
+    return out
 
 
 # A perturbation window is ``(r0, d0, cells)``: ``cells[i, j]`` is the entry at
@@ -269,7 +282,8 @@ class PeriodicBandOperator:
         c = dict(zip(range(-self._band, self._band + 1), sup.tolist()))  # k = -band..band
         r0, d0, cells = self._window
         if cells.size:  # the entries on the window, by offset d = d0.. on diagonal k = -d
-            full = np.abs(_place((r0, d0) + cells.shape, self._window, base=self)[2]).max(axis=0)
+            full = reduce(np.maximum, (np.abs(base + part).max(axis=0)
+                                       for _, base, part in _window_blocks(self)))
             for k, v in zip(range(-d0, -d0 - len(full), -1), full.tolist()):
                 c[k] = max(c.get(k, 0.0), v)
         return {k: v for k, v in sorted(c.items()) if v > 0.0}
@@ -277,14 +291,15 @@ class PeriodicBandOperator:
 
 def _tail_run(op: PeriodicBandOperator, lo: int, count: int, f=None) -> np.ndarray:
     """Rows ``lo..lo+count-1`` of each row's tail pattern, mapped by ``f``
-    (an array map applied to each pattern once, before it is tiled)."""
+    (an array map applied to each pattern once, before it is repeated), in one array."""
     right = op.coeffs if f is None else f(op.coeffs)
-    if op._left is None or lo >= 0:
+    split = min(max(-lo, 0), count) if op._left is not None else 0  # the rows l < 0
+    if not split:
         return _periodic_run(right, lo, count)
-    left = op._left[1] if f is None else f(op._left[1])
-    if lo + count <= 0:
-        return _periodic_run(left, lo, count)
-    return np.concatenate((_periodic_run(left, lo, -lo), _periodic_run(right, 0, lo + count)))
+    out = np.empty((count,) + right.shape[1:], dtype=right.dtype)
+    _periodic_run(op._left[1] if f is None else f(op._left[1]), lo, split, out[:split])
+    _periodic_run(right, 0, count - split, out[split:])
+    return out
 
 
 def _phases(band: int, angles: np.ndarray) -> np.ndarray:
@@ -575,15 +590,8 @@ def rho_window_max(op: PeriodicBandOperator, window: int) -> float:
     if 2 * reach + 1 > 2 * MAX_WINDOW:
         raise CapExceeded(f"window scan of {2 * reach + 1} rows exceeds the cap "
                           f"{2 * MAX_WINDOW} rows")
-    sq = np.empty(2 * reach + 1)  # row l sits at index l + reach
-    spans = ((sq[:reach], -reach), (sq[reach:], 0)) if op._left is not None else ((sq, -reach),)
-    for (tau, c), (part, first) in zip(op.tails, spans):  # each tail's masses: one period,
-        n = min(tau, len(part))  # then copies of the rows written, doubling
-        part[:n] = _periodic_run(np.sum(np.abs(c) ** 2, axis=1), first, n)
-        while n < len(part):
-            m = min(n, len(part) - n)
-            part[n:n + m] = part[:m]
-            n += m
+    # row l sits at index l + reach
+    sq = _tail_run(op, -reach, 2 * reach + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
     for i, base, part in _window_blocks(op):  # zero cells change nothing
         sq[r0 + reach + i:r0 + reach + i + len(part)] += np.sum(
             np.abs(base + part) ** 2 - np.abs(base) ** 2, axis=1)

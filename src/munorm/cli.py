@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 a verify suite found violations, 2 invalid
 input (bad JSON, bad fields, failed preconditions), a result that
 overflows a double, or a report that cannot be written, 3 a resource
 cap was exceeded.  Reports are byte-identical across runs for the same
-inputs, options, and seed.
+inputs, options, and seed at a fixed BLAS thread count; across thread
+counts the last bits of ``dt-mu-norm``'s ``quadrature`` and of the
+``max_violation`` of ``finest-entropy-matches-markov-chain-*`` in
+``verify --suite all`` have been seen to move.
 
 Each command imports the layers it runs when it runs, so a process
 loads and compiles only those.  A plain command line (a known command,
@@ -312,22 +315,23 @@ def _run(argv: list[str]) -> int:
     args = _read_plain(argv) or build_parser().parse_args(argv)
     handler, _, flags = _COMMANDS[args.command]
     paths = {f[2:]: str(getattr(args, f[2:])) for f in flags if f[2:] in _BUILDERS}
-    raw, inputs = {}, {}
+    raw, inputs = {}, {}  # each input read once: the report digests the bytes it was built from
     try:
         if paths:  # a command that reads no file need not load io
             from . import io as mio
 
             # a sum that overflows while an input is checked reads inf, and the check refuses it
-            with mio.recording_inputs() as raw, np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):
                 for name, path in paths.items():
-                    inputs[name] = _BUILDERS[name](mio, mio.load_json(path), inputs)
+                    raw[name] = Path(path).read_bytes()
+                    inputs[name] = _BUILDERS[name](mio, mio.parse_json(raw[name], path), inputs)
         # a result that overflows a double is refused, and so is inf or NaN in the report
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             results, diagnostics = handler(args, inputs)
         report = {
             "schema": SCHEMA,
             "command": args.command,
-            "inputs": {name: _digest(path, raw[path]) for name, path in paths.items()},
+            "inputs": {name: _digest(path, raw[name]) for name, path in paths.items()},
             "options": {k: v for k, v in vars(args).items()
                         if k not in ("command", "out", *paths) and v is not None},
             "results": results,

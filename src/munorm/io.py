@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
-from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -29,6 +27,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "load_json",
+    "parse_json",
     "space_from_obj",
     "distribution_from_obj",
     "partition_from_obj",
@@ -39,25 +38,6 @@ __all__ = [
     "bandop_from_obj",
     "bandop_to_obj",
 ]
-
-
-#: The bytes of each file ``load_json`` parses, keyed by path, while a
-#: ``recording_inputs`` block is active.
-_inputs: ContextVar[dict[str, bytes] | None] = ContextVar("munorm_io_inputs", default=None)
-
-
-@contextmanager
-def recording_inputs() -> Iterator[dict[str, bytes]]:
-    """Collect the bytes every ``load_json`` in the block parses, keyed by path.
-
-    The CLI digests these for its report, so a report names exactly the
-    bytes it was computed from, and each input is read once.
-    """
-    token = _inputs.set({})
-    try:
-        yield _inputs.get()
-    finally:
-        _inputs.reset(token)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -71,15 +51,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def load_json(path: str | Path) -> Any:
-    """Parse a UTF-8 JSON file; syntax errors keep their line/column context.
+    """Parse a UTF-8 JSON file, as ``parse_json`` parses its bytes."""
+    return parse_json(Path(path).read_bytes(), path)
+
+
+def parse_json(data: bytes, path: str | Path) -> Any:
+    """Parse the bytes of the UTF-8 JSON file ``path``; syntax errors keep their
+    line/column context, and every refusal names ``path``.
 
     Newlines are translated as in text mode, so error positions count
     ``\\r\\n`` as one character.  A key repeated in one object is refused.
     """
-    data = Path(path).read_bytes()
-    inputs = _inputs.get()
-    if inputs is not None:
-        inputs[str(path)] = data
     try:
         text = data.decode("utf-8")
         if "\r" in text:

@@ -215,9 +215,10 @@ def _diagonal_sups(sec: np.ndarray) -> dict[int, float]:
 
 
 def _section_checks(rng, trials: int, draw, checks: list[PropertyCheck]) -> list[PropertyCheck]:
-    """Majorant, row symbols, products and, given a fourth check, adjoints of operators from
-    ``draw`` against dense sections holding a period of each tail beyond all perturbations."""
-    sup, symbol, product, *adjoint = checks
+    """Majorant, ``dt_norm``, row symbols, products and, given a fifth check, adjoints of
+    operators from ``draw`` against dense sections holding a period of each tail beyond
+    all perturbations."""
+    sup, norm, symbol, product, *adjoint = checks
     for i in range(trials):
         a, b = draw(rng), draw(rng)
         rows = _covering_window(a, b)
@@ -227,9 +228,10 @@ def _section_checks(rng, trials: int, draw, checks: list[PropertyCheck]) -> list
             sec = circ.finite_section(op, rows)
             sections.append(sec)
             got, want = op.majorant(), _diagonal_sups(sec)
+            info = {"trial": i, "tau": op.tau, "band": op.band}
             sup.update(max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in {*got, *want}),
-                           default=0.0),
-                       {"trial": i, "tau": op.tau, "band": op.band})
+                           default=0.0), info)
+            norm.update(abs(circ.dt_norm(op) - sum(want.values())), info)
             first = -op.left[0] if len(op.tails) > 1 else 0  # a full period of each tail
             for l in sorted({*range(first, op.tau), *(r for r, _, _ in op.perturbation)}):
                 angle = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -249,17 +251,20 @@ def _section_checks(rng, trials: int, draw, checks: list[PropertyCheck]) -> list
 
 
 def section_route(rng, trials: int) -> list[PropertyCheck]:
-    """Majorant, row symbols and perturbed products against dense finite sections."""
+    """Majorant, ``dt_norm``, row symbols and perturbed products against dense finite sections."""
     return _section_checks(rng, trials, lambda g: random_bandop(g, 5, 4, perturbed=True), [
         PropertyCheck("majorant-is-the-diagonal-sup-of-a-section", 1e-12),
+        PropertyCheck("dt-norm-sums-the-diagonal-sups-of-a-section", 1e-12),
         PropertyCheck("row-symbol-sums-its-section-row", 1e-12),
         PropertyCheck("perturbed-product-matches-section-product", 1e-12)])
 
 
 def two_tail_section(rng, trials: int) -> list[PropertyCheck]:
-    """Two-tail majorant, row symbols, products and adjoints against sections across row 0."""
+    """Two-tail majorant, ``dt_norm``, row symbols, products and adjoints against sections
+    across row 0."""
     return _section_checks(rng, trials, lambda g: random_two_tail(g, 5, 4, perturbed=True), [
         PropertyCheck("two-tail-majorant-is-the-diagonal-sup-of-a-section", 1e-12),
+        PropertyCheck("two-tail-dt-norm-sums-the-diagonal-sups-of-a-section", 1e-12),
         PropertyCheck("two-tail-row-symbol-sums-its-section-row", 1e-12),
         PropertyCheck("two-tail-product-matches-section-product", 1e-12),
         PropertyCheck("two-tail-adjoint-is-the-conjugate-transpose-of-a-section", 1e-12)])

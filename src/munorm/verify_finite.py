@@ -250,7 +250,8 @@ def submultiplicative(rng):
 
 @_per_trial(("composition-operator-isometry", 1e-10), ("composition-respects-products", 1e-12),
             ("projector-pullback-identity", 1e-12), ("column-mask-contracts-norm", 1e-10),
-            ("unitary-left-norm-invariance", 1e-10))
+            ("unitary-left-norm-invariance", 1e-10),
+            ("operator-norm-is-the-root-of-the-largest-gram-eigenvalue", 1e-12))
 def operator_identities(rng):
     space, endo = random_space_with_automorphism(rng)
     u = koopman(endo)
@@ -263,10 +264,14 @@ def operator_identities(rng):
     y = random_subset(rng, space.size)
     uu = random_weighted_unitary(rng, space)
     a, b = operator_norm(compose(uu, w)), operator_norm(w)
+    root = np.sqrt(space.weights)
+    sym = root[:, None] * w.entries / root  # S = D^(1/2) W D^(-1/2)
+    top = math.sqrt(float(np.linalg.eigvalsh(sym.conj().T @ sym)[-1]))
     return ({"J": space.size}, abs(vector_norm(space, u.apply(f)) - vector_norm(space, f)),
             float(np.max(np.abs(u.apply(f * g) - u.apply(f) * u.apply(g)))),
             float(np.max(np.abs(lhs - rhs))),
-            operator_norm(compose(w, projector(space, y))) - b, abs(a - b) / max(b, 1e-30))
+            operator_norm(compose(w, projector(space, y))) - b, abs(a - b) / max(b, 1e-30),
+            abs(b - top) / top)
 
 
 @_per_trial(("projector-chain-norm-equals-intersection-measure", 1e-9))

@@ -615,7 +615,7 @@ def test_periodic_run_reads_rows_modulo_the_period():
         period = rng.normal(size=p) + 1j * rng.normal(size=p)
         table = rng.normal(size=(p, 5)) + 1j * rng.normal(size=(p, 5))
         for start in range(-20, 21):
-            for count in range(1, 41):
+            for count in range(41):
                 rows = (start + np.arange(count)) % p
                 assert _periodic_run(period, start, count).tobytes() == period[rows].tobytes()
                 assert _periodic_run(table, start, count).tobytes() == table[rows].tobytes()
@@ -760,7 +760,10 @@ def _whole_window_gap(op):
     # _window_gap as one expression per step on the whole scan and the whole window
     r0, d0, cells = op._window
     reach = (max(-r0, r0 + len(cells) - 1) + 1 if cells.size else 0) + 2 * ORACLE_WINDOW
-    sq = circle._tail_run(op, -reach, 2 * reach + 1, lambda c: np.sum(np.abs(c) ** 2, axis=1))
+    # each tail's row masses gathered on its rows, -reach..-1 and 0..reach
+    tails = zip((op.left, (op.tau, op.coeffs)), ((-reach, 0), (0, reach + 1)))
+    sq = np.concatenate([np.sum(np.abs(c) ** 2, axis=1)[np.arange(lo, hi) % tau]
+                         for (tau, c), (lo, hi) in tails])
     base = circle._place((r0, d0) + cells.shape, base=op)[2]
     change = np.sum(np.abs(base + cells) ** 2 - np.abs(base) ** 2, axis=1)
     sq[r0 + reach:r0 + reach + len(change)] += change
@@ -817,6 +820,33 @@ def test_window_gap_peaks_at_the_scan_buffer():
     # the bound reads the perturbed entries one block of rows at a time
     peak = _traced_peak(lambda: circle._window_gap(FAR_BAND))
     assert peak < FAR_BAND_SCAN + 4 * 2**20, (peak, FAR_BAND_SCAN)
+
+
+def test_two_tail_window_scan_peaks_at_its_buffer_of_row_masses():
+    # both tails' masses are laid into the one buffer, rows -5 * 10^5 .. 5 * 10^5 perturbed
+    rng = np.random.default_rng(46)
+    far = 5 * 10**5
+    op = PeriodicBandOperator(3, 2, _random_coeffs(rng, 3, 2), [(-far, -far, 1.0), (far, far, 2.0)],
+                              left=(5, _random_coeffs(rng, 5, 2)))
+    scan = 8 * (2 * (far + 1 + 2 * ORACLE_WINDOW) + 1)
+    peak = _traced_peak(lambda: rho_window_max(op, ORACLE_WINDOW))
+    assert peak < 1.1 * scan, (peak, scan)
+
+
+def test_tail_run_peaks_at_its_output():
+    # both tails are written into one output, so the output is the peak
+    rng = np.random.default_rng(47)
+    op = PeriodicBandOperator(3, 2, _random_coeffs(rng, 3, 2),
+                              left=(5, _random_coeffs(rng, 5, 2)))
+    n = 2 * 10**5
+    peak = _traced_peak(lambda: circle._tail_run(op, -n // 2, n))
+    assert peak < 1.05 * n * op.coeffs[0].nbytes, peak
+
+
+def test_majorant_reads_the_window_in_blocks():
+    # FAR_BAND's window alone holds 15.3 MiB
+    peak = _traced_peak(lambda: dt_norm(FAR_BAND))
+    assert peak < 2 * 2**20, peak
 
 
 def test_window_oracle_reads_every_window_start_at_the_block_edges():
@@ -1082,7 +1112,8 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
                 "cos-sin-tails-exceed-average-trace-by-4-over-pi"}
     mutants = [
         (PeriodicBandOperator, "majorant", majorant_reversed, "section-route",
-         {"majorant-is-the-diagonal-sup-of-a-section"}),
+         {"majorant-is-the-diagonal-sup-of-a-section",
+          "dt-norm-sums-the-diagonal-sups-of-a-section"}),
         (circle, "w_l", w_l_flipped_phase, "section-route", {"row-symbol-sums-its-section-row"}),
         # a product reads the rows of its factors without their perturbations
         (circle, "_rows",

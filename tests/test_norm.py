@@ -343,6 +343,22 @@ def test_a_law_fails_under_a_mutant_and_records_its_trial(monkeypatch):
     assert type(check.worst["trial"]) is int and 0 <= check.worst["trial"] < 6
 
 
+@pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+def test_equality_routes_catch_a_headline_norm_off_by_1e_9(monkeypatch, factor):
+    # each suite's equality route is the only check a norm scaled this little can fail
+    from munorm import circle
+
+    dt_norm, operator_norm = circle.dt_norm, operators.operator_norm
+    monkeypatch.setattr(circle, "dt_norm", lambda op: factor * dt_norm(op))
+    # the suite calls the operator_norm it imported from operators
+    monkeypatch.setattr(verify_finite, "operator_norm", lambda w: factor * operator_norm(w))
+    killed = {"section-route": {"dt-norm-sums-the-diagonal-sups-of-a-section"},
+              "operator-identities": {"operator-norm-is-the-root-of-the-largest-gram-eigenvalue"}}
+    for suite, names in killed.items():
+        failing = {c.name for c in run_suite(suite, 20, 0) if not c.passed}
+        assert failing == (set() if factor == 1.0 else names), suite
+
+
 def test_a_law_that_returns_too_few_violations_raises():
     from munorm.verify import _per_trial
 
