@@ -364,13 +364,15 @@ def dt_from_multiplier(coeffs: Mapping[int, complex]) -> PeriodicBandOperator:
 
     A 1-periodic Toeplitz band matrix with ``W_{r,c} = g_{r-c}``.
     """
-    ks = [operator.index(k) for k, v in coeffs.items() if complex(v) != 0]
-    band = max((abs(k) for k in ks), default=0)
+    # one pass over coeffs; every key must be an integer, but a zero g_k adds no band
+    terms = {k: g for k, g in ((operator.index(k), complex(v)) for k, v in coeffs.items())
+             if g != 0}
+    band = max(map(abs, terms), default=0)
+    if band > MAX_BAND:  # refused before the row is allocated
+        raise CapExceeded(f"band radius {band} exceeds the cap {MAX_BAND}")
     row = np.zeros(2 * band + 1, dtype=complex)
-    for k, v in coeffs.items():
-        k = operator.index(k)
-        if complex(v) != 0:
-            row[band - k] = complex(v)  # offset d = -k puts g_k on diagonal r-c=k
+    for k, g in terms.items():
+        row[band - k] = g  # offset d = -k puts g_k on diagonal r-c=k
     return PeriodicBandOperator(1, band, row.reshape(1, -1))
 
 

@@ -16,18 +16,18 @@ circle layer.
 
 Most suites are a law under ``@_per_trial((name, tolerance), ...)``: each
 call of ``law(rng)`` draws one instance and returns its record, then one
-violation per check.  Eleven suites keep their own loop: ``dt-integral``,
-``two-tail-integral`` and ``closed-entropy`` check fixed instances;
-``finest-formula`` and ``closed-entropy`` draw a second batch after the
-trials; ``norm-chain`` and ``finest-formula`` give each check its own
-record; ``entropy-normalization``, ``trace-invariance``, ``w-symbol-bound``,
-``section-route`` and ``two-tail-section`` update a check several times
-per trial; and ``cyclic-dimension`` runs rounds, not trials.
+violation per check, or a list of ``(violation, record)`` pairs for a
+check it updates once per pair.  Five suites keep their own loop:
+``dt-integral``, ``two-tail-integral`` and ``closed-entropy`` check fixed
+instances; ``finest-formula`` and ``closed-entropy`` draw a second batch
+after the trials; and ``cyclic-dimension`` runs rounds, not trials.  A
+check with no instance, or with a NaN violation, fails.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,9 @@ class PropertyCheck:
     """Outcome of one property over a batch of random instances.
 
     A suite creates it with a name and a tolerance and feeds it one
-    ``update`` per instance checked; ``trials`` counts the updates.
+    ``update`` per instance checked; ``trials`` counts the updates.  It
+    passes when at least one instance was checked and none violated the
+    tolerance; the first NaN violation is kept as the worst.
     """
 
     name: str
@@ -51,25 +53,29 @@ class PropertyCheck:
 
     def update(self, violation: float, instance: dict | None = None) -> None:
         self.trials += 1
-        if violation > self.max_violation:
+        # a NaN compares false both ways: the first is taken, and nothing replaces it
+        if not math.isnan(self.max_violation) and not violation <= self.max_violation:
             self.max_violation = float(violation)
             self.worst = instance
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
+        return self.trials >= 1 and self.max_violation <= self.tolerance
 
 
 def _per_trial(*checks: tuple[str, float]):
     """The suite of ``law(rng)``, which draws one instance and returns its record, then one
-    violation per check; trial ``i`` updates each check with ``{"trial": i, **record}``."""
+    violation per check; trial ``i`` updates each check with ``{"trial": i, **record}``.  A
+    check's violation may instead be a list of ``(violation, pair_record)`` pairs, each one
+    update with ``{"trial": i, **record, **pair_record}``."""
     def suite_of(law):
         def suite(rng, trials: int) -> list[PropertyCheck]:
             out = [PropertyCheck(name, tolerance) for name, tolerance in checks]
             for i in range(trials):
                 record, *violations = law(rng)
-                for check, violation in zip(out, violations, strict=True):
-                    check.update(violation, {"trial": i, **record})
+                for check, found in zip(out, violations, strict=True):
+                    for violation, extra in found if isinstance(found, list) else [(found, {})]:
+                        check.update(violation, {"trial": i, **record, **extra})
             return out
         suite.__name__ = suite.__qualname__ = law.__name__
         return suite

@@ -130,37 +130,29 @@ def _unitary_conjugators(rng) -> list[circ.PeriodicBandOperator]:
     ]
 
 
-def trace_invariance(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("average-trace-unitary-invariance", 1e-10)
-    for i in range(trials):
-        w = random_bandop(rng, max_tau=4, max_band=4)
-        base = circ.avg_trace(w)
-        for u in _unitary_conjugators(rng):
-            wu = circ.dt_compose(w, u)
-            left = circ.avg_trace(circ.dt_compose(u, w))
-            right = circ.avg_trace(wu)
-            conj = circ.avg_trace(circ.dt_compose(circ.dt_adjoint(u), wu))
-            v = max(abs(left - base), abs(right - base), abs(conj - base))
-            t.update(v, {"trial": i, "tau": w.tau, "band": w.band})
-    return [t]
+@_per_trial(("average-trace-unitary-invariance", 1e-10))
+def trace_invariance(rng):
+    w = random_bandop(rng, max_tau=4, max_band=4)
+    base = circ.avg_trace(w)
+
+    def gap(u):  # of u W, W u and u* W u from W
+        wu = circ.dt_compose(w, u)
+        return max(abs(circ.avg_trace(x) - base)
+                   for x in (circ.dt_compose(u, w), wu, circ.dt_compose(circ.dt_adjoint(u), wu)))
+    return {"tau": w.tau, "band": w.band}, [(gap(u), {}) for u in _unitary_conjugators(rng)]
 
 
-def norm_chain(rng, trials: int) -> list[PropertyCheck]:
-    section = PropertyCheck("finite-section-norm-below-dt-norm", 1e-10)
-    submult = PropertyCheck("dt-norm-submultiplicative", 1e-10)
-    for i in range(trials):
-        op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
-        size = int(rng.integers(4, 65))
-        start = int(rng.integers(-16, 8))
-        sec = circ.finite_section(op, range(start, start + size))
-        section.update(float(np.linalg.norm(sec, 2)) - circ.dt_norm(op),
-                       {"trial": i, "tau": op.tau, "band": op.band, "size": size})
-        w1 = random_bandop(rng, max_tau=4, max_band=4)
-        w2 = random_bandop(rng, max_tau=4, max_band=4)
-        submult.update(circ.dt_norm(circ.dt_compose(w1, w2))
-                       - circ.dt_norm(w1) * circ.dt_norm(w2),
-                       {"trial": i})
-    return [section, submult]
+@_per_trial(("finite-section-norm-below-dt-norm", 1e-10), ("dt-norm-submultiplicative", 1e-10))
+def norm_chain(rng):
+    op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
+    size = int(rng.integers(4, 65))
+    start = int(rng.integers(-16, 8))
+    sec = circ.finite_section(op, range(start, start + size))
+    w1 = random_bandop(rng, max_tau=4, max_band=4)
+    w2 = random_bandop(rng, max_tau=4, max_band=4)
+    return ({}, [(float(np.linalg.norm(sec, 2)) - circ.dt_norm(op),
+                  {"tau": op.tau, "band": op.band, "size": size})],
+            circ.dt_norm(circ.dt_compose(w1, w2)) - circ.dt_norm(w1) * circ.dt_norm(w2))
 
 
 @_per_trial(("adjoint-preserves-dt-norm", 1e-12), ("adjoint-is-an-involution", 1e-12),
@@ -175,16 +167,15 @@ def dt_star_algebra(rng):
             circ.dt_norm(circ.dt_add(a, b)) - (norm_a + circ.dt_norm(b)))
 
 
-def w_symbol_bound(rng, trials: int) -> list[PropertyCheck]:
-    t = PropertyCheck("row-symbol-bounded-by-dt-norm", 1e-10)
-    for i in range(trials):
-        op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
-        c = circ.dt_norm(op)
-        for _ in range(8):
-            l = int(rng.integers(-12, 13))
-            a = float(rng.uniform(0, 2 * np.pi))
-            t.update(abs(circ.w_l(op, l, a)) - c, {"trial": i, "l": l})
-    return [t]
+@_per_trial(("row-symbol-bounded-by-dt-norm", 1e-10))
+def w_symbol_bound(rng):
+    op = random_bandop(rng, max_tau=6, max_band=6, perturbed=bool(rng.random() < 0.3))
+    c = circ.dt_norm(op)
+    gaps = []
+    for _ in range(8):
+        l = int(rng.integers(-12, 13))
+        gaps.append((abs(circ.w_l(op, l, float(rng.uniform(0, 2 * np.pi)))) - c, {"l": l}))
+    return {}, gaps
 
 
 #: rho-la-continuity's grid: 1025 points from 0 to 2 pi in steps of 2 pi / 1024.
@@ -214,57 +205,56 @@ def _diagonal_sups(sec: np.ndarray) -> dict[int, float]:
     return {k: v for k, v in sups.items() if v > 0.0}
 
 
-def _section_checks(rng, trials: int, draw, checks: list[PropertyCheck]) -> list[PropertyCheck]:
-    """Majorant, ``dt_norm``, row symbols, products and, given a fifth check, adjoints of
-    operators from ``draw`` against dense sections holding a period of each tail beyond
-    all perturbations."""
-    sup, norm, symbol, product, *adjoint = checks
-    for i in range(trials):
-        a, b = draw(rng), draw(rng)
-        rows = _covering_window(a, b)
-        index = np.arange(rows.start, rows.stop)
-        sections = []
-        for op in (a, b):
-            sec = circ.finite_section(op, rows)
-            sections.append(sec)
-            got, want = op.majorant(), _diagonal_sups(sec)
-            info = {"trial": i, "tau": op.tau, "band": op.band}
-            sup.update(max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in {*got, *want}),
-                           default=0.0), info)
-            norm.update(abs(circ.dt_norm(op) - sum(want.values())), info)
-            first = -op.left[0] if len(op.tails) > 1 else 0  # a full period of each tail
-            for l in sorted({*range(first, op.tau), *(r for r, _, _ in op.perturbation)}):
-                angle = float(rng.uniform(0.0, 2.0 * np.pi))
-                want_w = complex(sec[l - rows.start] @ np.exp(1j * (l - index) * angle))
-                symbol.update(abs(circ.w_l(op, l, angle) - want_w), {"trial": i, "l": l})
-        # rows at least a.band inside the window see every term of the product
-        inner = slice(a.band, len(rows) - a.band)
-        got = circ.finite_section(circ.dt_compose(a, b), rows)[inner]
-        want = (sections[0] @ sections[1])[inner]
-        product.update(float(np.max(np.abs(got - want))),
-                       {"trial": i, "tau": (a.tau, b.tau), "band": (a.band, b.band)})
-        for check in adjoint:
-            star = circ.finite_section(circ.dt_adjoint(a), rows)
-            check.update(float(np.max(np.abs(star - sections[0].conj().T))),
-                         {"trial": i, "tau": a.tau, "band": a.band})
-    return checks
+def _section_pairs(rng, two_tail: bool) -> tuple:
+    """One draw's majorant, ``dt_norm``, row symbol, product and, for two tails, adjoint
+    pairs of two perturbed operators against dense sections holding a period of each tail
+    beyond all perturbations."""
+    draw = random_two_tail if two_tail else random_bandop
+    a, b = draw(rng, 5, 4, perturbed=True), draw(rng, 5, 4, perturbed=True)
+    rows = _covering_window(a, b)
+    index = np.arange(rows.start, rows.stop)
+    sup, norm, symbol, sections = [], [], [], []
+    for op in (a, b):
+        sec = circ.finite_section(op, rows)
+        sections.append(sec)
+        got, want = op.majorant(), _diagonal_sups(sec)
+        info = {"tau": op.tau, "band": op.band}
+        sup.append((max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in {*got, *want}),
+                        default=0.0), info))
+        norm.append((abs(circ.dt_norm(op) - sum(want.values())), info))
+        first = -op.left[0] if len(op.tails) > 1 else 0  # a full period of each tail
+        for l in sorted({*range(first, op.tau), *(r for r, _, _ in op.perturbation)}):
+            angle = float(rng.uniform(0.0, 2.0 * np.pi))
+            want_w = complex(sec[l - rows.start] @ np.exp(1j * (l - index) * angle))
+            symbol.append((abs(circ.w_l(op, l, angle) - want_w), {"l": l}))
+    # rows at least a.band inside the window see every term of the product
+    inner = slice(a.band, len(rows) - a.band)
+    got = circ.finite_section(circ.dt_compose(a, b), rows)[inner]
+    want = (sections[0] @ sections[1])[inner]
+    pairs = [sup, norm, symbol, [(float(np.max(np.abs(got - want))),
+                                  {"tau": (a.tau, b.tau), "band": (a.band, b.band)})]]
+    if two_tail:
+        star = circ.finite_section(circ.dt_adjoint(a), rows)
+        pairs.append([(float(np.max(np.abs(star - sections[0].conj().T))),
+                       {"tau": a.tau, "band": a.band})])
+    return {}, *pairs
 
 
-def section_route(rng, trials: int) -> list[PropertyCheck]:
+@_per_trial(("majorant-is-the-diagonal-sup-of-a-section", 1e-12),
+            ("dt-norm-sums-the-diagonal-sups-of-a-section", 1e-12),
+            ("row-symbol-sums-its-section-row", 1e-12),
+            ("perturbed-product-matches-section-product", 1e-12))
+def section_route(rng):
     """Majorant, ``dt_norm``, row symbols and perturbed products against dense finite sections."""
-    return _section_checks(rng, trials, lambda g: random_bandop(g, 5, 4, perturbed=True), [
-        PropertyCheck("majorant-is-the-diagonal-sup-of-a-section", 1e-12),
-        PropertyCheck("dt-norm-sums-the-diagonal-sups-of-a-section", 1e-12),
-        PropertyCheck("row-symbol-sums-its-section-row", 1e-12),
-        PropertyCheck("perturbed-product-matches-section-product", 1e-12)])
+    return _section_pairs(rng, two_tail=False)
 
 
-def two_tail_section(rng, trials: int) -> list[PropertyCheck]:
+@_per_trial(("two-tail-majorant-is-the-diagonal-sup-of-a-section", 1e-12),
+            ("two-tail-dt-norm-sums-the-diagonal-sups-of-a-section", 1e-12),
+            ("two-tail-row-symbol-sums-its-section-row", 1e-12),
+            ("two-tail-product-matches-section-product", 1e-12),
+            ("two-tail-adjoint-is-the-conjugate-transpose-of-a-section", 1e-12))
+def two_tail_section(rng):
     """Two-tail majorant, ``dt_norm``, row symbols, products and adjoints against sections
     across row 0."""
-    return _section_checks(rng, trials, lambda g: random_two_tail(g, 5, 4, perturbed=True), [
-        PropertyCheck("two-tail-majorant-is-the-diagonal-sup-of-a-section", 1e-12),
-        PropertyCheck("two-tail-dt-norm-sums-the-diagonal-sups-of-a-section", 1e-12),
-        PropertyCheck("two-tail-row-symbol-sums-its-section-row", 1e-12),
-        PropertyCheck("two-tail-product-matches-section-product", 1e-12),
-        PropertyCheck("two-tail-adjoint-is-the-conjugate-transpose-of-a-section", 1e-12)])
+    return _section_pairs(rng, two_tail=True)

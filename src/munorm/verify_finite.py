@@ -315,28 +315,23 @@ def koopman_bridge(rng):
             abs(ent.quantum_entropy_at(u, chi, n) - ent.ks_entropy_at(endo, chi, n)))
 
 
-def entropy_normalization(rng, trials: int) -> list[PropertyCheck]:
+@_per_trial(("finest-partition-path-masses-sum-to-one", 1e-10),
+            ("any-partition-path-masses-sum-to-one", 1e-10))
+def entropy_normalization(rng):
     # For a unitary the path masses sum to 1 at every partition and every
     # horizon: summing a block digit over its atoms and then over blocks
     # restores the full orthonormality relation, so all cross terms cancel.
     # The enumeration is summed so the identity is checked, not assumed.
-    finest = PropertyCheck("finest-partition-path-masses-sum-to-one", 1e-10)
-    any_chi = PropertyCheck("any-partition-path-masses-sum-to-one", 1e-10)
-    for i in range(trials):
-        j = int(rng.integers(2, 7))
-        space = uniform_space(j)
-        u = OperatorMatrix(space, random_standard_unitary(rng, j))
-        chi = finest_partition(space)
-        for n in (1, 2):
-            finest.update(abs(sum(ent.path_mass_table(u, chi, n).values()) - 1.0),
-                          {"trial": i, "J": j, "n": n})
-        wspace = random_space(rng, 2, 6)
-        wu = random_weighted_unitary(rng, wspace)
-        coarse = random_partition(rng, wspace.size)
-        for n in (1, 2, 3):
-            any_chi.update(abs(sum(ent.path_mass_table(wu, coarse, n).values()) - 1.0),
-                           {"trial": i, "J": wspace.size, "n": n})
-    return [finest, any_chi]
+    j = int(rng.integers(2, 7))
+    u = OperatorMatrix(uniform_space(j), random_standard_unitary(rng, j))
+    wspace = random_space(rng, 2, 6)
+    wu = random_weighted_unitary(rng, wspace)
+
+    def gaps(w, chi, horizons):
+        return [(abs(sum(ent.path_mass_table(w, chi, n).values()) - 1.0),
+                 {"J": w.space.size, "n": n}) for n in horizons]
+    return ({}, gaps(u, finest_partition(u.space), (1, 2)),
+            gaps(wu, random_partition(rng, wspace.size), (1, 2, 3)))
 
 
 def closed_entropy(rng, trials: int) -> list[PropertyCheck]:

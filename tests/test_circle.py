@@ -162,6 +162,18 @@ def test_dt_from_multiplier_constant():
     np.testing.assert_array_equal(finite_section(op, range(0, 3)), 2.5 * np.eye(3))
 
 
+def test_dt_from_multiplier_refuses_a_wide_band_before_it_allocates_its_row():
+    # a row of 2 * 10^15 + 1 entries would not fit in memory: the cap comes first
+    with pytest.raises(CapExceeded, match=f"^band radius {10**15} exceeds the cap 128$"):
+        dt_from_multiplier({10**15: 1.0, 3: 2.0})
+    # the row holds g_k at offset -k, a zero g_k widening nothing
+    g = {np.int64(-2): 1.5 - 0.25j, 0: 0.1, 1: 2j, 7: 0.0}
+    row = np.array([[0, 2j, 0.1, 0, 1.5 - 0.25j]])  # offsets -2..2
+    assert dt_from_multiplier(g).coeffs.tobytes() == row.tobytes()
+    with pytest.raises(TypeError):
+        dt_from_multiplier({0.5: 0.0})
+
+
 def test_shift_structure():
     sec = finite_section(SHIFT, range(0, 4))
     np.testing.assert_array_equal(sec, np.diag(np.ones(3), -1).astype(complex))

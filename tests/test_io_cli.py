@@ -910,6 +910,26 @@ def test_cli_verify_fails_with_exit_1_and_names_the_worst_trial(capsys, monkeypa
     assert isinstance(failed[0]["worst"]["trial"], int)
 
 
+def test_cli_verify_refuses_a_nan_and_fails_a_check_with_no_instance(capsys, monkeypatch):
+    from munorm import circle, verify_circle
+    from munorm.verify import _per_trial
+
+    argv = ["verify", "--suite", "rho-oracle", "--trials", "3"]
+    with monkeypatch.context() as m:
+        # inf - inf in both routes: the report would hold a NaN, which JSON refuses
+        m.setattr(circle, "_window_gap", lambda op: (math.inf - math.inf,) * 2)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("invalid input:")
+    monkeypatch.setattr(verify_circle, "rho_oracle",
+                        _per_trial(("never-checked", 1e-12))(lambda rng: ({}, [])))
+    code, rep = run_cli(capsys, argv)
+    assert code == 1 and rep["results"]["all_passed"] is False
+    assert rep["results"]["properties"] == [{"name": "never-checked", "trials": 0,
+                                             "tolerance": 1e-12, "max_violation": 0.0,
+                                             "passed": False}]
+
+
 def test_cli_verify_unknown_suite(files, capsys):
     code = main(["verify", "--suite", "nope", "--trials", "1", "--seed", "0"])
     assert code == 2

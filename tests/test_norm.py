@@ -333,14 +333,30 @@ def test_invariance_properties(suite):
 
 
 def test_a_law_fails_under_a_mutant_and_records_its_trial(monkeypatch):
-    from munorm import scale
+    from munorm import circle, scale
 
-    compose = verify_finite.compose
-    monkeypatch.setattr(verify_finite, "compose", lambda a, b: scale(1.01, compose(a, b)))
-    [check] = right_unitary_uniform(np.random.default_rng(5), 6)
-    assert check.trials == 6 and not check.passed
-    assert set(check.worst) == {"trial", "J"}
-    assert type(check.worst["trial"]) is int and 0 <= check.worst["trial"] < 6
+    compose, dt_norm = verify_finite.compose, circle.dt_norm
+    # (module, name, mutant, suite, check -> (updates per trial, keys of its worst record))
+    cases = [
+        (verify_finite, "compose", lambda a, b: scale(1.01, compose(a, b)),
+         "right-unitary-uniform", {"right-unitary-invariance-uniform": (1, {"trial", "J"})}),
+        # a law that returns pairs updates a check once per pair, with the pair's record
+        (circle, "dt_norm", lambda op: 0.1 * dt_norm(op),
+         "w-symbol-bound", {"row-symbol-bounded-by-dt-norm": (8, {"trial", "l"})}),
+        (circle, "dt_norm", lambda op: 0.1 * dt_norm(op),
+         "norm-chain", {"finite-section-norm-below-dt-norm": (1, {"trial", "tau", "band", "size"}),
+                        "dt-norm-submultiplicative": (1, {"trial"})}),
+    ]
+    for module, name, mutant, suite, expected in cases:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, mutant)
+            checks = run_suite(suite, 6, 5)
+        assert [c.name for c in checks] == list(expected), suite
+        for check in checks:
+            per_trial, keys = expected[check.name]
+            assert check.trials == per_trial * 6 and not check.passed, check.name
+            assert set(check.worst) == keys, check.name
+            assert type(check.worst["trial"]) is int and 0 <= check.worst["trial"] < 6
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
@@ -369,6 +385,34 @@ def test_a_law_that_returns_too_few_violations_raises():
     assert short.__name__ == short.__qualname__ == "short"
     with pytest.raises(ValueError, match="shorter"):
         short(np.random.default_rng(0), 3)
+    # and so does a pair that is not a (violation, record) 2-tuple
+    for pairs in ([(0.0, {}, {})], [(0.0,)], [0.0]):
+        law = _per_trial(("first", 1.0))(lambda rng, pairs=pairs: ({}, pairs))
+        with pytest.raises((ValueError, TypeError)):
+            law(np.random.default_rng(0), 3)
+
+
+def test_a_nan_violation_fails_its_check():
+    from munorm.verify import PropertyCheck, _per_trial
+
+    check = PropertyCheck("x", 1.0)
+    for i, violation in enumerate([0.5, math.nan, 2.0, math.nan, 0.0]):
+        check.update(violation, {"i": i})
+    # the first NaN is the worst and stays so
+    assert check.trials == 5 and math.isnan(check.max_violation) and check.worst == {"i": 1}
+    assert not check.passed
+    [nan] = _per_trial(("x", 1e-12))(lambda rng: ({}, math.inf - math.inf))(
+        np.random.default_rng(0), 3)
+    assert math.isnan(nan.max_violation) and nan.worst == {"trial": 0} and not nan.passed
+
+
+def test_a_check_with_no_instance_fails():
+    from munorm.verify import PropertyCheck, _per_trial
+
+    assert not PropertyCheck("x", 1e-12).passed
+    # a law whose pair list is always empty leaves its check without an instance
+    [empty] = _per_trial(("x", 1e-12))(lambda rng: ({}, []))(np.random.default_rng(0), 3)
+    assert empty.trials == 0 and empty.worst is None and not empty.passed
 
 
 def test_group_reports_what_its_members_report_alone():
