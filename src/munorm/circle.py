@@ -41,9 +41,6 @@ ORACLE_WINDOW = 10**4
 #: the perturbation window it reads (whole rows, at least one).
 _SCAN_BLOCK = 8192
 
-#: The phase table last kept, as ``(grid bytes, band, table)``; see ``_phases``.
-_PHASES: tuple = (None, -1, None)
-
 
 def _periodic_run(period: np.ndarray, start: int, count: int,
                   out: np.ndarray | None = None) -> np.ndarray:
@@ -302,27 +299,6 @@ def _tail_run(op: PeriodicBandOperator, lo: int, count: int, f=None) -> np.ndarr
     return out
 
 
-def _phases(band: int, angles: np.ndarray) -> np.ndarray:
-    """``exp(-i d a)`` for offsets ``d = -band..band`` (rows) and ``angles`` (columns).
-
-    Entries are computed one by one, so rows ``[B - band, B + band]`` of
-    the band-``B`` table are exactly this table.  One table is kept, for
-    the last grid and the widest band seen on it, so a repeated grid
-    computes its exponentials once; a table of more than 2^15 entries
-    holds no memory past its call.
-    """
-    global _PHASES
-    key = angles.tobytes()
-    kept, wide, table = _PHASES
-    if kept == key and wide >= band:
-        return table[wide - band:wide + band + 1]
-    table = np.exp(-1j * np.outer(np.arange(-band, band + 1), angles))
-    table.setflags(write=False)
-    if table.size <= 2**15:
-        _PHASES = (key, band, table)
-    return table
-
-
 def dt_from_seq(left, right, middle: Mapping[int, complex] | None = None,
                 k0: int = 0) -> PeriodicBandOperator:
     """Convolution by an eventually periodic sequence: the band-0 operator ``W_{k,k} = lam_k``.
@@ -489,11 +465,19 @@ def rho_la(op: PeriodicBandOperator, a: float | np.ndarray) -> float | np.ndarra
     The limsup of window averages of ``|w_l(a)|^2`` is the larger of the
     two tails' period averages; perturbations do not reach it.  A float
     angle gives a float, an array a flat array; the two forms round
-    independently.
+    independently.  It computes its phase table on each call and keeps none.
     """
-    phases = _phases(op.band, np.asarray(a, dtype=float).ravel())
-    density = reduce(np.maximum, (np.mean(np.abs(c @ phases) ** 2, axis=0) for _, c in op.tails))
+    angles = np.asarray(a, dtype=float).ravel()
+    density = _density(op, np.exp(-1j * np.outer(np.arange(-op.band, op.band + 1), angles)))
     return float(density[0]) if np.ndim(a) == 0 else density
+
+
+def _density(op: PeriodicBandOperator, phases: np.ndarray) -> np.ndarray:
+    """``rho_la`` at the angles of ``phases``, the table ``exp(-i d a)`` for offsets
+    ``d = -band..band`` (rows) and the angles (columns): the larger over the tails
+    of the row mean of ``|c @ phases|^2``.  A table's entries are computed one by one,
+    so rows ``[B - band, B + band]`` of a band-``B`` table are the band-``band`` one."""
+    return reduce(np.maximum, (np.mean(np.abs(c @ phases) ** 2, axis=0) for _, c in op.tails))
 
 
 def _density_coefficients(tail: tuple[int, np.ndarray]) -> np.ndarray:

@@ -5,9 +5,8 @@ input (bad JSON, bad fields, failed preconditions), a result that
 overflows a double, or a report that cannot be written, 3 a resource
 cap was exceeded.  Reports are byte-identical across runs for the same
 inputs, options, and seed at a fixed BLAS thread count; across thread
-counts the last bits of ``dt-mu-norm``'s ``quadrature`` and of the
-``max_violation`` of ``finest-entropy-matches-markov-chain-*`` in
-``verify --suite all`` have been seen to move.
+counts the last bits of ``dt-mu-norm``'s ``quadrature`` have been seen
+to move.
 
 Each command imports the layers it runs when it runs, so a process
 loads and compiles only those.  A plain command line (a known command,

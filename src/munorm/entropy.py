@@ -162,6 +162,13 @@ def _rows(link, depth: int, num_blocks: int) -> np.ndarray:
     return rows
 
 
+def _xlogx(v: np.ndarray) -> float:
+    """``sum v log v`` over the positive entries of ``v``: products, then numpy's own
+    sum, so no BLAS reduction, whose order follows its thread count, rounds it."""
+    v = v[v > 0.0]
+    return float(np.sum(v * np.log(v)))
+
+
 def _entropies(levels, n_max: int) -> list[float]:
     """``-sum v log v`` per horizon 0..n_max over a walk's ``(depth, masses, link)`` blocks.
 
@@ -170,8 +177,7 @@ def _entropies(levels, n_max: int) -> list[float]:
     """
     acc = {}
     for depth, masses, _ in levels:
-        v = masses[masses > 0.0]
-        acc[depth] = acc.get(depth, 0.0) - float(v @ np.log(v))
+        acc[depth] = acc.get(depth, 0.0) - _xlogx(masses)
     return [acc.get(depth, 0.0) for depth in range(1, n_max + 2)]
 
 
@@ -250,9 +256,7 @@ def quantum_entropy_closed(u: OperatorMatrix) -> float:
     defect = unitarity_defect(u)
     if defect > UNITARITY_TOL:
         raise ValueError(f"operator is not unitary (defect {defect:.3e} > {UNITARITY_TOL:g})")
-    p = np.abs(u.entries) ** 2
-    nz = p > 0.0
-    return float(-np.sum(p[nz] * np.log(p[nz])) / u.space.size)
+    return -_xlogx(np.abs(u.entries) ** 2) / u.space.size
 
 
 def _itinerary_levels(endo: Endomorphism, chi: Partition, n_max: int, term_cap: int,

@@ -178,15 +178,27 @@ def w_symbol_bound(rng):
     return {}, gaps
 
 
-#: rho-la-continuity's grid: 1025 points from 0 to 2 pi in steps of 2 pi / 1024.
-_CONTINUITY_GRID = 2.0 * np.pi * np.arange(1025) / 1024
+#: rho-la-continuity's widest band, and the phase table ``exp(-i d a)`` of its grid,
+#: 1025 points from 0 to 2 pi in steps of 2 pi / 1024, for ``d = -W..W``.
+_CONTINUITY_BAND = 6
+_CONTINUITY_PHASES = np.exp(-1j * np.outer(np.arange(-_CONTINUITY_BAND, _CONTINUITY_BAND + 1),
+                                           2.0 * np.pi * np.arange(1025) / 1024))
 
 
 @_per_trial(("symbol-density-grid-continuity", 1e-12))
 def rho_la_continuity(rng):
-    op = random_bandop(rng, max_tau=6, max_band=6)
-    max_step = float(np.max(np.abs(np.diff(circ.rho_la(op, _CONTINUITY_GRID)))))
-    lip = circ.dt_norm(op) ** 2 * (op.band * op.tau * 4)
+    """Each grid step of ``rho_la`` within ``2 * band * dt_norm**2`` times the step.
+
+    ``|w_l| <= dt_norm`` and ``|w_l'| <= sum_d |d| |W_{l,l+d}| <= band * dt_norm``, so
+    ``|(|w_l|^2)'| = 2 |Re(conj(w_l) w_l')| <= 2 * band * dt_norm**2``; a row mean over
+    a period, and the max over the tails, keep that Lipschitz constant.  The draw reads
+    rows ``[W - band, W + band]`` of the suite's table, what ``rho_la`` computes.
+    """
+    op = random_bandop(rng, max_tau=6, max_band=_CONTINUITY_BAND)
+    w = _CONTINUITY_BAND
+    max_step = float(np.max(np.abs(np.diff(
+        circ._density(op, _CONTINUITY_PHASES[w - op.band:w + op.band + 1])))))
+    lip = 2 * op.band * circ.dt_norm(op) ** 2
     return {"tau": op.tau, "band": op.band}, max_step - lip * (2.0 * np.pi / 1024)
 
 

@@ -22,7 +22,7 @@ from munorm import (
     tail_masses,
     w_l,
 )
-from munorm import circle
+from munorm import circle, verify_circle
 from munorm.circle import _SCAN_BLOCK, ORACLE_WINDOW
 from munorm.verify_circle import COS_SIN, random_bandop, random_two_tail
 
@@ -1066,16 +1066,40 @@ def test_phase_tables_serve_narrower_bands_exactly():
     rng = np.random.default_rng(43)
     grid = 2.0 * np.pi * np.arange(1025) / 1024
     ops = [random_bandop(rng, max_tau=6, max_band=6) for _ in range(60)]
-    for op in ops:  # widest bands come and go; narrower ones read slices
+    for op in ops:  # bands of every width in turn, each table computed per call
         assert rho_la(op, grid).tobytes() == direct(op, grid).tobytes()
     wide = PeriodicBandOperator(2, 128, _random_coeffs(rng, 2, 128))
     assert dt_mu_norm_sq(wide).quadrature == pytest.approx(avg_trace(wide), rel=1e-12)
-    # the band-128 table (257 x 1024 entries) is not kept past its call
-    kept, band, table = circle._PHASES
-    assert kept == grid.tobytes() and band < 128
-    # a second call on the kept grid reads the kept table, narrower bands its middle rows
-    for narrower in (band, 0):
-        assert circle._phases(narrower, grid).base is table
+
+
+def test_continuity_table_rows_give_rho_la_bytes():
+    # rho-la-continuity reads rows [W - band, W + band] of its own table: what rho_la returns
+    w, table = verify_circle._CONTINUITY_BAND, verify_circle._CONTINUITY_PHASES
+    grid = 2.0 * np.pi * np.arange(1025) / 1024
+    rng = np.random.default_rng(44)
+    for band in range(w + 1):
+        for tau in (1, 6):
+            one = PeriodicBandOperator(tau, band, _random_coeffs(rng, tau, band))
+            left = (5, _random_coeffs(rng, 5, band))
+            two = PeriodicBandOperator(tau, band, one.coeffs, left=left)
+            for op in (one, two):
+                got = circle._density(op, table[w - band:w + band + 1])
+                assert got.tobytes() == rho_la(op, grid).tobytes(), (band, tau)
+
+
+def test_circle_calls_rebind_no_module_global():
+    from munorm.verify import run_suite
+
+    before = dict(vars(circle))
+    for suite in ("rho-la-continuity", "dt-integral", "two-tail-integral", "rho-oracle"):
+        run_suite(suite, 3, 0)
+    rng = np.random.default_rng(45)
+    for band in (2, 40):
+        coeffs = _random_coeffs(rng, 3, band)
+        dt_mu_norm_sq(PeriodicBandOperator(3, band, coeffs))
+        dt_mu_norm_sq(PeriodicBandOperator(3, band, coeffs, left=(2, _random_coeffs(rng, 2, band))))
+    after = vars(circle)
+    assert [k for k in {*before, *after} if before.get(k) is not after.get(k)] == []
 
 
 def _random_coeffs(rng, tau, band):
@@ -1094,7 +1118,8 @@ def _failing_checks(suite):
 
 
 def test_section_route_kills_the_perturbation_mutants(monkeypatch):
-    suites = ("section-route", "two-tail-integral", "two-tail-section", "rho-oracle")
+    suites = ("section-route", "two-tail-integral", "two-tail-section", "rho-oracle",
+              "rho-la-continuity")
     assert all(_failing_checks(suite) == set() for suite in suites)
 
     def majorant_reversed(self):  # reads diagonal k from offset k: the diagonals reversed
@@ -1113,10 +1138,10 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
 
     rows, seam, transpose = circle._rows, circle._seam, circle._transpose
 
-    def rho_la_min(op, a):  # the tails combined by min
-        phases = circle._phases(op.band, np.asarray(a, dtype=float).ravel())
-        density = np.min([np.mean(np.abs(c @ phases) ** 2, axis=0) for _, c in op.tails], axis=0)
-        return float(density[0]) if np.ndim(a) == 0 else density
+    def density_min(op, phases):  # the tails combined by min
+        return np.min([np.mean(np.abs(c @ phases) ** 2, axis=0) for _, c in op.tails], axis=0)
+
+    density = circle._density
 
     crossings = circle._crossings
     integral = {"closed-form-matches-gauss-legendre",
@@ -1131,7 +1156,10 @@ def test_section_route_kills_the_perturbation_mutants(monkeypatch):
         (circle, "_rows",
          lambda op, *spans: rows(circle._tailwise(lambda t: t, op.band, circle._EMPTY, op), *spans),
          "section-route", {"perturbed-product-matches-section-product"}),
-        (circle, "rho_la", rho_la_min, "two-tail-integral", integral),
+        (circle, "_density", density_min, "two-tail-integral", integral),
+        # the density at 8 times the angle: steeper than the Lipschitz bound allows
+        (circle, "_density", lambda op, phases: density(op, phases ** 8), "rho-la-continuity",
+         {"symbol-density-grid-continuity"}),
         (circle, "avg_trace", lambda op: min(circle.tail_masses(op)), "rho-oracle",
          {"window-oracle-within-1e-2-at-1e4", "window-oracle-within-derived-bound"}),
         (circle, "_crossings", lambda g: crossings(g)[1:], "two-tail-integral", integral),

@@ -2,6 +2,7 @@ import enum
 import gc
 import itertools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -792,6 +793,14 @@ def test_star_import_binds_every_exported_name():
             "assert ns['dt_norm'] is munorm.circle.dt_norm\n"
             "assert ns['DEFAULT_TERM_CAP'] == munorm.DEFAULT_TERM_CAP == 10**6")
     assert {"spaces", "operators", "norm", "entropy", "circle"} <= loaded_after(code)
+    # and every public function and class a layer defines is in the table, so that a
+    # tracer of each layer's __all__ sees it
+    for layer, names in munorm._LAYERS.items():
+        module = getattr(munorm, layer)
+        defined = {name for name, value in vars(module).items() if not name.startswith("_")
+                   and (inspect.isfunction(value) or inspect.isclass(value))
+                   and value.__module__ == module.__name__}
+        assert defined - set(names) == set(), layer
 
 
 # --------------------------------------------------------------------------
@@ -800,9 +809,9 @@ def test_star_import_binds_every_exported_name():
 CLI_ENTRY = "import sys; from munorm.cli import main; sys.exit(main())"
 
 
-def run_entry(argv, cwd, entry=CLI_ENTRY):
+def run_entry(argv, cwd, entry=CLI_ENTRY, **env):
     return subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True, text=True,
-                          cwd=cwd, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": SRC, **env}, timeout=60)
 
 
 #: Input files of the entry cases, by name; the cases run in their directory.
@@ -866,6 +875,24 @@ def test_process_entry_loads_argparse_only_for_what_it_hands_over(tmp_path, argv
     proc = run_entry(argv, tmp_path, entry)
     assert (proc.returncode, proc.stderr) == (0, loaded + "\n")
     assert proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "finest-markov-route", "--trials", "20", "--seed", "0"],
+    ["entropy", "--space", "s8.json", "--op", "u8.json", "--partition", "fine8.json", "--N", "5"],
+], ids=["verify", "entropy"])
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # walks of up to 8^6 paths: a BLAS dot product that long sums in parts, one per thread
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    inputs = {"s8.json": {"weights": [0.125] * 8},
+              "u8.json": {"re": u.real.tolist(), "im": u.imag.tolist()},
+              "fine8.json": {"blocks": [[i] for i in range(1, 9)]}}
+    for name, obj in inputs.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    one, two = (run_entry(argv, tmp_path, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert (one.returncode, one.stdout) == (two.returncode, two.stdout)
+    assert one.returncode == 0
 
 
 def test_cli_verify_suite(files, capsys):
